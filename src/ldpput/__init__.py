@@ -2,9 +2,10 @@
 finite alphabets.
 
 The package represents private channels as exact rational matrices,
-reduces the search for optimal ones to a polytope of subset weights,
-collapses that polytope under symmetry groups, and minimizes decision
-risks over it by vertex scan, exact LP, or closed form.
+reduces the search for optimal ones to a polytope of subset weights
+(collapsed onto orbits when a symmetry group acts; the trivial group
+gives the full polytope), and minimizes decision risks over it by
+vertex scan, exact LP, or closed form.
 """
 
 from .channels import (
@@ -49,33 +50,27 @@ from .groups import (
     trivial_group,
 )
 from .invariant import (
-    OrbitWeightVector,
-    SubsetOrbit,
     enumerate_invariant_vertices,
-    in_invariant_polytope,
-    invariant_extremal_channel,
     lift_weights,
-    make_orbit_weights,
-    orbit_coefficients,
     ss_mechanism,
-    subset_orbits,
     transitive_vertex_weight,
 )
 from .ldp_geometry import (
-    ConeConstraintMatrix,
     StaircaseMatrix,
+    SubsetOrbit,
+    WeightPolytope,
     WeightVector,
     canonical_weight,
-    cone_constraint_matrix,
     dominating_maximal,
     enumerate_polytope_vertices,
     extremal_channel,
     in_weight_polytope,
     is_extreme_direction,
     is_maximal,
-    kernel_rank_check,
     make_weight_vector,
     staircase_matrix,
+    subset_orbits,
+    weight_polytope,
 )
 from .put_solver import (
     AuditReport,
@@ -93,9 +88,7 @@ from .applications import (
     CardioidSpec,
     cardioid_consecutive_maximizer,
     cardioid_orbit_risk,
-    cardioid_orbit_risk_numeric,
     cardioid_put_closed_form,
-    cardioid_rule_risk,
     ht_minimax_equals_bayes,
     ht_problem,
     ht_put_closed_form,

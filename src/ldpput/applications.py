@@ -3,8 +3,7 @@
 Both tasks are invariant under a transitive group (the full symmetric
 group for hypothesis testing, rotations for the location family), so
 their trade-offs reduce to a minimum over subset orbits with
-closed-form per-orbit risks.  A grid-integration oracle validates the
-location family's analytic risk without reusing its derivation.
+closed-form per-orbit risks.
 """
 
 from __future__ import annotations
@@ -14,14 +13,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
-
-import numpy as np
 
 from .channels import Channel, PrivacyLevel, as_level
 from .decision import DecisionProblem, Prior, check_equalizer
 from .groups import FiniteAlphabet, mask_to_positions, positions_to_mask
-from .invariant import SubsetOrbit, ss_mechanism
+from .invariant import ss_mechanism
 from .rationals import as_fraction, format_fraction
 
 _ZERO = Fraction(0)
@@ -179,95 +175,6 @@ def cardioid_bayes_risk(spec: CardioidSpec, channel: Channel) -> float:
         cc = sum(float(v) * mc[x] for x, v in enumerate(row))
         cs = sum(float(v) * ms[x] for x, v in enumerate(row))
         total += c0 - math.hypot(cc, cs)
-    return total
-
-
-def cardioid_orbit_risk_numeric(spec: CardioidSpec, mask: int,
-                                theta_grid: int = 10 ** 4,
-                                action_grid: int = 10 ** 4) -> float:
-    """Grid-integration oracle for the pure orbit channel's Bayes risk.
-
-    Works from the raw model and loss: the posterior cost of each
-    action is integrated over theta on a trapezoid grid (the integrand
-    is a trigonometric polynomial, so the full-period trapezoid rule is
-    extremely accurate), and the best action is found by scanning an
-    action grid.  No step reuses the analytic risk formula.
-    """
-    m = spec.m
-    t = float(spec.level.t)
-    gamma = float(spec.gamma)
-    k = len(mask_to_positions(mask))
-    orbit_masks = _rotation_orbit(mask, m)
-    weight = m / (len(orbit_masks) * (k * t + m - k))
-
-    thetas = np.linspace(0.0, 2.0 * np.pi, theta_grid, endpoint=False)
-    dtheta = 2.0 * np.pi / theta_grid
-    # Per-letter moments of the model against 1, cos, sin; the loss
-    # 1 - cos(theta - a) expands over exactly this basis.
-    xs = np.arange(m)
-    model = (1.0 + gamma * np.cos(2.0 * np.pi * xs[:, None] / m - thetas[None, :])) / m
-    prior_density = 1.0 / (2.0 * np.pi)
-    m0 = (model * prior_density).sum(axis=1) * dtheta
-    mc = (model * np.cos(thetas)[None, :] * prior_density).sum(axis=1) * dtheta
-    ms = (model * np.sin(thetas)[None, :] * prior_density).sum(axis=1) * dtheta
-
-    actions = np.linspace(0.0, 2.0 * np.pi, action_grid, endpoint=False)
-    total = 0.0
-    for member in orbit_masks:
-        srow = np.array([t if member >> x & 1 else 1.0 for x in range(m)])
-        c0 = float((srow * m0).sum())
-        cc = float((srow * mc).sum())
-        cs = float((srow * ms).sum())
-        costs = c0 - np.cos(actions) * cc - np.sin(actions) * cs
-        total += weight * float(costs.min())
-    return total
-
-
-def _rotation_orbit(mask: int, m: int) -> list[int]:
-    seen = set()
-    current = mask
-    while current not in seen:
-        seen.add(current)
-        current = _rotate_mask(current, m)
-    return sorted(seen)
-
-
-def _rotate_mask(mask: int, m: int) -> int:
-    out = 0
-    for x in mask_to_positions(mask):
-        out |= 1 << ((x + 1) % m)
-    return out
-
-
-def cardioid_rule_risk(spec: CardioidSpec, mask: int, theta: float) -> float:
-    """Risk at a fixed direction for the pure orbit channel and the
-    point-the-subset rule a(y) = arg(Z_y).
-
-    For informative orbits of size >= 3 this curve is flat in theta (an
-    equalizer), which is how the location family's Bayes risk doubles
-    as its worst-case risk.
-    """
-    m = spec.m
-    t = float(spec.level.t)
-    gamma = float(spec.gamma)
-    k = len(mask_to_positions(mask))
-    orbit_masks = _rotation_orbit(mask, m)
-    weight = m / (len(orbit_masks) * (k * t + m - k))
-    total = 0.0
-    for member in orbit_masks:
-        z = sum(cmath.exp(2j * cmath.pi * x / m) for x in mask_to_positions(member))
-        mass = 0.0
-        for x in range(m):
-            p_x = (1.0 + gamma * math.cos(2.0 * math.pi * x / m - theta)) / m
-            s_x = t if member >> x & 1 else 1.0
-            mass += p_x * s_x
-        if abs(z) > 1e-12:
-            loss = 1.0 - math.cos(theta - cmath.phase(z))
-        else:
-            # Uninformative member: a uniform random action has average
-            # loss exactly 1 at every direction.
-            loss = 1.0
-        total += weight * mass * loss
     return total
 
 

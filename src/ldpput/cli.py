@@ -21,19 +21,14 @@ from .channels import PrivacyLevel, as_level
 from .decision import bayes_optimal_risk, linear_coefficients, minimax_risk
 from .errors import (
     AuditFailureError,
+    CapExceededError,
     DimensionCapError,
     LdpPutError,
     MethodDisagreementError,
 )
 from .groups import FiniteAlphabet, cyclic_group, symmetric_group
-from .invariant import subset_orbits
-from .ldp_geometry import (
-    DEFAULT_ENUM_CAP_M,
-    canonical_weight,
-    enumerate_polytope_vertices,
-    is_maximal,
-)
 from .invariant import enumerate_invariant_vertices
+from .ldp_geometry import DEFAULT_ENUM_CAP_M, canonical_weight, enumerate_polytope_vertices
 from .put_solver import (
     BAYES_TRAITS,
     MINIMAX_TRAITS,
@@ -67,7 +62,9 @@ def _enum_cap() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise SystemExit(f"LDPPUT_CAP_M must be an integer, got {raw!r}") from exc
+        # Exits like an argparse error: a bad setting is a parse problem.
+        print(f"error: LDPPUT_CAP_M must be an integer, got {raw!r}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE) from exc
 
 
 def _parse_level(args) -> tuple[PrivacyLevel, dict | None]:
@@ -77,7 +74,11 @@ def _parse_level(args) -> tuple[PrivacyLevel, dict | None]:
     if args.t is not None:
         return as_level(args.t), None
     if args.epsilon is not None:
-        level, bound = PrivacyLevel.from_epsilon(float(args.epsilon))
+        try:
+            level, bound = PrivacyLevel.from_epsilon(float(args.epsilon))
+        except OverflowError as exc:
+            raise ValueError(f"--epsilon {args.epsilon} is too large for an exact "
+                             "level") from exc
         note = {"epsilon": float(args.epsilon), "t": format_fraction(level.t),
                 "approximation_bound": bound}
         return level, note
@@ -176,7 +177,7 @@ def _format_value(value) -> str:
 
 
 def _winner_label(weights) -> str:
-    if hasattr(weights, "orbits"):
+    if weights.polytope.group.order > 1:
         for orbit, w in zip(weights.orbits, weights.values):
             if w:
                 return f"orbit(rep={orbit.representative},k={orbit.subset_size})"
@@ -189,9 +190,11 @@ def _ht_results(args, level) -> list[dict]:
     m, gamma = args.m, as_fraction(args.gamma)
     problem, prior = apps.ht_problem(m, gamma)
     alphabet = problem.input_alphabet
-    group = _parse_group(args.group, alphabet) or symmetric_group(alphabet)
+    group = _parse_group(args.group, alphabet)
     objective = lambda q: bayes_optimal_risk(problem, prior, q)[0]
     wanted = _methods(args)
+    if group is None and {"transitive", "vertex"} & set(wanted):
+        group = symmetric_group(alphabet)
     results = []
     for method in wanted:
         if method == "closed":
@@ -223,8 +226,10 @@ def _cardioid_results(args, level) -> list[dict]:
     m, gamma = args.m, as_fraction(args.gamma)
     spec = apps.CardioidSpec.build(m, gamma, level)
     alphabet = FiniteAlphabet.of_size(m)
-    group = _parse_group(args.group, alphabet) or cyclic_group(alphabet)
+    group = _parse_group(args.group, alphabet)
     wanted = [w for w in _methods(args) if w in ("closed", "transitive")]
+    if group is None and "transitive" in wanted:
+        group = cyclic_group(alphabet)
     results = []
     for method in wanted:
         if method == "closed":
@@ -323,6 +328,8 @@ def _custom_put(args, level) -> dict:
 
 def cmd_audit(args) -> int:
     level, note = _parse_level(args)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     m, gamma = args.m, as_fraction(args.gamma)
     alphabet = FiniteAlphabet.of_size(m)
     if args.task == "ht":
@@ -419,7 +426,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DimensionCapError as exc:
+    except (DimensionCapError, CapExceededError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except MethodDisagreementError as exc:

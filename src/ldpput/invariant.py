@@ -1,25 +1,20 @@
-"""Orbit-collapsed geometry for symmetric problems.
+"""Transitive-group shortcuts on the orbit-collapsed weight polytope.
 
-When a group acts on the input alphabet, subsets fall into orbits and
-the weight polytope collapses: one weight per subset orbit, one linear
-constraint per input-letter orbit.  For transitive groups the collapsed
-polytope is a simplex whose vertices have a closed form.
+The collapsed polytope itself (orbits, equalities, membership, extremal
+channels, vertices) is `ldp_geometry.WeightPolytope`.  For transitive
+groups it is a simplex, one vertex per subset orbit, with closed-form
+vertex weights; this module holds those closed forms, the subset
+selection mechanism built from them, and the grouped vertex
+enumeration entry point with its orbit cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .channels import Channel, PrivacyLevel, as_level
-from .errors import (
-    BadSubsetSizeError,
-    DimensionCapError,
-    NotTransitiveError,
-    PolytopeViolationError,
-    RepresentativeMismatchError,
-)
+from .channels import Channel, as_level
+from .errors import BadSubsetSizeError, DimensionCapError, NotTransitiveError
 from .groups import (
     FiniteAlphabet,
     GroupAction,
@@ -28,150 +23,36 @@ from .groups import (
     is_transitive,
     mask_to_positions,
     natural_action,
-    orbits,
     subset_action,
 )
-from .ldp_geometry import WeightVector, staircase_row
-from .linalg import enumerate_basic_feasible
-from .rationals import as_fraction
+from .ldp_geometry import (
+    SubsetOrbit,
+    WeightVector,
+    extremal_channel,
+    full_polytope,
+    polytope_vertices,
+    staircase_row,
+    subset_orbits,  # noqa: F401  traced under this module by perfbench/spans.py
+    weight_polytope,
+)
 
 DEFAULT_ORBIT_CAP = 64
+CANDIDATE_CAP = 2_000_000
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class SubsetOrbit:
-    """An orbit of subsets under the induced action, masks ascending."""
-
-    masks: tuple[int, ...]
-
-    @property
-    def representative(self) -> int:
-        return self.masks[0]
-
-    @property
-    def size(self) -> int:
-        return len(self.masks)
-
-    @property
-    def subset_size(self) -> int:
-        return len(mask_to_positions(self.masks[0]))
-
-
-def input_orbits(group: PermGroup) -> tuple[tuple, ...]:
-    """Orbits of the group on its own letters."""
-    return orbits(natural_action(group))
-
-
-def subset_orbits(group: PermGroup) -> tuple[SubsetOrbit, ...]:
-    """Orbits of nonempty proper subsets, ordered by smallest member."""
-    return tuple(SubsetOrbit(masks=orbit)
-                 for orbit in orbits(subset_action(natural_action(group))))
-
-
-@dataclass(frozen=True)
-class OrbitCoefficients:
-    """Counts tying one input-letter orbit to one subset orbit."""
-
-    incidence: int          # members of the subset orbit containing a fixed letter
-    orbit_size: int
-    subset_size: int
-    column_sum: Fraction    # t * incidence + (orbit_size - incidence)
-
-
-def orbit_coefficients(group: PermGroup, letter_orbit: tuple, orbit: SubsetOrbit,
-                       level) -> OrbitCoefficients:
-    """Incidence counts for the collapsed polytope constraint.
-
-    The count is the same for every letter in the orbit (the group maps
-    witnesses to witnesses); this is checked rather than assumed.
-    """
-    t = as_level(level).t
-    letters = group.alphabet.letters
-    counts = []
-    for letter in letter_orbit:
-        pos = letters.index(letter)
-        counts.append(sum(1 for mask in orbit.masks if mask >> pos & 1))
-    if len(set(counts)) != 1:
-        raise RepresentativeMismatchError(
-            f"incidence count varies over the letter orbit: {counts}")
-    r = counts[0]
-    return OrbitCoefficients(incidence=r,
-                             orbit_size=orbit.size,
-                             subset_size=orbit.subset_size,
-                             column_sum=t * r + (orbit.size - r))
-
-
-@dataclass(frozen=True)
-class OrbitWeightVector:
-    """One nonnegative weight per subset orbit."""
-
-    group: PermGroup
-    level: PrivacyLevel
-    orbits: tuple[SubsetOrbit, ...]
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.orbits):
-            raise ValueError("need exactly one weight per subset orbit")
-
-    @property
-    def input_alphabet(self) -> FiniteAlphabet:
-        return self.group.alphabet
-
-
-def make_orbit_weights(group: PermGroup, level, values) -> OrbitWeightVector:
-    return OrbitWeightVector(group=group, level=as_level(level),
-                             orbits=subset_orbits(group),
-                             values=tuple(as_fraction(v) for v in values))
-
-
-def in_invariant_polytope(weights: OrbitWeightVector) -> bool:
-    """Membership: weights nonnegative and, for every input-letter orbit,
-    the weighted column sums hit one."""
-    if any(v < 0 for v in weights.values):
-        return False
-    for letter_orbit in input_orbits(weights.group):
-        total = _ZERO
-        for orbit, w in zip(weights.orbits, weights.values):
-            if w:
-                coeff = orbit_coefficients(weights.group, letter_orbit, orbit,
-                                           weights.level)
-                total += w * coeff.column_sum
-        if total != 1:
-            return False
-    return True
-
-
-def lift_weights(weights: OrbitWeightVector) -> WeightVector:
+def lift_weights(weights: WeightVector) -> WeightVector:
     """Spread each orbit weight onto all of the orbit's subsets."""
-    m = weights.group.alphabet.size
-    values = [_ZERO] * ((1 << m) - 2)
-    for orbit, w in zip(weights.orbits, weights.values):
-        for mask in orbit.masks:
-            values[mask - 1] = w
-    return WeightVector(input_alphabet=weights.group.alphabet, level=weights.level,
-                        values=tuple(values))
+    m = weights.input_alphabet.size
+    return WeightVector(polytope=full_polytope(weights.input_alphabet, weights.level),
+                        values=tuple(weights.weight(mask) for mask in all_subset_masks(m)))
 
 
-def invariant_extremal_channel(weights: OrbitWeightVector) -> Channel:
-    """Block channel: one staircase block per subset orbit, scaled by its
-    weight.  Output letters are the subset masks, grouped orbit by orbit."""
-    if not in_invariant_polytope(weights):
-        raise PolytopeViolationError("weights are not a member of the collapsed polytope")
-    m = weights.group.alphabet.size
-    t = weights.level.t
-    letters = []
-    rows = []
-    for orbit, w in zip(weights.orbits, weights.values):
-        for mask in orbit.masks:
-            letters.append(mask)
-            rows.append(tuple(v * w for v in staircase_row(mask, m, t)))
-    return Channel(input_alphabet=weights.group.alphabet,
-                   output_alphabet=FiniteAlphabet(tuple(letters)),
-                   rows=tuple(rows))
+def invariant_extremal_channel(weights: WeightVector) -> Channel:
+    """The same as `ldp_geometry.extremal_channel`, under its former name,
+    which perfbench/spans.py traces."""
+    return extremal_channel(weights)
 
 
 def transitive_vertex_weight(group: PermGroup, orbit: SubsetOrbit, level) -> Fraction:
@@ -189,14 +70,13 @@ def transitive_vertex_weight(group: PermGroup, orbit: SubsetOrbit, level) -> Fra
     return Fraction(m, 1) / (orbit.size * (k * t + m - k))
 
 
-def pure_orbit_weights(group: PermGroup, orbit_index: int, level) -> OrbitWeightVector:
+def pure_orbit_weights(group: PermGroup, orbit_index: int, level) -> WeightVector:
     """The collapsed-simplex vertex supported on a single subset orbit."""
-    level = as_level(level)
-    orbs = subset_orbits(group)
-    values = [_ZERO] * len(orbs)
-    values[orbit_index] = transitive_vertex_weight(group, orbs[orbit_index], level)
-    return OrbitWeightVector(group=group, level=level, orbits=orbs,
-                             values=tuple(values))
+    polytope = weight_polytope(group, level)
+    weight = transitive_vertex_weight(group, polytope.orbits[orbit_index], level)
+    values = [_ZERO] * len(polytope.orbits)
+    values[orbit_index] = weight
+    return WeightVector(polytope=polytope, values=tuple(values))
 
 
 def ss_mechanism(alphabet: FiniteAlphabet, k: int, level) -> Channel:
@@ -220,19 +100,12 @@ def ss_mechanism(alphabet: FiniteAlphabet, k: int, level) -> Channel:
 
 
 def enumerate_invariant_vertices(group: PermGroup, level,
-                                 cap: int = DEFAULT_ORBIT_CAP) -> list[OrbitWeightVector]:
-    """All vertices of the collapsed polytope, exactly."""
-    level = as_level(level)
-    orbs = subset_orbits(group)
-    if len(orbs) > cap:
-        raise DimensionCapError(f"orbit count {len(orbs)} exceeds cap {cap}")
-    letter_orbits = input_orbits(group)
-    a_eq = [[orbit_coefficients(group, lo, orbit, level).column_sum for orbit in orbs]
-            for lo in letter_orbits]
-    b_eq = [_ONE] * len(letter_orbits)
-    solutions = enumerate_basic_feasible(a_eq, b_eq, candidate_cap=2_000_000)
-    return [OrbitWeightVector(group=group, level=level, orbits=orbs, values=values)
-            for values in sorted(solutions)]
+                                 cap: int = DEFAULT_ORBIT_CAP) -> list[WeightVector]:
+    """All vertices of the polytope collapsed by the group, exactly."""
+    polytope = weight_polytope(group, level)
+    if len(polytope.orbits) > cap:
+        raise DimensionCapError(f"orbit count {len(polytope.orbits)} exceeds cap {cap}")
+    return polytope_vertices(polytope, candidate_cap=CANDIDATE_CAP)
 
 
 def invariant_output_action(group: PermGroup, channel: Channel) -> GroupAction:

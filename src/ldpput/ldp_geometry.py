@@ -1,10 +1,12 @@
 """Geometry of maximal private channels: staircase rows, the weight
-polytope, and the privacy cone.
+polytope, and extreme directions of the privacy cone.
 
 Subsets of the input alphabet are bitmasks over letter positions, in
-ascending order 1 .. 2^m - 2 (nonempty proper subsets only).  The
-staircase matrix has one row per subset, a weight vector one entry per
-subset, and extremal channels one output row per subset.  All of it is
+ascending order 1 .. 2^m - 2 (nonempty proper subsets only).  A
+permutation group on the alphabet splits the subsets and the letters
+into orbits; the weight polytope has one weight per subset orbit and
+one equality per letter orbit.  The full polytope is the trivial
+group's, where every orbit is a single subset or letter.  All of it is
 exact rational arithmetic.
 """
 
@@ -19,14 +21,23 @@ from .channels import Channel, DominanceWitness, PrivacyLevel, as_level, is_ldp
 from .errors import (
     DecompositionInfeasibleError,
     DimensionCapError,
-    NotInConeError,
     NotLdpError,
     NotMaximalError,
     PolytopeViolationError,
+    RepresentativeMismatchError,
     ZeroVectorError,
 )
-from .groups import FiniteAlphabet, all_subset_masks, mask_to_positions
-from .linalg import enumerate_basic_feasible, rank
+from .groups import (
+    FiniteAlphabet,
+    PermGroup,
+    all_subset_masks,
+    mask_to_positions,
+    natural_action,
+    orbits,
+    subset_action,
+    trivial_group,
+)
+from .linalg import enumerate_basic_feasible
 from .rationals import as_fraction
 from .simplex import feasible_point
 
@@ -63,136 +74,232 @@ def staircase_matrix(alphabet: FiniteAlphabet, level) -> StaircaseMatrix:
     return StaircaseMatrix(input_alphabet=alphabet, level=level, rows=rows)
 
 
+# -- orbits -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SubsetOrbit:
+    """An orbit of subsets under the induced action, masks ascending."""
+
+    masks: tuple[int, ...]
+
+    @property
+    def representative(self) -> int:
+        return self.masks[0]
+
+    @property
+    def size(self) -> int:
+        return len(self.masks)
+
+    @property
+    def subset_size(self) -> int:
+        return len(mask_to_positions(self.masks[0]))
+
+
+def input_orbits(group: PermGroup) -> tuple[tuple, ...]:
+    """Orbits of the group on its own letters."""
+    return orbits(natural_action(group))
+
+
+def subset_orbits(group: PermGroup) -> tuple[SubsetOrbit, ...]:
+    """Orbits of nonempty proper subsets, ordered by smallest member."""
+    return tuple(SubsetOrbit(masks=orbit)
+                 for orbit in orbits(subset_action(natural_action(group))))
+
+
+@dataclass(frozen=True)
+class OrbitCoefficients:
+    """Counts tying one input-letter orbit to one subset orbit."""
+
+    incidence: int          # members of the subset orbit containing a fixed letter
+    orbit_size: int
+    subset_size: int
+    column_sum: Fraction    # t * incidence + (orbit_size - incidence)
+
+
+def orbit_coefficients(group: PermGroup, letter_orbit: tuple, orbit: SubsetOrbit,
+                       level) -> OrbitCoefficients:
+    """Incidence counts for one coefficient of the polytope's equalities.
+
+    The count is the same for every letter in the orbit (the group maps
+    witnesses to witnesses); this is checked rather than assumed.
+    """
+    t = as_level(level).t
+    letters = group.alphabet.letters
+    counts = []
+    for letter in letter_orbit:
+        pos = letters.index(letter)
+        counts.append(sum(1 for mask in orbit.masks if mask >> pos & 1))
+    if len(set(counts)) != 1:
+        raise RepresentativeMismatchError(
+            f"incidence count varies over the letter orbit: {counts}")
+    r = counts[0]
+    return OrbitCoefficients(incidence=r,
+                             orbit_size=orbit.size,
+                             subset_size=orbit.subset_size,
+                             column_sum=t * r + (orbit.size - r))
+
+
+# -- the weight polytope ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WeightPolytope:
+    """{w >= 0 : rows . w = 1} in orbit coordinates.
+
+    One weight per subset orbit of `group` (in `orbits` order) and one
+    equality row per input-letter orbit: a letter's weighted staircase
+    column must sum to one.  `orbit_index[mask - 1]` is the position of
+    the orbit holding `mask`.
+    """
+
+    group: PermGroup
+    level: PrivacyLevel
+    orbits: tuple[SubsetOrbit, ...]
+    letter_orbits: tuple[tuple, ...]
+    rows: tuple[tuple[Fraction, ...], ...]
+    orbit_index: tuple[int, ...]
+
+
+def weight_polytope(group: PermGroup, level) -> WeightPolytope:
+    """The weight polytope collapsed onto the group's orbits."""
+    level = as_level(level)
+    m = group.alphabet.size
+    if m < 2:
+        raise ValueError("the weight polytope needs at least two letters")
+    orbs = subset_orbits(group)
+    letter_orbits = input_orbits(group)
+    rows = tuple(tuple(orbit_coefficients(group, lo, orbit, level).column_sum
+                       for orbit in orbs)
+                 for lo in letter_orbits)
+    index = [0] * ((1 << m) - 2)
+    for i, orbit in enumerate(orbs):
+        for mask in orbit.masks:
+            index[mask - 1] = i
+    return WeightPolytope(group=group, level=level, orbits=orbs,
+                          letter_orbits=letter_orbits, rows=rows,
+                          orbit_index=tuple(index))
+
+
+@lru_cache(maxsize=64)
+def full_polytope(alphabet: FiniteAlphabet, level) -> WeightPolytope:
+    """The full weight polytope: one weight per subset, one row per letter."""
+    return weight_polytope(trivial_group(alphabet), level)
+
+
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative weights on subsets; member of the weight polytope when
-    every input letter's weighted staircase column sums to one."""
+    """Nonnegative weights, one per subset orbit of its polytope; a member
+    when every equality row of the polytope sums to one."""
 
-    input_alphabet: FiniteAlphabet
-    level: PrivacyLevel
+    polytope: WeightPolytope
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        expected = (1 << self.input_alphabet.size) - 2
+        expected = len(self.polytope.orbits)
         if len(self.values) != expected:
             raise ValueError(f"expected {expected} weights, got {len(self.values)}")
 
     @property
-    def masks(self) -> tuple[int, ...]:
-        return all_subset_masks(self.input_alphabet.size)
+    def input_alphabet(self) -> FiniteAlphabet:
+        return self.polytope.group.alphabet
+
+    @property
+    def level(self) -> PrivacyLevel:
+        return self.polytope.level
+
+    @property
+    def orbits(self) -> tuple[SubsetOrbit, ...]:
+        return self.polytope.orbits
 
     def weight(self, mask: int) -> Fraction:
-        return self.values[mask - 1]
+        """The weight on one subset: that of its orbit."""
+        return self.values[self.polytope.orbit_index[mask - 1]]
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(mask for mask, v in zip(self.masks, self.values) if v != 0)
+        """Subsets with nonzero weight, ascending."""
+        index = self.polytope.orbit_index
+        return tuple(mask for mask in range(1, len(index) + 1)
+                     if self.values[index[mask - 1]] != 0)
 
 
-def make_weight_vector(alphabet: FiniteAlphabet, level, values: Sequence) -> WeightVector:
-    return WeightVector(input_alphabet=alphabet, level=as_level(level),
-                        values=tuple(as_fraction(v) for v in values))
+def make_weight_vector(domain: FiniteAlphabet | PermGroup, level,
+                       values: Sequence) -> WeightVector:
+    """Weights on the full polytope of an alphabet, or on the polytope
+    collapsed by a group."""
+    level = as_level(level)
+    polytope = weight_polytope(domain, level) if isinstance(domain, PermGroup) \
+        else full_polytope(domain, level)
+    return WeightVector(polytope=polytope, values=tuple(as_fraction(v) for v in values))
 
 
 def in_weight_polytope(weights: WeightVector) -> bool:
-    """Membership test: weights nonnegative, columns sum exactly to one."""
-    m = weights.input_alphabet.size
-    t = weights.level.t
+    """Membership test: weights nonnegative, every row sums exactly to one."""
     if any(v < 0 for v in weights.values):
         return False
-    for x in range(m):
-        total = _ZERO
-        for mask, v in zip(weights.masks, weights.values):
-            if v:
-                total += v * t if mask >> x & 1 else v
-        if total != 1:
-            return False
-    return True
+    support = [(j, v) for j, v in enumerate(weights.values) if v]
+    return all(sum((row[j] * v for j, v in support), _ZERO) == 1
+               for row in weights.polytope.rows)
 
 
 def extremal_channel(weights: WeightVector) -> Channel:
     """The maximal channel with one output row per subset.
 
-    Row y is the staircase row of y scaled by its weight; zero-weight
-    rows are kept so the output alphabet is always the full subset
-    list.  Output letters are the subset bitmasks themselves.
+    Row y is the staircase row of y scaled by the weight of its orbit;
+    zero-weight rows are kept so the output alphabet always lists every
+    subset, orbit by orbit (ascending under the trivial group).  Output
+    letters are the subset bitmasks themselves.
     """
     if not in_weight_polytope(weights):
         raise PolytopeViolationError("weights are not a member of the weight polytope")
     m = weights.input_alphabet.size
     t = weights.level.t
-    rows = tuple(
-        tuple(v * t if mask >> x & 1 else v for x in range(m))
-        for mask, v in zip(weights.masks, weights.values)
-    )
+    letters = []
+    rows = []
+    for orbit, w in zip(weights.orbits, weights.values):
+        for mask in orbit.masks:
+            letters.append(mask)
+            rows.append(tuple(w * t if mask >> x & 1 else w for x in range(m)))
     return Channel(input_alphabet=weights.input_alphabet,
-                   output_alphabet=FiniteAlphabet(weights.masks),
-                   rows=rows)
+                   output_alphabet=FiniteAlphabet(tuple(letters)),
+                   rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class ConeConstraintMatrix:
-    """Facet description of the privacy cone.
+@lru_cache(maxsize=64)
+def _basic_feasible_cached(rows: tuple[tuple[Fraction, ...], ...],
+                           candidate_cap: int | None) -> tuple[tuple[Fraction, ...], ...]:
+    a_eq = [list(row) for row in rows]
+    return tuple(sorted(enumerate_basic_feasible(a_eq, [_ONE] * len(rows),
+                                                 candidate_cap=candidate_cap)))
 
-    One row t*e_z - e_{z'} per ordered pair z != z' (lexicographic order),
-    then the identity block for nonnegativity.
+
+def polytope_vertices(polytope: WeightPolytope,
+                      candidate_cap: int | None = None) -> list[WeightVector]:
+    """All vertices of a weight polytope, exactly, sorted.
+
+    Support enumeration over the orbit columns, memoised on the
+    equality system; candidate_cap bounds the number of supports.
     """
-
-    input_alphabet: FiniteAlphabet
-    level: PrivacyLevel
-    pairs: tuple[tuple[int, int], ...]
-
-    def pair_rows(self) -> list[list[Fraction]]:
-        m = self.input_alphabet.size
-        t = self.level.t
-        out = []
-        for z, z2 in self.pairs:
-            row = [_ZERO] * m
-            row[z] += t
-            row[z2] -= _ONE
-            out.append(row)
-        return out
-
-    def all_rows(self) -> list[list[Fraction]]:
-        m = self.input_alphabet.size
-        rows = self.pair_rows()
-        for x in range(m):
-            row = [_ZERO] * m
-            row[x] = _ONE
-            rows.append(row)
-        return rows
-
-    def active_rows(self, v: Sequence[Fraction]) -> list[list[Fraction]]:
-        """Rows whose inequality holds with equality at v."""
-        m = self.input_alphabet.size
-        t = self.level.t
-        active = []
-        for z, z2 in self.pairs:
-            if t * v[z] == v[z2]:
-                row = [_ZERO] * m
-                row[z] += t
-                row[z2] -= _ONE
-                active.append(row)
-        for x in range(m):
-            if v[x] == 0:
-                row = [_ZERO] * m
-                row[x] = _ONE
-                active.append(row)
-        return active
+    return [WeightVector(polytope=polytope, values=values)
+            for values in _basic_feasible_cached(polytope.rows, candidate_cap)]
 
 
-def cone_constraint_matrix(alphabet: FiniteAlphabet, level) -> ConeConstraintMatrix:
+def enumerate_polytope_vertices(alphabet: FiniteAlphabet, level,
+                                cap: int = DEFAULT_ENUM_CAP_M) -> list[WeightVector]:
+    """All vertices of the full weight polytope, exactly.
+
+    Support enumeration over subsets of the 2^m - 2 columns, so the
+    work grows like C(2^m - 2, m); the cap keeps it at desk scale
+    (m <= 5 by default).  Results are sorted and deterministic.
+    """
     m = alphabet.size
-    pairs = tuple((z, z2) for z in range(m) for z2 in range(m) if z != z2)
-    return ConeConstraintMatrix(input_alphabet=alphabet, level=as_level(level), pairs=pairs)
+    if m > cap:
+        raise DimensionCapError(f"vertex enumeration capped at m <= {cap}, got m = {m}")
+    return polytope_vertices(full_polytope(alphabet, as_level(level)))
 
 
-def in_cone(v: Sequence[Fraction], level) -> bool:
-    """Membership in the privacy cone: v >= 0 and t*min(v) >= max(v)."""
-    t = as_level(level).t
-    if any(x < 0 for x in v):
-        return False
-    return t * min(v) >= max(v)
+# -- extreme directions and maximal channels ----------------------------------
 
 
 def is_extreme_direction(v: Sequence, alphabet: FiniteAlphabet, level) -> int | None:
@@ -227,25 +334,6 @@ def is_extreme_direction(v: Sequence, alphabet: FiniteAlphabet, level) -> int | 
     return mask
 
 
-def kernel_rank_check(v: Sequence, alphabet: FiniteAlphabet, level) -> bool:
-    """Extremality via active constraints: true iff the rows of the cone
-    description that are tight at v have rank m - 1, i.e. their kernel
-    is exactly the line through v."""
-    level = as_level(level)
-    m = alphabet.size
-    vals = [as_fraction(x) for x in v]
-    if len(vals) != m:
-        raise ValueError("vector length must match the alphabet size")
-    if all(x == 0 for x in vals):
-        raise ZeroVectorError("the zero vector spans no ray")
-    if not in_cone(vals, level):
-        raise NotInConeError(f"vector {vals} is outside the t={level.t} cone")
-    active = cone_constraint_matrix(alphabet, level).active_rows(vals)
-    if not active:
-        return m == 1
-    return rank(active) == m - 1
-
-
 def is_maximal(channel: Channel, level) -> bool:
     """A private channel is maximal (not strictly below any other in the
     post-processing order) iff each nonzero row is an extreme direction."""
@@ -277,7 +365,7 @@ def canonical_weight(channel: Channel, level) -> WeightVector:
             continue
         mask = is_extreme_direction(row, channel.input_alphabet, level)
         totals[mask - 1] += min(row)
-    weights = WeightVector(input_alphabet=channel.input_alphabet, level=level,
+    weights = WeightVector(polytope=full_polytope(channel.input_alphabet, level),
                            values=tuple(totals))
     if not in_weight_polytope(weights):
         raise PolytopeViolationError("gathered weights left the polytope; "
@@ -296,27 +384,21 @@ def dominating_maximal(channel: Channel, level) -> tuple[Channel, DominanceWitne
     level = as_level(level)
     if not is_ldp(channel, level):
         raise NotLdpError(f"channel violates the t={level.t} constraint")
-    m = channel.input_alphabet.size
-    masks = all_subset_masks(m)
-    n = len(masks)
-    t = level.t
-    columns = [staircase_row(mask, m, t) for mask in masks]
+    polytope = full_polytope(channel.input_alphabet, level)
+    n = len(polytope.orbits)
+    a_eq = [list(eq) for eq in polytope.rows]
     decompositions: list[list[Fraction]] = []
     for row in channel.rows:
         if all(x == 0 for x in row):
             decompositions.append([_ZERO] * n)
             continue
-        a_eq = [[columns[j][x] for j in range(n)] for x in range(m)]
-        b_eq = list(row)
-        sol = feasible_point(a_eq, b_eq, n)
+        sol = feasible_point(a_eq, list(row), n)
         if sol is None:
             raise DecompositionInfeasibleError("row is not a conic combination of "
                                                "staircase rows")
         decompositions.append(sol)
     totals = [sum((d[j] for d in decompositions), _ZERO) for j in range(n)]
-    weights = WeightVector(input_alphabet=channel.input_alphabet, level=level,
-                           values=tuple(totals))
-    maximal = extremal_channel(weights)
+    maximal = extremal_channel(WeightVector(polytope=polytope, values=tuple(totals)))
     w_rows = []
     for z, d in enumerate(decompositions):
         w_rows.append(tuple(d[j] / totals[j] if totals[j] else _ZERO for j in range(n)))
@@ -331,33 +413,6 @@ def dominating_maximal(channel: Channel, level) -> tuple[Channel, DominanceWitne
                    rows=tuple(tuple(r) for r in w_rows))
     witness = DominanceWitness(base=maximal, derived=channel, post_processor=post)
     return maximal, witness
-
-
-@lru_cache(maxsize=64)
-def _vertices_cached(letters: tuple, t: Fraction, cap: int) -> tuple[tuple[Fraction, ...], ...]:
-    m = len(letters)
-    if m > cap:
-        raise DimensionCapError(f"vertex enumeration capped at m <= {cap}, got m = {m}")
-    masks = all_subset_masks(m)
-    a_eq = [[t if mask >> x & 1 else _ONE for mask in masks] for x in range(m)]
-    b_eq = [_ONE] * m
-    return tuple(sorted(enumerate_basic_feasible(a_eq, b_eq)))
-
-
-def enumerate_polytope_vertices(alphabet: FiniteAlphabet, level,
-                                cap: int = DEFAULT_ENUM_CAP_M) -> list[WeightVector]:
-    """All vertices of the weight polytope, exactly.
-
-    Support enumeration over subsets of the 2^m - 2 columns, so the
-    work grows like C(2^m - 2, m); the cap keeps it at desk scale
-    (m <= 5 by default).  Results are sorted and deterministic.
-    """
-    level = as_level(level)
-    if alphabet.size < 2:
-        raise ValueError("the weight polytope needs at least two letters")
-    vertex_values = _vertices_cached(alphabet.letters, level.t, cap)
-    return [WeightVector(input_alphabet=alphabet, level=level, values=values)
-            for values in vertex_values]
 
 
 def subset_size(mask: int) -> int:

@@ -47,30 +47,6 @@ def rank(matrix: list[list[Fraction]]) -> int:
     return len(rref(matrix)[1])
 
 
-def kernel_basis(matrix: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel {v : A v = 0}.
-
-    An empty matrix (no rows) has the full space as kernel, so ncols
-    must be supplied in that case.
-    """
-    if not matrix:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    n = len(matrix[0])
-    reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
-    basis = []
-    for free in free_cols:
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced[i][free]
-        basis.append(v)
-    return basis
-
-
 def solve_square_int(matrix: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
     """Solve an integer square system exactly, or return None if singular.
 
@@ -171,7 +147,3 @@ def enumerate_basic_feasible(matrix: list[list[Fraction]], rhs: list[Fraction],
             full[j] = v
         seen[tuple(full)] = None
     return list(seen.keys())
-
-
-def mat_vec(matrix: list[list[Fraction]], vec: list[Fraction]) -> list[Fraction]:
-    return [sum((row[j] * vec[j] for j in range(len(vec))), Fraction(0)) for row in matrix]

@@ -21,26 +21,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .channels import Channel, PrivacyLevel, as_level, compose, direct_sum, apply_group_element
-from .errors import AttestationFailedError, AuditFailureError
-from .groups import FiniteAlphabet, PermGroup, natural_action, subset_action, is_transitive
-from .invariant import (
-    OrbitWeightVector,
-    SubsetOrbit,
-    enumerate_invariant_vertices,
-    invariant_extremal_channel,
-    orbit_coefficients,
-    input_orbits,
-    pure_orbit_weights,
-    subset_orbits,
-)
+from .channels import Channel, as_level, compose, direct_sum, apply_group_element
+from .errors import AttestationFailedError, AuditFailureError, DimensionCapError, NotTransitiveError
+from .groups import FiniteAlphabet, PermGroup, natural_action, subset_action
+from .invariant import enumerate_invariant_vertices, transitive_vertex_weight
 from .ldp_geometry import (
     DEFAULT_ENUM_CAP_M,
+    SubsetOrbit,
     WeightVector,
     enumerate_polytope_vertices,
     extremal_channel,
+    full_polytope,
+    weight_polytope,
 )
-from .groups import all_subset_masks
 from .rationals import as_fraction
 from .simplex import solve_standard_lp
 
@@ -81,7 +74,7 @@ MINIMAX_TRAITS = ObjectiveTraits(data_processing=True, direct_sum_affine=False,
 @dataclass(frozen=True)
 class PutResult:
     value: Fraction | float
-    argmin_weights: WeightVector | OrbitWeightVector
+    argmin_weights: WeightVector
     argmin_channel: Channel
     method: str
     certificate: str
@@ -117,20 +110,17 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
     if spot_check_rng is not None:
         spot_check_traits(objective, alphabet, level, traits, group=group,
                           rng=spot_check_rng)
-    if group is not None and group.order > 1:
+    grouped = group is not None and group.order > 1
+    if grouped:
         if not (traits.group_invariant and
                 (traits.direct_sum_affine or traits.direct_sum_quasiconvex)):
             raise ValueError("group reduction needs group_invariant plus a "
                              "direct-sum attestation")
         vertices = enumerate_invariant_vertices(group, level)
-        channels = [invariant_extremal_channel(v) for v in vertices]
-        method = "vertex_enumeration_grouped"
-        grouped = True
     else:
         vertices = enumerate_polytope_vertices(alphabet, level, cap=cap)
-        channels = [extremal_channel(v) for v in vertices]
-        method = "vertex_enumeration"
-        grouped = False
+    channels = [extremal_channel(v) for v in vertices]
+    method = "vertex_enumeration_grouped" if grouped else "vertex_enumeration"
     values = [objective(q) for q in channels]
     best = min(range(len(values)), key=lambda i: (values[i], i))
     equalizer_passed = None
@@ -154,39 +144,27 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
     whatever the source of the numbers.
     """
     level = as_level(level)
-    t = level.t
     m = alphabet.size
-    masks = all_subset_masks(m)
-    if len(coefficients) != len(masks):
-        raise ValueError(f"need {len(masks)} coefficients, got {len(coefficients)}")
+    n = (1 << m) - 2
+    if len(coefficients) != n:
+        raise ValueError(f"need {n} coefficients, got {len(coefficients)}")
     exact_u = [Fraction(u) if isinstance(u, float) else as_fraction(u)
                for u in coefficients]
-    if group is not None and group.order > 1:
-        orbs = subset_orbits(group)
-        letter_orbits = input_orbits(group)
-        a_eq = [[orbit_coefficients(group, lo, orbit, level).column_sum
-                 for orbit in orbs] for lo in letter_orbits]
-        b_eq = [_ONE] * len(letter_orbits)
-        cost = [sum((exact_u[mask - 1] for mask in orbit.masks), _ZERO)
-                for orbit in orbs]
-        res = solve_standard_lp(a_eq, b_eq, cost)
-        weights = OrbitWeightVector(group=group, level=level, orbits=orbs,
-                                    values=tuple(res.x))
-        channel = invariant_extremal_channel(weights)
-        method = "lp_grouped"
+    grouped = group is not None and group.order > 1
+    if grouped:
+        polytope = weight_polytope(group, level)
+    elif m > cap:
+        raise DimensionCapError(f"LP column count capped at m <= {cap}")
     else:
-        if m > cap:
-            from .errors import DimensionCapError
-            raise DimensionCapError(f"LP column count capped at m <= {cap}")
-        a_eq = [[t if mask >> x & 1 else _ONE for mask in masks] for x in range(m)]
-        b_eq = [_ONE] * m
-        res = solve_standard_lp(a_eq, b_eq, exact_u)
-        weights = WeightVector(input_alphabet=alphabet, level=level,
-                               values=tuple(res.x))
-        channel = extremal_channel(weights)
-        method = "lp"
+        polytope = full_polytope(alphabet, level)
+    cost = [sum((exact_u[mask - 1] for mask in orbit.masks), _ZERO)
+            for orbit in polytope.orbits]
+    res = solve_standard_lp([list(row) for row in polytope.rows],
+                            [_ONE] * len(polytope.rows), cost)
+    weights = WeightVector(polytope=polytope, values=tuple(res.x))
     return PutResult(value=res.value, argmin_weights=weights,
-                     argmin_channel=channel, method=method,
+                     argmin_channel=extremal_channel(weights),
+                     method="lp_grouped" if grouped else "lp",
                      certificate=CERT_EXACT)
 
 
@@ -203,17 +181,18 @@ def put_transitive_closed_form(per_orbit_value: Callable[[SubsetOrbit, Fraction]
     of (orbit, weight).
     """
     level = as_level(level)
-    if not is_transitive(natural_action(group)):
-        from .errors import NotTransitiveError
+    polytope = weight_polytope(group, level)
+    if len(polytope.letter_orbits) != 1:
         raise NotTransitiveError("the closed form needs a transitive group")
-    orbs = subset_orbits(group)
     entries = []
-    for idx, orbit in enumerate(orbs):
-        weights = pure_orbit_weights(group, idx, level)
-        entries.append((orbit, weights, per_orbit_value(orbit, weights.values[idx])))
+    for idx, orbit in enumerate(polytope.orbits):
+        weight = transitive_vertex_weight(group, orbit, level)
+        values = tuple(weight if j == idx else _ZERO for j in range(len(polytope.orbits)))
+        weights = WeightVector(polytope=polytope, values=values)
+        entries.append((orbit, weights, per_orbit_value(orbit, weight)))
     best = min(range(len(entries)), key=lambda i: (entries[i][2], i))
     _, best_weights, best_value = entries[best]
-    channel = invariant_extremal_channel(best_weights)
+    channel = extremal_channel(best_weights)
     equalizer_passed = None
     if equalizer is not None and not traits.concave:
         equalizer_passed = bool(equalizer(channel))
@@ -250,7 +229,7 @@ def random_polytope_point(rng: random.Random, alphabet: FiniteAlphabet, level,
     for p, idx in zip(mix, picks):
         for j, v in enumerate(vertices[idx].values):
             values[j] += p * v
-    return WeightVector(input_alphabet=alphabet, level=level, values=tuple(values))
+    return WeightVector(polytope=vertices[0].polytope, values=tuple(values))
 
 
 def random_post_processing(rng: random.Random, channel: Channel,

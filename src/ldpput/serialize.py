@@ -16,7 +16,7 @@ from fractions import Fraction
 from .channels import Channel, PrivacyLevel, as_level, is_ldp
 from .decision import DecisionProblem, Prior
 from .groups import FiniteAlphabet, PermGroup, Permutation, generate_group
-from .ldp_geometry import WeightVector, is_extreme_direction, is_maximal
+from .ldp_geometry import WeightVector, full_polytope, is_extreme_direction, is_maximal
 from .rationals import as_fraction, format_fraction
 
 
@@ -125,7 +125,7 @@ def weights_from_json(data: dict, alphabet: FiniteAlphabet | None = None) -> Wei
     values = [Fraction(0)] * ((1 << m) - 2)
     for mask, value in zip(data["support"], data["weights"]):
         values[int(mask) - 1] = as_fraction(value)
-    return WeightVector(input_alphabet=alphabet, level=as_level(data["t"]),
+    return WeightVector(polytope=full_polytope(alphabet, as_level(data["t"])),
                         values=tuple(values))
 
 

@@ -18,7 +18,6 @@ from itertools import product
 from ldpput.applications import (
     CardioidSpec,
     cardioid_orbit_risk,
-    cardioid_orbit_risk_numeric,
     cardioid_put_closed_form,
     ht_problem,
     ht_put_closed_form,
@@ -43,13 +42,9 @@ from ldpput.decision import (
 from ldpput.groups import FiniteAlphabet, GroupAction, cyclic_group, symmetric_group
 from ldpput.invariant import (
     enumerate_invariant_vertices,
-    in_invariant_polytope,
-    invariant_extremal_channel,
     invariant_output_action,
     lift_weights,
-    make_orbit_weights,
     ss_mechanism,
-    subset_orbits,
 )
 from ldpput.ldp_geometry import (
     canonical_weight,
@@ -58,8 +53,8 @@ from ldpput.ldp_geometry import (
     in_weight_polytope,
     is_extreme_direction,
     is_maximal,
-    kernel_rank_check,
     make_weight_vector,
+    subset_orbits,
 )
 from ldpput.put_solver import (
     BAYES_TRAITS,
@@ -68,6 +63,7 @@ from ldpput.put_solver import (
     put_transitive_closed_form,
     random_channel_audit,
 )
+from oracles import cardioid_orbit_risk_numeric, kernel_rank_check
 
 GAMMAS = (F(1, 4), F(1, 2), F(1))
 TS = (F(3, 2), F(2), F(5))
@@ -247,7 +243,7 @@ def _random_orbit_mixture(rng, group, level, vertices):
     n = len(vertices[0].values)
     combined = [sum(F(raw[i], total) * vertices[i].values[j]
                     for i in range(len(vertices))) for j in range(n)]
-    return make_orbit_weights(group, level, combined)
+    return make_weight_vector(group, level, combined)
 
 
 @gate("06 weight/channel bijection round-trips", budget=30)
@@ -268,10 +264,10 @@ def test_weight_channel_bijection_round_trips():
         invariant_vertices = enumerate_invariant_vertices(group, level)
         for _ in range(200):
             ow = _random_orbit_mixture(rng, group, level, invariant_vertices)
-            assert in_invariant_polytope(ow)
+            assert in_weight_polytope(ow)
             lifted = lift_weights(ow)
             assert in_weight_polytope(lifted)
-            q = invariant_extremal_channel(ow)
+            q = extremal_channel(ow)
             assert is_maximal(q, level)
             action = invariant_output_action(group, q)
             for g in group.generators:

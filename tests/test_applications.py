@@ -15,9 +15,7 @@ from ldpput.applications import (
     cardioid_bayes_risk,
     cardioid_consecutive_maximizer,
     cardioid_orbit_risk,
-    cardioid_orbit_risk_numeric,
     cardioid_put_closed_form,
-    cardioid_rule_risk,
     ht_minimax_equals_bayes,
     ht_problem,
     ht_put_closed_form,
@@ -36,7 +34,9 @@ from ldpput.groups import (
     positions_to_mask,
     symmetric_group,
 )
-from ldpput.invariant import ss_mechanism, subset_orbits
+from ldpput.invariant import ss_mechanism
+from ldpput.ldp_geometry import subset_orbits
+from oracles import cardioid_orbit_risk_numeric, cardioid_rule_risk
 
 F = Fraction
 
@@ -255,12 +255,13 @@ def test_cardioid_orbit_risk_representative_independent():
 
 def test_cardioid_generic_engine_matches_formula():
     """Direct Bayes-risk evaluation of the orbit channel matches the formula."""
-    from ldpput.invariant import invariant_extremal_channel, pure_orbit_weights
+    from ldpput.invariant import pure_orbit_weights
+    from ldpput.ldp_geometry import extremal_channel
 
     spec = CardioidSpec.build(4, F(1), F(3))
     group = cyclic_group(FiniteAlphabet.of_size(4))
     for idx, orbit in enumerate(subset_orbits(group)):
-        channel = invariant_extremal_channel(pure_orbit_weights(group, idx, F(3)))
+        channel = extremal_channel(pure_orbit_weights(group, idx, F(3)))
         generic = cardioid_bayes_risk(spec, channel)
         formula = cardioid_orbit_risk(spec, orbit.representative)
         assert generic == pytest.approx(formula, abs=1e-12)

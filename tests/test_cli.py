@@ -204,6 +204,28 @@ def test_enumerate_cap_env_garbage(capsys, monkeypatch):
         main(["enumerate", "--m", "3", "--t", "2"])
 
 
+def test_enumerate_cap_env_garbage_exits_parse(capsys, monkeypatch):
+    monkeypatch.setenv("LDPPUT_CAP_M", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--m", "3", "--t", "2"])
+    assert exc.value.code == EXIT_PARSE
+    assert "LDPPUT_CAP_M" in capsys.readouterr().err
+
+
+def test_enumerate_group_closure_cap_exits_cap(capsys):
+    # S_9 has 362,880 elements, past the group closure cap.
+    code, out, err = run(capsys, "enumerate", "--m", "9", "--t", "2", "--group", "sym")
+    assert code == EXIT_CAP
+    assert "cap exceeded" in err
+
+
+@pytest.mark.parametrize("epsilon", ["1000", "inf"])
+def test_epsilon_overflow_exits_parse(capsys, epsilon):
+    code, out, err = run(capsys, "enumerate", "--m", "2", "--epsilon", epsilon)
+    assert code == EXIT_PARSE
+    assert "Traceback" not in err
+
+
 def test_enumerate_csv(capsys):
     code, out, err = run(capsys, "enumerate", "--m", "3", "--t", "2",
                          "--format", "csv")
@@ -227,6 +249,14 @@ def test_put_ht_all_methods(capsys):
     assert all(r["value"] == "1/2" for r in data["results"])
     assert all(r["certificate"] == "exact" for r in data["results"])
     assert data["results"][0]["winner"] == "k=1"
+
+
+def test_put_ht_closed_needs_no_default_group(capsys):
+    # S_8 would exceed the group closure cap; the closed form never needs it.
+    data = run_json(capsys, "put", "--task", "ht", "--m", "8", "--method", "closed",
+                    "--t", "2")
+    assert [row["method"] for row in data["results"]] == ["closed_form"]
+    assert data["results"][0]["value"] == "7/9"
 
 
 def test_put_ht_method_subset(capsys):
@@ -397,3 +427,10 @@ def test_audit_violation_exit(capsys, monkeypatch):
     assert data["passed"] is False
     assert Fraction(data["gap"]) < 0
     assert "rows" in data["channel"]
+
+
+def test_audit_negative_samples_exits_parse(capsys):
+    code, out, err = run(capsys, "audit", "--task", "ht", "--m", "3", "--t", "2",
+                         "--samples", "-5")
+    assert code == EXIT_PARSE
+    assert out == ""

@@ -11,22 +11,17 @@ from ldpput.channels import apply_group_element, equivalent, is_ldp, symmetrize
 from ldpput.errors import BadSubsetSizeError, DimensionCapError, NotTransitiveError
 from ldpput.groups import (
     FiniteAlphabet,
+    all_subset_masks,
     cyclic_group,
     symmetric_group,
     trivial_group,
 )
 from ldpput.invariant import (
     enumerate_invariant_vertices,
-    in_invariant_polytope,
-    input_orbits,
-    invariant_extremal_channel,
     invariant_output_action,
     lift_weights,
-    make_orbit_weights,
-    orbit_coefficients,
     pure_orbit_weights,
     ss_mechanism,
-    subset_orbits,
     transitive_vertex_weight,
 )
 from ldpput.ldp_geometry import (
@@ -34,8 +29,15 @@ from ldpput.ldp_geometry import (
     enumerate_polytope_vertices,
     extremal_channel,
     in_weight_polytope,
+    input_orbits,
     is_maximal,
+    make_weight_vector,
+    orbit_coefficients,
+    staircase_row,
+    subset_orbits,
+    weight_polytope,
 )
+from ldpput.put_solver import put_by_lp
 
 X3 = FiniteAlphabet.of_size(3)
 X4 = FiniteAlphabet.of_size(4)
@@ -97,19 +99,19 @@ def test_orbit_coefficients_symmetric_incidence(m, k):
 
 def test_make_orbit_weights_validates_length():
     with pytest.raises(ValueError):
-        make_orbit_weights(symmetric_group(X3), F(2), [F(1, 4)])
+        make_weight_vector(symmetric_group(X3), F(2), [F(1, 4)])
 
 
 def test_in_invariant_polytope_sym3():
     group = symmetric_group(X3)
-    assert in_invariant_polytope(make_orbit_weights(group, F(2), [F(1, 4), 0]))
-    assert in_invariant_polytope(make_orbit_weights(group, F(2), [0, F(1, 5)]))
-    assert not in_invariant_polytope(make_orbit_weights(group, F(2), [F(1, 4), F(1, 5)]))
+    assert in_weight_polytope(make_weight_vector(group, F(2), [F(1, 4), 0]))
+    assert in_weight_polytope(make_weight_vector(group, F(2), [0, F(1, 5)]))
+    assert not in_weight_polytope(make_weight_vector(group, F(2), [F(1, 4), F(1, 5)]))
 
 
 def test_lift_weights_spreads_orbit_values():
     group = symmetric_group(X3)
-    w = make_orbit_weights(group, F(2), [F(1, 4), 0])
+    w = make_weight_vector(group, F(2), [F(1, 4), 0])
     lifted = lift_weights(w)
     assert lifted.values == (F(1, 4), F(1, 4), F(0), F(1, 4), F(0), F(0))
 
@@ -117,8 +119,8 @@ def test_lift_weights_spreads_orbit_values():
 @pytest.mark.parametrize("values", [[F(1, 4), 0], [0, F(1, 5)], [F(1, 8), F(1, 10)]])
 def test_lift_membership_consistency(values):
     group = symmetric_group(X3)
-    w = make_orbit_weights(group, F(2), values)
-    assert in_invariant_polytope(w) == in_weight_polytope(lift_weights(w))
+    w = make_weight_vector(group, F(2), values)
+    assert in_weight_polytope(w) == in_weight_polytope(lift_weights(w))
 
 
 def test_lift_membership_consistency_z4():
@@ -126,8 +128,8 @@ def test_lift_membership_consistency_z4():
     t = F(2)
     # mix two orbits: adjacent pairs at half a vertex weight each plus triples
     for values in ([F(1, 5), 0, 0, 0], [0, F(1, 12), F(1, 6), 0], [0, 0, 0, F(1, 7)]):
-        w = make_orbit_weights(group, t, values)
-        assert in_invariant_polytope(w) == in_weight_polytope(lift_weights(w))
+        w = make_weight_vector(group, t, values)
+        assert in_weight_polytope(w) == in_weight_polytope(lift_weights(w))
 
 
 # -- transitive closed form ---------------------------------------------------
@@ -162,7 +164,7 @@ def test_pure_orbit_weights_are_vertices():
     t = F(2)
     for i, orbit in enumerate(subset_orbits(group)):
         w = pure_orbit_weights(group, i, t)
-        assert in_invariant_polytope(w)
+        assert in_weight_polytope(w)
         assert w.values[i] == transitive_vertex_weight(group, orbit, t)
         assert all(v == 0 for j, v in enumerate(w.values) if j != i)
 
@@ -200,13 +202,39 @@ def test_transitive_vertices_are_exactly_pure_orbits(m):
         assert v.values[i] == transitive_vertex_weight(group, orbs[i], t)
 
 
-def test_trivial_group_reduction_matches_full():
-    """Under the trivial group the reduced polytope is the full polytope."""
-    group = trivial_group(X3)
-    t = F(2)
-    reduced = sorted(lift_weights(v).values for v in enumerate_invariant_vertices(group, t))
-    full = sorted(v.values for v in enumerate_polytope_vertices(X3, t))
-    assert reduced == full
+TRIVIAL_CASES = [(m, t) for m in (2, 3, 4) for t in (F(3, 2), F(2), F(3), F(5))]
+
+
+@pytest.mark.parametrize("m,t", TRIVIAL_CASES,
+                         ids=[f"m{m}-t{t}".replace("/", "_") for m, t in TRIVIAL_CASES])
+def test_trivial_group_reduction_matches_full(m, t):
+    """Under the trivial group the reduced polytope is the full polytope:
+    the staircase equalities, the vertices in order, their channels row
+    for row, and the LP optimum."""
+    alphabet = FiniteAlphabet.of_size(m)
+    group = trivial_group(alphabet)
+    masks = all_subset_masks(m)
+    polytope = weight_polytope(group, t)
+    assert polytope.rows == tuple(tuple(t if mask >> x & 1 else 1 for mask in masks)
+                                  for x in range(m))
+
+    reduced = enumerate_invariant_vertices(group, t)
+    full = enumerate_polytope_vertices(alphabet, t)
+    assert [lift_weights(v).values for v in reduced] == [v.values for v in full]
+    for r, f in zip(reduced, full):
+        q = extremal_channel(r)
+        assert q.output_alphabet.letters == masks
+        assert q.rows == tuple(tuple(f.weight(mask) * s for s in staircase_row(mask, m, t))
+                               for mask in masks)
+        assert q.rows == extremal_channel(f).rows
+
+    u = [F((7 * mask) % 11 - 5, 1 + mask % 3) for mask in masks]
+    on_trivial = put_by_lp(u, alphabet, t, group=group)
+    on_full = put_by_lp(u, alphabet, t)
+    assert on_trivial.value == on_full.value
+    assert on_trivial.argmin_weights.values == on_full.argmin_weights.values
+    assert on_trivial.argmin_channel.rows == on_full.argmin_channel.rows
+    assert on_trivial.method == on_full.method == "lp"
 
 
 def test_invariant_enumeration_cap():
@@ -221,8 +249,8 @@ def test_invariant_enumeration_cap():
 def test_invariant_extremal_channel_matches_lift():
     group = symmetric_group(X3)
     t = F(2)
-    w = make_orbit_weights(group, t, [F(1, 4), 0])
-    q = invariant_extremal_channel(w)
+    w = make_weight_vector(group, t, [F(1, 4), 0])
+    q = extremal_channel(w)
     assert equivalent(q, extremal_channel(lift_weights(w)))
 
 
@@ -231,7 +259,7 @@ def test_invariant_channel_is_maximal_and_invariant():
     t = F(2)
     for i in range(len(subset_orbits(group))):
         w = pure_orbit_weights(group, i, t)
-        q = invariant_extremal_channel(w)
+        q = extremal_channel(w)
         assert is_ldp(q, t)
         assert is_maximal(q, t)
         action = invariant_output_action(group, q)
@@ -242,8 +270,8 @@ def test_invariant_channel_is_maximal_and_invariant():
 def test_invariant_channel_symmetrize_equivalent():
     group = symmetric_group(X3)
     t = F(2)
-    w = make_orbit_weights(group, t, [0, F(1, 5)])
-    q = invariant_extremal_channel(w)
+    w = make_weight_vector(group, t, [0, F(1, 5)])
+    q = extremal_channel(w)
     assert equivalent(symmetrize(group, q), q)
 
 
@@ -252,7 +280,7 @@ def test_invariant_bijection_roundtrip():
     t = F(3)
     for i in range(4):
         w = pure_orbit_weights(group, i, t)
-        q = invariant_extremal_channel(w)
+        q = extremal_channel(w)
         assert canonical_weight(q, t).values == lift_weights(w).values
 
 
@@ -275,8 +303,8 @@ def test_ss_mechanism_m2_is_rr():
 def test_ss_mechanism_equals_pure_symmetric_orbit():
     group = symmetric_group(X3)
     t = F(2)
-    w = make_orbit_weights(group, t, [F(1, 4), 0])
-    assert equivalent(ss_mechanism(X3, 1, t), invariant_extremal_channel(w))
+    w = make_weight_vector(group, t, [F(1, 4), 0])
+    assert equivalent(ss_mechanism(X3, 1, t), extremal_channel(w))
 
 
 def test_ss_mechanism_rejects_bad_k():

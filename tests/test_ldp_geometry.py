@@ -20,20 +20,18 @@ from ldpput.errors import (
 from ldpput.groups import FiniteAlphabet, all_subset_masks
 from ldpput.ldp_geometry import (
     canonical_weight,
-    cone_constraint_matrix,
     dominating_maximal,
     enumerate_polytope_vertices,
     extremal_channel,
-    in_cone,
     in_weight_polytope,
     is_extreme_direction,
     is_maximal,
-    kernel_rank_check,
     make_weight_vector,
     staircase_matrix,
     staircase_row,
     subset_size,
 )
+from oracles import cone_constraint_matrix, in_cone, kernel_rank_check
 
 X2 = FiniteAlphabet.of_size(2)
 X3 = FiniteAlphabet.of_size(3)

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from ldpput.errors import LpInfeasibleError, LpUnboundedError
 from ldpput.linalg import (
     enumerate_basic_feasible,
-    kernel_basis,
-    mat_vec,
     rank,
     rref,
     solve_square_int,
 )
 from ldpput.rationals import as_fraction, format_fraction
 from ldpput.simplex import feasible_point, solve_standard_lp
+from oracles import kernel_basis, mat_vec
 
 
 def F(v) -> Fraction:

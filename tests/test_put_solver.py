@@ -204,16 +204,39 @@ def test_transitive_closed_form_matches_enumeration():
     p, prior, objective = bayes_objective(m)
     group = symmetric_group(FiniteAlphabet.of_size(m))
 
-    from ldpput.invariant import invariant_extremal_channel, pure_orbit_weights, subset_orbits
+    from ldpput.invariant import pure_orbit_weights
+    from ldpput.ldp_geometry import extremal_channel, subset_orbits
 
     def per_orbit(orbit, weight):
         idx = subset_orbits(group).index(orbit)
-        return objective(invariant_extremal_channel(pure_orbit_weights(group, idx, t)))
+        return objective(extremal_channel(pure_orbit_weights(group, idx, t)))
 
     closed = put_transitive_closed_form(per_orbit, group, t, traits=BAYES_TRAITS)
     assert closed.method == "transitive_closed_form"
     full = put_by_vertex_enumeration(objective, FiniteAlphabet.of_size(m), t, traits=BAYES_TRAITS)
     assert closed.value == full.value
+
+
+def test_transitive_closed_form_builds_subset_orbits_once(monkeypatch):
+    """One subset-orbit partition per call, however many orbits there are."""
+    import ldpput.groups
+    import ldpput.ldp_geometry
+
+    m = 8
+    group = cyclic_group(FiniteAlphabet.of_size(m))
+    original = ldpput.groups.orbits
+    carriers = []
+
+    def counting_orbits(action):
+        carriers.append(len(action.carrier))
+        return original(action)
+
+    monkeypatch.setattr(ldpput.groups, "orbits", counting_orbits)
+    monkeypatch.setattr(ldpput.ldp_geometry, "orbits", counting_orbits)
+    res = put_transitive_closed_form(lambda orbit, w: F(orbit.subset_size), group, F(2),
+                                     traits=BAYES_TRAITS)
+    assert len(res.table) > 1
+    assert carriers.count((1 << m) - 2) == 1
 
 
 def test_transitive_closed_form_rejects_intransitive():
