@@ -26,12 +26,18 @@ from .errors import (
     LdpPutError,
     MethodDisagreementError,
 )
-from .groups import FiniteAlphabet, cyclic_group, symmetric_group
+from .groups import FiniteAlphabet, all_subset_masks, cyclic_group, symmetric_group
 from .invariant import enumerate_invariant_vertices
-from .ldp_geometry import DEFAULT_ENUM_CAP_M, canonical_weight, enumerate_polytope_vertices
+from .ldp_geometry import (
+    DEFAULT_ENUM_CAP_M,
+    canonical_weight,
+    enumerate_polytope_vertices,
+    subset_orbits,
+)
 from .put_solver import (
     BAYES_TRAITS,
     MINIMAX_TRAITS,
+    constant_on_orbits,
     put_by_lp,
     put_by_vertex_enumeration,
     put_transitive_closed_form,
@@ -121,6 +127,11 @@ def _to_csv(data) -> str:
                              data.get("gamma", ""), data.get("t", ""),
                              row["method"], row["value"], row.get("winner", ""),
                              row["certificate"]])
+    elif isinstance(data, dict) and "group" in data:
+        writer.writerow(["index", "representatives", "sizes", "weights"])
+        for i, v in enumerate(data["vertices"]):
+            writer.writerow([i] + [" ".join(str(o[key]) for o in v["orbits"])
+                                   for key in ("representative", "size", "weight")])
     elif isinstance(data, dict) and "vertices" in data:
         writer.writerow(["index", "support", "weights"])
         for i, v in enumerate(data["vertices"]):
@@ -227,6 +238,9 @@ def _cardioid_results(args, level) -> list[dict]:
     spec = apps.CardioidSpec.build(m, gamma, level)
     alphabet = FiniteAlphabet.of_size(m)
     group = _parse_group(args.group, alphabet)
+    if group is not None:
+        orbit_risks = [apps.cardioid_orbit_risk(spec, mask) for mask in all_subset_masks(m)]
+        _require_invariant(constant_on_orbits(orbit_risks, subset_orbits(group), 1e-9))
     wanted = [w for w in _methods(args) if w in ("closed", "transitive")]
     if group is None and "transitive" in wanted:
         group = cyclic_group(alphabet)
@@ -299,6 +313,12 @@ def cmd_put(args) -> int:
     return EXIT_OK
 
 
+def _require_invariant(invariant: bool) -> None:
+    if not invariant:
+        raise ValueError("the objective is not invariant under --group: its "
+                         "per-subset values differ within a subset orbit")
+
+
 def _custom_put(args, level) -> dict:
     with open(args.problem, encoding="utf-8") as fh:
         problem, prior = problem_from_json(json.load(fh))
@@ -310,7 +330,11 @@ def _custom_put(args, level) -> dict:
         res = put_by_vertex_enumeration(objective, alphabet, level, group=group,
                                         traits=BAYES_TRAITS, cap=_enum_cap())
         results.append(_result_entry(res))
+        # After the scan: without a group, its cap stops a large m before the
+        # 2^m - 2 coefficients are built.
         u = linear_coefficients("bayes", alphabet, level, problem=problem, prior=prior)
+        if group is not None:
+            _require_invariant(constant_on_orbits(u, subset_orbits(group)))
         res_lp = put_by_lp(u, alphabet, level, group=group, cap=_enum_cap())
         results.append(_result_entry(res_lp))
         _check_agreement(results, args.tolerance)

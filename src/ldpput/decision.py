@@ -133,6 +133,16 @@ def risk(problem: DecisionProblem, parameter_index: int, channel: Channel,
     return total
 
 
+def _action_costs(problem: DecisionProblem, prior: Prior,
+                  likelihoods: Sequence[Fraction]) -> list[Fraction]:
+    """Prior-weighted loss of each action at one output, whose chance
+    under parameter i is likelihoods[i]."""
+    n_par = len(problem.parameters)
+    mass = [prior.values[i] * likelihoods[i] for i in range(n_par)]
+    return [sum((mass[i] * problem.loss[i][a] for i in range(n_par)), _ZERO)
+            for a in range(len(problem.actions))]
+
+
 def bayes_optimal_risk(problem: DecisionProblem, prior: Prior,
                        channel: Channel) -> tuple[Fraction, DecisionRule]:
     """Minimal average risk and an optimal deterministic rule.
@@ -143,24 +153,14 @@ def bayes_optimal_risk(problem: DecisionProblem, prior: Prior,
     _require_alphabet(problem, channel)
     if len(prior.values) != len(problem.parameters):
         raise ValueError("prior length must match the parameter list")
-    w = _output_given_parameter(problem, channel)
-    n_actions = len(problem.actions)
-    n_par = len(problem.parameters)
     total = _ZERO
     choices = []
-    for y in range(channel.num_outputs):
-        posterior_mass = [prior.values[i] * w[y][i] for i in range(n_par)]
-        best_a = 0
-        best_cost = None
-        for a in range(n_actions):
-            cost = sum((posterior_mass[i] * problem.loss[i][a] for i in range(n_par)),
-                       _ZERO)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_a = a
-        total += best_cost
-        choices.append(best_a)
-    return total, DecisionRule.deterministic(choices, n_actions)
+    for likelihoods in _output_given_parameter(problem, channel):
+        costs = _action_costs(problem, prior, likelihoods)
+        best = min(costs)
+        total += best
+        choices.append(costs.index(best))
+    return total, DecisionRule.deterministic(choices, len(problem.actions))
 
 
 def minimax_risk(problem: DecisionProblem, channel: Channel) -> tuple[Fraction, DecisionRule]:
@@ -207,29 +207,6 @@ def minimax_risk(problem: DecisionProblem, channel: Channel) -> tuple[Fraction, 
     return res.value, DecisionRule(probs=probs)
 
 
-def _bayes_tie_average_rule(problem: DecisionProblem, prior: Prior,
-                            channel: Channel) -> DecisionRule:
-    """A Bayes-optimal rule spreading ties uniformly over the tied actions.
-
-    This symmetric representative is the natural equalizer candidate;
-    bayes_optimal_risk keeps the lowest-index tie-break instead.
-    """
-    w = _output_given_parameter(problem, channel)
-    n_actions = len(problem.actions)
-    n_par = len(problem.parameters)
-    rows = []
-    for y in range(channel.num_outputs):
-        posterior_mass = [prior.values[i] * w[y][i] for i in range(n_par)]
-        costs = [sum((posterior_mass[i] * problem.loss[i][a] for i in range(n_par)),
-                     _ZERO)
-                 for a in range(n_actions)]
-        best = min(costs)
-        ties = [a for a, cost in enumerate(costs) if cost == best]
-        share = Fraction(1, len(ties))
-        rows.append(tuple(share if a in ties else _ZERO for a in range(n_actions)))
-    return DecisionRule(probs=tuple(rows))
-
-
 def check_equalizer(problem: DecisionProblem, prior: Prior, channel: Channel,
                     tolerance: Fraction | int = 0) -> bool:
     """Equalizer test: is a Bayes-optimal rule's risk flat across parameters?
@@ -241,7 +218,14 @@ def check_equalizer(problem: DecisionProblem, prior: Prior, channel: Channel,
     """
     tolerance = as_fraction(tolerance)
     bayes_value, _ = bayes_optimal_risk(problem, prior, channel)
-    rule = _bayes_tie_average_rule(problem, prior, channel)
+    rows = []
+    for likelihoods in _output_given_parameter(problem, channel):
+        costs = _action_costs(problem, prior, likelihoods)
+        best = min(costs)
+        ties = [a for a, cost in enumerate(costs) if cost == best]
+        rows.append(tuple(Fraction(1, len(ties)) if a in ties else _ZERO
+                          for a in range(len(costs))))
+    rule = DecisionRule(probs=tuple(rows))
     risks = [risk(problem, i, channel, rule) for i in range(len(problem.parameters))]
     spread = max(risks) - min(risks)
     if spread > tolerance:
@@ -351,19 +335,12 @@ def bayes_linear_coefficients(problem: DecisionProblem, prior: Prior,
     equal to sum(c_y * u_y): the Bayes cost of each raw staircase row."""
     t = as_level(level).t
     m = problem.input_alphabet.size
-    n_par = len(problem.parameters)
     out = []
     for mask in all_subset_masks(m):
         srow = staircase_row(mask, m, t)
-        mass = [prior.values[i] * sum((problem.model[x][i] * srow[x] for x in range(m)),
-                                      _ZERO)
-                for i in range(n_par)]
-        best = None
-        for a in range(len(problem.actions)):
-            cost = sum((mass[i] * problem.loss[i][a] for i in range(n_par)), _ZERO)
-            if best is None or cost < best:
-                best = cost
-        out.append(best)
+        likelihoods = [sum((problem.model[x][i] * srow[x] for x in range(m)), _ZERO)
+                       for i in range(len(problem.parameters))]
+        out.append(min(_action_costs(problem, prior, likelihoods)))
     return out
 
 

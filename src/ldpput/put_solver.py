@@ -134,6 +134,18 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
                      table=tuple(zip(vertices, values)))
 
 
+def constant_on_orbits(per_subset: Sequence, orbits: Sequence[SubsetOrbit],
+                       tolerance: float = 0) -> bool:
+    """Whether per-subset values (indexed by mask - 1) agree on every orbit.
+
+    For an objective linear in the subset weights this is exactly when
+    the group's orbit polytope holds its optimum: averaging any weights
+    over the group then keeps their value.
+    """
+    return all(abs(per_subset[mask - 1] - per_subset[orbit.representative - 1]) <= tolerance
+               for orbit in orbits for mask in orbit.masks)
+
+
 def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
               group: PermGroup | None = None,
               cap: int = DEFAULT_ENUM_CAP_M) -> PutResult:
@@ -141,7 +153,9 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
 
     Float coefficients are converted to exact rationals (binary floats
     are rationals), so the simplex path stays exact and deterministic
-    whatever the source of the numbers.
+    whatever the source of the numbers.  With a group the optimum over
+    its orbit polytope is exact only when the coefficients are constant
+    on every subset orbit; otherwise it is an upper bound.
     """
     level = as_level(level)
     m = alphabet.size
@@ -165,7 +179,8 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
     return PutResult(value=res.value, argmin_weights=weights,
                      argmin_channel=extremal_channel(weights),
                      method="lp_grouped" if grouped else "lp",
-                     certificate=CERT_EXACT)
+                     certificate=CERT_EXACT if constant_on_orbits(exact_u, polytope.orbits)
+                     else CERT_BOUND)
 
 
 def put_transitive_closed_form(per_orbit_value: Callable[[SubsetOrbit, Fraction],

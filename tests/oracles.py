@@ -12,6 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ from ldpput.groups import (
     orbits,
     subset_action,
 )
-from ldpput.linalg import rank, rref
+from ldpput.linalg import rank
 from ldpput.rationals import as_fraction
 
 _ZERO = Fraction(0)
@@ -204,6 +205,64 @@ def cardioid_rule_risk(spec: CardioidSpec, mask: int, theta: float) -> float:
 
 
 # -- linear algebra -----------------------------------------------------------
+
+
+def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form.
+
+    Returns (R, pivots) where pivots[i] is the pivot column of row i.
+    The input is not modified.
+    """
+    rows = [list(map(Fraction, row)) for row in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][col]
+        if inv != 1:
+            rows[r] = [v / inv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows, pivots
+
+
+def basic_feasible_reference(matrix: list[list[Fraction]],
+                              rhs: list[Fraction]) -> list[tuple[Fraction, ...]]:
+    """Vertices of {x >= 0 : A x = b} by one rref of [A_S | b] per support S.
+
+    Supports of size rank(A) in lexicographic order; a support counts when
+    its columns are independent, the reduced system is consistent and the
+    solution is nonnegative.  Duplicates keep their first position.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    r = len(rref(matrix)[1]) if matrix else 0
+    if r == 0:
+        return [(_ZERO,) * ncols] if all(b == 0 for b in rhs) else []
+    seen: dict[tuple[Fraction, ...], None] = {}
+    for support in combinations(range(ncols), r):
+        reduced, pivots = rref([[row[j] for j in support] + [b]
+                                for row, b in zip(matrix, rhs)])
+        if r in pivots or len(pivots) < r:
+            continue  # inconsistent, or dependent columns
+        sol = [reduced[i][r] for i in range(r)]
+        if any(v < 0 for v in sol):
+            continue
+        full = [_ZERO] * ncols
+        for j, v in zip(support, sol):
+            full[j] = v
+        seen[tuple(full)] = None
+    return list(seen)
 
 
 def kernel_basis(matrix: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:

@@ -235,6 +235,14 @@ def test_enumerate_csv(capsys):
     assert len(lines) == 6
 
 
+def test_enumerate_grouped_csv(capsys):
+    code, out, err = run(capsys, "enumerate", "--m", "4", "--t", "2",
+                         "--group", "cyclic", "--format", "csv")
+    assert code == EXIT_OK, err
+    assert out.splitlines() == ["index,representatives,sizes,weights",
+                                "0,7,4,1/7", "1,5,2,1/3", "2,3,4,1/6", "3,1,4,1/5"]
+
+
 # ------------------------------------------------------------------------- put
 
 
@@ -311,6 +319,38 @@ def test_put_custom_problem_minimax(capsys, tmp_path):
     assert len(data["results"]) == 1
     assert data["results"][0]["value"] == "1/2"
     assert data["results"][0]["certificate"] == "bound_only"
+
+
+# A problem with no symmetry: its optimum 181/143 is not reached by any
+# S_3-invariant channel, whose best is 189/143.
+ASYMMETRIC_PROBLEM = {
+    "parameters": [0, 1, 2], "inputs": [0, 1, 2], "actions": [0, 1, 2],
+    "model": [["6/13", "1/5", "1/8"], ["2/13", "3/5", "1/8"], ["5/13", "1/5", "3/4"]],
+    "loss": [["4", "0", "3"], ["1", "3", "0"], ["4", "1", "3"]],
+    "prior": ["4/11", "5/11", "2/11"],
+}
+
+
+def test_put_custom_problem_rejects_group_it_lacks(capsys, tmp_path):
+    path = tmp_path / "asymmetric.json"
+    path.write_text(json.dumps(ASYMMETRIC_PROBLEM))
+    code, out, err = run(capsys, "put", "--problem", str(path), "--t", "3",
+                         "--group", "sym")
+    assert code == EXIT_PARSE
+    assert "not invariant under --group" in err
+    data = run_json(capsys, "put", "--problem", str(path), "--t", "3")
+    assert [r["value"] for r in data["results"]] == ["181/143", "181/143"]
+
+
+def test_put_cardioid_rejects_group_it_lacks(capsys):
+    # An S_6 orbit of 2-subsets mixes adjacent and distant pairs.
+    code, out, err = run(capsys, "put", "--task", "cardioid", "--m", "6",
+                         "--gamma", "1", "--t", "3", "--group", "sym")
+    assert code == EXIT_PARSE
+    assert "not invariant under --group" in err
+    data = run_json(capsys, "put", "--task", "cardioid", "--m", "6", "--gamma", "1",
+                    "--t", "3", "--group", "cyclic")
+    assert data["agreement"] is True
 
 
 def test_put_method_disagreement_exit(capsys, monkeypatch):

@@ -1,0 +1,82 @@
+"""Golden CLI output: stdout digests of cheap invocations, frozen.
+
+Each invocation drives ldpput.cli.main(argv) and compares the sha256
+of its stdout with a digest recorded before the exact elimination
+kernels were merged, so any change to a vertex, its order, a Fraction
+or the formatting shows up here.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from ldpput.channels import Channel
+from ldpput.cli import EXIT_OK, main
+from ldpput.serialize import channel_to_json
+
+# A non-symmetric three-letter decision problem (parameters, inputs and
+# actions 0..2); with its prior it is a Bayes problem, without a minimax one.
+PROBLEM = {
+    "parameters": [0, 1, 2], "inputs": [0, 1, 2], "actions": [0, 1, 2],
+    "model": [["6/13", "1/5", "1/8"], ["2/13", "3/5", "1/8"], ["5/13", "1/5", "3/4"]],
+    "loss": [["4", "0", "3"], ["1", "3", "0"], ["4", "1", "3"]],
+    "prior": ["4/11", "5/11", "2/11"],
+}
+
+GOLDEN = {
+    "enumerate --m 3 --t 1":
+        "28a124093dddc324947c91658148243bc1a74540e76136bfb4ff03d6a63e37d8",
+    "enumerate --m 3 --t 1 --format csv":
+        "c1d8f7c7a94c06350b50242aae9aea1f004835595aedd907ba6bf985f5f7b21c",
+    "enumerate --m 3 --t 2":
+        "77207e0e3ec808850a985154ceac1ee8b4a808e79e9e3edd1120ca6824377d45",
+    "enumerate --m 3 --t 2 --format csv":
+        "1148539c337bff9bd4ad79e5cd1014972b6345ef56b65569d47a990402e1bab5",
+    "enumerate --m 4 --t 1":
+        "0d3587dc37b4d0f87dd34e0a7c9fae2a7ad37702b1825828f333b9ae089a4df5",
+    "enumerate --m 4 --t 1 --format csv":
+        "adf3f30b1bf02cb5e264778870976e71ac1ac689001a666580c71b6da84bc385",
+    "enumerate --m 4 --t 2":
+        "768a9a5481b3f2add57bbae22909a1571cf64c264659c36531dfff24eefa03b2",
+    "enumerate --m 4 --t 2 --format csv":
+        "88b0f4e85a08875e5b415fb3b77e16baf12b553da66a1fdd7223755fa58a65ec",
+    "enumerate --m 4 --t 2 --group sym":
+        "03937630c501541e3b76b8a62f9d0dc9aec149e109175b9102f52c252c0f52fb",
+    "enumerate --m 4 --t 2 --group cyclic":
+        "db3bedb0af4f87145c4e99c063b861c3ade4824f2befd269ff1271354c14784c",
+    "put --task ht --m 4 --t 2":
+        "2ed16bc5f10d3eb8fdd30eaeddbc2df30158a96dd866f49132a7a096fe3636f8",
+    "put --task cardioid --m 5 --t 2":
+        "ea8eb42e8e750059fd5fd06cf87ee50ba5d9b03dcb8a27ad69581bd912005251",
+    "put --problem {prior} --t 3":
+        "a972bb1bc3d2486d038321f4a4ce4f7f375ece760a9ab178bf908709bb431be1",
+    "put --problem {noprior} --t 3":
+        "5f3e4fb6843429e1d12230267fa67e262040a7e33411d95fbc2c30ff35d663f4",
+    "check-channel {channel} --t 2":
+        "52fa688e8720f56bc9b294e33fe3cc53f63d8533e4152fbb6695470898df85a0",
+    "audit --task ht --m 3 --t 2 --samples 20":
+        "2f842d07aa1b408d7a4861a1dc024ffbbc12bc4db1cbee3c8a75e59dabc05331",
+}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    prior = root / "prior.json"
+    prior.write_text(json.dumps(PROBLEM))
+    noprior = root / "noprior.json"
+    noprior.write_text(json.dumps({k: v for k, v in PROBLEM.items() if k != "prior"}))
+    rows = ((Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 3)))
+    channel = root / "rr.json"
+    channel.write_text(json.dumps(channel_to_json(Channel.build((0, 1), (1, 2), rows))))
+    return {"prior": str(prior), "noprior": str(noprior), "channel": str(channel)}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_cli_stdout_digest(capsys, files, command):
+    code = main(command.format(**files).split())
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

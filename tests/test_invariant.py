@@ -13,6 +13,7 @@ from ldpput.groups import (
     FiniteAlphabet,
     all_subset_masks,
     cyclic_group,
+    generate_group,
     symmetric_group,
     trivial_group,
 )
@@ -185,6 +186,17 @@ def test_invariant_vertices_z4_frozen():
         (F(0), F(1, 6), F(0), F(0)),
         (F(1, 5), F(0), F(0), F(0)),
     ]
+
+
+def test_invariant_vertices_t1_rank_deficient_frozen():
+    """At t = 1 the three letter-orbit equalities of <(0 1)> on 4 letters
+    have rank 1: every vertex is one orbit weighted 1 / (orbit size)."""
+    verts = enumerate_invariant_vertices(generate_group(X4, [(1, 0, 2, 3)]), F(1))
+    # (orbit index, weight), in the order the vertices are listed
+    expected = [(9, F(1, 2)), (8, F(1)), (7, F(1)), (6, F(1, 2)), (5, F(1)),
+                (4, F(1)), (3, F(1, 2)), (2, F(1)), (1, F(1)), (0, F(1, 2))]
+    assert [v.values for v in verts] == [
+        tuple(w if j == i else F(0) for j in range(10)) for i, w in expected]
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])

@@ -13,12 +13,11 @@ from ldpput.errors import LpInfeasibleError, LpUnboundedError
 from ldpput.linalg import (
     enumerate_basic_feasible,
     rank,
-    rref,
     solve_square_int,
 )
 from ldpput.rationals import as_fraction, format_fraction
 from ldpput.simplex import feasible_point, solve_standard_lp
-from oracles import kernel_basis, mat_vec
+from oracles import basic_feasible_reference, kernel_basis, mat_vec, rref
 
 
 def F(v) -> Fraction:
@@ -117,6 +116,50 @@ def test_enumerate_basic_feasible_infeasible():
     a = [[F(1), F(1)]]
     b = [F(-1)]
     assert enumerate_basic_feasible(a, b) == []
+
+
+_small_rationals = st.builds(Fraction, st.integers(min_value=-4, max_value=4),
+                             st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def _rational_systems(draw):
+    """Random (A, b) where one row may repeat a combination of two others.
+
+    The repeated row makes A rank-deficient; its rhs is either the same
+    combination (consistent) or shifted by a nonzero amount (b outside
+    the column span of A).  It is moved to a random position, so the
+    first rank(A) rows need not be independent.
+    """
+    nrows = draw(st.integers(min_value=1, max_value=4))
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    a = [draw(st.lists(_small_rationals, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    b = draw(st.lists(_small_rationals, min_size=nrows, max_size=nrows))
+    if nrows >= 3 and draw(st.booleans()):
+        c0, c1 = draw(_small_rationals), draw(_small_rationals)
+        a[-1] = [c0 * x + c1 * y for x, y in zip(a[0], a[1])]
+        b[-1] = c0 * b[0] + c1 * b[1] + draw(st.sampled_from([0, 0, 1, Fraction(-1, 2)]))
+        pos = draw(st.integers(min_value=0, max_value=nrows - 1))
+        a.insert(pos, a.pop())
+        b.insert(pos, b.pop())
+    return a, b
+
+
+@given(_rational_systems())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_rref_reference(system):
+    """rank and the vertex scan equal the rref-per-support reference."""
+    a, b = system
+    assert rank(a) == len(rref(a)[1])
+    assert enumerate_basic_feasible(a, b) == basic_feasible_reference(a, b)
+
+
+def test_enumerate_basic_feasible_dependent_rows():
+    """A repeated row changes nothing; an inconsistent repeat empties the set."""
+    a = [[F(1), F(1), F(0)], [F(0), F(1), F(1)], [F(1), F(2), F(1)]]
+    assert enumerate_basic_feasible(a, [F(1), F(1), F(2)]) == \
+        enumerate_basic_feasible(a[:2], [F(1), F(1)])
+    assert enumerate_basic_feasible(a, [F(1), F(1), F(3)]) == []
 
 
 def test_simplex_basic_minimum():

@@ -176,6 +176,21 @@ def test_lp_grouped_matches_ungrouped():
     assert grouped.value == plain.value
 
 
+def test_lp_grouped_certificate_needs_orbit_constant_coefficients():
+    """A grouped LP is exact only for coefficients constant on subset orbits."""
+    alphabet, t = FiniteAlphabet.of_size(3), F(2)
+    sym = symmetric_group(alphabet)
+    # masks 1..6; only the singleton {0} (mask 1) is cheap
+    uneven = [F(1), F(3), F(3), F(3), F(3), F(3)]
+    plain = put_by_lp(uneven, alphabet, t)
+    grouped = put_by_lp(uneven, alphabet, t, group=sym)
+    assert plain.certificate == CERT_EXACT
+    assert grouped.certificate == CERT_BOUND
+    assert (plain.value, grouped.value) == (F(4, 3), F(7, 4))
+    by_size = [F(1), F(1), F(2), F(1), F(2), F(2)]
+    assert put_by_lp(by_size, alphabet, t, group=sym).certificate == CERT_EXACT
+
+
 def test_lp_exactifies_float_coefficients():
     # float coefficients are turned into exact rationals before solving
     alphabet = FiniteAlphabet.of_size(2)
