@@ -56,9 +56,7 @@ def ht_put_closed_form(m: int, gamma, level) -> Fraction:
     The singleton orbit (randomized response) wins for every m, gamma,
     and t; its risk is 1 - (1-gamma)/m - gamma*t/(t+m-1).
     """
-    gamma = as_fraction(gamma)
-    t = as_level(level).t
-    return 1 - (1 - gamma) / m - gamma * t / (t + m - 1)
+    return ht_subset_risk(m, gamma, level, 1)
 
 
 def ht_subset_risk(m: int, gamma, level, k: int) -> Fraction:

@@ -35,10 +35,6 @@ class PrivacyLevel:
         if self.t < 1:
             raise ValueError(f"privacy bound t must be >= 1, got {self.t}")
 
-    @property
-    def epsilon(self) -> float:
-        return math.log(self.t)
-
     @classmethod
     def coerce(cls, value) -> "PrivacyLevel":
         if isinstance(value, PrivacyLevel):
@@ -46,9 +42,9 @@ class PrivacyLevel:
         return cls(as_fraction(value))
 
     @classmethod
-    def from_epsilon(cls, epsilon: float, max_denominator: int = 10 ** 6
-                     ) -> "tuple[PrivacyLevel, float]":
-        """Best rational approximation of e^epsilon, with an error bound.
+    def from_epsilon(cls, epsilon: float) -> "tuple[PrivacyLevel, float]":
+        """Best rational approximation of e^epsilon with denominator at
+        most 10^6, with an error bound.
 
         e^epsilon is irrational for rational epsilon != 0, so the
         returned level is an approximation: the second value bounds
@@ -59,7 +55,7 @@ class PrivacyLevel:
         if epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         target = math.exp(epsilon)
-        t = Fraction(target).limit_denominator(max_denominator)
+        t = Fraction(target).limit_denominator(10 ** 6)
         if t < 1:
             t = Fraction(1)
         bound = abs(float(Fraction(target) - t)) + 4 * sys.float_info.epsilon * target

@@ -36,6 +36,7 @@ from .ldp_geometry import (
 )
 from .put_solver import (
     BAYES_TRAITS,
+    CERT_EXACT,
     MINIMAX_TRAITS,
     constant_on_orbits,
     put_by_lp,
@@ -49,6 +50,7 @@ from .serialize import (
     group_from_json,
     maximality_certificate,
     problem_from_json,
+    vertices_to_json,
     weights_to_json,
 )
 
@@ -177,7 +179,7 @@ def cmd_enumerate(args) -> int:
         ]
     else:
         vertices = enumerate_polytope_vertices(alphabet, level, cap=_enum_cap())
-        data["vertices"] = [weights_to_json(v) for v in vertices]
+        data["vertices"] = vertices_to_json(vertices)
     data["count"] = len(data["vertices"])
     _emit(data, args)
     return EXIT_OK
@@ -333,9 +335,9 @@ def _custom_put(args, level) -> dict:
         # After the scan: without a group, its cap stops a large m before the
         # 2^m - 2 coefficients are built.
         u = linear_coefficients("bayes", alphabet, level, problem=problem, prior=prior)
-        if group is not None:
-            _require_invariant(constant_on_orbits(u, subset_orbits(group)))
         res_lp = put_by_lp(u, alphabet, level, group=group, cap=_enum_cap())
+        # put_by_lp certifies "exact" only for u constant on every subset orbit.
+        _require_invariant(res_lp.certificate == CERT_EXACT)
         results.append(_result_entry(res_lp))
         _check_agreement(results, args.tolerance)
         kind = "bayes"

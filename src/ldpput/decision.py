@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .channels import Channel, PrivacyLevel, as_level
+from .channels import Channel, as_level
 from .errors import (
     AlphabetMismatchError,
     NoLinearFormError,
@@ -105,12 +105,16 @@ class DecisionRule:
             for choice in choices))
 
 
+def _row_likelihoods(problem: DecisionProblem, row: Sequence[Fraction]) -> list[Fraction]:
+    """Chance under each parameter of an output whose channel row is `row`."""
+    m = problem.input_alphabet.size
+    return [sum((row[x] * problem.model[x][i] for x in range(m)), _ZERO)
+            for i in range(len(problem.parameters))]
+
+
 def _output_given_parameter(problem: DecisionProblem, channel: Channel) -> list[list[Fraction]]:
     """w[y][i] = chance of output y under parameter i."""
-    m = problem.input_alphabet.size
-    return [[sum((row[x] * problem.model[x][i] for x in range(m)), _ZERO)
-             for i in range(len(problem.parameters))]
-            for row in channel.rows]
+    return [_row_likelihoods(problem, row) for row in channel.rows]
 
 
 def _require_alphabet(problem: DecisionProblem, channel: Channel) -> None:
@@ -277,16 +281,18 @@ def mutual_information(channel: Channel, input_dist: Sequence) -> float:
     p = [as_fraction(v) for v in input_dist]
     if any(v < 0 for v in p) or sum(p) != 1:
         raise ValueError("input distribution must be exact and sum to one")
-    marginal = channel.push_forward(p)
+    return sum((_information_term(p, row) for row in channel.rows), 0.0)
+
+
+def _information_term(p: Sequence[Fraction], row: Sequence[Fraction]) -> float:
+    """One output's share of the mutual information: the sum over x of
+    P(x, y) * log(P(y | x) / P(y)), with P(y | x) = row[x]."""
+    py = sum((p[x] * v for x, v in enumerate(row)), _ZERO)
     total = 0.0
-    for y, row in enumerate(channel.rows):
-        py = marginal[y]
-        if py == 0:
-            continue
-        for x in range(channel.num_inputs):
-            joint = p[x] * row[x]
-            if joint:
-                total += float(joint) * math.log(float(row[x] / py))
+    for x, v in enumerate(row):
+        joint = p[x] * v
+        if joint:
+            total += float(joint) * math.log(float(v / py))
     return total
 
 
@@ -329,19 +335,24 @@ def f_divergence_utility(channel: Channel, name: str, p0: Sequence,
     return _f_divergence(name, q0, q1)
 
 
+def _per_staircase_row(m: int, level, term: Callable[[tuple[Fraction, ...]], object]) -> list:
+    """term(staircase row) for every nonempty proper subset, in mask order.
+
+    An objective that sums one term per output row is linear over the
+    weight polytope: a channel of weights c has rows c_y * staircase
+    row y, and each term below is degree one in its row's scale.
+    """
+    t = as_level(level).t
+    return [term(staircase_row(mask, m, t)) for mask in all_subset_masks(m)]
+
+
 def bayes_linear_coefficients(problem: DecisionProblem, prior: Prior,
                               level) -> list[Fraction]:
     """Per-subset coefficients u with Bayes risk(channel of weights c)
     equal to sum(c_y * u_y): the Bayes cost of each raw staircase row."""
-    t = as_level(level).t
-    m = problem.input_alphabet.size
-    out = []
-    for mask in all_subset_masks(m):
-        srow = staircase_row(mask, m, t)
-        likelihoods = [sum((problem.model[x][i] * srow[x] for x in range(m)), _ZERO)
-                       for i in range(len(problem.parameters))]
-        out.append(min(_action_costs(problem, prior, likelihoods)))
-    return out
+    return _per_staircase_row(
+        problem.input_alphabet.size, level,
+        lambda row: min(_action_costs(problem, prior, _row_likelihoods(problem, row))))
 
 
 def mutual_information_linear_coefficients(input_dist: Sequence,
@@ -350,19 +361,8 @@ def mutual_information_linear_coefficients(input_dist: Sequence,
     """Per-subset information coefficients: the log-ratio term of each
     staircase row is weight-free, so mutual information is linear in
     the weights."""
-    t = as_level(level).t
-    m = alphabet.size
     p = [as_fraction(v) for v in input_dist]
-    out = []
-    for mask in all_subset_masks(m):
-        srow = staircase_row(mask, m, t)
-        denom = sum((p[x] * srow[x] for x in range(m)), _ZERO)
-        u = 0.0
-        for x in range(m):
-            if p[x]:
-                u += float(p[x] * srow[x]) * math.log(float(srow[x] / denom))
-        out.append(u)
-    return out
+    return _per_staircase_row(alphabet.size, level, lambda row: _information_term(p, row))
 
 
 def f_divergence_linear_coefficients(name: str, p0: Sequence, p1: Sequence,
@@ -372,17 +372,15 @@ def f_divergence_linear_coefficients(name: str, p0: Sequence, p1: Sequence,
     if name not in F_DIVERGENCES:
         raise UnsupportedDivergenceError(
             f"divergence must be one of {F_DIVERGENCES}, got {name!r}")
-    t = as_level(level).t
-    m = alphabet.size
     pa = [as_fraction(v) for v in p0]
     pb = [as_fraction(v) for v in p1]
-    out = []
-    for mask in all_subset_masks(m):
-        srow = staircase_row(mask, m, t)
-        a = sum((pa[x] * srow[x] for x in range(m)), _ZERO)
-        b = sum((pb[x] * srow[x] for x in range(m)), _ZERO)
-        out.append(_f_divergence(name, [a], [b]))
-    return out
+
+    def term(row):
+        a = sum((pa[x] * v for x, v in enumerate(row)), _ZERO)
+        b = sum((pb[x] * v for x, v in enumerate(row)), _ZERO)
+        return _f_divergence(name, [a], [b])
+
+    return _per_staircase_row(alphabet.size, level, term)
 
 
 def linear_coefficients(kind: str, alphabet: FiniteAlphabet, level, *,

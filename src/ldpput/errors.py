@@ -31,10 +31,6 @@ class ZeroVectorError(LdpPutError):
     """The zero vector was supplied where a nonzero one is required."""
 
 
-class NotInConeError(LdpPutError):
-    """A vector lies outside the privacy cone."""
-
-
 class NotLdpError(LdpPutError):
     """A channel violates the requested privacy constraint."""
 

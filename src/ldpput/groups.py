@@ -12,7 +12,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import CapExceededError, NotBijectiveError
 
-DEFAULT_GROUP_CAP = 10080
+GROUP_CAP = 10080
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,6 @@ class Permutation:
             inv[j] = i
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
 
 @dataclass(frozen=True)
 class PermGroup:
@@ -87,20 +84,13 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def element_index(self, g: Permutation) -> int:
-        return self.elements.index(g)
-
-    def __contains__(self, g: Permutation) -> bool:
-        return g in set(self.elements)
-
 
 def generate_group(alphabet: FiniteAlphabet,
-                   generators: Iterable[Permutation | Sequence[int]],
-                   cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
+                   generators: Iterable[Permutation | Sequence[int]]) -> PermGroup:
     """Close a generator list into a full group, breadth first.
 
     Elements are stored sorted by image tuple.  Raises CapExceededError
-    as soon as the closure grows past `cap`.
+    as soon as the closure grows past GROUP_CAP elements.
     """
     m = alphabet.size
     gens: list[Permutation] = []
@@ -120,8 +110,8 @@ def generate_group(alphabet: FiniteAlphabet,
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
-                    if len(seen) > cap:
-                        raise CapExceededError(f"group order exceeds cap {cap}")
+                    if len(seen) > GROUP_CAP:
+                        raise CapExceededError(f"group order exceeds cap {GROUP_CAP}")
         frontier = nxt
     return PermGroup(alphabet=alphabet,
                      generators=tuple(gens),
@@ -132,19 +122,19 @@ def trivial_group(alphabet: FiniteAlphabet) -> PermGroup:
     return generate_group(alphabet, [])
 
 
-def cyclic_group(alphabet: FiniteAlphabet, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
+def cyclic_group(alphabet: FiniteAlphabet) -> PermGroup:
     m = alphabet.size
     shift = Permutation(tuple((i + 1) % m for i in range(m)))
-    return generate_group(alphabet, [shift], cap=cap)
+    return generate_group(alphabet, [shift])
 
 
-def symmetric_group(alphabet: FiniteAlphabet, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
+def symmetric_group(alphabet: FiniteAlphabet) -> PermGroup:
     m = alphabet.size
     if m == 1:
         return trivial_group(alphabet)
     swap = Permutation((1, 0) + tuple(range(2, m)))
     shift = Permutation(tuple((i + 1) % m for i in range(m)))
-    return generate_group(alphabet, [swap, shift], cap=cap)
+    return generate_group(alphabet, [swap, shift])
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .channels import Channel, DominanceWitness, PrivacyLevel, as_level, is_ldp
+from .channels import Channel, DominanceWitness, PrivacyLevel, as_level, require_ldp
 from .errors import (
     DecompositionInfeasibleError,
     DimensionCapError,
-    NotLdpError,
     NotMaximalError,
     PolytopeViolationError,
     RepresentativeMismatchError,
@@ -59,10 +58,6 @@ class StaircaseMatrix:
     input_alphabet: FiniteAlphabet
     level: PrivacyLevel
     rows: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return all_subset_masks(self.input_alphabet.size)
 
 
 def staircase_matrix(alphabet: FiniteAlphabet, level) -> StaircaseMatrix:
@@ -334,18 +329,24 @@ def is_extreme_direction(v: Sequence, alphabet: FiniteAlphabet, level) -> int | 
     return mask
 
 
+def ray_subsets(channel: Channel, level) -> list[int | None]:
+    """The subset behind each row's extreme ray, row by row.
+
+    A zero row maps to 0 (it is on no ray but leaves maximality
+    intact); a nonzero row off every extreme ray maps to None.  A
+    channel that violates the privacy constraint raises NotLdpError.
+    """
+    level = as_level(level)
+    require_ldp(channel, level)
+    return [0 if all(x == 0 for x in row)
+            else is_extreme_direction(row, channel.input_alphabet, level)
+            for row in channel.rows]
+
+
 def is_maximal(channel: Channel, level) -> bool:
     """A private channel is maximal (not strictly below any other in the
     post-processing order) iff each nonzero row is an extreme direction."""
-    level = as_level(level)
-    if not is_ldp(channel, level):
-        raise NotLdpError(f"channel violates the t={level.t} constraint")
-    for row in channel.rows:
-        if all(x == 0 for x in row):
-            continue
-        if is_extreme_direction(row, channel.input_alphabet, level) is None:
-            return False
-    return True
+    return None not in ray_subsets(channel, level)
 
 
 def canonical_weight(channel: Channel, level) -> WeightVector:
@@ -356,15 +357,14 @@ def canonical_weight(channel: Channel, level) -> WeightVector:
     splits) map to the same weight vector.
     """
     level = as_level(level)
-    if not is_maximal(channel, level):
+    subsets = ray_subsets(channel, level)
+    if None in subsets:
         raise NotMaximalError("only maximal channels have a canonical weight")
     m = channel.input_alphabet.size
     totals = [_ZERO] * ((1 << m) - 2)
-    for row in channel.rows:
-        if all(x == 0 for x in row):
-            continue
-        mask = is_extreme_direction(row, channel.input_alphabet, level)
-        totals[mask - 1] += min(row)
+    for row, mask in zip(channel.rows, subsets):
+        if mask:
+            totals[mask - 1] += min(row)
     weights = WeightVector(polytope=full_polytope(channel.input_alphabet, level),
                            values=tuple(totals))
     if not in_weight_polytope(weights):
@@ -382,8 +382,7 @@ def dominating_maximal(channel: Channel, level) -> tuple[Channel, DominanceWitne
     doubles as the post-processing witness.
     """
     level = as_level(level)
-    if not is_ldp(channel, level):
-        raise NotLdpError(f"channel violates the t={level.t} constraint")
+    require_ldp(channel, level)
     polytope = full_polytope(channel.input_alphabet, level)
     n = len(polytope.orbits)
     a_eq = [list(eq) for eq in polytope.rows]
@@ -399,12 +398,10 @@ def dominating_maximal(channel: Channel, level) -> tuple[Channel, DominanceWitne
         decompositions.append(sol)
     totals = [sum((d[j] for d in decompositions), _ZERO) for j in range(n)]
     maximal = extremal_channel(WeightVector(polytope=polytope, values=tuple(totals)))
-    w_rows = []
-    for z, d in enumerate(decompositions):
-        w_rows.append(tuple(d[j] / totals[j] if totals[j] else _ZERO for j in range(n)))
+    w_rows = [[d[j] / totals[j] if totals[j] else _ZERO for j in range(n)]
+              for d in decompositions]
     # Zero-weight subsets have zero rows in the maximal channel; their
     # witness columns can carry arbitrary mass, parked on the first output.
-    w_rows = [list(r) for r in w_rows]
     for j in range(n):
         if totals[j] == 0:
             w_rows[0][j] = _ONE

@@ -10,8 +10,11 @@ The solver does not prove anything about a caller's objective; the
 caller attests its structure (data-processing monotone, affine or
 quasiconvex over labeled mixtures, concave over plain mixtures,
 group-invariant) and those attestations decide how strong the returned
-certificate is.  Spot checks on random instances can be requested to
-catch wrong attestations early.
+certificate is: "exact" needs data processing and concavity, and a
+group reduction is refused without invariance and a direct-sum
+attestation.  They are checked only on request (`spot_check_rng`), on
+random instances, so with a group "exact" rests on the caller's
+group_invariant attestation; `put_by_lp` alone checks orbit constancy.
 """
 
 from __future__ import annotations
@@ -81,16 +84,25 @@ class PutResult:
     table: tuple = ()
 
 
-def _certificate(traits: ObjectiveTraits, grouped: bool,
-                 equalizer_passed: bool | None) -> str:
-    exact = traits.concave and (not grouped or
-                                (traits.group_invariant and
-                                 (traits.direct_sum_affine or traits.direct_sum_quasiconvex)))
-    if exact:
+def _certificate(traits: ObjectiveTraits,
+                 equalizer: Callable[[Channel], bool] | None = None,
+                 channel: Channel | None = None) -> str:
+    """The certificate the attestations justify; the equalizer check on
+    the argmin channel runs only when the result is not already exact."""
+    if traits.data_processing and traits.concave:
         return CERT_EXACT
-    if equalizer_passed:
+    if equalizer is not None and equalizer(channel):
         return CERT_EQUALIZER
     return CERT_BOUND
+
+
+def _require_group_reduction(traits: ObjectiveTraits) -> None:
+    """Optimizing over a group's orbit polytope is sound only for an
+    objective attested group-invariant and direct-sum compatible."""
+    if not (traits.group_invariant and
+            (traits.direct_sum_affine or traits.direct_sum_quasiconvex)):
+        raise ValueError("group reduction needs group_invariant plus a "
+                         "direct-sum attestation")
 
 
 def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
@@ -112,10 +124,7 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
                           rng=spot_check_rng)
     grouped = group is not None and group.order > 1
     if grouped:
-        if not (traits.group_invariant and
-                (traits.direct_sum_affine or traits.direct_sum_quasiconvex)):
-            raise ValueError("group reduction needs group_invariant plus a "
-                             "direct-sum attestation")
+        _require_group_reduction(traits)
         vertices = enumerate_invariant_vertices(group, level)
     else:
         vertices = enumerate_polytope_vertices(alphabet, level, cap=cap)
@@ -123,14 +132,11 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
     method = "vertex_enumeration_grouped" if grouped else "vertex_enumeration"
     values = [objective(q) for q in channels]
     best = min(range(len(values)), key=lambda i: (values[i], i))
-    equalizer_passed = None
-    if equalizer is not None and not traits.concave:
-        equalizer_passed = bool(equalizer(channels[best]))
     return PutResult(value=values[best],
                      argmin_weights=vertices[best],
                      argmin_channel=channels[best],
                      method=method,
-                     certificate=_certificate(traits, grouped, equalizer_passed),
+                     certificate=_certificate(traits, equalizer, channels[best]),
                      table=tuple(zip(vertices, values)))
 
 
@@ -186,15 +192,14 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
 def put_transitive_closed_form(per_orbit_value: Callable[[SubsetOrbit, Fraction],
                                                          Fraction | float],
                                group: PermGroup, level, *,
-                               traits: ObjectiveTraits,
-                               equalizer: Callable[[Channel], bool] | None = None
-                               ) -> PutResult:
+                               traits: ObjectiveTraits) -> PutResult:
     """Minimize over the collapsed simplex of a transitive group.
 
     Each subset orbit is a vertex with a closed-form weight; the caller
     supplies the objective value at a pure orbit channel as a function
     of (orbit, weight).
     """
+    _require_group_reduction(traits)
     level = as_level(level)
     polytope = weight_polytope(group, level)
     if len(polytope.letter_orbits) != 1:
@@ -207,15 +212,11 @@ def put_transitive_closed_form(per_orbit_value: Callable[[SubsetOrbit, Fraction]
         entries.append((orbit, weights, per_orbit_value(orbit, weight)))
     best = min(range(len(entries)), key=lambda i: (entries[i][2], i))
     _, best_weights, best_value = entries[best]
-    channel = extremal_channel(best_weights)
-    equalizer_passed = None
-    if equalizer is not None and not traits.concave:
-        equalizer_passed = bool(equalizer(channel))
     return PutResult(value=best_value,
                      argmin_weights=best_weights,
-                     argmin_channel=channel,
+                     argmin_channel=extremal_channel(best_weights),
                      method="transitive_closed_form",
-                     certificate=_certificate(traits, True, equalizer_passed),
+                     certificate=_certificate(traits),
                      table=tuple((orbit, value) for orbit, _, value in entries))
 
 
@@ -224,8 +225,8 @@ def _sample_rng(seed, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def _random_distribution(rng: random.Random, n: int, scale: int = 9) -> list[Fraction]:
-    raw = [rng.randint(0, scale) for _ in range(n)]
+def _random_distribution(rng: random.Random, n: int) -> list[Fraction]:
+    raw = [rng.randint(0, 9) for _ in range(n)]
     if sum(raw) == 0:
         raw[rng.randrange(n)] = 1
     total = sum(raw)
@@ -247,11 +248,11 @@ def random_polytope_point(rng: random.Random, alphabet: FiniteAlphabet, level,
     return WeightVector(polytope=vertices[0].polytope, values=tuple(values))
 
 
-def random_post_processing(rng: random.Random, channel: Channel,
-                           max_extra_outputs: int = 2) -> Channel:
-    """Compose with a random exact stochastic map into a fresh alphabet."""
+def random_post_processing(rng: random.Random, channel: Channel) -> Channel:
+    """Compose with a random exact stochastic map into a fresh alphabet
+    of at most two more outputs than the channel has."""
     n_in = channel.num_outputs
-    n_out = rng.randint(1, n_in + max_extra_outputs)
+    n_out = rng.randint(1, n_in + 2)
     cols = [_random_distribution(rng, n_out) for _ in range(n_in)]
     rows = tuple(tuple(cols[y][z] for y in range(n_in)) for z in range(n_out))
     post = Channel(input_alphabet=channel.output_alphabet,
@@ -310,12 +311,11 @@ def random_channel_audit(objective: Callable[[Channel], Fraction | float],
 def spot_check_traits(objective: Callable[[Channel], Fraction | float],
                       alphabet: FiniteAlphabet, level, traits: ObjectiveTraits,
                       group: PermGroup | None = None, *,
-                      rng: random.Random, trials: int = 3,
-                      tolerance: float = 1e-9) -> None:
+                      rng: random.Random, trials: int = 3) -> None:
     """Randomized sanity check of attested objective structure.
 
-    Exact values are compared exactly; float-valued objectives get the
-    given tolerance.  Failures raise AttestationFailedError: a wrong
+    Exact values are compared exactly; float-valued objectives get a
+    tolerance of 1e-9.  Failures raise AttestationFailedError: a wrong
     attestation would silently produce wrong certificates downstream.
     """
     level = as_level(level)
@@ -323,7 +323,7 @@ def spot_check_traits(objective: Callable[[Channel], Fraction | float],
     def close(lhs, rhs, cmp) -> bool:
         if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
             return cmp(lhs, rhs, 0)
-        return cmp(float(lhs), float(rhs), tolerance)
+        return cmp(float(lhs), float(rhs), 1e-9)
 
     ge = lambda a, b, tol: a >= b - tol
     eq = lambda a, b, tol: abs(a - b) <= tol

@@ -13,10 +13,10 @@ import io
 import json
 from fractions import Fraction
 
-from .channels import Channel, PrivacyLevel, as_level, is_ldp
+from .channels import Channel, as_level, is_ldp
 from .decision import DecisionProblem, Prior
 from .groups import FiniteAlphabet, PermGroup, Permutation, generate_group
-from .ldp_geometry import WeightVector, full_polytope, is_extreme_direction, is_maximal
+from .ldp_geometry import WeightVector, full_polytope, ray_subsets
 from .rationals import as_fraction, format_fraction
 
 
@@ -41,11 +41,9 @@ def channel_to_json(channel: Channel) -> dict:
 
 
 def channel_from_json(data: dict) -> Channel:
-    return Channel(
-        input_alphabet=FiniteAlphabet(tuple(letter_from_json(v) for v in data["input"])),
-        output_alphabet=FiniteAlphabet(tuple(letter_from_json(v) for v in data["output"])),
-        rows=tuple(tuple(as_fraction(v) for v in row) for row in data["rows"]),
-    )
+    return Channel.build([letter_from_json(v) for v in data["input"]],
+                         [letter_from_json(v) for v in data["output"]],
+                         data["rows"])
 
 
 def channel_hash(channel: Channel) -> str:
@@ -73,11 +71,10 @@ def group_to_json(group: PermGroup) -> dict:
     }
 
 
-def group_from_json(data: dict, cap: int | None = None) -> PermGroup:
+def group_from_json(data: dict) -> PermGroup:
     alphabet = FiniteAlphabet(tuple(letter_from_json(v) for v in data["alphabet"]))
     gens = [Permutation(tuple(images)) for images in data["generators"]]
-    kwargs = {} if cap is None else {"cap": cap}
-    return generate_group(alphabet, gens, **kwargs)
+    return generate_group(alphabet, gens)
 
 
 def problem_to_json(problem: DecisionProblem, prior: Prior | None = None) -> dict:
@@ -94,17 +91,14 @@ def problem_to_json(problem: DecisionProblem, prior: Prior | None = None) -> dic
 
 
 def problem_from_json(data: dict) -> tuple[DecisionProblem, Prior | None]:
-    problem = DecisionProblem(
-        parameters=tuple(letter_from_json(v) for v in data["parameters"]),
-        input_alphabet=FiniteAlphabet(tuple(letter_from_json(v)
-                                            for v in data["inputs"])),
-        model=tuple(tuple(as_fraction(v) for v in row) for row in data["model"]),
-        actions=tuple(letter_from_json(v) for v in data["actions"]),
-        loss=tuple(tuple(as_fraction(v) for v in row) for row in data["loss"]),
+    problem = DecisionProblem.build(
+        parameters=[letter_from_json(v) for v in data["parameters"]],
+        input_letters=[letter_from_json(v) for v in data["inputs"]],
+        model=data["model"],
+        actions=[letter_from_json(v) for v in data["actions"]],
+        loss=data["loss"],
     )
-    prior = None
-    if "prior" in data:
-        prior = Prior(values=tuple(as_fraction(v) for v in data["prior"]))
+    prior = Prior.build(data["prior"]) if "prior" in data else None
     return problem, prior
 
 
@@ -118,14 +112,12 @@ def weights_to_json(weights: WeightVector) -> dict:
     }
 
 
-def weights_from_json(data: dict, alphabet: FiniteAlphabet | None = None) -> WeightVector:
+def weights_from_json(data: dict) -> WeightVector:
     m = int(data["m"])
-    if alphabet is None:
-        alphabet = FiniteAlphabet.of_size(m)
     values = [Fraction(0)] * ((1 << m) - 2)
     for mask, value in zip(data["support"], data["weights"]):
         values[int(mask) - 1] = as_fraction(value)
-    return WeightVector(polytope=full_polytope(alphabet, as_level(data["t"])),
+    return WeightVector(polytope=full_polytope(FiniteAlphabet.of_size(m), as_level(data["t"])),
                         values=tuple(values))
 
 
@@ -142,16 +134,10 @@ def maximality_certificate(channel: Channel, level) -> dict:
     if not ldp:
         out["verdict"] = False
         return out
-    failing = None
-    for y, row in enumerate(channel.rows):
-        if all(v == 0 for v in row):
-            continue
-        if is_extreme_direction(row, channel.input_alphabet, level) is None:
-            failing = y
-            break
-    out["verdict"] = failing is None and is_maximal(channel, level)
-    if failing is not None:
-        out["failing_row"] = failing
+    subsets = ray_subsets(channel, level)
+    out["verdict"] = None not in subsets
+    if not out["verdict"]:
+        out["failing_row"] = subsets.index(None)
     return out
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ldpput.applications import CardioidSpec
 from ldpput.channels import PrivacyLevel, as_level
-from ldpput.errors import NotInConeError, ZeroVectorError
+from ldpput.errors import LdpPutError, ZeroVectorError
 from ldpput.groups import (
     FiniteAlphabet,
     cyclic_group,
@@ -33,6 +33,10 @@ from ldpput.rationals import as_fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+class NotInConeError(LdpPutError):
+    """A vector lies outside the privacy cone."""
 
 
 # -- privacy cone -------------------------------------------------------------

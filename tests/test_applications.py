@@ -22,6 +22,7 @@ from ldpput.applications import (
     ht_subset_risk,
     z_magnitude,
 )
+from ldpput.channels import PrivacyLevel
 from ldpput.decision import (
     InvarianceDeclaration,
     bayes_optimal_risk,
@@ -308,7 +309,7 @@ def test_experiment_result_csv_row():
         task="ht",
         m=3,
         gamma=F(1),
-        level=__import__("ldpput").PrivacyLevel(F(2)),
+        level=PrivacyLevel(F(2)),
         method="closed_form",
         value=F(1, 2),
         winner="k=1",

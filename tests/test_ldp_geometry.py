@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from ldpput.channels import Channel, dominates, equivalent, is_ldp
 from ldpput.errors import (
     DimensionCapError,
-    NotInConeError,
     NotMaximalError,
     PolytopeViolationError,
     ZeroVectorError,
@@ -31,7 +30,7 @@ from ldpput.ldp_geometry import (
     staircase_row,
     subset_size,
 )
-from oracles import cone_constraint_matrix, in_cone, kernel_rank_check
+from oracles import NotInConeError, cone_constraint_matrix, in_cone, kernel_rank_check
 
 X2 = FiniteAlphabet.of_size(2)
 X3 = FiniteAlphabet.of_size(3)
@@ -366,9 +365,20 @@ def test_m3_t1_vertices_are_simplex_corners():
         assert sorted(v.values) == [F(0)] * 5 + [F(1)]
 
 
-@pytest.mark.parametrize("t", [F(2), F(3), F(5)])
-def test_m4_vertex_count_frozen(t):
-    assert len(enumerate_polytope_vertices(X4, t)) == 41
+VERTEX_COUNTS = {2: 1, 3: 5, 4: 41, 5: 1291}
+# The m = 4 rows at t = 2, 3, 5 keep their ids t0..t2; m = 5 scans 142,506 supports.
+VERTEX_COUNT_CASES = (
+    [pytest.param(4, t, id=f"t{i}") for i, t in enumerate((F(2), F(3), F(5)))]
+    + [pytest.param(m, t, id=f"m{m}-t{t}".replace("/", "_"))
+       for m in (2, 3, 4) for t in (F(3, 2), F(2), F(5))
+       if (m, t) not in ((4, F(2)), (4, F(5)))]
+    + [pytest.param(5, F(3, 2), id="m5-t3_2")])
+
+
+@pytest.mark.parametrize("m,t", VERTEX_COUNT_CASES)
+def test_m4_vertex_count_frozen(m, t):
+    vertices = enumerate_polytope_vertices(FiniteAlphabet.of_size(m), t)
+    assert len(vertices) == VERTEX_COUNTS[m]
 
 
 def test_vertices_all_in_polytope():

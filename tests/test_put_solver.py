@@ -111,6 +111,20 @@ def test_non_concave_objective_gets_bound_certificate():
     assert res.certificate == CERT_BOUND
 
 
+def test_exact_certificate_needs_data_processing():
+    """A vertex optimum is the optimum over all private channels only when
+    post-processing cannot lower the value: without that, a bound."""
+    m, t = 3, F(2)
+    _, _, objective = bayes_objective(m)
+    res = put_by_vertex_enumeration(
+        objective,
+        FiniteAlphabet.of_size(m),
+        t,
+        traits=ObjectiveTraits(data_processing=False, concave=True),
+    )
+    assert res.certificate == CERT_BOUND
+
+
 def test_equalizer_promotes_minimax_bound():
     m, t = 3, F(2)
     p, prior, objective = bayes_objective(m)
@@ -264,6 +278,16 @@ def test_transitive_closed_form_rejects_intransitive():
             trivial_group(FiniteAlphabet.of_size(3)),
             F(2),
             traits=BAYES_TRAITS,
+        )
+
+
+def test_transitive_closed_form_requires_invariance_attestation():
+    """The same guard as the grouped sweep: no reduction without invariance."""
+    group = cyclic_group(FiniteAlphabet.of_size(4))
+    with pytest.raises(ValueError):
+        put_transitive_closed_form(
+            lambda orbit, w: F(orbit.subset_size), group, F(2),
+            traits=ObjectiveTraits(concave=True),
         )
 
 
