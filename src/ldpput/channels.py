@@ -36,12 +36,6 @@ class PrivacyLevel:
             raise ValueError(f"privacy bound t must be >= 1, got {self.t}")
 
     @classmethod
-    def coerce(cls, value) -> "PrivacyLevel":
-        if isinstance(value, PrivacyLevel):
-            return value
-        return cls(as_fraction(value))
-
-    @classmethod
     def from_epsilon(cls, epsilon: float) -> "tuple[PrivacyLevel, float]":
         """Best rational approximation of e^epsilon with denominator at
         most 10^6, with an error bound.
@@ -63,7 +57,9 @@ class PrivacyLevel:
 
 
 def as_level(value) -> PrivacyLevel:
-    return PrivacyLevel.coerce(value)
+    if isinstance(value, PrivacyLevel):
+        return value
+    return PrivacyLevel(as_fraction(value))
 
 
 @dataclass(frozen=True)

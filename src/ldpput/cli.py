@@ -30,7 +30,6 @@ from .groups import FiniteAlphabet, all_subset_masks, cyclic_group, symmetric_gr
 from .invariant import enumerate_invariant_vertices
 from .ldp_geometry import (
     DEFAULT_ENUM_CAP_M,
-    canonical_weight,
     enumerate_polytope_vertices,
     subset_orbits,
 )
@@ -51,7 +50,6 @@ from .serialize import (
     maximality_certificate,
     problem_from_json,
     vertices_to_json,
-    weights_to_json,
 )
 
 EXIT_OK = 0
@@ -150,8 +148,6 @@ def cmd_check_channel(args) -> int:
         channel = channel_from_json(json.load(fh))
     level, note = _parse_level(args)
     report = maximality_certificate(channel, level)
-    if report["verdict"]:
-        report["canonical_weights"] = weights_to_json(canonical_weight(channel, level))
     if note:
         report["level_note"] = note
     _emit(report, args)

@@ -357,7 +357,12 @@ def canonical_weight(channel: Channel, level) -> WeightVector:
     splits) map to the same weight vector.
     """
     level = as_level(level)
-    subsets = ray_subsets(channel, level)
+    return canonical_weight_from_rays(channel, level, ray_subsets(channel, level))
+
+
+def canonical_weight_from_rays(channel: Channel, level: PrivacyLevel,
+                               subsets: list[int | None]) -> WeightVector:
+    """canonical_weight, given the channel's ray_subsets (not rescanned)."""
     if None in subsets:
         raise NotMaximalError("only maximal channels have a canonical weight")
     m = channel.input_alphabet.size

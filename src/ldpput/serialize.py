@@ -13,10 +13,11 @@ import io
 import json
 from fractions import Fraction
 
-from .channels import Channel, as_level, is_ldp
+from .channels import Channel, as_level
 from .decision import DecisionProblem, Prior
+from .errors import NotLdpError
 from .groups import FiniteAlphabet, PermGroup, Permutation, generate_group
-from .ldp_geometry import WeightVector, full_polytope, ray_subsets
+from .ldp_geometry import WeightVector, canonical_weight_from_rays, full_polytope, ray_subsets
 from .rationals import as_fraction, format_fraction
 
 
@@ -122,21 +123,27 @@ def weights_from_json(data: dict) -> WeightVector:
 
 
 def maximality_certificate(channel: Channel, level) -> dict:
-    """Verdict JSON for one channel: privacy check, maximality, and the
-    first offending row when not maximal."""
+    """Verdict JSON for one channel: privacy check, maximality, and then
+    the canonical weights, or the first offending row when not maximal.
+
+    The privacy check and the ray scan run once each (both in ray_subsets).
+    """
     level = as_level(level)
-    ldp = is_ldp(channel, level)
     out = {
         "channel_hash": channel_hash(channel),
         "t": format_fraction(level.t),
-        "ldp": ldp,
+        "ldp": True,
     }
-    if not ldp:
-        out["verdict"] = False
+    try:
+        subsets = ray_subsets(channel, level)
+    except NotLdpError:
+        out["ldp"] = out["verdict"] = False
         return out
-    subsets = ray_subsets(channel, level)
     out["verdict"] = None not in subsets
-    if not out["verdict"]:
+    if out["verdict"]:
+        out["canonical_weights"] = weights_to_json(
+            canonical_weight_from_rays(channel, level, subsets))
+    else:
         out["failing_row"] = subsets.index(None)
     return out
 

@@ -1,20 +1,31 @@
-"""Two-phase simplex over exact rationals.
+"""Two-phase simplex over exact rationals, on an integer tableau.
 
 Standard form: minimize c.x subject to A x = b, x >= 0.  Bland's rule
 is used for both the entering and leaving choices, so the method
 terminates on degenerate problems and, given identical input, always
 performs the identical pivot sequence.
+
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968; as in Avis's
+lrs): each constraint row is scaled once to integers, and the whole
+tableau shares one positive common denominator d, so row i stands for
+the rational row T_i / d.  A pivot on (r, s) sets every other row to
+(T_i * T_rs - T_is * T_r) // d, which divides exactly, and then d = T_rs.
+Every choice is a sign test or a cross-multiplied ratio, and each row
+and column differs from the rational tableau of the same basis only by
+a positive factor, so the pivot path is the rational method's, pivot
+for pivot.  Entries become Fractions once, in the returned point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import LpInfeasibleError, LpUnboundedError
+from .linalg import _integer_rows
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -23,40 +34,49 @@ class LpResult:
     value: Fraction
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    if piv != 1:
-        inv = _ONE / piv
-        tableau[row] = [v * inv for v in tableau[row]]
+def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, d: int) -> int:
+    """Pivot on (row, col) under common denominator d; returns the new one."""
+    if tableau[row][col] < 0:
+        # Only a drive-out pivot can be negative (its rhs is 0): negating
+        # the row keeps the new denominator positive.
+        tableau[row] = [-v for v in tableau[row]]
     pivot_row = tableau[row]
+    p = pivot_row[col]
     for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tableau[i] = [a - f * b for a, b in zip(r, pivot_row)]
+        if i == row:
+            continue
+        f = r[col]
+        if f:
+            tableau[i] = [(a * p - f * b) // d for a, b in zip(r, pivot_row)]
+        elif p != d:
+            tableau[i] = [a * p // d for a in r]
     basis[row] = col
+    return p
 
 
-def _run(tableau: list[list[Fraction]], basis: list[int], allowed_cols: int) -> bool:
-    """Pivot to optimality.  Returns False if unbounded."""
+def _run(tableau: list[list[int]], basis: list[int], allowed_cols: int, d: int) -> int | None:
+    """Pivot to optimality; returns the final denominator, or None if unbounded."""
     nrows = len(tableau) - 1
-    cost = tableau[-1]
     while True:
+        cost = tableau[-1]
         enter = next((j for j in range(allowed_cols) if cost[j] < 0), None)
         if enter is None:
-            return True
+            return d
         leave = None
-        best = None
         for i in range(nrows):
             a = tableau[i][enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                rhs = tableau[i][-1]
+                if leave is None:
+                    leave, best_rhs, best_a = i, rhs, a
+                    continue
+                # rhs / a against best_rhs / best_a; both divisors are positive.
+                lhs, rhs_best = rhs * best_a, best_rhs * a
+                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
+                    leave, best_rhs, best_a = i, rhs, a
         if leave is None:
-            return False
-        _pivot(tableau, basis, leave, enter)
-        cost = tableau[-1]
+            return None
+        d = _pivot(tableau, basis, leave, enter, d)
 
 
 def solve_standard_lp(a_eq: list[list[Fraction]], b_eq: list[Fraction],
@@ -67,30 +87,32 @@ def solve_standard_lp(a_eq: list[list[Fraction]], b_eq: list[Fraction],
     """
     nrows = len(a_eq)
     ncols = len(cost)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(nrows):
-        row = [Fraction(v) for v in a_eq[i]]
-        b = Fraction(b_eq[i])
-        if b < 0:
+    # A trailing 1 in each row comes out of the scaling as the row's scale.
+    rows: list[list[int]] = []
+    scales: list[int] = []
+    for row in _integer_rows([[*a, b, 1] for a, b in zip(a_eq, b_eq)]):
+        scales.append(row.pop())
+        if row[-1] < 0:
             row = [-v for v in row]
-            b = -b
         rows.append(row)
-        rhs.append(b)
 
-    # Phase 1: artificial basis, minimize the artificial mass.
+    # Phase 1: artificial basis, minimize the artificial mass.  The cost
+    # row is the negated sum of the unscaled rows, times L = lcm(scales),
+    # so its signs (and Bland's path) are those of the rational tableau.
     tableau = []
-    for i in range(nrows):
-        art = [_ZERO] * nrows
-        art[i] = _ONE
-        tableau.append(rows[i] + art + [rhs[i]])
+    for i, row in enumerate(rows):
+        art = [0] * nrows
+        art[i] = 1
+        tableau.append(row[:-1] + art + row[-1:])
     basis = [ncols + i for i in range(nrows)]
-    phase1_cost = [_ZERO] * (ncols + nrows + 1)
-    for j in range(ncols):
-        phase1_cost[j] = -sum(rows[i][j] for i in range(nrows))
-    phase1_cost[-1] = -sum(rhs)
+    common = lcm(*scales)
+    weights = [common // s for s in scales]
+    phase1_cost = [0] * (ncols + nrows + 1)
+    for j in (*range(ncols), -1):
+        phase1_cost[j] = -sum(w * row[j] for w, row in zip(weights, rows))
     tableau.append(phase1_cost)
-    if not _run(tableau, basis, ncols + nrows):
+    d = _run(tableau, basis, ncols + nrows, 1)
+    if d is None:
         raise AssertionError("phase 1 cannot be unbounded")
     if tableau[-1][-1] != 0:
         raise LpInfeasibleError("no feasible point")
@@ -102,28 +124,30 @@ def solve_standard_lp(a_eq: list[list[Fraction]], b_eq: list[Fraction],
             col = next((j for j in range(ncols) if tableau[i][j] != 0), None)
             if col is None:
                 continue  # 0 = 0 row
-            _pivot(tableau, basis, i, col)
+            d = _pivot(tableau, basis, i, col, d)
         keep.append(i)
-    tableau = [tableau[i] for i in keep] + [tableau[-1]]
+    # Every kept row now has a real basic variable, so T_i / d is the
+    # rational tableau row; artificial columns can no longer enter.
+    tableau = [tableau[i][:ncols] + tableau[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
 
-    # Phase 2: rebuild the reduced-cost row for the real objective.
-    cost = [Fraction(v) for v in cost]
-    reduced = list(cost) + [_ZERO] * nrows + [_ZERO]
-    for i, bv in enumerate(basis):
-        cb = cost[bv]
-        if cb != 0:
-            reduced = [rj - cb * tij for rj, tij in zip(reduced, tableau[i])]
-    tableau[-1] = reduced
-    if not _run(tableau, basis, ncols):
+    # Phase 2: the reduced-cost row times lc * d, where lc scales the cost
+    # to integers (the trailing 1 again).
+    *int_cost, lc = _integer_rows([[*cost, 1]])[0]
+    reduced = [d * v for v in int_cost] + [0]
+    for row, bv in zip(tableau, basis):
+        cb = int_cost[bv]
+        if cb:
+            reduced = [rj - cb * tij for rj, tij in zip(reduced, row)]
+    tableau.append(reduced)
+    d = _run(tableau, basis, ncols, d)
+    if d is None:
         raise LpUnboundedError("objective unbounded below")
 
     x = [_ZERO] * ncols
-    for i, bv in enumerate(basis):
-        if bv < ncols:
-            x[bv] = tableau[i][-1]
-    value = sum((cv * xv for cv, xv in zip(cost, x)), _ZERO)
-    return LpResult(x=x, value=value)
+    for row, bv in zip(tableau, basis):
+        x[bv] = Fraction(row[-1], d)
+    return LpResult(x=x, value=Fraction(-tableau[-1][-1], d * lc))
 
 
 def feasible_point(a_eq: list[list[Fraction]], b_eq: list[Fraction],

@@ -2,8 +2,9 @@
 
 Each recomputes a quantity the library derives another way (extremality
 from the rank of the active cone facets, the circular task's risk by
-grid integration, kernels by elimination), so a test can compare the
-two.  numpy is needed here only.
+grid integration, kernels by elimination, LP optima and pivot paths
+on a Fraction tableau), so a test can compare the two.  numpy is
+needed here only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ import numpy as np
 
 from ldpput.applications import CardioidSpec
 from ldpput.channels import PrivacyLevel, as_level
-from ldpput.errors import LdpPutError, ZeroVectorError
+from ldpput.errors import (
+    LdpPutError,
+    LpInfeasibleError,
+    LpUnboundedError,
+    ZeroVectorError,
+)
 from ldpput.groups import (
     FiniteAlphabet,
     cyclic_group,
@@ -30,6 +36,7 @@ from ldpput.groups import (
 )
 from ldpput.linalg import rank
 from ldpput.rationals import as_fraction
+from ldpput.simplex import LpResult
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -267,6 +274,114 @@ def basic_feasible_reference(matrix: list[list[Fraction]],
             full[j] = v
         seen[tuple(full)] = None
     return list(seen)
+
+
+# -- reference simplex --------------------------------------------------------
+
+
+def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+    piv = tableau[row][col]
+    if piv != 1:
+        inv = _ONE / piv
+        tableau[row] = [v * inv for v in tableau[row]]
+    pivot_row = tableau[row]
+    for i, r in enumerate(tableau):
+        if i != row and r[col] != 0:
+            f = r[col]
+            tableau[i] = [a - f * b for a, b in zip(r, pivot_row)]
+    basis[row] = col
+
+
+def _run(tableau: list[list[Fraction]], basis: list[int], allowed_cols: int) -> bool:
+    """Pivot to optimality.  Returns False if unbounded."""
+    nrows = len(tableau) - 1
+    cost = tableau[-1]
+    while True:
+        enter = next((j for j in range(allowed_cols) if cost[j] < 0), None)
+        if enter is None:
+            return True
+        leave = None
+        best = None
+        for i in range(nrows):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return False
+        _pivot(tableau, basis, leave, enter)
+        cost = tableau[-1]
+
+
+def solve_standard_lp_reference(a_eq: list[list[Fraction]], b_eq: list[Fraction],
+                      cost: list[Fraction]) -> LpResult:
+    """Minimize cost.x over {x >= 0 : A x = b} on a Fraction tableau.
+
+    The rational two-phase simplex with Bland's rule that the integer
+    tableau of ldpput.simplex must follow pivot for pivot.  Raises
+    LpInfeasibleError / LpUnboundedError accordingly.
+    """
+    nrows = len(a_eq)
+    ncols = len(cost)
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for i in range(nrows):
+        row = [Fraction(v) for v in a_eq[i]]
+        b = Fraction(b_eq[i])
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+        rows.append(row)
+        rhs.append(b)
+
+    # Phase 1: artificial basis, minimize the artificial mass.
+    tableau = []
+    for i in range(nrows):
+        art = [_ZERO] * nrows
+        art[i] = _ONE
+        tableau.append(rows[i] + art + [rhs[i]])
+    basis = [ncols + i for i in range(nrows)]
+    phase1_cost = [_ZERO] * (ncols + nrows + 1)
+    for j in range(ncols):
+        phase1_cost[j] = -sum(rows[i][j] for i in range(nrows))
+    phase1_cost[-1] = -sum(rhs)
+    tableau.append(phase1_cost)
+    if not _run(tableau, basis, ncols + nrows):
+        raise AssertionError("phase 1 cannot be unbounded")
+    if tableau[-1][-1] != 0:
+        raise LpInfeasibleError("no feasible point")
+
+    # Drive any artificial variables out of the basis; drop redundant rows.
+    keep = []
+    for i in range(nrows):
+        if basis[i] >= ncols:
+            col = next((j for j in range(ncols) if tableau[i][j] != 0), None)
+            if col is None:
+                continue  # 0 = 0 row
+            _pivot(tableau, basis, i, col)
+        keep.append(i)
+    tableau = [tableau[i] for i in keep] + [tableau[-1]]
+    basis = [basis[i] for i in keep]
+
+    # Phase 2: rebuild the reduced-cost row for the real objective.
+    cost = [Fraction(v) for v in cost]
+    reduced = list(cost) + [_ZERO] * nrows + [_ZERO]
+    for i, bv in enumerate(basis):
+        cb = cost[bv]
+        if cb != 0:
+            reduced = [rj - cb * tij for rj, tij in zip(reduced, tableau[i])]
+    tableau[-1] = reduced
+    if not _run(tableau, basis, ncols):
+        raise LpUnboundedError("objective unbounded below")
+
+    x = [_ZERO] * ncols
+    for i, bv in enumerate(basis):
+        if bv < ncols:
+            x[bv] = tableau[i][-1]
+    value = sum((cv * xv for cv, xv in zip(cost, x)), _ZERO)
+    return LpResult(x=x, value=value)
 
 
 def kernel_basis(matrix: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:

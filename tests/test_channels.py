@@ -42,9 +42,9 @@ def uniform_channel(n_out: int, n_in: int) -> Channel:
 
 
 def test_privacy_level_bounds():
-    assert PrivacyLevel.coerce(Fraction(3, 2)).t == Fraction(3, 2)
+    assert as_level(Fraction(3, 2)).t == Fraction(3, 2)
     with pytest.raises(ValueError):
-        PrivacyLevel.coerce(Fraction(1, 2))
+        as_level(Fraction(1, 2))
 
 
 def test_privacy_level_from_epsilon():

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from ldpput import channels, ldp_geometry
 from ldpput.applications import ht_problem
 from ldpput.channels import Channel
 from ldpput.cli import (
@@ -87,6 +88,19 @@ def test_check_channel_not_ldp(capsys, rr_channel_file):
     report = run_json(capsys, "check-channel", rr_channel_file, "--t", "3/2")
     assert report["ldp"] is False
     assert report["verdict"] is False
+
+
+def test_check_channel_checks_privacy_and_scans_rows_once(capsys, monkeypatch,
+                                                         rr_channel_file):
+    calls = {"is_ldp": 0, "is_extreme_direction": 0}
+    for module, name in ((channels, "is_ldp"), (ldp_geometry, "is_extreme_direction")):
+        def counted(*args, _original=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    report = run_json(capsys, "check-channel", rr_channel_file, "--t", "2")
+    assert report["verdict"] is True and "canonical_weights" in report
+    assert calls == {"is_ldp": 1, "is_extreme_direction": 2}
 
 
 def test_check_channel_csv(capsys, rr_channel_file):

@@ -1,15 +1,21 @@
-"""Tests for the exact linear algebra kernel and the rational simplex solver."""
+"""Tests for the exact linear algebra kernel and the exact simplex solver."""
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from ldpput import decision, simplex
+from ldpput.decision import DecisionProblem, minimax_risk
 from ldpput.errors import LpInfeasibleError, LpUnboundedError
+from ldpput.groups import FiniteAlphabet
+from ldpput.ldp_geometry import enumerate_polytope_vertices, extremal_channel
 from ldpput.linalg import (
     enumerate_basic_feasible,
     rank,
@@ -17,7 +23,13 @@ from ldpput.linalg import (
 )
 from ldpput.rationals import as_fraction, format_fraction
 from ldpput.simplex import feasible_point, solve_standard_lp
-from oracles import basic_feasible_reference, kernel_basis, mat_vec, rref
+from oracles import (
+    basic_feasible_reference,
+    kernel_basis,
+    mat_vec,
+    rref,
+    solve_standard_lp_reference,
+)
 
 
 def F(v) -> Fraction:
@@ -241,3 +253,83 @@ def test_simplex_solution_is_feasible(seed):
     assert mat_vec(a, res.x) == b
     assert all(v >= 0 for v in res.x)
     assert res.value == sum(c * v for c, v in zip(cost, res.x))
+
+
+@contextmanager
+def _recording_pivots(module):
+    """Record the (row, col) of every pivot that module's _pivot makes."""
+    pivots = []
+    original = module._pivot
+
+    def recorder(tableau, basis, row, col, *rest):
+        pivots.append((row, col))
+        return original(tableau, basis, row, col, *rest)
+
+    module._pivot = recorder
+    try:
+        yield pivots
+    finally:
+        module._pivot = original
+
+
+def _recorded_solve(module, solve, a, b, cost):
+    """((x, value) or the exception type, pivot sequence) of one solve."""
+    with _recording_pivots(module) as pivots:
+        try:
+            res = solve(a, b, cost)
+        except (LpInfeasibleError, LpUnboundedError) as exc:
+            return type(exc), pivots
+    return (res.x, res.value), pivots
+
+
+def _assert_reference_path(a, b, cost):
+    got = _recorded_solve(simplex, solve_standard_lp, a, b, cost)
+    want = _recorded_solve(oracles, solve_standard_lp_reference, a, b, cost)
+    assert got == want
+
+
+@given(_rational_systems(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_simplex_follows_reference_path(system, data):
+    """Same x, value or exception, and the same pivots, as the Fraction tableau.
+
+    The systems carry non-unit denominators, dependent and inconsistent
+    rows and negative right-hand sides; half the time b = A x0 for some
+    x0 >= 0 with zeros, so feasible, degenerate LPs whose artificial
+    variables must be driven out occur too.  The costs take both signs,
+    so optimal, infeasible and unbounded LPs all occur.
+    """
+    a, b = system
+    ncols = len(a[0])
+    if data.draw(st.booleans()):
+        x0 = data.draw(st.lists(st.sampled_from([0, 0, 1, Fraction(1, 2), 3]),
+                                min_size=ncols, max_size=ncols))
+        b = mat_vec(a, x0)
+    cost = data.draw(st.lists(_small_rationals, min_size=ncols, max_size=ncols))
+    _assert_reference_path(a, b, cost)
+
+
+def test_minimax_lps_follow_reference_path(monkeypatch):
+    """The 41 minimax LPs over the m=4 vertex channels pivot as the reference."""
+    problem = DecisionProblem.build(
+        parameters=(0, 1, 2),
+        input_letters=(0, 1, 2, 3),
+        model=[["1/10", "2/7", "1/2"],
+               ["1/5", "2/7", "1/6"],
+               ["3/10", "1/7", "1/6"],
+               ["2/5", "2/7", "1/6"]],
+        actions=(0, 1, 2),
+        loss=[[0, 3, 1], [2, 0, 4], [3, 1, 0]],
+    )
+    lps = []
+
+    def recording_solve(a_eq, b_eq, cost):
+        lps.append((a_eq, b_eq, cost))
+        return solve_standard_lp(a_eq, b_eq, cost)
+
+    monkeypatch.setattr(decision, "solve_standard_lp", recording_solve)
+    for vertex in enumerate_polytope_vertices(FiniteAlphabet.of_size(4), Fraction(3, 2)):
+        minimax_risk(problem, extremal_channel(vertex))
+    assert len(lps) == 41
+    for a_eq, b_eq, cost in lps:
+        _assert_reference_path(a_eq, b_eq, cost)
