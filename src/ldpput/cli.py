@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import applications as apps
 from .channels import PrivacyLevel, as_level
-from .decision import bayes_optimal_risk, linear_coefficients, minimax_risk
+from .decision import bayes_linear_coefficients, bayes_optimal_risk, minimax_risk
 from .errors import (
     AuditFailureError,
     CapExceededError,
@@ -31,6 +31,7 @@ from .invariant import enumerate_invariant_vertices
 from .ldp_geometry import (
     DEFAULT_ENUM_CAP_M,
     enumerate_polytope_vertices,
+    require_enum_cap,
     subset_orbits,
 )
 from .put_solver import (
@@ -204,6 +205,10 @@ def _ht_results(args, level) -> list[dict]:
     wanted = _methods(args)
     if group is None and {"transitive", "vertex"} & set(wanted):
         group = symmetric_group(alphabet)
+    if "vertex_full" in wanted:
+        require_enum_cap(m, _enum_cap())  # before the 2^m - 2 coefficients
+    if {"vertex", "vertex_full", "lp"} & set(wanted):
+        u = bayes_linear_coefficients(problem, prior, level)
     results = []
     for method in wanted:
         if method == "closed":
@@ -217,15 +222,14 @@ def _ht_results(args, level) -> list[dict]:
             results.append(_result_entry(res))
         elif method == "vertex":
             res = put_by_vertex_enumeration(objective, alphabet, level, group=group,
-                                            traits=BAYES_TRAITS)
+                                            traits=BAYES_TRAITS, coefficients=u)
             results.append(_result_entry(res))
         elif method == "vertex_full":
             res = put_by_vertex_enumeration(objective, alphabet, level,
-                                            traits=BAYES_TRAITS, cap=_enum_cap())
+                                            traits=BAYES_TRAITS, coefficients=u,
+                                            cap=_enum_cap())
             results.append(_result_entry(res))
         elif method == "lp":
-            u = linear_coefficients("bayes", alphabet, level, problem=problem,
-                                    prior=prior)
             res = put_by_lp(u, alphabet, level, cap=_enum_cap())
             results.append(_result_entry(res))
     return results
@@ -324,14 +328,15 @@ def _custom_put(args, level) -> dict:
     group = _parse_group(args.group, alphabet)
     results = []
     if prior is not None:
+        cap = _enum_cap()
+        if group is None or group.order == 1:
+            require_enum_cap(alphabet.size, cap)  # before the 2^m - 2 coefficients
         objective = lambda q: bayes_optimal_risk(problem, prior, q)[0]
+        u = bayes_linear_coefficients(problem, prior, level)
         res = put_by_vertex_enumeration(objective, alphabet, level, group=group,
-                                        traits=BAYES_TRAITS, cap=_enum_cap())
+                                        traits=BAYES_TRAITS, coefficients=u, cap=cap)
         results.append(_result_entry(res))
-        # After the scan: without a group, its cap stops a large m before the
-        # 2^m - 2 coefficients are built.
-        u = linear_coefficients("bayes", alphabet, level, problem=problem, prior=prior)
-        res_lp = put_by_lp(u, alphabet, level, group=group, cap=_enum_cap())
+        res_lp = put_by_lp(u, alphabet, level, group=group, cap=cap)
         # put_by_lp certifies "exact" only for u constant on every subset orbit.
         _require_invariant(res_lp.certificate == CERT_EXACT)
         results.append(_result_entry(res_lp))
@@ -357,7 +362,7 @@ def cmd_audit(args) -> int:
     if args.task == "ht":
         problem, prior = apps.ht_problem(m, gamma)
         objective = lambda q: bayes_optimal_risk(problem, prior, q)[0]
-        u = linear_coefficients("bayes", alphabet, level, problem=problem, prior=prior)
+        u = bayes_linear_coefficients(problem, prior, level)
         baseline = put_by_lp(u, alphabet, level, cap=_enum_cap()).value
         tolerance = as_fraction(args.tolerance) if args.tolerance else 0
     elif args.task == "cardioid":

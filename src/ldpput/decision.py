@@ -16,11 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .channels import Channel, as_level
-from .errors import (
-    AlphabetMismatchError,
-    NoLinearFormError,
-    UnsupportedDivergenceError,
-)
+from .errors import AlphabetMismatchError, UnsupportedDivergenceError
 from .groups import FiniteAlphabet, GroupAction, PermGroup
 from .ldp_geometry import staircase_row
 from .groups import all_subset_masks
@@ -382,31 +378,3 @@ def f_divergence_linear_coefficients(name: str, p0: Sequence, p1: Sequence,
 
     return _per_staircase_row(alphabet.size, level, term)
 
-
-def linear_coefficients(kind: str, alphabet: FiniteAlphabet, level, *,
-                        problem: DecisionProblem | None = None,
-                        prior: Prior | None = None,
-                        input_dist: Sequence | None = None,
-                        p0: Sequence | None = None, p1: Sequence | None = None,
-                        divergence: str | None = None):
-    """Dispatch to the per-subset linear form of a supported objective.
-
-    Worst-case (minimax) risk has no such form: it is a minimum of
-    linear pieces only after fixing a rule, so NoLinearFormError is
-    raised rather than returning something misleading.
-    """
-    if kind == "bayes":
-        if problem is None or prior is None:
-            raise ValueError("bayes coefficients need a problem and a prior")
-        return bayes_linear_coefficients(problem, prior, level)
-    if kind == "mutual_information":
-        if input_dist is None:
-            raise ValueError("mutual information coefficients need an input distribution")
-        return mutual_information_linear_coefficients(input_dist, alphabet, level)
-    if kind == "f_divergence":
-        if p0 is None or p1 is None or divergence is None:
-            raise ValueError("f-divergence coefficients need p0, p1, and a name")
-        return f_divergence_linear_coefficients(divergence, p0, p1, alphabet, level)
-    if kind == "minimax":
-        raise NoLinearFormError("worst-case risk is not linear over staircase weights")
-    raise ValueError(f"unknown objective kind {kind!r}")

@@ -63,10 +63,6 @@ class UnsupportedDivergenceError(LdpPutError):
     """The requested f-divergence is not one of the supported names."""
 
 
-class NoLinearFormError(LdpPutError):
-    """The objective has no per-row linear representation over staircase rows."""
-
-
 class AttestationFailedError(LdpPutError):
     """A declared objective property failed a randomized spot check."""
 

@@ -288,10 +288,14 @@ def enumerate_polytope_vertices(alphabet: FiniteAlphabet, level,
     work grows like C(2^m - 2, m); the cap keeps it at desk scale
     (m <= 5 by default).  Results are sorted and deterministic.
     """
-    m = alphabet.size
+    require_enum_cap(alphabet.size, cap)
+    return polytope_vertices(full_polytope(alphabet, as_level(level)))
+
+
+def require_enum_cap(m: int, cap: int = DEFAULT_ENUM_CAP_M) -> None:
+    """The full vertex enumeration's dimension cap."""
     if m > cap:
         raise DimensionCapError(f"vertex enumeration capped at m <= {cap}, got m = {m}")
-    return polytope_vertices(full_polytope(alphabet, as_level(level)))
 
 
 # -- extreme directions and maximal channels ----------------------------------

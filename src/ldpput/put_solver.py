@@ -13,8 +13,11 @@ group-invariant) and those attestations decide how strong the returned
 certificate is: "exact" needs data processing and concavity, and a
 group reduction is refused without invariance and a direct-sum
 attestation.  They are checked only on request (`spot_check_rng`), on
-random instances, so with a group "exact" rests on the caller's
-group_invariant attestation; `put_by_lp` alone checks orbit constancy.
+random instances.  A grouped "exact" rests instead on the objective's
+per-subset linear form, which both the vertex sweep (`coefficients=`)
+and `put_by_lp` check for constancy on every subset orbit; a grouped
+sweep without one is only a bound.  The sweep also checks that form
+against the objective itself at its argmin channel.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ _ONE = Fraction(1)
 CERT_EXACT = "exact"
 CERT_BOUND = "bound_only"
 CERT_EQUALIZER = "equalizer_certified"
+
+# Float-valued objectives are compared with this absolute tolerance.
+FLOAT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,10 +111,37 @@ def _require_group_reduction(traits: ObjectiveTraits) -> None:
                          "direct-sum attestation")
 
 
+def _require_coefficient_count(coefficients: Sequence, m: int) -> None:
+    n = (1 << m) - 2
+    if len(coefficients) != n:
+        raise ValueError(f"need {n} coefficients, got {len(coefficients)}")
+
+
+def _orbit_costs(per_subset: Sequence, orbits: Sequence[SubsetOrbit]) -> list:
+    """Per-orbit cost of a per-subset linear form (indexed by mask - 1):
+    the objective at weights w is the sum of w_orbit * cost_orbit."""
+    return [sum((per_subset[mask - 1] for mask in orbit.masks), _ZERO)
+            for orbit in orbits]
+
+
+def _close(lhs, rhs, cmp) -> bool:
+    """cmp(lhs, rhs, tolerance): exact for two Fractions, otherwise on
+    floats within FLOAT_TOLERANCE."""
+    if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
+        return cmp(lhs, rhs, 0)
+    return cmp(float(lhs), float(rhs), FLOAT_TOLERANCE)
+
+
+_ge = lambda a, b, tol: a >= b - tol
+_eq = lambda a, b, tol: abs(a - b) <= tol
+_le = lambda a, b, tol: a <= b + tol
+
+
 def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
                               alphabet: FiniteAlphabet, level,
                               group: PermGroup | None = None, *,
                               traits: ObjectiveTraits,
+                              coefficients: Sequence | None = None,
                               cap: int = DEFAULT_ENUM_CAP_M,
                               equalizer: Callable[[Channel], bool] | None = None,
                               spot_check_rng: random.Random | None = None) -> PutResult:
@@ -117,8 +150,17 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
     With a group, only the collapsed polytope's vertices are scanned;
     that requires the objective to be attested group-invariant and
     mixture-compatible, since otherwise the reduction is unsound.
+
+    `coefficients` is the objective's per-subset linear form (indexed by
+    mask - 1, as `put_by_lp` takes it).  With it, each vertex is scored
+    as u.w, only the argmin gets a channel, and the objective runs once
+    there and must equal the score (AttestationFailedError otherwise);
+    a grouped result is exact only when u is constant on every subset
+    orbit.  Without it, a grouped result is only a bound.
     """
     level = as_level(level)
+    if coefficients is not None:
+        _require_coefficient_count(coefficients, alphabet.size)
     if spot_check_rng is not None:
         spot_check_traits(objective, alphabet, level, traits, group=group,
                           rng=spot_check_rng)
@@ -128,15 +170,31 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
         vertices = enumerate_invariant_vertices(group, level)
     else:
         vertices = enumerate_polytope_vertices(alphabet, level, cap=cap)
-    channels = [extremal_channel(v) for v in vertices]
     method = "vertex_enumeration_grouped" if grouped else "vertex_enumeration"
-    values = [objective(q) for q in channels]
-    best = min(range(len(values)), key=lambda i: (values[i], i))
+    if coefficients is None:
+        channels = [extremal_channel(v) for v in vertices]
+        values = [objective(q) for q in channels]
+        best = min(range(len(values)), key=lambda i: (values[i], i))
+        best_channel = channels[best]
+        invariant = not grouped
+    else:
+        orbits = vertices[0].orbits
+        costs = _orbit_costs(coefficients, orbits)
+        values = [sum((w * c for w, c in zip(v.values, costs) if w), _ZERO)
+                  for v in vertices]
+        best = min(range(len(values)), key=lambda i: (values[i], i))
+        best_channel = extremal_channel(vertices[best])
+        direct = objective(best_channel)
+        if not _close(direct, values[best], _eq):
+            raise AttestationFailedError(f"objective {direct} at the argmin channel "
+                                         f"differs from its linear-form score {values[best]}")
+        invariant = constant_on_orbits(coefficients, orbits)
+    certificate = _certificate(traits, equalizer, best_channel) if invariant else CERT_BOUND
     return PutResult(value=values[best],
                      argmin_weights=vertices[best],
-                     argmin_channel=channels[best],
+                     argmin_channel=best_channel,
                      method=method,
-                     certificate=_certificate(traits, equalizer, channels[best]),
+                     certificate=certificate,
                      table=tuple(zip(vertices, values)))
 
 
@@ -165,9 +223,7 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
     """
     level = as_level(level)
     m = alphabet.size
-    n = (1 << m) - 2
-    if len(coefficients) != n:
-        raise ValueError(f"need {n} coefficients, got {len(coefficients)}")
+    _require_coefficient_count(coefficients, m)
     exact_u = [Fraction(u) if isinstance(u, float) else as_fraction(u)
                for u in coefficients]
     grouped = group is not None and group.order > 1
@@ -177,10 +233,9 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
         raise DimensionCapError(f"LP column count capped at m <= {cap}")
     else:
         polytope = full_polytope(alphabet, level)
-    cost = [sum((exact_u[mask - 1] for mask in orbit.masks), _ZERO)
-            for orbit in polytope.orbits]
     res = solve_standard_lp([list(row) for row in polytope.rows],
-                            [_ONE] * len(polytope.rows), cost)
+                            [_ONE] * len(polytope.rows),
+                            _orbit_costs(exact_u, polytope.orbits))
     weights = WeightVector(polytope=polytope, values=tuple(res.x))
     return PutResult(value=res.value, argmin_weights=weights,
                      argmin_channel=extremal_channel(weights),
@@ -315,26 +370,17 @@ def spot_check_traits(objective: Callable[[Channel], Fraction | float],
     """Randomized sanity check of attested objective structure.
 
     Exact values are compared exactly; float-valued objectives get a
-    tolerance of 1e-9.  Failures raise AttestationFailedError: a wrong
-    attestation would silently produce wrong certificates downstream.
+    tolerance of FLOAT_TOLERANCE.  Failures raise AttestationFailedError:
+    a wrong attestation would silently produce wrong certificates
+    downstream.
     """
     level = as_level(level)
-
-    def close(lhs, rhs, cmp) -> bool:
-        if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
-            return cmp(lhs, rhs, 0)
-        return cmp(float(lhs), float(rhs), 1e-9)
-
-    ge = lambda a, b, tol: a >= b - tol
-    eq = lambda a, b, tol: abs(a - b) <= tol
-    le = lambda a, b, tol: a <= b + tol
-
     for _ in range(trials):
         q1 = extremal_channel(random_polytope_point(rng, alphabet, level))
         q2 = extremal_channel(random_polytope_point(rng, alphabet, level))
         if traits.data_processing:
             degraded = random_post_processing(rng, q1)
-            if not close(objective(degraded), objective(q1), ge):
+            if not _close(objective(degraded), objective(q1), _ge):
                 raise AttestationFailedError("data-processing attestation failed")
         lam = Fraction(rng.randint(0, 4), 4)
         if traits.direct_sum_affine or traits.direct_sum_quasiconvex:
@@ -343,10 +389,10 @@ def spot_check_traits(objective: Callable[[Channel], Fraction | float],
             if traits.direct_sum_affine:
                 target = lam * v1 + (1 - lam) * v2 if isinstance(v1, Fraction) \
                     else float(lam) * float(v1) + float(1 - lam) * float(v2)
-                if not close(vm, target, eq):
+                if not _close(vm, target, _eq):
                     raise AttestationFailedError("direct-sum affinity attestation failed")
             if traits.direct_sum_quasiconvex:
-                if not close(vm, max(v1, v2), le):
+                if not _close(vm, max(v1, v2), _le):
                     raise AttestationFailedError("direct-sum quasiconvexity attestation failed")
         if traits.concave:
             rows = tuple(tuple(lam * a + (1 - lam) * b for a, b in zip(r1, r2))
@@ -356,11 +402,11 @@ def spot_check_traits(objective: Callable[[Channel], Fraction | float],
             v1, v2 = objective(q1), objective(q2)
             target = lam * v1 + (1 - lam) * v2 if isinstance(v1, Fraction) \
                 else float(lam) * float(v1) + float(1 - lam) * float(v2)
-            if not close(objective(blend), target, ge):
+            if not _close(objective(blend), target, _ge):
                 raise AttestationFailedError("concavity attestation failed")
         if traits.group_invariant and group is not None and group.order > 1:
             g = group.elements[rng.randrange(group.order)]
             sigma = subset_action(natural_action(group))
             moved = apply_group_element(g, sigma, q1)
-            if not close(objective(moved), objective(q1), eq):
+            if not _close(objective(moved), objective(q1), _eq):
                 raise AttestationFailedError("group-invariance attestation failed")

@@ -33,11 +33,12 @@ from ldpput.channels import (
 from ldpput.decision import (
     DecisionProblem,
     Prior,
+    bayes_linear_coefficients,
     bayes_optimal_risk,
     check_equalizer,
-    linear_coefficients,
     minimax_risk,
     mutual_information,
+    mutual_information_linear_coefficients,
 )
 from ldpput.groups import FiniteAlphabet, GroupAction, cyclic_group, symmetric_group
 from ldpput.invariant import (
@@ -137,7 +138,7 @@ def _ht_five_methods(m, gamma, level):
         group, level, traits=BAYES_TRAITS).value
     grouped = put_by_vertex_enumeration(objective, alphabet, level, group=group,
                                         traits=BAYES_TRAITS).value
-    u = linear_coefficients("bayes", alphabet, level, problem=problem, prior=prior)
+    u = bayes_linear_coefficients(problem, prior, level)
     lp = put_by_lp(u, alphabet, level, cap=5).value
     if m <= 4:
         full = put_by_vertex_enumeration(objective, alphabet, level,
@@ -440,8 +441,7 @@ def test_mutual_information_prefers_subset_selection():
         k = sizes.pop()
         attained = mutual_information(ss_mechanism(alphabet, k, level), uniform)
         assert abs(attained - best_score) <= MI_LP_TOL
-        u = linear_coefficients("mutual_information", alphabet, level,
-                                input_dist=uniform)
+        u = mutual_information_linear_coefficients(uniform, alphabet, level)
         res = put_by_lp([-c for c in u], alphabet, level, cap=5)
         assert abs(float(res.value) + best_score) <= MI_LP_TOL
 

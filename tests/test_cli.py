@@ -356,6 +356,21 @@ def test_put_custom_problem_rejects_group_it_lacks(capsys, tmp_path):
     assert [r["value"] for r in data["results"]] == ["181/143", "181/143"]
 
 
+def test_put_custom_problem_cap_exits_before_linear_form(capsys, tmp_path, monkeypatch):
+    import ldpput.cli
+
+    def refuse(*args):
+        raise AssertionError("the 2^m - 2 coefficients were built past the cap")
+
+    monkeypatch.setattr(ldpput.cli, "bayes_linear_coefficients", refuse)
+    problem, prior = ht_problem(7, Fraction(1))
+    path = tmp_path / "m7.json"
+    path.write_text(json.dumps(problem_to_json(problem, prior)))
+    code, out, err = run(capsys, "put", "--problem", str(path), "--t", "2")
+    assert code == EXIT_CAP
+    assert "cap exceeded" in err
+
+
 def test_put_cardioid_rejects_group_it_lacks(capsys):
     # An S_6 orbit of 2-subsets mixes adjacent and distant pairs.
     code, out, err = run(capsys, "put", "--task", "cardioid", "--m", "6",

@@ -21,14 +21,12 @@ from ldpput.decision import (
     check_equalizer,
     f_divergence_linear_coefficients,
     f_divergence_utility,
-    linear_coefficients,
     minimax_risk,
     mutual_information,
     mutual_information_linear_coefficients,
     risk,
     verify_invariance,
 )
-from ldpput.errors import NoLinearFormError
 from ldpput.groups import FiniteAlphabet, natural_action, symmetric_group
 from ldpput.ldp_geometry import extremal_channel, make_weight_vector, staircase_matrix
 
@@ -485,13 +483,3 @@ def test_f_divergence_linear_coefficients_match_value():
         linear = sum(c * float(w) for c, w in zip(coeffs, v.values))
         assert abs(direct - linear) < 1e-12
 
-
-def test_linear_coefficients_dispatcher():
-    m = 2
-    t = F(3)
-    alphabet = FiniteAlphabet.of_size(m)
-    p = binary_testing_problem()
-    got = linear_coefficients("bayes", alphabet, t, problem=p, prior=Prior.uniform(2))
-    assert got == bayes_linear_coefficients(p, Prior.uniform(2), t)
-    with pytest.raises(NoLinearFormError):
-        linear_coefficients("minimax", alphabet, t, problem=p)

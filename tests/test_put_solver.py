@@ -6,9 +6,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpput.channels import Channel, is_ldp
-from ldpput.decision import DecisionProblem, Prior, bayes_optimal_risk, check_equalizer
+from ldpput.decision import (
+    DecisionProblem,
+    Prior,
+    bayes_linear_coefficients,
+    bayes_optimal_risk,
+    check_equalizer,
+)
 from ldpput.errors import AttestationFailedError, AuditFailureError
 from ldpput.groups import FiniteAlphabet, cyclic_group, symmetric_group
 from ldpput.ldp_geometry import enumerate_polytope_vertices, in_weight_polytope
@@ -77,15 +85,125 @@ def test_vertex_enumeration_table_covers_all_vertices():
 
 def test_vertex_enumeration_grouped_matches_full():
     m, t = 4, F(2)
-    _, _, objective = bayes_objective(m)
+    p, prior, objective = bayes_objective(m)
     alphabet = FiniteAlphabet.of_size(m)
     full = put_by_vertex_enumeration(objective, alphabet, t, traits=BAYES_TRAITS)
     grouped = put_by_vertex_enumeration(
-        objective, alphabet, t, group=symmetric_group(alphabet), traits=BAYES_TRAITS
+        objective, alphabet, t, group=symmetric_group(alphabet), traits=BAYES_TRAITS,
+        coefficients=bayes_linear_coefficients(p, prior, t),
     )
     assert grouped.method == "vertex_enumeration_grouped"
     assert grouped.value == full.value
     assert grouped.certificate == CERT_EXACT
+
+
+def test_grouped_sweep_of_asymmetric_problem_is_a_bound():
+    """Problem P has no symmetry: its S_3-invariant best, 189/143, is above
+    its optimum 181/143, so a grouped sweep may not call it exact."""
+    from ldpput.serialize import problem_from_json
+    from test_cli import ASYMMETRIC_PROBLEM
+
+    p, prior = problem_from_json(ASYMMETRIC_PROBLEM)
+    alphabet, t = p.input_alphabet, F(3)
+    u = bayes_linear_coefficients(p, prior, t)
+
+    def objective(channel):
+        return bayes_optimal_risk(p, prior, channel)[0]
+
+    sym = symmetric_group(alphabet)
+    for form in (u, None):
+        res = put_by_vertex_enumeration(objective, alphabet, t, group=sym,
+                                        traits=BAYES_TRAITS, coefficients=form)
+        assert (res.value, res.certificate) == (F(189, 143), CERT_BOUND)
+    full = put_by_vertex_enumeration(objective, alphabet, t, traits=BAYES_TRAITS,
+                                     coefficients=u)
+    assert (full.value, full.certificate) == (F(181, 143), CERT_EXACT)
+
+
+_T_VALUES = (F(3, 2), F(2), F(3), F(5))
+
+
+def _distribution(draw, n):
+    raw = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=n, max_size=n))
+    return [F(v, sum(raw)) for v in raw]
+
+
+@st.composite
+def _bayes_problems(draw):
+    """A random rational Bayes problem on 2..4 letters, with a level."""
+    m = draw(st.integers(min_value=2, max_value=4))
+    n_par = draw(st.integers(min_value=2, max_value=3))
+    n_act = draw(st.integers(min_value=2, max_value=3))
+    columns = [_distribution(draw, m) for _ in range(n_par)]
+    loss = [draw(st.lists(st.integers(min_value=0, max_value=4),
+                          min_size=n_act, max_size=n_act)) for _ in range(n_par)]
+    problem = DecisionProblem.build(
+        parameters=range(n_par), input_letters=range(m),
+        model=[[columns[i][x] for i in range(n_par)] for x in range(m)],
+        actions=range(n_act), loss=loss)
+    return problem, Prior.build(_distribution(draw, n_par)), draw(st.sampled_from(_T_VALUES))
+
+
+@given(_bayes_problems(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_linear_form_sweep_matches_direct_sweep(case, grouped):
+    """Scoring by u.w picks the vertex, channel and table the direct
+    objective picks, on the full and the S_m-collapsed polytope."""
+    p, prior, t = case
+    alphabet = p.input_alphabet
+    group = symmetric_group(alphabet) if grouped else None
+
+    def objective(channel):
+        return bayes_optimal_risk(p, prior, channel)[0]
+
+    direct = put_by_vertex_enumeration(objective, alphabet, t, group=group,
+                                       traits=BAYES_TRAITS)
+    linear = put_by_vertex_enumeration(objective, alphabet, t, group=group,
+                                       traits=BAYES_TRAITS,
+                                       coefficients=bayes_linear_coefficients(p, prior, t))
+    assert linear.value == direct.value
+    assert linear.argmin_weights == direct.argmin_weights
+    assert linear.argmin_channel == direct.argmin_channel
+    assert [v for _, v in linear.table] == [v for _, v in direct.table]
+    assert [w for w, _ in linear.table] == [w for w, _ in direct.table]
+
+
+def test_wrong_linear_form_fails_the_argmin_check():
+    """Lowering u on a subset the argmin uses keeps the argmin there and
+    moves its score off the objective's value."""
+    m, t = 3, F(2)
+    p, prior, objective = bayes_objective(m)
+    alphabet = FiniteAlphabet.of_size(m)
+    u = bayes_linear_coefficients(p, prior, t)
+    best = put_by_vertex_enumeration(objective, alphabet, t, traits=BAYES_TRAITS,
+                                     coefficients=u)
+    wrong = list(u)
+    wrong[best.argmin_weights.support[0] - 1] -= F(1, 7)
+    with pytest.raises(AttestationFailedError):
+        put_by_vertex_enumeration(objective, alphabet, t, traits=BAYES_TRAITS,
+                                  coefficients=wrong)
+
+
+def test_float_linear_form_is_checked_within_tolerance():
+    m, t = 3, F(2)
+    p, prior, objective = bayes_objective(m)
+    alphabet = FiniteAlphabet.of_size(m)
+    u = [float(c) for c in bayes_linear_coefficients(p, prior, t)]
+    res = put_by_vertex_enumeration(lambda q: float(objective(q)), alphabet, t,
+                                    traits=BAYES_TRAITS, coefficients=u)
+    assert res.value == pytest.approx(0.5, abs=1e-12)
+    u[res.argmin_weights.support[0] - 1] -= 1e-6
+    with pytest.raises(AttestationFailedError):
+        put_by_vertex_enumeration(lambda q: float(objective(q)), alphabet, t,
+                                  traits=BAYES_TRAITS, coefficients=u)
+
+
+def test_linear_form_length_is_checked():
+    m, t = 3, F(2)
+    _, _, objective = bayes_objective(m)
+    with pytest.raises(ValueError):
+        put_by_vertex_enumeration(objective, FiniteAlphabet.of_size(m), t,
+                                  traits=BAYES_TRAITS, coefficients=[F(1)] * 5)
 
 
 def test_grouped_path_requires_invariance_attestation():
@@ -165,8 +283,6 @@ def test_argmin_tie_break_is_first_index():
 def test_lp_matches_vertex_enumeration_exactly():
     m, t = 3, F(2)
     p, prior, objective = bayes_objective(m)
-    from ldpput.decision import bayes_linear_coefficients
-
     coeffs = bayes_linear_coefficients(p, prior, t)
     alphabet = FiniteAlphabet.of_size(m)
     lp = put_by_lp(coeffs, alphabet, t)
@@ -180,8 +296,6 @@ def test_lp_matches_vertex_enumeration_exactly():
 def test_lp_grouped_matches_ungrouped():
     m, t = 4, F(3)
     p, prior, _ = bayes_objective(m)
-    from ldpput.decision import bayes_linear_coefficients
-
     coeffs = bayes_linear_coefficients(p, prior, t)
     alphabet = FiniteAlphabet.of_size(m)
     plain = put_by_lp(coeffs, alphabet, t)
@@ -216,8 +330,6 @@ def test_lp_exactifies_float_coefficients():
 @pytest.mark.parametrize("t", [F(3, 2), F(2), F(5)])
 def test_lp_vs_vertex_agreement_grid(m, t):
     p, prior, objective = bayes_objective(m)
-    from ldpput.decision import bayes_linear_coefficients
-
     coeffs = bayes_linear_coefficients(p, prior, t)
     alphabet = FiniteAlphabet.of_size(m)
     assert put_by_lp(coeffs, alphabet, t).value == put_by_vertex_enumeration(
