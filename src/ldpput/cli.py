@@ -216,9 +216,9 @@ def _ht_results(args, level) -> list[dict]:
                             "value": apps.ht_put_closed_form(m, gamma, level),
                             "winner": "k=1", "certificate": "exact"})
         elif method == "transitive":
-            res = put_transitive_closed_form(
-                lambda orbit, w: apps.ht_subset_risk(m, gamma, level, orbit.subset_size),
-                group, level, traits=BAYES_TRAITS)
+            by_k = {k: apps.ht_subset_risk(m, gamma, level, k) for k in range(1, m)}
+            values = [by_k[mask.bit_count()] for mask in all_subset_masks(m)]
+            res = put_transitive_closed_form(values, group, level, traits=BAYES_TRAITS)
             results.append(_result_entry(res))
         elif method == "vertex":
             res = put_by_vertex_enumeration(objective, alphabet, level, group=group,
@@ -240,11 +240,12 @@ def _cardioid_results(args, level) -> list[dict]:
     spec = apps.CardioidSpec.build(m, gamma, level)
     alphabet = FiniteAlphabet.of_size(m)
     group = _parse_group(args.group, alphabet)
+    wanted = _methods(args, ("closed", "transitive"))
+    if group is not None or "transitive" in wanted:
+        risks = [apps.cardioid_orbit_risk(spec, mask) for mask in all_subset_masks(m)]
     if group is not None:
-        orbit_risks = [apps.cardioid_orbit_risk(spec, mask) for mask in all_subset_masks(m)]
-        _require_invariant(constant_on_orbits(orbit_risks, subset_orbits(group), 1e-9))
-    wanted = [w for w in _methods(args) if w in ("closed", "transitive")]
-    if group is None and "transitive" in wanted:
+        _require_invariant(constant_on_orbits(risks, subset_orbits(group)))
+    elif "transitive" in wanted:
         group = cyclic_group(alphabet)
     results = []
     for method in wanted:
@@ -256,9 +257,7 @@ def _cardioid_results(args, level) -> list[dict]:
                             "value": apps.cardioid_put_closed_form(spec),
                             "winner": f"k={best_k}", "certificate": "exact"})
         elif method == "transitive":
-            res = put_transitive_closed_form(
-                lambda orbit, w: apps.cardioid_orbit_risk(spec, orbit.representative),
-                group, level, traits=BAYES_TRAITS)
+            res = put_transitive_closed_form(risks, group, level, traits=BAYES_TRAITS)
             results.append(_result_entry(res))
     return results
 
@@ -273,14 +272,15 @@ def _format_results(results: list[dict]) -> list[dict]:
     return [{**row, "value": _format_value(row["value"])} for row in results]
 
 
-def _methods(args) -> list[str]:
+def _methods(args, supported: tuple[str, ...] = METHODS) -> list[str]:
     raw = args.method or "all"
-    if raw == "all":
-        return list(METHODS)
-    wanted = [w.strip() for w in raw.split(",") if w.strip()]
+    wanted = METHODS if raw == "all" else [w.strip() for w in raw.split(",") if w.strip()]
     for w in wanted:
         if w not in METHODS:
             raise ValueError(f"method must be one of {METHODS} or 'all', got {w!r}")
+    wanted = [w for w in wanted if w in supported]
+    if not wanted:
+        raise ValueError(f"--task {args.task} runs only the methods {supported}, got {raw!r}")
     return wanted
 
 

@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
+from .errors import DimensionCapError
+
 
 def _integer_rows(matrix) -> list[list[int]]:
     """Scale each row by the lcm of its denominators; scaling keeps the row space."""
@@ -104,7 +106,8 @@ def enumerate_basic_feasible(matrix: list[list[Fraction]], rhs: list[Fraction],
     if len(_eliminate([list(row) for row in aug])) > r:
         return []  # b lies outside the column span of A
     if r and candidate_cap is not None and comb(ncols, r) > candidate_cap:
-        raise ValueError(f"support enumeration too large: C({ncols},{r}) > {candidate_cap}")
+        raise DimensionCapError(f"support enumeration too large: "
+                                f"C({ncols},{r}) > {candidate_cap}")
 
     int_rows = [aug[i][:ncols] for i in basis]
     int_rhs = [aug[i][ncols] for i in basis]

@@ -13,10 +13,11 @@ group-invariant) and those attestations decide how strong the returned
 certificate is: "exact" needs data processing and concavity, and a
 group reduction is refused without invariance and a direct-sum
 attestation.  They are checked only on request (`spot_check_rng`), on
-random instances.  A grouped "exact" rests instead on the objective's
-per-subset linear form, which both the vertex sweep (`coefficients=`)
-and `put_by_lp` check for constancy on every subset orbit; a grouped
-sweep without one is only a bound.  The sweep also checks that form
+random instances.  Every grouped "exact" rests instead on a per-subset
+form checked by `constant_on_orbits`: the linear form of the sweep
+(`coefficients=`) and of `put_by_lp`, and the closed form's values,
+which it refuses unless constant on every orbit.  A grouped sweep
+without a form is only a bound.  The sweep also checks its form
 against the objective itself at its argmin channel.
 """
 
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 from .channels import Channel, as_level, compose, direct_sum, apply_group_element
 from .errors import AttestationFailedError, AuditFailureError, DimensionCapError, NotTransitiveError
 from .groups import FiniteAlphabet, PermGroup, natural_action, subset_action
-from .invariant import enumerate_invariant_vertices, transitive_vertex_weight
+from .invariant import enumerate_invariant_vertices
 from .ldp_geometry import (
     DEFAULT_ENUM_CAP_M,
     SubsetOrbit,
@@ -137,6 +138,14 @@ _eq = lambda a, b, tol: abs(a - b) <= tol
 _le = lambda a, b, tol: a <= b + tol
 
 
+def _vertex_result(vertices: Sequence[WeightVector], values: Sequence, best: int,
+                   channel: Channel, method: str, certificate: str) -> PutResult:
+    """The result at vertices[best]; the table pairs each vertex with its value."""
+    return PutResult(value=values[best], argmin_weights=vertices[best],
+                     argmin_channel=channel, method=method, certificate=certificate,
+                     table=tuple(zip(vertices, values)))
+
+
 def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
                               alphabet: FiniteAlphabet, level,
                               group: PermGroup | None = None, *,
@@ -190,23 +199,18 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
                                          f"differs from its linear-form score {values[best]}")
         invariant = constant_on_orbits(coefficients, orbits)
     certificate = _certificate(traits, equalizer, best_channel) if invariant else CERT_BOUND
-    return PutResult(value=values[best],
-                     argmin_weights=vertices[best],
-                     argmin_channel=best_channel,
-                     method=method,
-                     certificate=certificate,
-                     table=tuple(zip(vertices, values)))
+    return _vertex_result(vertices, values, best, best_channel, method, certificate)
 
 
-def constant_on_orbits(per_subset: Sequence, orbits: Sequence[SubsetOrbit],
-                       tolerance: float = 0) -> bool:
-    """Whether per-subset values (indexed by mask - 1) agree on every orbit.
+def constant_on_orbits(per_subset: Sequence, orbits: Sequence[SubsetOrbit]) -> bool:
+    """Whether per-subset values (indexed by mask - 1) agree on every orbit,
+    exactly for Fractions and within FLOAT_TOLERANCE for floats.
 
     For an objective linear in the subset weights this is exactly when
     the group's orbit polytope holds its optimum: averaging any weights
     over the group then keeps their value.
     """
-    return all(abs(per_subset[mask - 1] - per_subset[orbit.representative - 1]) <= tolerance
+    return all(_close(per_subset[mask - 1], per_subset[orbit.representative - 1], _eq)
                for orbit in orbits for mask in orbit.masks)
 
 
@@ -224,8 +228,8 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
     level = as_level(level)
     m = alphabet.size
     _require_coefficient_count(coefficients, m)
-    exact_u = [Fraction(u) if isinstance(u, float) else as_fraction(u)
-               for u in coefficients]
+    given = [u if isinstance(u, float) else as_fraction(u) for u in coefficients]
+    exact_u = [Fraction(u) for u in given]
     grouped = group is not None and group.order > 1
     if grouped:
         polytope = weight_polytope(group, level)
@@ -240,39 +244,36 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
     return PutResult(value=res.value, argmin_weights=weights,
                      argmin_channel=extremal_channel(weights),
                      method="lp_grouped" if grouped else "lp",
-                     certificate=CERT_EXACT if constant_on_orbits(exact_u, polytope.orbits)
+                     certificate=CERT_EXACT if constant_on_orbits(given, polytope.orbits)
                      else CERT_BOUND)
 
 
-def put_transitive_closed_form(per_orbit_value: Callable[[SubsetOrbit, Fraction],
-                                                         Fraction | float],
-                               group: PermGroup, level, *,
+def put_transitive_closed_form(values: Sequence, group: PermGroup, level, *,
                                traits: ObjectiveTraits) -> PutResult:
     """Minimize over the collapsed simplex of a transitive group.
 
-    Each subset orbit is a vertex with a closed-form weight; the caller
-    supplies the objective value at a pure orbit channel as a function
-    of (orbit, weight).
+    Each subset orbit is a vertex: its one membership coefficient c
+    gives it weight 1/c.  `values[mask - 1]` is the objective at the
+    pure channel on mask's orbit, computed from mask alone; values that
+    differ within an orbit raise ValueError, since the orbit minimum is
+    then not achieved by its argmin channel.
     """
     _require_group_reduction(traits)
     level = as_level(level)
     polytope = weight_polytope(group, level)
     if len(polytope.letter_orbits) != 1:
         raise NotTransitiveError("the closed form needs a transitive group")
-    entries = []
-    for idx, orbit in enumerate(polytope.orbits):
-        weight = transitive_vertex_weight(group, orbit, level)
-        values = tuple(weight if j == idx else _ZERO for j in range(len(polytope.orbits)))
-        weights = WeightVector(polytope=polytope, values=values)
-        entries.append((orbit, weights, per_orbit_value(orbit, weight)))
-    best = min(range(len(entries)), key=lambda i: (entries[i][2], i))
-    _, best_weights, best_value = entries[best]
-    return PutResult(value=best_value,
-                     argmin_weights=best_weights,
-                     argmin_channel=extremal_channel(best_weights),
-                     method="transitive_closed_form",
-                     certificate=_certificate(traits),
-                     table=tuple((orbit, value) for orbit, _, value in entries))
+    _require_coefficient_count(values, group.alphabet.size)
+    if not constant_on_orbits(values, polytope.orbits):
+        raise ValueError("closed-form values differ within a subset orbit")
+    n = len(polytope.orbits)
+    vertices = [WeightVector(polytope=polytope,
+                             values=tuple(_ONE / c if i == j else _ZERO for i in range(n)))
+                for j, c in enumerate(polytope.rows[0])]
+    orbit_values = [values[orbit.representative - 1] for orbit in polytope.orbits]
+    best = min(range(n), key=lambda i: (orbit_values[i], i))
+    return _vertex_result(vertices, orbit_values, best, extremal_channel(vertices[best]),
+                          "transitive_closed_form", _certificate(traits))
 
 
 def _sample_rng(seed, index: int) -> random.Random:

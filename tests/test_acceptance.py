@@ -40,7 +40,13 @@ from ldpput.decision import (
     mutual_information,
     mutual_information_linear_coefficients,
 )
-from ldpput.groups import FiniteAlphabet, GroupAction, cyclic_group, symmetric_group
+from ldpput.groups import (
+    FiniteAlphabet,
+    GroupAction,
+    all_subset_masks,
+    cyclic_group,
+    symmetric_group,
+)
 from ldpput.invariant import (
     enumerate_invariant_vertices,
     invariant_output_action,
@@ -56,6 +62,7 @@ from ldpput.ldp_geometry import (
     is_maximal,
     make_weight_vector,
     subset_orbits,
+    subset_size,
 )
 from ldpput.put_solver import (
     BAYES_TRAITS,
@@ -134,7 +141,7 @@ def _ht_five_methods(m, gamma, level):
 
     closed = ht_put_closed_form(m, gamma, level)
     transitive = put_transitive_closed_form(
-        lambda orbit, w: ht_subset_risk(m, gamma, level, orbit.subset_size),
+        [ht_subset_risk(m, gamma, level, subset_size(mask)) for mask in all_subset_masks(m)],
         group, level, traits=BAYES_TRAITS).value
     grouped = put_by_vertex_enumeration(objective, alphabet, level, group=group,
                                         traits=BAYES_TRAITS).value

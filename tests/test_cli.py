@@ -20,6 +20,7 @@ from ldpput.cli import (
     EXIT_DISAGREE,
     EXIT_OK,
     EXIT_PARSE,
+    METHODS,
     main,
 )
 from ldpput.serialize import channel_to_json, problem_to_json
@@ -233,6 +234,18 @@ def test_enumerate_group_closure_cap_exits_cap(capsys):
     assert "cap exceeded" in err
 
 
+
+@pytest.mark.parametrize("argv", [("enumerate", "--m", "7"),
+                                  ("put", "--task", "ht", "--m", "7", "--method", "vertex")])
+def test_grouped_support_enumeration_cap_exits_cap(capsys, tmp_path, argv):
+    # A 3-cycle on 7 letters leaves 62 subset orbits and 5 letter orbits:
+    # C(62, 5) candidate supports, past the grouped enumeration cap.
+    path = tmp_path / "three_cycle.json"
+    path.write_text(json.dumps({"alphabet": list(range(7)),
+                                "generators": [[1, 2, 0, 3, 4, 5, 6]]}))
+    code, out, err = run(capsys, *argv, "--t", "2", "--group", f"file:{path}")
+    assert code == EXIT_CAP
+    assert "cap exceeded: support enumeration too large: C(62,5)" in err
 @pytest.mark.parametrize("epsilon", ["1000", "inf"])
 def test_epsilon_overflow_exits_parse(capsys, epsilon):
     code, out, err = run(capsys, "enumerate", "--m", "2", "--epsilon", epsilon)
@@ -420,6 +433,17 @@ def test_put_bad_method(capsys):
     code, out, err = run(capsys, "put", "--task", "ht", "--m", "3",
                          "--t", "2", "--method", "magic")
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("task,method", [("cardioid", "lp"), ("cardioid", "vertex"),
+                                         ("ht", ",")])
+def test_put_method_list_the_task_cannot_run(capsys, task, method):
+    code, out, err = run(capsys, "put", "--task", task, "--m", "4", "--t", "2",
+                         "--method", method)
+    assert code == EXIT_PARSE
+    assert out == ""
+    supported = ("closed", "transitive") if task == "cardioid" else METHODS
+    assert f"--task {task} runs only the methods {supported}, got {method!r}" in err
 
 
 def test_put_out_file(capsys, tmp_path):

@@ -10,16 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpput.channels import Channel, is_ldp
+from ldpput.applications import ht_problem, ht_subset_risk
 from ldpput.decision import (
     DecisionProblem,
     Prior,
     bayes_linear_coefficients,
     bayes_optimal_risk,
     check_equalizer,
+    mutual_information,
+    mutual_information_linear_coefficients,
 )
 from ldpput.errors import AttestationFailedError, AuditFailureError
-from ldpput.groups import FiniteAlphabet, cyclic_group, symmetric_group
-from ldpput.ldp_geometry import enumerate_polytope_vertices, in_weight_polytope
+from ldpput.groups import FiniteAlphabet, all_subset_masks, cyclic_group, symmetric_group
+from ldpput.ldp_geometry import (
+    enumerate_polytope_vertices,
+    in_weight_polytope,
+    subset_size,
+)
 from ldpput.put_solver import (
     BAYES_TRAITS,
     CERT_BOUND,
@@ -340,19 +347,26 @@ def test_lp_vs_vertex_agreement_grid(m, t):
 # -- transitive closed form ---------------------------------------------------
 
 
+def subset_sizes(m: int) -> list[Fraction]:
+    """|mask| for every nonempty proper subset: constant on any subset orbit."""
+    return [F(subset_size(mask)) for mask in all_subset_masks(m)]
+
+
 def test_transitive_closed_form_matches_enumeration():
     m, t = 4, F(2)
     p, prior, objective = bayes_objective(m)
     group = symmetric_group(FiniteAlphabet.of_size(m))
 
     from ldpput.invariant import pure_orbit_weights
-    from ldpput.ldp_geometry import extremal_channel, subset_orbits
+    from ldpput.ldp_geometry import extremal_channel, weight_polytope
 
-    def per_orbit(orbit, weight):
-        idx = subset_orbits(group).index(orbit)
-        return objective(extremal_channel(pure_orbit_weights(group, idx, t)))
+    # the objective at the pure channel on each mask's orbit
+    index = weight_polytope(group, t).orbit_index
+    per_orbit = [objective(extremal_channel(pure_orbit_weights(group, idx, t)))
+                 for idx in range(max(index) + 1)]
+    values = [per_orbit[idx] for idx in index]
 
-    closed = put_transitive_closed_form(per_orbit, group, t, traits=BAYES_TRAITS)
+    closed = put_transitive_closed_form(values, group, t, traits=BAYES_TRAITS)
     assert closed.method == "transitive_closed_form"
     full = put_by_vertex_enumeration(objective, FiniteAlphabet.of_size(m), t, traits=BAYES_TRAITS)
     assert closed.value == full.value
@@ -374,8 +388,7 @@ def test_transitive_closed_form_builds_subset_orbits_once(monkeypatch):
 
     monkeypatch.setattr(ldpput.groups, "orbits", counting_orbits)
     monkeypatch.setattr(ldpput.ldp_geometry, "orbits", counting_orbits)
-    res = put_transitive_closed_form(lambda orbit, w: F(orbit.subset_size), group, F(2),
-                                     traits=BAYES_TRAITS)
+    res = put_transitive_closed_form(subset_sizes(m), group, F(2), traits=BAYES_TRAITS)
     assert len(res.table) > 1
     assert carriers.count((1 << m) - 2) == 1
 
@@ -386,7 +399,7 @@ def test_transitive_closed_form_rejects_intransitive():
 
     with pytest.raises(NotTransitiveError):
         put_transitive_closed_form(
-            lambda o, w: F(1),
+            [F(1)] * 6,
             trivial_group(FiniteAlphabet.of_size(3)),
             F(2),
             traits=BAYES_TRAITS,
@@ -398,18 +411,102 @@ def test_transitive_closed_form_requires_invariance_attestation():
     group = cyclic_group(FiniteAlphabet.of_size(4))
     with pytest.raises(ValueError):
         put_transitive_closed_form(
-            lambda orbit, w: F(orbit.subset_size), group, F(2),
+            subset_sizes(4), group, F(2),
             traits=ObjectiveTraits(concave=True),
         )
 
 
 def test_transitive_closed_form_table_is_per_orbit():
     group = cyclic_group(FiniteAlphabet.of_size(4))
-    res = put_transitive_closed_form(
-        lambda orbit, w: F(orbit.subset_size), group, F(2), traits=BAYES_TRAITS
-    )
+    res = put_transitive_closed_form(subset_sizes(4), group, F(2), traits=BAYES_TRAITS)
     assert len(res.table) == 4
     assert res.value == 1  # singleton orbit has k = 1
+
+
+def _pure_orbit_values(u, m, t):
+    """Bayes risk of the pure channel on each mask's orbit, from mask alone:
+    the orbit's subsets share weight m / (|orbit| (k t + m - k))."""
+    return [m * u[mask - 1] / (subset_size(mask) * t + m - subset_size(mask))
+            for mask in all_subset_masks(m)]
+
+
+def test_transitive_closed_form_refuses_values_off_orbit():
+    """Problem P has no symmetry: its S_3 orbit values are not constant,
+    and the orbit minimum 189/143 is not its optimum 181/143."""
+    from ldpput.serialize import problem_from_json
+    from test_cli import ASYMMETRIC_PROBLEM
+
+    p, prior = problem_from_json(ASYMMETRIC_PROBLEM)
+    t = F(3)
+    values = _pure_orbit_values(bayes_linear_coefficients(p, prior, t), 3, t)
+    with pytest.raises(ValueError, match="differ within a subset orbit"):
+        put_transitive_closed_form(values, symmetric_group(p.input_alphabet), t,
+                                   traits=BAYES_TRAITS)
+
+
+@given(st.integers(min_value=3, max_value=5), st.sampled_from(_T_VALUES),
+       st.sampled_from((F(1, 3), F(1, 2), F(1))), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_transitive_closed_form_matches_grouped_sweep_and_lp(m, t, gamma, cyclic):
+    problem, prior = ht_problem(m, gamma)
+    alphabet = problem.input_alphabet
+    group = cyclic_group(alphabet) if cyclic else symmetric_group(alphabet)
+    u = bayes_linear_coefficients(problem, prior, t)
+    values = _pure_orbit_values(u, m, t)
+    assert values == [ht_subset_risk(m, gamma, t, subset_size(mask))
+                      for mask in all_subset_masks(m)]
+    closed = put_transitive_closed_form(values, group, t, traits=BAYES_TRAITS)
+    sweep = put_by_vertex_enumeration(
+        lambda q: bayes_optimal_risk(problem, prior, q)[0], alphabet, t, group=group,
+        traits=BAYES_TRAITS, coefficients=u)
+    lp = put_by_lp(u, alphabet, t, group=group)
+    for res in (sweep, lp):
+        assert res.value == closed.value
+        assert res.argmin_weights == closed.argmin_weights
+        assert res.certificate == closed.certificate == CERT_EXACT
+
+
+def test_transitive_closed_form_float_values_within_tolerance():
+    """Float values may differ within an orbit by rounding, not more."""
+    from ldpput.applications import CardioidSpec, cardioid_orbit_risk
+
+    m, t = 5, F(3)
+    spec = CardioidSpec.build(m, F(1), t)
+    group = cyclic_group(FiniteAlphabet.of_size(m))
+    risks = [cardioid_orbit_risk(spec, mask) for mask in all_subset_masks(m)]
+    base = put_transitive_closed_form(risks, group, t, traits=BAYES_TRAITS)
+    # mask 2 = {1} shares the singleton orbit with its representative, mask 1
+    for delta, accepted in ((1e-12, True), (1e-6, False)):
+        nudged = list(risks)
+        nudged[2 - 1] += delta
+        if accepted:
+            res = put_transitive_closed_form(nudged, group, t, traits=BAYES_TRAITS)
+            assert (res.value, res.argmin_weights) == (base.value, base.argmin_weights)
+        else:
+            with pytest.raises(ValueError):
+                put_transitive_closed_form(nudged, group, t, traits=BAYES_TRAITS)
+
+
+def test_transitive_closed_form_value_count_is_checked():
+    group = cyclic_group(FiniteAlphabet.of_size(4))
+    with pytest.raises(ValueError, match="need 14"):
+        put_transitive_closed_form(subset_sizes(4)[:-1], group, F(2), traits=BAYES_TRAITS)
+
+
+def test_float_linear_form_is_orbit_constant_within_tolerance():
+    """Negated mutual information under a uniform input is S_4-invariant;
+    its float coefficients differ within an orbit only by rounding, so
+    the grouped LP and the grouped sweep are both exact."""
+    m, t = 4, F(2)
+    alphabet = FiniteAlphabet.of_size(m)
+    uniform = [F(1, m)] * m
+    u = [-c for c in mutual_information_linear_coefficients(uniform, alphabet, t)]
+    sym = symmetric_group(alphabet)
+    lp = put_by_lp(u, alphabet, t, group=sym)
+    sweep = put_by_vertex_enumeration(lambda q: -mutual_information(q, uniform), alphabet,
+                                      t, group=sym, traits=BAYES_TRAITS, coefficients=u)
+    assert lp.certificate == sweep.certificate == CERT_EXACT
+    assert float(lp.value) == pytest.approx(sweep.value, abs=1e-12)
 
 
 # -- samplers -----------------------------------------------------------------
