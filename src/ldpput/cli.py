@@ -14,6 +14,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import applications as apps
@@ -38,6 +40,7 @@ from .put_solver import (
     BAYES_TRAITS,
     CERT_EXACT,
     MINIMAX_TRAITS,
+    ObjectiveTraits,
     constant_on_orbits,
     put_by_lp,
     put_by_vertex_enumeration,
@@ -196,91 +199,136 @@ def _winner_label(weights) -> str:
     return "support(" + ",".join(map(str, support)) + ")"
 
 
-def _ht_results(args, level) -> list[dict]:
+@dataclass(frozen=True)
+class _Task:
+    """One objective as `put` and `audit` solve it: the methods it runs,
+    the group `transitive` and `vertex` reduce by when no --group is
+    given, and builders, run only when a chosen method needs them, for
+    the per-subset Bayes form u, the objective at the pure channel on
+    each mask's orbit (both indexed by mask - 1), and the closed form
+    with its winner."""
+
+    header: dict
+    label: str
+    alphabet: FiniteAlphabet
+    objective: Callable
+    traits: ObjectiveTraits
+    methods: tuple[str, ...]
+    default_group: Callable | None = None
+    form: Callable | None = None
+    values: Callable | None = None
+    closed: Callable | None = None
+
+
+def _task(args, level) -> _Task:
+    """The description of the --problem or --task that args name."""
+    t = format_fraction(level.t)
+    if getattr(args, "problem", None):
+        with open(args.problem, encoding="utf-8") as fh:
+            problem, prior = problem_from_json(json.load(fh))
+        alphabet = problem.input_alphabet
+        header = {"task": "custom", "risk": "minimax" if prior is None else "bayes",
+                  "m": alphabet.size, "t": t}
+        if prior is None:
+            return _Task(header, "--problem", alphabet,
+                         lambda q: minimax_risk(problem, q)[0], MINIMAX_TRAITS, ("vertex",))
+        return _Task(header, "--problem", alphabet,
+                     lambda q: bayes_optimal_risk(problem, prior, q)[0], BAYES_TRAITS,
+                     ("vertex", "lp"),
+                     form=lambda: bayes_linear_coefficients(problem, prior, level))
+    if args.task not in ("ht", "cardioid"):
+        raise ValueError("put needs --task ht|cardioid or --problem FILE")
+    if args.m is None:
+        raise ValueError("--m is required with --task")
     m, gamma = args.m, as_fraction(args.gamma)
-    problem, prior = apps.ht_problem(m, gamma)
-    alphabet = problem.input_alphabet
-    group = _parse_group(args.group, alphabet)
-    objective = lambda q: bayes_optimal_risk(problem, prior, q)[0]
-    wanted = _methods(args)
-    if group is None and {"transitive", "vertex"} & set(wanted):
-        group = symmetric_group(alphabet)
-    if "vertex_full" in wanted:
-        require_enum_cap(m, _enum_cap())  # before the 2^m - 2 coefficients
-    if {"vertex", "vertex_full", "lp"} & set(wanted):
-        u = bayes_linear_coefficients(problem, prior, level)
-    results = []
-    for method in wanted:
-        if method == "closed":
-            results.append({"method": "closed_form",
-                            "value": apps.ht_put_closed_form(m, gamma, level),
-                            "winner": "k=1", "certificate": "exact"})
-        elif method == "transitive":
+    header = {"task": args.task, "m": m, "gamma": format_fraction(gamma), "t": t}
+    if args.task == "ht":
+        problem, prior = apps.ht_problem(m, gamma)
+        alphabet = problem.input_alphabet
+
+        def values():
             by_k = {k: apps.ht_subset_risk(m, gamma, level, k) for k in range(1, m)}
-            values = [by_k[mask.bit_count()] for mask in all_subset_masks(m)]
-            res = put_transitive_closed_form(values, group, level, traits=BAYES_TRAITS)
-            results.append(_result_entry(res))
-        elif method == "vertex":
-            res = put_by_vertex_enumeration(objective, alphabet, level, group=group,
-                                            traits=BAYES_TRAITS, coefficients=u)
-            results.append(_result_entry(res))
-        elif method == "vertex_full":
-            res = put_by_vertex_enumeration(objective, alphabet, level,
-                                            traits=BAYES_TRAITS, coefficients=u,
-                                            cap=_enum_cap())
-            results.append(_result_entry(res))
-        elif method == "lp":
-            res = put_by_lp(u, alphabet, level, cap=_enum_cap())
-            results.append(_result_entry(res))
-    return results
+            return [by_k[mask.bit_count()] for mask in all_subset_masks(m)]
 
-
-def _cardioid_results(args, level) -> list[dict]:
-    m, gamma = args.m, as_fraction(args.gamma)
+        return _Task(header, "--task ht", alphabet,
+                     lambda q: bayes_optimal_risk(problem, prior, q)[0], BAYES_TRAITS,
+                     METHODS, default_group=lambda: symmetric_group(alphabet),
+                     form=lambda: bayes_linear_coefficients(problem, prior, level),
+                     values=values,
+                     closed=lambda: (apps.ht_put_closed_form(m, gamma, level), "k=1"))
     spec = apps.CardioidSpec.build(m, gamma, level)
     alphabet = FiniteAlphabet.of_size(m)
-    group = _parse_group(args.group, alphabet)
-    wanted = _methods(args, ("closed", "transitive"))
-    if group is not None or "transitive" in wanted:
-        risks = [apps.cardioid_orbit_risk(spec, mask) for mask in all_subset_masks(m)]
+
+    def closed():
+        best_k = max(range(1, m),
+                     key=lambda k: math.sin(math.pi * k / m) / (k * float(level.t) + m - k))
+        return apps.cardioid_put_closed_form(spec), f"k={best_k}"
+
+    return _Task(header, "--task cardioid", alphabet,
+                 lambda q: apps.cardioid_bayes_risk(spec, q), BAYES_TRAITS,
+                 ("closed", "transitive"), default_group=lambda: cyclic_group(alphabet),
+                 values=lambda: [apps.cardioid_orbit_risk(spec, mask)
+                                 for mask in all_subset_masks(m)],
+                 closed=closed)
+
+
+def _solve(task: _Task, wanted: list[str], group, level) -> list[dict]:
+    """Run the wanted methods on one task, one result row each.
+
+    `transitive` and `vertex` reduce by the user's group or else the
+    task's default, `vertex_full` by none, and `lp` by the user's group
+    only.  The enumeration cap is checked before u is built, and a
+    user's group before any solver runs: every per-subset list in use
+    (u, and the values, whose minimum the closed form also is) must be
+    constant on its subset orbits.
+    """
+    reduced = group
+    if group is None and task.default_group and {"transitive", "vertex"} & set(wanted):
+        reduced = task.default_group()
+    group_of = {"transitive": reduced, "vertex": reduced, "vertex_full": None, "lp": group}
+    on_form = [w for w in wanted if w in ("vertex", "vertex_full", "lp")]
+    cap = DEFAULT_ENUM_CAP_M  # grouped solvers do not read it
+    if any(group_of[w] is None or group_of[w].order == 1 for w in on_form):
+        cap = _enum_cap()
+        require_enum_cap(task.alphabet.size, cap)  # before the 2^m - 2 coefficients
+    u = task.form() if task.form and on_form else None
+    values = (task.values() if task.values and (group is not None or "transitive" in wanted)
+              else None)
     if group is not None:
-        _require_invariant(constant_on_orbits(risks, subset_orbits(group)))
-    elif "transitive" in wanted:
-        group = cyclic_group(alphabet)
+        orbits = subset_orbits(group)
+        if not all(constant_on_orbits(x, orbits) for x in (u, values) if x is not None):
+            raise ValueError("the objective is not invariant under --group: its "
+                             "per-subset values differ within a subset orbit")
     results = []
     for method in wanted:
         if method == "closed":
-            best_k = max(range(1, m),
-                         key=lambda k: math.sin(math.pi * k / m)
-                         / (k * float(level.t) + m - k))
-            results.append({"method": "closed_form",
-                            "value": apps.cardioid_put_closed_form(spec),
-                            "winner": f"k={best_k}", "certificate": "exact"})
-        elif method == "transitive":
-            res = put_transitive_closed_form(risks, group, level, traits=BAYES_TRAITS)
-            results.append(_result_entry(res))
+            value, winner = task.closed()
+            results.append({"method": "closed_form", "value": value, "winner": winner,
+                            "certificate": CERT_EXACT})
+            continue
+        if method == "transitive":
+            res = put_transitive_closed_form(values, reduced, level, traits=task.traits)
+        elif method == "lp":
+            res = put_by_lp(u, task.alphabet, level, group=group, cap=cap)
+        else:
+            res = put_by_vertex_enumeration(task.objective, task.alphabet, level,
+                                            group=group_of[method], traits=task.traits,
+                                            coefficients=u, cap=cap)
+        results.append({"method": res.method, "value": res.value,
+                        "winner": _winner_label(res.argmin_weights),
+                        "certificate": res.certificate})
     return results
 
 
-def _result_entry(res) -> dict:
-    return {"method": res.method, "value": res.value,
-            "winner": _winner_label(res.argmin_weights),
-            "certificate": res.certificate}
-
-
-def _format_results(results: list[dict]) -> list[dict]:
-    return [{**row, "value": _format_value(row["value"])} for row in results]
-
-
-def _methods(args, supported: tuple[str, ...] = METHODS) -> list[str]:
+def _methods(args, task: _Task) -> list[str]:
     raw = args.method or "all"
     wanted = METHODS if raw == "all" else [w.strip() for w in raw.split(",") if w.strip()]
     for w in wanted:
         if w not in METHODS:
             raise ValueError(f"method must be one of {METHODS} or 'all', got {w!r}")
-    wanted = [w for w in wanted if w in supported]
+    wanted = [w for w in wanted if w in task.methods]
     if not wanted:
-        raise ValueError(f"--task {args.task} runs only the methods {supported}, got {raw!r}")
+        raise ValueError(f"{task.label} runs only the methods {task.methods}, got {raw!r}")
     return wanted
 
 
@@ -295,90 +343,34 @@ def _check_agreement(results: list[dict], tolerance: float) -> None:
 
 def cmd_put(args) -> int:
     level, note = _parse_level(args)
-    if args.problem:
-        data = _custom_put(args, level)
-    elif args.task in ("ht", "cardioid"):
-        if args.m is None:
-            raise ValueError("--m is required with --task")
-        results = _ht_results(args, level) if args.task == "ht" \
-            else _cardioid_results(args, level)
-        _check_agreement(results, args.tolerance)
-        data = {"task": args.task, "m": args.m,
-                "gamma": format_fraction(as_fraction(args.gamma)),
-                "t": format_fraction(level.t),
-                "results": _format_results(results), "agreement": True}
-    else:
-        raise ValueError("put needs --task ht|cardioid or --problem FILE")
+    task = _task(args, level)
+    group = _parse_group(args.group, task.alphabet)
+    results = _solve(task, _methods(args, task), group, level)
+    _check_agreement(results, args.tolerance)
+    data = {**task.header, "agreement": True,
+            "results": [{**row, "value": _format_value(row["value"])} for row in results]}
     if note:
         data["level_note"] = note
     _emit(data, args)
     return EXIT_OK
 
 
-def _require_invariant(invariant: bool) -> None:
-    if not invariant:
-        raise ValueError("the objective is not invariant under --group: its "
-                         "per-subset values differ within a subset orbit")
-
-
-def _custom_put(args, level) -> dict:
-    with open(args.problem, encoding="utf-8") as fh:
-        problem, prior = problem_from_json(json.load(fh))
-    alphabet = problem.input_alphabet
-    group = _parse_group(args.group, alphabet)
-    results = []
-    if prior is not None:
-        cap = _enum_cap()
-        if group is None or group.order == 1:
-            require_enum_cap(alphabet.size, cap)  # before the 2^m - 2 coefficients
-        objective = lambda q: bayes_optimal_risk(problem, prior, q)[0]
-        u = bayes_linear_coefficients(problem, prior, level)
-        res = put_by_vertex_enumeration(objective, alphabet, level, group=group,
-                                        traits=BAYES_TRAITS, coefficients=u, cap=cap)
-        results.append(_result_entry(res))
-        res_lp = put_by_lp(u, alphabet, level, group=group, cap=cap)
-        # put_by_lp certifies "exact" only for u constant on every subset orbit.
-        _require_invariant(res_lp.certificate == CERT_EXACT)
-        results.append(_result_entry(res_lp))
-        _check_agreement(results, args.tolerance)
-        kind = "bayes"
-    else:
-        objective = lambda q: minimax_risk(problem, q)[0]
-        res = put_by_vertex_enumeration(objective, alphabet, level, group=group,
-                                        traits=MINIMAX_TRAITS, cap=_enum_cap())
-        results.append(_result_entry(res))
-        kind = "minimax"
-    return {"task": "custom", "risk": kind, "m": alphabet.size,
-            "t": format_fraction(level.t), "results": _format_results(results),
-            "agreement": True}
-
-
 def cmd_audit(args) -> int:
     level, note = _parse_level(args)
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    m, gamma = args.m, as_fraction(args.gamma)
-    alphabet = FiniteAlphabet.of_size(m)
-    if args.task == "ht":
-        problem, prior = apps.ht_problem(m, gamma)
-        objective = lambda q: bayes_optimal_risk(problem, prior, q)[0]
-        u = bayes_linear_coefficients(problem, prior, level)
-        baseline = put_by_lp(u, alphabet, level, cap=_enum_cap()).value
+    task = _task(args, level)
+    # The optimum to beat: the LP of the form when there is one.
+    baseline = _solve(task, ["lp" if task.form else "closed"], None, level)[0]["value"]
+    if isinstance(baseline, Fraction):
         tolerance = as_fraction(args.tolerance) if args.tolerance else 0
-    elif args.task == "cardioid":
-        spec = apps.CardioidSpec.build(m, gamma, level)
-        objective = lambda q: apps.cardioid_bayes_risk(spec, q)
-        baseline = apps.cardioid_put_closed_form(spec)
-        tolerance = float(args.tolerance) if args.tolerance else 1e-9
     else:
-        raise ValueError("audit needs --task ht|cardioid")
-    data = {"task": args.task, "m": m, "gamma": format_fraction(gamma),
-            "t": format_fraction(level.t), "samples": args.samples,
-            "seed": args.seed}
+        tolerance = float(args.tolerance) if args.tolerance else 1e-9
+    data = {**task.header, "samples": args.samples, "seed": args.seed}
     if note:
         data["level_note"] = note
     try:
-        report = random_channel_audit(objective, alphabet, level,
+        report = random_channel_audit(task.objective, task.alphabet, level,
                                       samples=args.samples, seed=args.seed,
                                       baseline_value=baseline,
                                       tolerance=tolerance, cap=_enum_cap())

@@ -5,7 +5,7 @@ channels, vertices) is `ldp_geometry.WeightPolytope`.  For transitive
 groups it is a simplex, one vertex per subset orbit, with closed-form
 vertex weights; this module holds those closed forms, the subset
 selection mechanism built from them, and the grouped vertex
-enumeration entry point with its orbit cap.
+enumeration entry point.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .channels import Channel, as_level
-from .errors import BadSubsetSizeError, DimensionCapError, NotTransitiveError
+from .errors import BadSubsetSizeError, NotTransitiveError
 from .groups import (
     FiniteAlphabet,
     GroupAction,
@@ -36,7 +36,6 @@ from .ldp_geometry import (
     weight_polytope,
 )
 
-DEFAULT_ORBIT_CAP = 64
 CANDIDATE_CAP = 2_000_000
 
 _ZERO = Fraction(0)
@@ -99,13 +98,10 @@ def ss_mechanism(alphabet: FiniteAlphabet, k: int, level) -> Channel:
                    rows=rows)
 
 
-def enumerate_invariant_vertices(group: PermGroup, level,
-                                 cap: int = DEFAULT_ORBIT_CAP) -> list[WeightVector]:
-    """All vertices of the polytope collapsed by the group, exactly."""
-    polytope = weight_polytope(group, level)
-    if len(polytope.orbits) > cap:
-        raise DimensionCapError(f"orbit count {len(polytope.orbits)} exceeds cap {cap}")
-    return polytope_vertices(polytope, candidate_cap=CANDIDATE_CAP)
+def enumerate_invariant_vertices(group: PermGroup, level) -> list[WeightVector]:
+    """All vertices of the polytope collapsed by the group, exactly; past
+    CANDIDATE_CAP candidate supports it raises DimensionCapError."""
+    return polytope_vertices(weight_polytope(group, level), candidate_cap=CANDIDATE_CAP)
 
 
 def invariant_output_action(group: PermGroup, channel: Channel) -> GroupAction:

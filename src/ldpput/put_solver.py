@@ -118,6 +118,11 @@ def _require_coefficient_count(coefficients: Sequence, m: int) -> None:
         raise ValueError(f"need {n} coefficients, got {len(coefficients)}")
 
 
+def _as_form(coefficients: Sequence) -> list:
+    """A per-subset linear form: exact inputs as Fractions, floats kept."""
+    return [u if isinstance(u, float) else as_fraction(u) for u in coefficients]
+
+
 def _orbit_costs(per_subset: Sequence, orbits: Sequence[SubsetOrbit]) -> list:
     """Per-orbit cost of a per-subset linear form (indexed by mask - 1):
     the objective at weights w is the sum of w_orbit * cost_orbit."""
@@ -158,7 +163,9 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
 
     With a group, only the collapsed polytope's vertices are scanned;
     that requires the objective to be attested group-invariant and
-    mixture-compatible, since otherwise the reduction is unsound.
+    mixture-compatible, since otherwise the reduction is unsound.  `cap`
+    bounds the full polytope only; a grouped scan is bounded by its
+    number of candidate supports instead.
 
     `coefficients` is the objective's per-subset linear form (indexed by
     mask - 1, as `put_by_lp` takes it).  With it, each vertex is scored
@@ -170,6 +177,7 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
     level = as_level(level)
     if coefficients is not None:
         _require_coefficient_count(coefficients, alphabet.size)
+        coefficients = _as_form(coefficients)
     if spot_check_rng is not None:
         spot_check_traits(objective, alphabet, level, traits, group=group,
                           rng=spot_check_rng)
@@ -228,7 +236,7 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
     level = as_level(level)
     m = alphabet.size
     _require_coefficient_count(coefficients, m)
-    given = [u if isinstance(u, float) else as_fraction(u) for u in coefficients]
+    given = _as_form(coefficients)
     exact_u = [Fraction(u) for u in given]
     grouped = group is not None and group.order > 1
     if grouped:

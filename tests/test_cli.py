@@ -5,8 +5,8 @@ code plus the emitted JSON or CSV.  Values asserted here are frozen
 from the library-level suites.
 """
 
+import dataclasses
 import json
-import types
 from fractions import Fraction
 
 import pytest
@@ -358,11 +358,17 @@ ASYMMETRIC_PROBLEM = {
 }
 
 
-def test_put_custom_problem_rejects_group_it_lacks(capsys, tmp_path):
+def test_put_custom_problem_rejects_group_it_lacks(capsys, tmp_path, monkeypatch):
+    import ldpput.cli
+
     path = tmp_path / "asymmetric.json"
     path.write_text(json.dumps(ASYMMETRIC_PROBLEM))
-    code, out, err = run(capsys, "put", "--problem", str(path), "--t", "3",
-                         "--group", "sym")
+    with monkeypatch.context() as patch:
+        # The group is checked before any solver runs.
+        for name in ("put_by_vertex_enumeration", "put_by_lp"):
+            patch.setattr(ldpput.cli, name, lambda *a, **k: pytest.fail("a solver ran"))
+        code, out, err = run(capsys, "put", "--problem", str(path), "--t", "3",
+                             "--group", "sym")
     assert code == EXIT_PARSE
     assert "not invariant under --group" in err
     data = run_json(capsys, "put", "--problem", str(path), "--t", "3")
@@ -382,6 +388,40 @@ def test_put_custom_problem_cap_exits_before_linear_form(capsys, tmp_path, monke
     code, out, err = run(capsys, "put", "--problem", str(path), "--t", "2")
     assert code == EXIT_CAP
     assert "cap exceeded" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("put", "--task", "ht", "--m", "14", "--t", "2", "--method", "lp"),
+    ("audit", "--task", "ht", "--m", "14", "--t", "2", "--samples", "1"),
+])
+def test_ht_cap_exits_before_linear_form(capsys, monkeypatch, argv):
+    import ldpput.cli
+
+    def refuse(*args):
+        raise AssertionError("the 2^m - 2 coefficients were built past the cap")
+
+    monkeypatch.setattr(ldpput.cli, "bayes_linear_coefficients", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CAP
+    assert "cap exceeded: vertex enumeration capped at m <= 5, got m = 14" in err
+
+
+def test_put_custom_problem_runs_its_methods(capsys, tmp_path):
+    path = guessing_problem_file(tmp_path, with_prior=True)
+    data = run_json(capsys, "put", "--problem", path, "--t", "2", "--method", "lp")
+    assert [(r["method"], r["value"]) for r in data["results"]] == [("lp", "1/2")]
+    code, out, err = run(capsys, "put", "--problem", path, "--t", "2", "--method", "closed")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "--problem runs only the methods ('vertex', 'lp'), got 'closed'" in err
+
+
+def test_put_ht_lp_honours_group(capsys):
+    data = run_json(capsys, "put", "--task", "ht", "--m", "4", "--t", "2",
+                    "--group", "cyclic", "--method", "closed,lp")
+    assert [r["method"] for r in data["results"]] == ["closed_form", "lp_grouped"]
+    assert data["results"][0]["value"] == data["results"][1]["value"] == "3/5"
+    assert data["results"][1]["certificate"] == "exact"
 
 
 def test_put_cardioid_rejects_group_it_lacks(capsys):
@@ -511,8 +551,9 @@ def test_audit_violation_exit(capsys, monkeypatch):
     # an inflated baseline makes every sampled channel a counterexample
     import ldpput.cli as cli_mod
 
+    solve = cli_mod.put_by_lp
     monkeypatch.setattr(cli_mod, "put_by_lp",
-                        lambda *a, **k: types.SimpleNamespace(value=Fraction(1)))
+                        lambda *a, **k: dataclasses.replace(solve(*a, **k), value=Fraction(1)))
     code, out, err = run(capsys, "audit", "--task", "ht", "--m", "3",
                          "--t", "2", "--samples", "3", "--seed", "0")
     assert code == EXIT_AUDIT

@@ -250,9 +250,10 @@ def test_trivial_group_reduction_matches_full(m, t):
 
 
 def test_invariant_enumeration_cap():
-    group = trivial_group(FiniteAlphabet.of_size(4))
-    with pytest.raises(DimensionCapError):
-        enumerate_invariant_vertices(group, F(2), cap=5)
+    # The trivial group on 6 letters leaves C(62, 6) candidate supports.
+    group = trivial_group(FiniteAlphabet.of_size(6))
+    with pytest.raises(DimensionCapError, match=r"C\(62,6\)"):
+        enumerate_invariant_vertices(group, F(2))
 
 
 # -- invariant channels -------------------------------------------------------

@@ -333,6 +333,17 @@ def test_lp_exactifies_float_coefficients():
     assert isinstance(res.value, Fraction)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda u, alphabet, t: put_by_lp(u, alphabet, t),
+    lambda u, alphabet, t: put_by_vertex_enumeration(lambda q: F(1, 3), alphabet, t,
+                                                     traits=BAYES_TRAITS, coefficients=u),
+], ids=["lp", "sweep"])
+def test_exact_coefficient_inputs_are_normalised(solve):
+    # "p/q" strings are exact inputs to both solvers: u.w = 1/3 at m=2, t=2
+    res = solve(["1/3", "2/3"], FiniteAlphabet.of_size(2), F(2))
+    assert (res.value, res.certificate) == (F(1, 3), CERT_EXACT)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("t", [F(3, 2), F(2), F(5)])
 def test_lp_vs_vertex_agreement_grid(m, t):
