@@ -104,7 +104,10 @@ def _parse_group(spec: str | None, alphabet: FiniteAlphabet):
         return cyclic_group(alphabet)
     if spec.startswith("file:"):
         with open(spec[5:], encoding="utf-8") as fh:
-            return group_from_json(json.load(fh))
+            group = group_from_json(json.load(fh))
+        if group.alphabet != alphabet:
+            raise ValueError(f"--group acts on {group.alphabet.letters}, not {alphabet.letters}")
+        return group
     raise ValueError(f"group must be 'sym', 'cyclic', or 'file:PATH', got {spec!r}")
 
 
@@ -209,7 +212,6 @@ class _Task:
     with its winner."""
 
     header: dict
-    label: str
     alphabet: FiniteAlphabet
     objective: Callable
     traits: ObjectiveTraits
@@ -218,6 +220,7 @@ class _Task:
     form: Callable | None = None
     values: Callable | None = None
     closed: Callable | None = None
+    closed_on_values: bool = False  # the closed form is the minimum of the values
 
 
 def _task(args, level) -> _Task:
@@ -230,9 +233,9 @@ def _task(args, level) -> _Task:
         header = {"task": "custom", "risk": "minimax" if prior is None else "bayes",
                   "m": alphabet.size, "t": t}
         if prior is None:
-            return _Task(header, "--problem", alphabet,
-                         lambda q: minimax_risk(problem, q)[0], MINIMAX_TRAITS, ("vertex",))
-        return _Task(header, "--problem", alphabet,
+            return _Task(header, alphabet, lambda q: minimax_risk(problem, q)[0],
+                         MINIMAX_TRAITS, ("vertex",))
+        return _Task(header, alphabet,
                      lambda q: bayes_optimal_risk(problem, prior, q)[0], BAYES_TRAITS,
                      ("vertex", "lp"),
                      form=lambda: bayes_linear_coefficients(problem, prior, level))
@@ -250,7 +253,7 @@ def _task(args, level) -> _Task:
             by_k = {k: apps.ht_subset_risk(m, gamma, level, k) for k in range(1, m)}
             return [by_k[mask.bit_count()] for mask in all_subset_masks(m)]
 
-        return _Task(header, "--task ht", alphabet,
+        return _Task(header, alphabet,
                      lambda q: bayes_optimal_risk(problem, prior, q)[0], BAYES_TRAITS,
                      METHODS, default_group=lambda: symmetric_group(alphabet),
                      form=lambda: bayes_linear_coefficients(problem, prior, level),
@@ -264,12 +267,12 @@ def _task(args, level) -> _Task:
                      key=lambda k: math.sin(math.pi * k / m) / (k * float(level.t) + m - k))
         return apps.cardioid_put_closed_form(spec), f"k={best_k}"
 
-    return _Task(header, "--task cardioid", alphabet,
-                 lambda q: apps.cardioid_bayes_risk(spec, q), BAYES_TRAITS,
-                 ("closed", "transitive"), default_group=lambda: cyclic_group(alphabet),
+    return _Task(header, alphabet, lambda q: apps.cardioid_bayes_risk(spec, q),
+                 BAYES_TRAITS, ("closed", "transitive"),
+                 default_group=lambda: cyclic_group(alphabet),
                  values=lambda: [apps.cardioid_orbit_risk(spec, mask)
                                  for mask in all_subset_masks(m)],
-                 closed=closed)
+                 closed=closed, closed_on_values=True)
 
 
 def _solve(task: _Task, wanted: list[str], group, level) -> list[dict]:
@@ -279,8 +282,8 @@ def _solve(task: _Task, wanted: list[str], group, level) -> list[dict]:
     task's default, `vertex_full` by none, and `lp` by the user's group
     only.  The enumeration cap is checked before u is built, and a
     user's group before any solver runs: every per-subset list in use
-    (u, and the values, whose minimum the closed form also is) must be
-    constant on its subset orbits.
+    (u, and the values, which a value-based closed form also reads) must
+    be constant on its subset orbits.
     """
     reduced = group
     if group is None and task.default_group and {"transitive", "vertex"} & set(wanted):
@@ -292,8 +295,8 @@ def _solve(task: _Task, wanted: list[str], group, level) -> list[dict]:
         cap = _enum_cap()
         require_enum_cap(task.alphabet.size, cap)  # before the 2^m - 2 coefficients
     u = task.form() if task.form and on_form else None
-    values = (task.values() if task.values and (group is not None or "transitive" in wanted)
-              else None)
+    on_values = "transitive" in wanted or (group is not None and task.closed_on_values)
+    values = task.values() if on_values else None
     if group is not None:
         orbits = subset_orbits(group)
         if not all(constant_on_orbits(x, orbits) for x in (u, values) if x is not None):
@@ -328,13 +331,13 @@ def _methods(args, task: _Task) -> list[str]:
             raise ValueError(f"method must be one of {METHODS} or 'all', got {w!r}")
     wanted = [w for w in wanted if w in task.methods]
     if not wanted:
-        raise ValueError(f"{task.label} runs only the methods {task.methods}, got {raw!r}")
+        label = "--problem" if task.header["task"] == "custom" else f"--task {args.task}"
+        raise ValueError(f"{label} runs only the methods {task.methods}, got {raw!r}")
     return wanted
 
 
 def _check_agreement(results: list[dict], tolerance: float) -> None:
-    values = [Fraction(row["value"]) if isinstance(row["value"], Fraction)
-              else Fraction(float(row["value"])) for row in results]
+    values = [Fraction(row["value"]) for row in results]
     lo, hi = min(values), max(values)
     if float(hi - lo) > tolerance:
         raise MethodDisagreementError(

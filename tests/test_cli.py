@@ -424,6 +424,49 @@ def test_put_ht_lp_honours_group(capsys):
     assert data["results"][1]["certificate"] == "exact"
 
 
+@pytest.mark.parametrize("letters", [[0, 1, 2], [0, 1, 2, 3, 4]])
+@pytest.mark.parametrize("task", ["ht", "problem"])
+def test_put_rejects_group_on_other_letters(capsys, tmp_path, monkeypatch, letters, task):
+    import ldpput.cli
+
+    # A 3-cycle on the first three letters of a 3- or 5-letter alphabet,
+    # against a 4-letter task: its orbits say nothing of the task's subsets.
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"alphabet": letters,
+                                "generators": [[1, 2, 0] + letters[3:]]}))
+    if task == "ht":
+        argv = ("--task", "ht", "--m", "4")
+    else:
+        problem, prior = ht_problem(4, Fraction(1))
+        problem_path = tmp_path / "m4.json"
+        problem_path.write_text(json.dumps(problem_to_json(problem, prior)))
+        argv = ("--problem", str(problem_path))
+    with monkeypatch.context() as patch:
+        for name in ("put_by_vertex_enumeration", "put_by_lp"):
+            patch.setattr(ldpput.cli, name, lambda *a, **k: pytest.fail("a solver ran"))
+        code, out, err = run(capsys, "put", *argv, "--t", "2", "--method", "lp",
+                             "--group", f"file:{path}")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert f"error: --group acts on {tuple(letters)}, not (0, 1, 2, 3)" in err
+    if task == "ht":
+        code, out, err = run(capsys, "put", *argv, "--t", "2", "--method", "closed",
+                             "--group", f"file:{path}")
+        assert code == EXIT_PARSE
+        assert "Traceback" not in err
+
+
+def test_put_ht_closed_builds_no_values(capsys, monkeypatch):
+    import ldpput.cli
+
+    # Only `transitive` reads ht's per-mask values; a --group alone does not.
+    monkeypatch.setattr(ldpput.cli, "all_subset_masks",
+                        lambda *a: pytest.fail("the per-mask values were built"))
+    data = run_json(capsys, "put", "--task", "ht", "--m", "4", "--t", "2",
+                    "--group", "cyclic", "--method", "closed,lp")
+    assert [r["value"] for r in data["results"]] == ["3/5", "3/5"]
+
+
 def test_put_cardioid_rejects_group_it_lacks(capsys):
     # An S_6 orbit of 2-subsets mixes adjacent and distant pairs.
     code, out, err = run(capsys, "put", "--task", "cardioid", "--m", "6",
