@@ -128,13 +128,17 @@ def cyclic_group(alphabet: FiniteAlphabet) -> PermGroup:
     return generate_group(alphabet, [shift])
 
 
-def symmetric_group(alphabet: FiniteAlphabet) -> PermGroup:
-    m = alphabet.size
+def symmetric_generators(m: int) -> tuple[Permutation, ...]:
+    """The swap of the first two letters and the cyclic shift: they generate S_m."""
     if m == 1:
-        return trivial_group(alphabet)
+        return ()
     swap = Permutation((1, 0) + tuple(range(2, m)))
     shift = Permutation(tuple((i + 1) % m for i in range(m)))
-    return generate_group(alphabet, [swap, shift])
+    return swap, shift
+
+
+def symmetric_group(alphabet: FiniteAlphabet) -> PermGroup:
+    return generate_group(alphabet, symmetric_generators(alphabet.size))
 
 
 @dataclass(frozen=True)

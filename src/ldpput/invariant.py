@@ -3,8 +3,8 @@
 The collapsed polytope itself (orbits, equalities, membership, extremal
 channels, vertices) is `ldp_geometry.WeightPolytope`.  For transitive
 groups it is a simplex, one vertex per subset orbit, with closed-form
-vertex weights; this module holds those closed forms, the subset
-selection mechanism built from them, and the grouped vertex
+vertex weights; this module holds the subset selection mechanism built
+from them, lifting to the full polytope, and the grouped vertex
 enumeration entry point.
 """
 
@@ -14,19 +14,17 @@ from fractions import Fraction
 from math import comb
 
 from .channels import Channel, as_level
-from .errors import BadSubsetSizeError, NotTransitiveError
+from .errors import BadSubsetSizeError
 from .groups import (
     FiniteAlphabet,
     GroupAction,
     PermGroup,
     all_subset_masks,
-    is_transitive,
     mask_to_positions,
     natural_action,
     subset_action,
 )
 from .ldp_geometry import (
-    SubsetOrbit,
     WeightVector,
     extremal_channel,
     full_polytope,
@@ -37,8 +35,6 @@ from .ldp_geometry import (
 )
 
 CANDIDATE_CAP = 2_000_000
-
-_ZERO = Fraction(0)
 
 
 def lift_weights(weights: WeightVector) -> WeightVector:
@@ -52,30 +48,6 @@ def invariant_extremal_channel(weights: WeightVector) -> Channel:
     """The same as `ldp_geometry.extremal_channel`, under its former name,
     which perfbench/spans.py traces."""
     return extremal_channel(weights)
-
-
-def transitive_vertex_weight(group: PermGroup, orbit: SubsetOrbit, level) -> Fraction:
-    """Vertex weight of the collapsed simplex for a transitive group.
-
-    Double counting letter-subset incidences over the orbit gives
-    m * incidence = orbit_size * subset_size, which turns the single
-    membership constraint into the closed form below.
-    """
-    if not is_transitive(natural_action(group)):
-        raise NotTransitiveError("closed-form vertex weights need a transitive group")
-    t = as_level(level).t
-    m = group.alphabet.size
-    k = orbit.subset_size
-    return Fraction(m, 1) / (orbit.size * (k * t + m - k))
-
-
-def pure_orbit_weights(group: PermGroup, orbit_index: int, level) -> WeightVector:
-    """The collapsed-simplex vertex supported on a single subset orbit."""
-    polytope = weight_polytope(group, level)
-    weight = transitive_vertex_weight(group, polytope.orbits[orbit_index], level)
-    values = [_ZERO] * len(polytope.orbits)
-    values[orbit_index] = weight
-    return WeightVector(polytope=polytope, values=tuple(values))
 
 
 def ss_mechanism(alphabet: FiniteAlphabet, k: int, level) -> Channel:

@@ -7,11 +7,14 @@ to integers row by row first.  No floating point enters any decision.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from typing import Sequence
 
 from .errors import DimensionCapError
+from .groups import FiniteAlphabet, generate_group
 
 
 def _integer_rows(matrix) -> list[list[int]]:
@@ -88,18 +91,31 @@ def solve_square_int(matrix: list[list[int]], rhs: list[int]) -> list[Fraction] 
 
 
 def enumerate_basic_feasible(matrix: list[list[Fraction]], rhs: list[Fraction],
-                             candidate_cap: int | None = None) -> list[tuple[Fraction, ...]]:
+                             candidate_cap: int | None = None,
+                             symmetries: Sequence[Sequence[int]] = ()
+                             ) -> list[tuple[Fraction, ...]]:
     """All vertices of {x >= 0 : A x = b}, as exact tuples.
 
     Vertices are basic feasible solutions: supports of size rank(A)
     whose columns are independent and whose unique solve is nonnegative.
     The solves use a basis of A's rows, once b is known to lie in A's
-    column span, so every support is one square solve.  Candidate
-    supports are enumerated exhaustively, so the cost is C(ncols, rank);
-    candidate_cap (if given) bounds that count.
+    column span, so each solved support is one square solve.  The
+    candidates are the C(ncols, rank) supports; candidate_cap (if
+    given) bounds that count.
+
+    `symmetries` are column permutations (images[j] is the image of
+    column j) that map the rows of [A | b] onto themselves; anything
+    else raises ValueError.  They generate a group G, and a support is
+    solved only when it comes first in scan order among its G-images,
+    so the solves are one per G-orbit of supports; each nonnegative
+    solution is then mapped onto every image support.  A basic feasible
+    solution is fixed by its nonzero support, so vertices are told
+    apart by that support alone.  Without symmetries the vertices come
+    in scan order of their first support.
     """
     aug = _integer_rows([[*row, b] for row, b in zip(matrix, rhs)])
     ncols = len(aug[0]) - 1 if aug else 0
+    elements = _column_group(matrix, rhs, ncols, symmetries)
     # Pivot columns of A^T: the first rows of A that are independent.
     basis = _eliminate([list(col) for col in zip(*aug)][:ncols])
     r = len(basis)
@@ -109,17 +125,68 @@ def enumerate_basic_feasible(matrix: list[list[Fraction]], rhs: list[Fraction],
         raise DimensionCapError(f"support enumeration too large: "
                                 f"C({ncols},{r}) > {candidate_cap}")
 
+    # Bit-reversed keys: column 0 is the highest bit, so a support that
+    # comes earlier in combinations() order has the larger key, and a
+    # support is first of its orbit when no image's key is larger.
+    # tables[g][j] is the key bit of g's image of column j.
+    tables = [[1 << (ncols - 1 - image) for image in g] for g in elements]
+    key_of = tables[0].__getitem__
+    image_keys = [bits.__getitem__ for bits in tables[1:]]
+    # A support first of its orbit starts with a column first of its own
+    # orbit (an image moving that column lower would come earlier), so
+    # most supports are passed over without a key comparison.
+    leads = {j for j in range(ncols) if all(g[j] >= j for g in elements)}
     int_rows = [aug[i][:ncols] for i in basis]
     int_rhs = [aug[i][ncols] for i in basis]
-    seen: dict[tuple[Fraction, ...], None] = {}
+    found: dict[int, tuple[Fraction, ...]] = {}  # nonzero-support key -> vertex
     zero = Fraction(0)
     for support in combinations(range(ncols), r):
+        if support and support[0] not in leads:
+            continue
+        if not _first_of_orbit(support, key_of, image_keys):
+            continue
         sub = [[row[j] for j in support] for row in int_rows]
         sol = solve_square_int(sub, int_rhs)
         if sol is None or any(v < 0 for v in sol):
             continue
-        full = [zero] * ncols
-        for j, v in zip(support, sol):
-            full[j] = v
-        seen[tuple(full)] = None
-    return list(seen.keys())
+        nonzero = [(j, v) for j, v in zip(support, sol) if v]
+        for g, bits in zip(elements, tables):
+            key = sum(bits[j] for j, _ in nonzero)
+            if key not in found:
+                full = [zero] * ncols
+                for j, v in nonzero:
+                    full[g[j]] = v
+                found[key] = tuple(full)
+    return list(found.values())
+
+
+def _first_of_orbit(support, key_of, image_keys) -> bool:
+    """No group image of the support has a larger key (early exit)."""
+    key = sum(map(key_of, support))
+    for image_key in image_keys:
+        if sum(map(image_key, support)) > key:
+            return False
+    return True
+
+
+def _column_group(matrix, rhs, ncols: int,
+                  symmetries: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The column permutations generated by `symmetries`, identity first.
+
+    Each generator must map the rows of [A | b] onto themselves as a
+    multiset (a row may land on another row); ValueError otherwise.
+    """
+    if not symmetries:
+        return [tuple(range(ncols))]
+    rows = [(*map(Fraction, row), Fraction(b)) for row, b in zip(matrix, rhs)]
+    target = Counter(rows)
+    for g in symmetries:
+        g = tuple(g)
+        if sorted(g) != list(range(ncols)):
+            raise ValueError(f"not a permutation of the {ncols} columns: {g}")
+        inverse = sorted(range(ncols), key=g.__getitem__)
+        if Counter(tuple(row[i] for i in inverse) + row[ncols:] for row in rows) != target:
+            raise ValueError(f"column permutation {g} is not a symmetry of [A | b]")
+    # Elements are sorted by image tuple, so the identity comes first.
+    group = generate_group(FiniteAlphabet.of_size(ncols), symmetries)
+    return [p.images for p in group.elements]

@@ -2,8 +2,9 @@
 
 Each recomputes a quantity the library derives another way (extremality
 from the rank of the active cone facets, the circular task's risk by
-grid integration, kernels by elimination, LP optima and pivot paths
-on a Fraction tableau), so a test can compare the two.  numpy is
+grid integration, a transitive group's vertex weights by double
+counting, kernels by elimination, LP optima and pivot paths on a
+Fraction tableau), so a test can compare the two.  numpy is
 needed here only.
 """
 
@@ -24,16 +25,20 @@ from ldpput.errors import (
     LdpPutError,
     LpInfeasibleError,
     LpUnboundedError,
+    NotTransitiveError,
     ZeroVectorError,
 )
 from ldpput.groups import (
     FiniteAlphabet,
+    PermGroup,
     cyclic_group,
+    is_transitive,
     mask_to_positions,
     natural_action,
     orbits,
     subset_action,
 )
+from ldpput.ldp_geometry import SubsetOrbit, WeightVector, weight_polytope
 from ldpput.linalg import rank
 from ldpput.rationals import as_fraction
 from ldpput.simplex import LpResult
@@ -213,6 +218,33 @@ def cardioid_rule_risk(spec: CardioidSpec, mask: int, theta: float) -> float:
             loss = 1.0
         total += weight * mass * loss
     return total
+
+
+# -- transitive closed forms --------------------------------------------------
+
+
+def transitive_vertex_weight(group: PermGroup, orbit: SubsetOrbit, level) -> Fraction:
+    """Vertex weight of the collapsed simplex for a transitive group.
+
+    Double counting letter-subset incidences over the orbit gives
+    m * incidence = orbit_size * subset_size, which turns the single
+    membership constraint into the closed form below.
+    """
+    if not is_transitive(natural_action(group)):
+        raise NotTransitiveError("closed-form vertex weights need a transitive group")
+    t = as_level(level).t
+    m = group.alphabet.size
+    k = orbit.subset_size
+    return Fraction(m, 1) / (orbit.size * (k * t + m - k))
+
+
+def pure_orbit_weights(group: PermGroup, orbit_index: int, level) -> WeightVector:
+    """The collapsed-simplex vertex supported on a single subset orbit."""
+    polytope = weight_polytope(group, level)
+    weight = transitive_vertex_weight(group, polytope.orbits[orbit_index], level)
+    values = [_ZERO] * len(polytope.orbits)
+    values[orbit_index] = weight
+    return WeightVector(polytope=polytope, values=tuple(values))
 
 
 # -- linear algebra -----------------------------------------------------------

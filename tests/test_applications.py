@@ -256,7 +256,7 @@ def test_cardioid_orbit_risk_representative_independent():
 
 def test_cardioid_generic_engine_matches_formula():
     """Direct Bayes-risk evaluation of the orbit channel matches the formula."""
-    from ldpput.invariant import pure_orbit_weights
+    from oracles import pure_orbit_weights
     from ldpput.ldp_geometry import extremal_channel
 
     spec = CardioidSpec.build(4, F(1), F(3))

@@ -46,6 +46,12 @@ GOLDEN = {
         "03937630c501541e3b76b8a62f9d0dc9aec149e109175b9102f52c252c0f52fb",
     "enumerate --m 4 --t 2 --group cyclic":
         "db3bedb0af4f87145c4e99c063b861c3ade4824f2befd269ff1271354c14784c",
+    # Recorded with the scan of all 142,506 supports, before the m = 5
+    # scan solved one support per S_5 orbit.
+    "enumerate --m 5 --t 2":
+        "8933b5d4ce45bd83c9561af9ac989350bb75cb53e975296651a33db1a19ba730",
+    "enumerate --m 5 --t 2 --format csv":
+        "0abb7beb190d19d15c80cfbc145cf64814803601272190d71059f9c041d2fd1a",
     "put --task ht --m 4 --t 2":
         "2ed16bc5f10d3eb8fdd30eaeddbc2df30158a96dd866f49132a7a096fe3636f8",
     "put --task cardioid --m 5 --t 2":

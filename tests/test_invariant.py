@@ -21,9 +21,7 @@ from ldpput.invariant import (
     enumerate_invariant_vertices,
     invariant_output_action,
     lift_weights,
-    pure_orbit_weights,
     ss_mechanism,
-    transitive_vertex_weight,
 )
 from ldpput.ldp_geometry import (
     canonical_weight,
@@ -39,6 +37,7 @@ from ldpput.ldp_geometry import (
     weight_polytope,
 )
 from ldpput.put_solver import put_by_lp
+from oracles import pure_orbit_weights, transitive_vertex_weight
 
 X3 = FiniteAlphabet.of_size(3)
 X4 = FiniteAlphabet.of_size(4)

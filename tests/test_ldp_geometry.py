@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldpput import ldp_geometry, linalg
 from ldpput.channels import Channel, dominates, equivalent, is_ldp
 from ldpput.errors import (
     DimensionCapError,
@@ -22,6 +23,7 @@ from ldpput.ldp_geometry import (
     dominating_maximal,
     enumerate_polytope_vertices,
     extremal_channel,
+    full_polytope,
     in_weight_polytope,
     is_extreme_direction,
     is_maximal,
@@ -30,7 +32,14 @@ from ldpput.ldp_geometry import (
     staircase_row,
     subset_size,
 )
-from oracles import NotInConeError, cone_constraint_matrix, in_cone, kernel_rank_check
+from ldpput.linalg import enumerate_basic_feasible
+from oracles import (
+    NotInConeError,
+    basic_feasible_reference,
+    cone_constraint_matrix,
+    in_cone,
+    kernel_rank_check,
+)
 
 X2 = FiniteAlphabet.of_size(2)
 X3 = FiniteAlphabet.of_size(3)
@@ -399,6 +408,46 @@ def test_enumeration_deterministic():
     a = enumerate_polytope_vertices(X3, F(2))
     b = enumerate_polytope_vertices(X3, F(2))
     assert [v.values for v in a] == [v.values for v in b]
+
+
+def _full_system(m: int, t: Fraction) -> tuple[list[list[Fraction]], list[Fraction]]:
+    rows = full_polytope(FiniteAlphabet.of_size(m), t).rows
+    return [list(row) for row in rows], [F(1)] * m
+
+
+@pytest.mark.parametrize("t", [F(1), F(3, 2), F(2), F(3), F(5)])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_symmetry_reduced_vertices_match_reference(m, t):
+    """Solving one support per S_m orbit finds the reference's vertices."""
+    got = [v.values for v in enumerate_polytope_vertices(FiniteAlphabet.of_size(m), t)]
+    assert got == sorted(basic_feasible_reference(*_full_system(m, t)))
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda q: st.builds(Fraction, st.integers(min_value=q + 1, max_value=5 * q), st.just(q))))
+@settings(max_examples=8, deadline=None)
+def test_symmetry_reduced_vertices_match_reference_m4(t):
+    got = [v.values for v in enumerate_polytope_vertices(X4, t)]
+    assert got == sorted(basic_feasible_reference(*_full_system(4, t)))
+
+
+def test_symmetry_reduced_vertices_match_full_scan_m5():
+    """At m = 5 the reduced scan equals the scan of all 142,506 supports."""
+    t = F(3, 2)
+    got = [v.values for v in enumerate_polytope_vertices(FiniteAlphabet.of_size(5), t)]
+    assert got == sorted(enumerate_basic_feasible(*_full_system(5, t)))
+
+
+@pytest.mark.parametrize("m,solves", [(3, 6), (4, 68), (5, 1738)])
+def test_full_polytope_solves_one_support_per_orbit(monkeypatch, m, solves):
+    """The full scan would solve C(2^m - 2, m) supports: 20, 1,001, 142,506."""
+    calls = []
+    solve = linalg.solve_square_int
+    monkeypatch.setattr(linalg, "solve_square_int", lambda *a: calls.append(a) or solve(*a))
+    ldp_geometry._basic_feasible_cached.cache_clear()
+    vertices = enumerate_polytope_vertices(FiniteAlphabet.of_size(m), F(2))
+    assert len(vertices) == VERTEX_COUNTS[m]
+    assert len(calls) == solves
 
 
 # -- random polytope points ---------------------------------------------------

@@ -174,6 +174,54 @@ def test_enumerate_basic_feasible_dependent_rows():
     assert enumerate_basic_feasible(a, [F(1), F(1), F(3)]) == []
 
 
+def test_enumerate_basic_feasible_rejects_non_symmetry():
+    """A column permutation must map the rows of [A | b] onto themselves."""
+    a = [[F(1), F(2), F(0)], [F(0), F(1), F(1)]]
+    b = [F(1), F(1)]
+    for swap in ((1, 0, 2), (2, 1, 0)):
+        with pytest.raises(ValueError, match="not a symmetry"):
+            enumerate_basic_feasible(a, b, symmetries=[swap])
+    with pytest.raises(ValueError, match="not a permutation"):
+        enumerate_basic_feasible(a, b, symmetries=[(0, 0, 2)])
+    # Swapping columns 0 and 2 maps each row of this system onto the other.
+    a = [[F(1), F(2), F(0)], [F(0), F(2), F(1)]]
+    assert sorted(enumerate_basic_feasible(a, b, symmetries=[(2, 1, 0)])) == \
+        sorted(basic_feasible_reference(a, b))
+
+
+@st.composite
+def _symmetric_systems(draw):
+    """Random (A, b) invariant under a column shift or swap g.
+
+    Each drawn row comes with its images under the powers of g, all
+    with the row's right-hand side, so g permutes the rows of [A | b].
+    """
+    ncols = draw(st.integers(min_value=2, max_value=5))
+    g = draw(st.sampled_from([tuple((j + 1) % ncols for j in range(ncols)),
+                              (1, 0, *range(2, ncols))]))
+    a, b = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        row = draw(st.lists(_small_rationals, min_size=ncols, max_size=ncols))
+        rhs = draw(_small_rationals)
+        image = row
+        while True:
+            a.append(image)
+            b.append(rhs)
+            image = [image[g.index(j)] for j in range(ncols)]
+            if image == row:
+                break
+    return a, b, g
+
+
+@given(_symmetric_systems())
+@settings(max_examples=150, deadline=None)
+def test_symmetry_reduced_scan_matches_reference(system):
+    """Solving one support per orbit finds the reference's vertex set."""
+    a, b, g = system
+    assert sorted(enumerate_basic_feasible(a, b, symmetries=[g])) == \
+        sorted(basic_feasible_reference(a, b))
+
+
 def test_simplex_basic_minimum():
     # minimize x + 2y subject to x + y = 1
     res = solve_standard_lp([[F(1), F(1)]], [F(1)], [F(1), F(2)])

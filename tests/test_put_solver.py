@@ -368,7 +368,7 @@ def test_transitive_closed_form_matches_enumeration():
     p, prior, objective = bayes_objective(m)
     group = symmetric_group(FiniteAlphabet.of_size(m))
 
-    from ldpput.invariant import pure_orbit_weights
+    from oracles import pure_orbit_weights
     from ldpput.ldp_geometry import extremal_channel, weight_polytope
 
     # the objective at the pure channel on each mask's orbit
