@@ -12,11 +12,12 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatchError, NotLdpError, WeightSumError
 from .groups import FiniteAlphabet, GroupAction, PermGroup, Permutation
-from .rationals import as_fraction
+from .rationals import as_fraction, integer_matrix
 from .simplex import feasible_point
 
 _ZERO = Fraction(0)
@@ -131,15 +132,20 @@ def require_ldp(channel: Channel, level) -> None:
 
 
 def compose(post: Channel, channel: Channel) -> Channel:
-    """Matrix product: feed `channel` outputs through `post`."""
+    """Matrix product: feed `channel` outputs through `post`.
+
+    Each matrix is scaled to integers over one common denominator, so
+    the product runs on integers and each entry is an exact Fraction
+    built once, at the end.
+    """
     if post.input_alphabet != channel.output_alphabet:
         raise AlphabetMismatchError("post-processor input must match channel output")
-    mid = channel.num_outputs
-    rows = tuple(
-        tuple(sum((post.rows[z][y] * channel.rows[y][x] for y in range(mid)), _ZERO)
-              for x in range(channel.num_inputs))
-        for z in range(post.num_outputs)
-    )
+    p, d_post = integer_matrix(post.rows)
+    c, d_channel = integer_matrix(channel.rows)
+    d = d_post * d_channel
+    cols = [[row[x] for row in c] for x in range(channel.num_inputs)]
+    rows = tuple(tuple(Fraction(sum(map(mul, p_row, col)), d) for col in cols)
+                 for p_row in p)
     return Channel(input_alphabet=channel.input_alphabet,
                    output_alphabet=post.output_alphabet,
                    rows=rows)

@@ -1,11 +1,11 @@
 """Statistical decision problems observed through a channel.
 
 Risks are exact rationals end to end: model, loss, prior, channel, and
-decision rules are all rational, and both the Bayes reduction and the
-minimax linear program run over Fraction arithmetic.  Information
-measures (mutual information, f-divergences) are the one exception:
-they return floats, computed from exact joint distributions at the
-last step.
+decision rules are all rational.  The Bayes reduction runs on integers
+over one common denominator per matrix and returns exact Fractions; the
+minimax linear program is an exact simplex.  Information measures
+(mutual information, f-divergences) are the one exception: they return
+floats, computed from exact joint distributions at the last step.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from .channels import Channel, as_level
@@ -20,7 +21,7 @@ from .errors import AlphabetMismatchError, UnsupportedDivergenceError
 from .groups import FiniteAlphabet, GroupAction, PermGroup
 from .ldp_geometry import staircase_row
 from .groups import all_subset_masks
-from .rationals import as_fraction
+from .rationals import as_fraction, integer_matrix
 from .simplex import solve_standard_lp
 
 _ZERO = Fraction(0)
@@ -101,16 +102,12 @@ class DecisionRule:
             for choice in choices))
 
 
-def _row_likelihoods(problem: DecisionProblem, row: Sequence[Fraction]) -> list[Fraction]:
-    """Chance under each parameter of an output whose channel row is `row`."""
-    m = problem.input_alphabet.size
-    return [sum((row[x] * problem.model[x][i] for x in range(m)), _ZERO)
-            for i in range(len(problem.parameters))]
-
-
 def _output_given_parameter(problem: DecisionProblem, channel: Channel) -> list[list[Fraction]]:
     """w[y][i] = chance of output y under parameter i."""
-    return [_row_likelihoods(problem, row) for row in channel.rows]
+    m = problem.input_alphabet.size
+    return [[sum((row[x] * problem.model[x][i] for x in range(m)), _ZERO)
+             for i in range(len(problem.parameters))]
+            for row in channel.rows]
 
 
 def _require_alphabet(problem: DecisionProblem, channel: Channel) -> None:
@@ -133,14 +130,26 @@ def risk(problem: DecisionProblem, parameter_index: int, channel: Channel,
     return total
 
 
-def _action_costs(problem: DecisionProblem, prior: Prior,
-                  likelihoods: Sequence[Fraction]) -> list[Fraction]:
-    """Prior-weighted loss of each action at one output, whose chance
-    under parameter i is likelihoods[i]."""
-    n_par = len(problem.parameters)
-    mass = [prior.values[i] * likelihoods[i] for i in range(n_par)]
-    return [sum((mass[i] * problem.loss[i][a] for i in range(n_par)), _ZERO)
-            for a in range(len(problem.actions))]
+def _bayes_costs(problem: DecisionProblem, prior: Prior,
+                 rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Prior-weighted loss of each action at each output row: costs[y][a] / d.
+
+    That is sum_x rows[y][x] * K[x][a], with K[x][a] = sum_i prior_i *
+    model[x][i] * loss[i][a] formed once, all on integers: each matrix is
+    scaled over one denominator, and d is their product.  d > 0, so one
+    row's costs compare (min, ties) as their Fractions do.
+    """
+    if len(prior.values) != len(problem.parameters):
+        raise ValueError("prior length must match the parameter list")
+    (p,), d_p = integer_matrix([prior.values])
+    model, d_m = integer_matrix(problem.model)
+    loss, d_l = integer_matrix(problem.loss)
+    k_cols = [[sum(p_i * v * loss_row[a] for p_i, v, loss_row in zip(p, model_row, loss))
+               for model_row in model]
+              for a in range(len(problem.actions))]
+    c, d_c = integer_matrix(rows)
+    return ([[sum(map(mul, c_row, col)) for col in k_cols] for c_row in c],
+            d_p * d_m * d_l * d_c)
 
 
 def bayes_optimal_risk(problem: DecisionProblem, prior: Prior,
@@ -151,16 +160,10 @@ def bayes_optimal_risk(problem: DecisionProblem, prior: Prior,
     rule is deterministic in every sense.
     """
     _require_alphabet(problem, channel)
-    if len(prior.values) != len(problem.parameters):
-        raise ValueError("prior length must match the parameter list")
-    total = _ZERO
-    choices = []
-    for likelihoods in _output_given_parameter(problem, channel):
-        costs = _action_costs(problem, prior, likelihoods)
-        best = min(costs)
-        total += best
-        choices.append(costs.index(best))
-    return total, DecisionRule.deterministic(choices, len(problem.actions))
+    costs, d = _bayes_costs(problem, prior, channel.rows)
+    best = [min(row) for row in costs]
+    choices = [row.index(b) for row, b in zip(costs, best)]
+    return Fraction(sum(best), d), DecisionRule.deterministic(choices, len(problem.actions))
 
 
 def minimax_risk(problem: DecisionProblem, channel: Channel) -> tuple[Fraction, DecisionRule]:
@@ -217,14 +220,15 @@ def check_equalizer(problem: DecisionProblem, prior: Prior, channel: Channel,
     tie-break can hide the flat representative of the optimal class.
     """
     tolerance = as_fraction(tolerance)
-    bayes_value, _ = bayes_optimal_risk(problem, prior, channel)
+    _require_alphabet(problem, channel)
+    costs, d = _bayes_costs(problem, prior, channel.rows)
+    best = [min(row) for row in costs]
     rows = []
-    for likelihoods in _output_given_parameter(problem, channel):
-        costs = _action_costs(problem, prior, likelihoods)
-        best = min(costs)
-        ties = [a for a, cost in enumerate(costs) if cost == best]
+    for row, b in zip(costs, best):
+        ties = [a for a, cost in enumerate(row) if cost == b]
         rows.append(tuple(Fraction(1, len(ties)) if a in ties else _ZERO
-                          for a in range(len(costs))))
+                          for a in range(len(row))))
+    bayes_value = Fraction(sum(best), d)
     rule = DecisionRule(probs=tuple(rows))
     risks = [risk(problem, i, channel, rule) for i in range(len(problem.parameters))]
     spread = max(risks) - min(risks)
@@ -346,9 +350,9 @@ def bayes_linear_coefficients(problem: DecisionProblem, prior: Prior,
                               level) -> list[Fraction]:
     """Per-subset coefficients u with Bayes risk(channel of weights c)
     equal to sum(c_y * u_y): the Bayes cost of each raw staircase row."""
-    return _per_staircase_row(
-        problem.input_alphabet.size, level,
-        lambda row: min(_action_costs(problem, prior, _row_likelihoods(problem, row))))
+    costs, d = _bayes_costs(problem, prior,
+                            _per_staircase_row(problem.input_alphabet.size, level, tuple))
+    return [Fraction(min(row), d) for row in costs]
 
 
 def mutual_information_linear_coefficients(input_dist: Sequence,

@@ -68,12 +68,17 @@ class AttestationFailedError(LdpPutError):
 
 
 class AuditFailureError(LdpPutError):
-    """A sampled channel beat a claimed optimal value beyond tolerance."""
+    """A sampled channel beat a claimed optimal value beyond tolerance.
 
-    def __init__(self, message: str, *, gap=None, channel_json=None):
+    `sample_index` is the audit sample that did, so the channel can be
+    redrawn from the audit's seed.
+    """
+
+    def __init__(self, message: str, *, gap=None, channel_json=None, sample_index=None):
         super().__init__(message)
         self.gap = gap
         self.channel_json = channel_json
+        self.sample_index = sample_index
 
 
 class MethodDisagreementError(LdpPutError):

@@ -251,7 +251,3 @@ def orbits(action: GroupAction) -> tuple[tuple[Hashable, ...], ...]:
         unseen -= orbit
         out.append(tuple(sorted(orbit, key=position.__getitem__)))
     return tuple(out)
-
-
-def is_transitive(action: GroupAction) -> bool:
-    return len(orbits(action)) == 1

@@ -10,21 +10,17 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from typing import Sequence
 
 from .errors import DimensionCapError
 from .groups import FiniteAlphabet, generate_group
+from .rationals import integer_matrix
 
 
 def _integer_rows(matrix) -> list[list[int]]:
     """Scale each row by the lcm of its denominators; scaling keeps the row space."""
-    out = []
-    for row in matrix:
-        row = [Fraction(v) for v in row]
-        scale = lcm(*(v.denominator for v in row))
-        out.append([v.numerator * (scale // v.denominator) for v in row])
-    return out
+    return [integer_matrix([[Fraction(v) for v in row]])[0][0] for row in matrix]
 
 
 def _eliminate(a: list[list[int]], square: bool = False) -> list[int] | None:

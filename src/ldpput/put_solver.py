@@ -35,13 +35,14 @@ from .invariant import enumerate_invariant_vertices
 from .ldp_geometry import (
     DEFAULT_ENUM_CAP_M,
     SubsetOrbit,
+    WeightPolytope,
     WeightVector,
     enumerate_polytope_vertices,
     extremal_channel,
     full_polytope,
     weight_polytope,
 )
-from .rationals import as_fraction
+from .rationals import as_fraction, integer_matrix
 from .simplex import solve_standard_lp
 
 _ZERO = Fraction(0)
@@ -289,27 +290,51 @@ def _sample_rng(seed, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def _random_distribution(rng: random.Random, n: int) -> list[Fraction]:
+def _random_counts(rng: random.Random, n: int) -> list[int]:
+    """n random weights in 0..9, not all zero."""
     raw = [rng.randint(0, 9) for _ in range(n)]
     if sum(raw) == 0:
         raw[rng.randrange(n)] = 1
-    total = sum(raw)
-    return [Fraction(v, total) for v in raw]
+    return raw
+
+
+@dataclass(frozen=True)
+class IntegerVertices:
+    """The full polytope's vertices: vertex k's weights are
+    numerators[k] / denominator."""
+
+    polytope: WeightPolytope
+    numerators: tuple[list[int], ...]
+    denominator: int
+
+
+def integer_vertices(alphabet: FiniteAlphabet, level,
+                     cap: int = DEFAULT_ENUM_CAP_M) -> IntegerVertices:
+    """The vertex list of `enumerate_polytope_vertices`, as integers."""
+    vertices = enumerate_polytope_vertices(alphabet, as_level(level), cap=cap)
+    numerators, d = integer_matrix(v.values for v in vertices)
+    return IntegerVertices(vertices[0].polytope, tuple(numerators), d)
 
 
 def random_polytope_point(rng: random.Random, alphabet: FiniteAlphabet, level,
-                          cap: int = DEFAULT_ENUM_CAP_M) -> WeightVector:
-    """A random convex combination of the polytope vertices, exact."""
-    level = as_level(level)
-    vertices = enumerate_polytope_vertices(alphabet, level, cap=cap)
-    picks = rng.sample(range(len(vertices)), k=min(len(vertices),
-                                                   rng.randint(1, 3)))
-    mix = _random_distribution(rng, len(picks))
-    values = [_ZERO] * len(vertices[0].values)
-    for p, idx in zip(mix, picks):
-        for j, v in enumerate(vertices[idx].values):
-            values[j] += p * v
-    return WeightVector(polytope=vertices[0].polytope, values=tuple(values))
+                          cap: int = DEFAULT_ENUM_CAP_M, *,
+                          vertices: IntegerVertices | None = None) -> WeightVector:
+    """A random convex combination of the polytope vertices, exact.
+
+    `vertices` is `integer_vertices(alphabet, level, cap)`, read here
+    when not given.  Count c_k on vertex k mixes the integer rows as
+    sum c_k * n_k, over sum(c) times the vertices' denominator.
+    """
+    if vertices is None:
+        vertices = integer_vertices(alphabet, level, cap)
+    rows = vertices.numerators
+    picks = rng.sample(range(len(rows)), k=min(len(rows), rng.randint(1, 3)))
+    counts = _random_counts(rng, len(picks))
+    d = sum(counts) * vertices.denominator
+    mixed = [sum(c * rows[k][j] for c, k in zip(counts, picks))
+             for j in range(len(rows[0]))]
+    return WeightVector(polytope=vertices.polytope,
+                        values=tuple(Fraction(n, d) for n in mixed))
 
 
 def random_post_processing(rng: random.Random, channel: Channel) -> Channel:
@@ -317,8 +342,9 @@ def random_post_processing(rng: random.Random, channel: Channel) -> Channel:
     of at most two more outputs than the channel has."""
     n_in = channel.num_outputs
     n_out = rng.randint(1, n_in + 2)
-    cols = [_random_distribution(rng, n_out) for _ in range(n_in)]
-    rows = tuple(tuple(cols[y][z] for y in range(n_in)) for z in range(n_out))
+    cols = [_random_counts(rng, n_out) for _ in range(n_in)]
+    rows = tuple(tuple(Fraction(cols[y][z], sum(cols[y])) for y in range(n_in))
+                 for z in range(n_out))
     post = Channel(input_alphabet=channel.output_alphabet,
                    output_alphabet=FiniteAlphabet(tuple(range(n_out))),
                    rows=rows)
@@ -326,14 +352,17 @@ def random_post_processing(rng: random.Random, channel: Channel) -> Channel:
 
 
 def random_private_channel(rng: random.Random, alphabet: FiniteAlphabet, level,
-                           cap: int = DEFAULT_ENUM_CAP_M) -> Channel:
+                           cap: int = DEFAULT_ENUM_CAP_M, *,
+                           vertices: IntegerVertices | None = None) -> Channel:
     """A random channel satisfying the privacy constraint.
 
     Random conic mixtures of staircase rows (via polytope points) give
     maximal channels; a random post-processing then pushes the sample
     into the interior, so the audit covers non-maximal channels too.
+    `vertices` is as for `random_polytope_point`.
     """
-    q = extremal_channel(random_polytope_point(rng, alphabet, level, cap=cap))
+    q = extremal_channel(random_polytope_point(rng, alphabet, level, cap=cap,
+                                               vertices=vertices))
     if rng.random() < Fraction(2, 3):
         q = random_post_processing(rng, q)
     return q
@@ -341,9 +370,12 @@ def random_private_channel(rng: random.Random, alphabet: FiniteAlphabet, level,
 
 @dataclass(frozen=True)
 class AuditReport:
+    """`worst_sample` is the first index at `min_gap` (None without samples)."""
+
     samples: int
     min_gap: Fraction | float | None
     passed: bool
+    worst_sample: int | None
 
 
 def random_channel_audit(objective: Callable[[Channel], Fraction | float],
@@ -353,23 +385,25 @@ def random_channel_audit(objective: Callable[[Channel], Fraction | float],
     """Check that no sampled private channel beats the claimed optimum.
 
     Sampling is seed-deterministic per index, so reruns see the exact
-    same channels.  A violation raises AuditFailureError carrying the
-    offending channel.
+    same channels, and sample i alone is redrawn by _sample_rng(seed, i).
+    A violation raises AuditFailureError carrying the offending channel
+    and its sample index.  The vertex list is read once per audit.
     """
     level = as_level(level)
-    min_gap = None
+    vertices = integer_vertices(alphabet, level, cap)
+    min_gap = worst = None
     for i in range(samples):
         rng = _sample_rng(seed, i)
-        q = random_private_channel(rng, alphabet, level, cap=cap)
+        q = random_private_channel(rng, alphabet, level, cap=cap, vertices=vertices)
         gap = objective(q) - baseline_value
         if min_gap is None or gap < min_gap:
-            min_gap = gap
+            min_gap, worst = gap, i
         if gap < -tolerance:
             from .serialize import channel_to_json
             raise AuditFailureError(
                 f"sample {i} beat the claimed optimum by {-gap}",
-                gap=gap, channel_json=channel_to_json(q))
-    return AuditReport(samples=samples, min_gap=min_gap, passed=True)
+                gap=gap, channel_json=channel_to_json(q), sample_index=i)
+    return AuditReport(samples=samples, min_gap=min_gap, passed=True, worst_sample=worst)
 
 
 def spot_check_traits(objective: Callable[[Channel], Fraction | float],
@@ -384,9 +418,10 @@ def spot_check_traits(objective: Callable[[Channel], Fraction | float],
     downstream.
     """
     level = as_level(level)
+    vertices = integer_vertices(alphabet, level)
     for _ in range(trials):
-        q1 = extremal_channel(random_polytope_point(rng, alphabet, level))
-        q2 = extremal_channel(random_polytope_point(rng, alphabet, level))
+        q1 = extremal_channel(random_polytope_point(rng, alphabet, level, vertices=vertices))
+        q2 = extremal_channel(random_polytope_point(rng, alphabet, level, vertices=vertices))
         if traits.data_processing:
             degraded = random_post_processing(rng, q1)
             if not _close(objective(degraded), objective(q1), _ge):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Iterable, Sequence
 
 
 def as_fraction(value) -> Fraction:
@@ -27,3 +29,15 @@ def format_fraction(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def integer_matrix(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
+    """Integer rows n and one positive denominator d with rows == n / d.
+
+    d is the lcm of every entry's denominator (ints and Fractions alike),
+    so exact matrix kernels can run on the integers and build a Fraction
+    once per result.
+    """
+    rows = list(rows)
+    d = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d

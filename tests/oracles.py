@@ -4,8 +4,9 @@ Each recomputes a quantity the library derives another way (extremality
 from the rank of the active cone facets, the circular task's risk by
 grid integration, a transitive group's vertex weights by double
 counting, kernels by elimination, LP optima and pivot paths on a
-Fraction tableau), so a test can compare the two.  numpy is
-needed here only.
+Fraction tableau, channel products and Bayes risks one Fraction per
+multiply-add), so a test can compare the two.  numpy is needed here
+only.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from ldpput.applications import CardioidSpec
-from ldpput.channels import PrivacyLevel, as_level
+from ldpput.channels import Channel, PrivacyLevel, as_level
+from ldpput.decision import DecisionProblem, DecisionRule, Prior
 from ldpput.errors import (
+    AlphabetMismatchError,
     LdpPutError,
     LpInfeasibleError,
     LpUnboundedError,
@@ -30,9 +33,9 @@ from ldpput.errors import (
 )
 from ldpput.groups import (
     FiniteAlphabet,
+    GroupAction,
     PermGroup,
     cyclic_group,
-    is_transitive,
     mask_to_positions,
     natural_action,
     orbits,
@@ -221,6 +224,10 @@ def cardioid_rule_risk(spec: CardioidSpec, mask: int, theta: float) -> float:
 
 
 # -- transitive closed forms --------------------------------------------------
+
+
+def is_transitive(action: GroupAction) -> bool:
+    return len(orbits(action)) == 1
 
 
 def transitive_vertex_weight(group: PermGroup, orbit: SubsetOrbit, level) -> Fraction:
@@ -442,3 +449,52 @@ def kernel_basis(matrix: list[list[Fraction]], ncols: int | None = None) -> list
 
 def mat_vec(matrix: list[list[Fraction]], vec: list[Fraction]) -> list[Fraction]:
     return [sum((row[j] * vec[j] for j in range(len(vec))), Fraction(0)) for row in matrix]
+
+
+# -- channel products and Bayes risk on Fractions ------------------------------
+
+
+def compose_reference(post: Channel, channel: Channel) -> Channel:
+    """channels.compose with a Fraction per multiply-add."""
+    if post.input_alphabet != channel.output_alphabet:
+        raise AlphabetMismatchError("post-processor input must match channel output")
+    mid = channel.num_outputs
+    rows = tuple(
+        tuple(sum((post.rows[z][y] * channel.rows[y][x] for y in range(mid)), _ZERO)
+              for x in range(channel.num_inputs))
+        for z in range(post.num_outputs)
+    )
+    return Channel(input_alphabet=channel.input_alphabet,
+                   output_alphabet=post.output_alphabet,
+                   rows=rows)
+
+
+def bayes_action_costs_reference(problem: DecisionProblem, prior: Prior,
+                                 row: Sequence[Fraction]) -> list[Fraction]:
+    """Prior-weighted loss of each action at one output whose channel row
+    is `row`, through the output's likelihood under each parameter."""
+    m = problem.input_alphabet.size
+    n_par = len(problem.parameters)
+    likelihoods = [sum((row[x] * problem.model[x][i] for x in range(m)), _ZERO)
+                   for i in range(n_par)]
+    mass = [prior.values[i] * likelihoods[i] for i in range(n_par)]
+    return [sum((mass[i] * problem.loss[i][a] for i in range(n_par)), _ZERO)
+            for a in range(len(problem.actions))]
+
+
+def bayes_optimal_risk_reference(problem: DecisionProblem, prior: Prior,
+                                 channel: Channel) -> tuple[Fraction, DecisionRule]:
+    """decision.bayes_optimal_risk row by row on Fractions; ties go to the
+    lowest action."""
+    if channel.input_alphabet != problem.input_alphabet:
+        raise AlphabetMismatchError("channel input must match the problem's alphabet")
+    if len(prior.values) != len(problem.parameters):
+        raise ValueError("prior length must match the parameter list")
+    total = _ZERO
+    choices = []
+    for row in channel.rows:
+        costs = bayes_action_costs_reference(problem, prior, row)
+        best = min(costs)
+        total += best
+        choices.append(costs.index(best))
+    return total, DecisionRule.deterministic(choices, len(problem.actions))

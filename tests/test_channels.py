@@ -24,6 +24,7 @@ from ldpput.channels import (
 )
 from ldpput.errors import AlphabetMismatchError, NotLdpError, WeightSumError
 from ldpput.groups import FiniteAlphabet, Permutation, cyclic_group, symmetric_group
+from oracles import compose_reference
 
 
 def rr2(t) -> Channel:
@@ -323,3 +324,38 @@ def test_min_ldp_level_is_tight(q, _seed):
     assert is_ldp(q, worst)
     if worst > 1:
         assert not is_ldp(q, worst - Fraction(1, 10**9))
+
+
+def draw_sparse_stochastic(draw, n_out: int, n_in: int) -> Channel:
+    """Columns over unrelated denominators with zero entries; with two or
+    more outputs, one row may be zero throughout."""
+    zero_row = draw(st.integers(min_value=-1, max_value=n_out - 1)) if n_out > 1 else -1
+    live = [y for y in range(n_out) if y != zero_row]
+    cols = []
+    for _ in range(n_in):
+        raw = draw(st.lists(st.integers(min_value=0, max_value=12),
+                            min_size=n_out, max_size=n_out))
+        raw = [0 if y == zero_row else v for y, v in enumerate(raw)]
+        if not any(raw):
+            raw[live[0]] = 1
+        total = sum(raw)
+        cols.append([Fraction(v, total) for v in raw])
+    rows = [[cols[x][y] for x in range(n_in)] for y in range(n_out)]
+    return Channel.build(list(range(n_in)), list(range(n_out)), rows)
+
+
+@st.composite
+def sparse_pair(draw):
+    n_in, n_mid, n_out = (draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
+    return (draw_sparse_stochastic(draw, n_out, n_mid),
+            draw_sparse_stochastic(draw, n_mid, n_in))
+
+
+@given(sparse_pair())
+@settings(max_examples=150, deadline=None)
+def test_compose_equals_fraction_reference(pair):
+    """The integer product gives the same Fractions as one per multiply-add."""
+    post, q = pair
+    out = compose(post, q)
+    assert out == compose_reference(post, q)
+    assert all(type(v) is Fraction for row in out.rows for v in row)

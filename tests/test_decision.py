@@ -29,6 +29,8 @@ from ldpput.decision import (
 )
 from ldpput.groups import FiniteAlphabet, natural_action, symmetric_group
 from ldpput.ldp_geometry import extremal_channel, make_weight_vector, staircase_matrix
+from oracles import bayes_action_costs_reference, bayes_optimal_risk_reference
+from test_channels import draw_sparse_stochastic
 
 F = Fraction
 
@@ -483,3 +485,45 @@ def test_f_divergence_linear_coefficients_match_value():
         linear = sum(c * float(w) for c, w in zip(coeffs, v.values))
         assert abs(direct - linear) < 1e-12
 
+
+# -- the integer Bayes kernel against its Fraction reference -------------------
+
+
+@st.composite
+def tied_bayes_case(draw):
+    """A problem whose loss repeats an action column (so that action ties
+    at every output) or not, a prior, and a channel with zero entries,
+    maybe a zero row, and columns over unrelated denominators."""
+    n_par = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=2, max_value=4))
+    n_act = draw(st.integers(min_value=1, max_value=4))
+    model = draw_sparse_stochastic(draw, m, n_par).rows
+    entry = st.fractions(min_value=0, max_value=3, max_denominator=3)
+    loss = [[draw(entry) for _ in range(n_act)] for _ in range(n_par)]
+    copy = draw(st.integers(min_value=-1, max_value=n_act - 1))
+    if copy >= 0:
+        loss = [row + [row[copy]] for row in loss]
+    problem = DecisionProblem.build(tuple(range(n_par)), tuple(range(m)), model,
+                                    tuple(range(len(loss[0]))), loss)
+    prior = Prior(values=draw_sparse_stochastic(draw, n_par, 1).column(0))
+    channel = draw_sparse_stochastic(draw, draw(st.integers(min_value=1, max_value=5)), m)
+    return problem, prior, channel
+
+
+@given(tied_bayes_case())
+@settings(max_examples=200, deadline=None)
+def test_bayes_optimal_risk_equals_fraction_reference(case):
+    """Same value and same rule (ties to the lowest action) as the
+    row-by-row Fraction computation."""
+    problem, prior, channel = case
+    assert bayes_optimal_risk(problem, prior, channel) == \
+        bayes_optimal_risk_reference(problem, prior, channel)
+
+
+@given(tied_bayes_case(), st.sampled_from(["1", "3/2", "2", "7/3"]))
+@settings(max_examples=60, deadline=None)
+def test_bayes_linear_coefficients_equal_fraction_reference(case, t):
+    problem, prior, _ = case
+    rows = staircase_matrix(problem.input_alphabet, F(t)).rows
+    assert bayes_linear_coefficients(problem, prior, F(t)) == \
+        [min(bayes_action_costs_reference(problem, prior, row)) for row in rows]

@@ -64,6 +64,13 @@ GOLDEN = {
         "52fa688e8720f56bc9b294e33fe3cc53f63d8533e4152fbb6695470898df85a0",
     "audit --task ht --m 3 --t 2 --samples 20":
         "2f842d07aa1b408d7a4861a1dc024ffbbc12bc4db1cbee3c8a75e59dabc05331",
+    # Recorded with Fraction-per-multiply-add compose and Bayes risk, before
+    # the audit's kernels ran on integers over one denominator per matrix;
+    # the first pins post-processed channels, the second a float objective.
+    "audit --task ht --m 4 --t 3 --gamma 1/2 --samples 60 --seed 5":
+        "33a7c1582f3bf43e78f769e3ae677b17550f27351924eca12d97ca56bb775aff",
+    "audit --task cardioid --m 4 --t 2 --gamma 2/3 --samples 60 --seed 5":
+        "9f36a35e7cb9e975cca192991871823db162711064e1c96d9f8de557b4490554",
 }
 
 

@@ -16,7 +16,6 @@ from ldpput.groups import (
     all_subset_masks,
     cyclic_group,
     generate_group,
-    is_transitive,
     mask_to_positions,
     natural_action,
     orbits,
@@ -25,6 +24,7 @@ from ldpput.groups import (
     symmetric_group,
     trivial_group,
 )
+from oracles import is_transitive
 
 
 def test_alphabet_of_size():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpput.channels import Channel, is_ldp
+from ldpput.channels import Channel, compose, is_ldp
 from ldpput.applications import ht_problem, ht_subset_risk
 from ldpput.decision import (
     DecisionProblem,
@@ -34,6 +34,7 @@ from ldpput.put_solver import (
     CERT_EXACT,
     MINIMAX_TRAITS,
     ObjectiveTraits,
+    _sample_rng,
     put_by_lp,
     put_by_vertex_enumeration,
     put_transitive_closed_form,
@@ -43,6 +44,8 @@ from ldpput.put_solver import (
     random_private_channel,
     spot_check_traits,
 )
+from ldpput.serialize import channel_to_json
+from oracles import bayes_optimal_risk_reference, compose_reference
 
 F = Fraction
 
@@ -553,6 +556,25 @@ def test_samplers_deterministic_per_seed():
     assert a.rows == b.rows
 
 
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([3, 4]),
+       st.sampled_from(["3/2", "2", "5"]))
+@settings(max_examples=40, deadline=None)
+def test_integer_kernels_on_sampled_channels(seed, m, t):
+    """compose and the Bayes risk equal their Fraction references on the
+    audit's own channels: post-processed mixtures of polytope vertices."""
+    rng = random.Random(seed)
+    alphabet = FiniteAlphabet.of_size(m)
+    q = random_post_processing(rng, random_private_channel(rng, alphabet, F(t)))
+    # Post-processing the identity channel gives the random post-processor itself.
+    post = random_post_processing(rng, Channel.build(
+        q.output_alphabet.letters, q.output_alphabet.letters,
+        [[F(int(y == z)) for y in range(q.num_outputs)] for z in range(q.num_outputs)]))
+    assert compose(post, q) == compose_reference(post, q)
+    for problem, prior in (ht_problem(m, F(1, 3)), bayes_objective(m)[:2]):
+        assert bayes_optimal_risk(problem, prior, q) == \
+            bayes_optimal_risk_reference(problem, prior, q)
+
+
 # -- audit --------------------------------------------------------------------
 
 
@@ -596,6 +618,39 @@ def test_audit_deterministic():
     r1 = random_channel_audit(objective, FiniteAlphabet.of_size(m), t, **kwargs)
     r2 = random_channel_audit(objective, FiniteAlphabet.of_size(m), t, **kwargs)
     assert r1 == r2
+
+
+def test_audit_report_names_worst_sample():
+    """worst_sample is the first index at min_gap; redrawn alone from the
+    seed, its channel gives that gap again."""
+    m, t = 3, F(2)
+    alphabet = FiniteAlphabet.of_size(m)
+    _, _, objective = bayes_objective(m)
+    report = random_channel_audit(objective, alphabet, t, samples=40, seed=11,
+                                  baseline_value=F(1, 2))
+    gaps = [objective(random_private_channel(_sample_rng(11, i), alphabet, t)) - F(1, 2)
+            for i in range(40)]
+    assert report.worst_sample == gaps.index(min(gaps))
+    assert report.min_gap == gaps[report.worst_sample]
+    empty = random_channel_audit(objective, alphabet, t, samples=0, seed=11,
+                                 baseline_value=F(1, 2))
+    assert empty.worst_sample is None
+
+
+def test_audit_failure_names_replayable_sample():
+    m, t = 3, F(2)
+    alphabet = FiniteAlphabet.of_size(m)
+    _, _, objective = bayes_objective(m)
+    with pytest.raises(AuditFailureError) as excinfo:
+        random_channel_audit(objective, alphabet, t, samples=60, seed=7,
+                             baseline_value=F(3, 5))
+    i = excinfo.value.sample_index
+    assert str(excinfo.value).startswith(f"sample {i} beat")
+    q = random_private_channel(_sample_rng(7, i), alphabet, t)
+    assert objective(q) - F(3, 5) == excinfo.value.gap
+    assert channel_to_json(q) == excinfo.value.channel_json
+    assert all(objective(random_private_channel(_sample_rng(7, j), alphabet, t)) >= F(3, 5)
+               for j in range(i))
 
 
 def test_audit_zero_samples():
