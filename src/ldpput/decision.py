@@ -1,9 +1,10 @@
 """Statistical decision problems observed through a channel.
 
 Risks are exact rationals end to end: model, loss, prior, channel, and
-decision rules are all rational.  The Bayes reduction runs on integers
-over one common denominator per matrix and returns exact Fractions; the
-minimax linear program is an exact simplex.  Information measures
+decision rules are all rational.  The Bayes reduction and the output
+likelihoods behind the risk and the minimax LP run on integers over one
+common denominator per matrix and return exact Fractions; the minimax
+linear program is an exact simplex.  Information measures
 (mutual information, f-divergences) are the one exception: they return
 floats, computed from exact joint distributions at the last step.
 """
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 
 from .channels import Channel, as_level
 from .errors import AlphabetMismatchError, UnsupportedDivergenceError
-from .groups import FiniteAlphabet, GroupAction, PermGroup
+from .groups import FiniteAlphabet
 from .ldp_geometry import staircase_row
 from .groups import all_subset_masks
 from .rationals import as_fraction, integer_matrix
@@ -102,12 +103,18 @@ class DecisionRule:
             for choice in choices))
 
 
-def _output_given_parameter(problem: DecisionProblem, channel: Channel) -> list[list[Fraction]]:
-    """w[y][i] = chance of output y under parameter i."""
-    m = problem.input_alphabet.size
-    return [[sum((row[x] * problem.model[x][i] for x in range(m)), _ZERO)
-             for i in range(len(problem.parameters))]
-            for row in channel.rows]
+def _likelihoods(problem: DecisionProblem,
+                 rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Chance of each output row under each parameter: w[y][i] / d.
+
+    w[y][i] = sum_x rows[y][x] * model[x][i], one integer matrix product
+    with the channel and the model each scaled over one denominator; d
+    is their product.
+    """
+    c, d_c = integer_matrix(rows)
+    model, d_m = integer_matrix(problem.model)
+    cols = list(zip(*model))
+    return [[sum(map(mul, c_row, col)) for col in cols] for c_row in c], d_c * d_m
 
 
 def _require_alphabet(problem: DecisionProblem, channel: Channel) -> None:
@@ -119,15 +126,11 @@ def risk(problem: DecisionProblem, parameter_index: int, channel: Channel,
          rule: DecisionRule) -> Fraction:
     """Expected loss at one parameter, exactly."""
     _require_alphabet(problem, channel)
-    w = _output_given_parameter(problem, channel)
+    w, d = _likelihoods(problem, channel.rows)
     loss_row = problem.loss[parameter_index]
-    total = _ZERO
-    for y in range(channel.num_outputs):
-        wy = w[y][parameter_index]
-        if wy:
-            total += wy * sum((rule.probs[y][a] * loss_row[a]
-                               for a in range(len(problem.actions))), _ZERO)
-    return total
+    total = sum((w_row[parameter_index] * sum(map(mul, probs, loss_row), _ZERO)
+                 for w_row, probs in zip(w, rule.probs) if w_row[parameter_index]), _ZERO)
+    return total / d
 
 
 def _bayes_costs(problem: DecisionProblem, prior: Prior,
@@ -169,45 +172,51 @@ def bayes_optimal_risk(problem: DecisionProblem, prior: Prior,
 def minimax_risk(problem: DecisionProblem, channel: Channel) -> tuple[Fraction, DecisionRule]:
     """Minimal worst-case risk over randomized rules, by exact LP.
 
-    Variables are the rule probabilities, a split level s = s+ - s-,
-    and one slack per parameter; Bland pivoting keeps the solve
-    deterministic.
+    Variables are the rule probabilities of each output that can occur
+    (its likelihood row is nonzero), a split level s = s+ - s-, and one
+    slack per parameter; an output no parameter can produce adds nothing
+    to any risk, so it stays out of the LP and its rule row is action 0.
+    A vertex channel has at most m nonzero rows, so at m = 4 the LP has
+    at most 4 + #parameters rows, not 14 + #parameters.  Each parameter
+    row is the rational row times the product of the channel, model and
+    loss denominators, all integers, so the value is the same Fraction.
+    Bland pivoting keeps the solve deterministic; on a degenerate optimum
+    the rule may be a different optimal rule than the LP over every
+    output would give.
     """
     _require_alphabet(problem, channel)
-    w = _output_given_parameter(problem, channel)
+    w, d_w = _likelihoods(problem, channel.rows)
+    loss, d_l = integer_matrix(problem.loss)
+    live = [y for y, w_row in enumerate(w) if any(w_row)]
     n_actions = len(problem.actions)
-    n_out = channel.num_outputs
     n_par = len(problem.parameters)
-    nvars = n_out * n_actions + 2 + n_par  # rule block, s+, s-, slacks
-    s_plus = n_out * n_actions
+    s_plus = len(live) * n_actions
     s_minus = s_plus + 1
-    a_eq: list[list[Fraction]] = []
-    b_eq: list[Fraction] = []
-    for y in range(n_out):
-        row = [_ZERO] * nvars
-        for a in range(n_actions):
-            row[y * n_actions + a] = _ONE
+    nvars = s_minus + 1 + n_par  # rule block, s+, s-, slacks
+    scale = d_w * d_l
+    a_eq: list[list[int]] = []
+    for k in range(len(live)):
+        row = [0] * nvars
+        row[k * n_actions:(k + 1) * n_actions] = [1] * n_actions
         a_eq.append(row)
-        b_eq.append(_ONE)
     for i in range(n_par):
-        row = [_ZERO] * nvars
-        for y in range(n_out):
+        row = [0] * nvars
+        for k, y in enumerate(live):
             wy = w[y][i]
             if wy:
-                for a in range(n_actions):
-                    row[y * n_actions + a] = wy * problem.loss[i][a]
-        row[s_plus] = -_ONE
-        row[s_minus] = _ONE
-        row[s_minus + 1 + i] = _ONE
+                row[k * n_actions:(k + 1) * n_actions] = [wy * v for v in loss[i]]
+        row[s_plus] = -scale
+        row[s_minus] = scale
+        row[s_minus + 1 + i] = scale
         a_eq.append(row)
-        b_eq.append(_ZERO)
-    cost = [_ZERO] * nvars
-    cost[s_plus] = _ONE
-    cost[s_minus] = -_ONE
-    res = solve_standard_lp(a_eq, b_eq, cost)
-    probs = tuple(tuple(res.x[y * n_actions + a] for a in range(n_actions))
-                  for y in range(n_out))
-    return res.value, DecisionRule(probs=probs)
+    cost = [0] * nvars
+    cost[s_plus] = 1
+    cost[s_minus] = -1
+    res = solve_standard_lp(a_eq, [1] * len(live) + [0] * n_par, cost)
+    probs = [(_ONE,) + (_ZERO,) * (n_actions - 1)] * channel.num_outputs
+    for k, y in enumerate(live):
+        probs[y] = tuple(res.x[k * n_actions:(k + 1) * n_actions])
+    return res.value, DecisionRule(probs=tuple(probs))
 
 
 def check_equalizer(problem: DecisionProblem, prior: Prior, channel: Channel,
@@ -238,38 +247,6 @@ def check_equalizer(problem: DecisionProblem, prior: Prior, channel: Channel,
     if abs(minimax_value - bayes_value) > tolerance:
         raise AssertionError(
             f"equalizer held but minimax {minimax_value} != bayes {bayes_value}")
-    return True
-
-
-@dataclass(frozen=True)
-class InvarianceDeclaration:
-    """A group with actions on parameters and actions (letters use the
-    natural action)."""
-
-    group: PermGroup
-    parameter_action: GroupAction
-    action_action: GroupAction
-
-
-def verify_invariance(problem: DecisionProblem, declaration: InvarianceDeclaration,
-                      prior: Prior | None = None) -> bool:
-    """Exhaustively check model, loss, and optionally prior invariance."""
-    group = declaration.group
-    letters = problem.input_alphabet.letters
-    par_index = {p: i for i, p in enumerate(problem.parameters)}
-    act_index = {a: i for i, a in enumerate(problem.actions)}
-    for g in group.elements:
-        for i, par in enumerate(problem.parameters):
-            gi = par_index[declaration.parameter_action.act(g, par)]
-            for x in range(len(letters)):
-                if problem.model[g(x)][gi] != problem.model[x][i]:
-                    return False
-            for a, act in enumerate(problem.actions):
-                ga = act_index[declaration.action_action.act(g, act)]
-                if problem.loss[gi][ga] != problem.loss[i][a]:
-                    return False
-            if prior is not None and prior.values[gi] != prior.values[i]:
-                return False
     return True
 
 

@@ -4,8 +4,8 @@ Each recomputes a quantity the library derives another way (extremality
 from the rank of the active cone facets, the circular task's risk by
 grid integration, a transitive group's vertex weights by double
 counting, kernels by elimination, LP optima and pivot paths on a
-Fraction tableau, channel products and Bayes risks one Fraction per
-multiply-add), so a test can compare the two.  numpy is needed here
+Fraction tableau, channel products, Bayes and minimax risks one Fraction
+per multiply-add), so a test can compare the two.  numpy is needed here
 only.
 """
 
@@ -498,3 +498,128 @@ def bayes_optimal_risk_reference(problem: DecisionProblem, prior: Prior,
         total += best
         choices.append(costs.index(best))
     return total, DecisionRule.deterministic(choices, len(problem.actions))
+
+
+# -- minimax risk and invariance on Fractions -----------------------------------
+
+
+def output_given_parameter_reference(problem: DecisionProblem,
+                                     channel: Channel) -> list[list[Fraction]]:
+    """w[y][i] = chance of output y under parameter i."""
+    m = problem.input_alphabet.size
+    return [[sum((row[x] * problem.model[x][i] for x in range(m)), _ZERO)
+             for i in range(len(problem.parameters))]
+            for row in channel.rows]
+
+
+def risk_reference(problem: DecisionProblem, parameter_index: int, channel: Channel,
+                   rule: DecisionRule) -> Fraction:
+    """decision.risk on Fractions."""
+    if channel.input_alphabet != problem.input_alphabet:
+        raise AlphabetMismatchError("channel input must match the problem's alphabet")
+    w = output_given_parameter_reference(problem, channel)
+    loss_row = problem.loss[parameter_index]
+    total = _ZERO
+    for y in range(channel.num_outputs):
+        wy = w[y][parameter_index]
+        if wy:
+            total += wy * sum((rule.probs[y][a] * loss_row[a]
+                               for a in range(len(problem.actions))), _ZERO)
+    return total
+
+
+def minimax_risk_reference(problem: DecisionProblem,
+                           channel: Channel) -> tuple[Fraction, DecisionRule]:
+    """decision.minimax_risk as a Fraction LP with a rule block for every
+    output row, solved on the Fraction tableau."""
+    if channel.input_alphabet != problem.input_alphabet:
+        raise AlphabetMismatchError("channel input must match the problem's alphabet")
+    w = output_given_parameter_reference(problem, channel)
+    n_actions = len(problem.actions)
+    n_out = channel.num_outputs
+    n_par = len(problem.parameters)
+    nvars = n_out * n_actions + 2 + n_par  # rule block, s+, s-, slacks
+    s_plus = n_out * n_actions
+    s_minus = s_plus + 1
+    a_eq: list[list[Fraction]] = []
+    b_eq: list[Fraction] = []
+    for y in range(n_out):
+        row = [_ZERO] * nvars
+        for a in range(n_actions):
+            row[y * n_actions + a] = _ONE
+        a_eq.append(row)
+        b_eq.append(_ONE)
+    for i in range(n_par):
+        row = [_ZERO] * nvars
+        for y in range(n_out):
+            wy = w[y][i]
+            if wy:
+                for a in range(n_actions):
+                    row[y * n_actions + a] = wy * problem.loss[i][a]
+        row[s_plus] = -_ONE
+        row[s_minus] = _ONE
+        row[s_minus + 1 + i] = _ONE
+        a_eq.append(row)
+        b_eq.append(_ZERO)
+    cost = [_ZERO] * nvars
+    cost[s_plus] = _ONE
+    cost[s_minus] = -_ONE
+    res = solve_standard_lp_reference(a_eq, b_eq, cost)
+    probs = tuple(tuple(res.x[y * n_actions + a] for a in range(n_actions))
+                  for y in range(n_out))
+    return res.value, DecisionRule(probs=probs)
+
+
+def check_equalizer_reference(problem: DecisionProblem, prior: Prior, channel: Channel,
+                              tolerance: Fraction = _ZERO) -> bool:
+    """decision.check_equalizer from the Fraction Bayes, risk and minimax
+    references."""
+    costs = [bayes_action_costs_reference(problem, prior, row) for row in channel.rows]
+    rows = []
+    for row in costs:
+        ties = [a for a, cost in enumerate(row) if cost == min(row)]
+        rows.append(tuple(Fraction(1, len(ties)) if a in ties else _ZERO
+                          for a in range(len(row))))
+    rule = DecisionRule(probs=tuple(rows))
+    risks = [risk_reference(problem, i, channel, rule)
+             for i in range(len(problem.parameters))]
+    if max(risks) - min(risks) > tolerance:
+        return False
+    minimax_value, _ = minimax_risk_reference(problem, channel)
+    bayes_value = sum((min(row) for row in costs), _ZERO)
+    if abs(minimax_value - bayes_value) > tolerance:
+        raise AssertionError(
+            f"equalizer held but minimax {minimax_value} != bayes {bayes_value}")
+    return True
+
+
+@dataclass(frozen=True)
+class InvarianceDeclaration:
+    """A group with actions on parameters and actions (letters use the
+    natural action)."""
+
+    group: PermGroup
+    parameter_action: GroupAction
+    action_action: GroupAction
+
+
+def verify_invariance(problem: DecisionProblem, declaration: InvarianceDeclaration,
+                      prior: Prior | None = None) -> bool:
+    """Exhaustively check model, loss, and optionally prior invariance."""
+    group = declaration.group
+    letters = problem.input_alphabet.letters
+    par_index = {p: i for i, p in enumerate(problem.parameters)}
+    act_index = {a: i for i, a in enumerate(problem.actions)}
+    for g in group.elements:
+        for i, par in enumerate(problem.parameters):
+            gi = par_index[declaration.parameter_action.act(g, par)]
+            for x in range(len(letters)):
+                if problem.model[g(x)][gi] != problem.model[x][i]:
+                    return False
+            for a, act in enumerate(problem.actions):
+                ga = act_index[declaration.action_action.act(g, act)]
+                if problem.loss[gi][ga] != problem.loss[i][a]:
+                    return False
+            if prior is not None and prior.values[gi] != prior.values[i]:
+                return False
+    return True

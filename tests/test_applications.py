@@ -23,11 +23,7 @@ from ldpput.applications import (
     z_magnitude,
 )
 from ldpput.channels import PrivacyLevel
-from ldpput.decision import (
-    InvarianceDeclaration,
-    bayes_optimal_risk,
-    verify_invariance,
-)
+from ldpput.decision import bayes_optimal_risk
 from ldpput.groups import (
     FiniteAlphabet,
     cyclic_group,
@@ -37,7 +33,12 @@ from ldpput.groups import (
 )
 from ldpput.invariant import ss_mechanism
 from ldpput.ldp_geometry import subset_orbits
-from oracles import cardioid_orbit_risk_numeric, cardioid_rule_risk
+from oracles import (
+    InvarianceDeclaration,
+    cardioid_orbit_risk_numeric,
+    cardioid_rule_risk,
+    verify_invariance,
+)
 
 F = Fraction
 

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldpput import decision
 from ldpput.channels import Channel, compose, direct_sum
 from ldpput.decision import (
     DecisionProblem,
     DecisionRule,
-    InvarianceDeclaration,
     Prior,
     bayes_linear_coefficients,
     bayes_optimal_risk,
@@ -25,11 +25,26 @@ from ldpput.decision import (
     mutual_information,
     mutual_information_linear_coefficients,
     risk,
-    verify_invariance,
 )
 from ldpput.groups import FiniteAlphabet, natural_action, symmetric_group
-from ldpput.ldp_geometry import extremal_channel, make_weight_vector, staircase_matrix
-from oracles import bayes_action_costs_reference, bayes_optimal_risk_reference
+from ldpput.ldp_geometry import (
+    enumerate_polytope_vertices,
+    extremal_channel,
+    make_weight_vector,
+    staircase_matrix,
+)
+from ldpput.put_solver import random_private_channel
+from ldpput.simplex import solve_standard_lp
+from oracles import (
+    InvarianceDeclaration,
+    bayes_action_costs_reference,
+    bayes_optimal_risk_reference,
+    check_equalizer_reference,
+    minimax_risk_reference,
+    output_given_parameter_reference,
+    risk_reference,
+    verify_invariance,
+)
 from test_channels import draw_sparse_stochastic
 
 F = Fraction
@@ -489,12 +504,11 @@ def test_f_divergence_linear_coefficients_match_value():
 # -- the integer Bayes kernel against its Fraction reference -------------------
 
 
-@st.composite
-def tied_bayes_case(draw):
+def draw_tied_problem(draw, max_parameters: int) -> DecisionProblem:
     """A problem whose loss repeats an action column (so that action ties
-    at every output) or not, a prior, and a channel with zero entries,
-    maybe a zero row, and columns over unrelated denominators."""
-    n_par = draw(st.integers(min_value=1, max_value=3))
+    at every output) or not, with zero losses, and a model with zero
+    entries and columns over unrelated denominators."""
+    n_par = draw(st.integers(min_value=1, max_value=max_parameters))
     m = draw(st.integers(min_value=2, max_value=4))
     n_act = draw(st.integers(min_value=1, max_value=4))
     model = draw_sparse_stochastic(draw, m, n_par).rows
@@ -503,10 +517,18 @@ def tied_bayes_case(draw):
     copy = draw(st.integers(min_value=-1, max_value=n_act - 1))
     if copy >= 0:
         loss = [row + [row[copy]] for row in loss]
-    problem = DecisionProblem.build(tuple(range(n_par)), tuple(range(m)), model,
-                                    tuple(range(len(loss[0]))), loss)
-    prior = Prior(values=draw_sparse_stochastic(draw, n_par, 1).column(0))
-    channel = draw_sparse_stochastic(draw, draw(st.integers(min_value=1, max_value=5)), m)
+    return DecisionProblem.build(tuple(range(n_par)), tuple(range(m)), model,
+                                 tuple(range(len(loss[0]))), loss)
+
+
+@st.composite
+def tied_bayes_case(draw):
+    """A tied problem with 1-3 parameters, a prior, and a channel with zero
+    entries, maybe a zero row, and columns over unrelated denominators."""
+    problem = draw_tied_problem(draw, 3)
+    prior = Prior(values=draw_sparse_stochastic(draw, len(problem.parameters), 1).column(0))
+    channel = draw_sparse_stochastic(draw, draw(st.integers(min_value=1, max_value=5)),
+                                     problem.input_alphabet.size)
     return problem, prior, channel
 
 
@@ -527,3 +549,87 @@ def test_bayes_linear_coefficients_equal_fraction_reference(case, t):
     rows = staircase_matrix(problem.input_alphabet, F(t)).rows
     assert bayes_linear_coefficients(problem, prior, F(t)) == \
         [min(bayes_action_costs_reference(problem, prior, row)) for row in rows]
+
+
+# -- the minimax LP over occurring outputs against its Fraction reference -----
+
+
+@st.composite
+def minimax_case(draw):
+    """A tied problem with 1-4 parameters, a prior, and a channel: an
+    m <= 4 vertex channel, an audit sample, a sparse channel (which may
+    send a letter that no parameter produces to an output of its own, so
+    a nonzero channel row has a zero likelihood row), or a direct sum
+    with a zero-weight block."""
+    problem = draw_tied_problem(draw, 4)
+    model, m = problem.model, problem.input_alphabet.size
+    prior = Prior(values=draw_sparse_stochastic(draw, len(problem.parameters), 1).column(0))
+    alphabet = FiniteAlphabet.of_size(m)
+    t = F(draw(st.sampled_from(["1", "3/2", "2", "5"])))
+    vertices = enumerate_polytope_vertices(alphabet, t)
+    vertex = extremal_channel(vertices[draw(st.integers(0, len(vertices) - 1))])
+    sparse = draw_sparse_stochastic(draw, draw(st.integers(min_value=1, max_value=5)), m)
+    blind = [x for x in range(m) if not any(model[x])]
+    if blind and draw(st.booleans()):
+        rows = [[0 if x == blind[0] else v for x, v in enumerate(row)] for row in sparse.rows]
+        rows.append([int(x == blind[0]) for x in range(m)])
+        sparse = Channel.build(range(m), range(len(rows)), rows)
+    kind = draw(st.sampled_from(["vertex", "audit", "sparse", "direct_sum"]))
+    if kind == "vertex":
+        channel = vertex
+    elif kind == "audit":
+        channel = random_private_channel(random.Random(draw(st.integers(0, 2**16))),
+                                         alphabet, t)
+    elif kind == "sparse":
+        channel = sparse
+    else:
+        channel = direct_sum([0, 1], draw(st.permutations([vertex, sparse])))
+    return problem, prior, channel
+
+
+@given(minimax_case())
+@settings(max_examples=100, deadline=None)
+def test_minimax_risk_equals_fraction_reference(case):
+    """The same value as the LP over every output; a rule whose worst risk
+    is that value, with action 0 at each output that cannot occur; and
+    risk and check_equalizer as on Fractions."""
+    problem, prior, channel = case
+    value, rule = minimax_risk(problem, channel)
+    want, want_rule = minimax_risk_reference(problem, channel)
+    assert value == want
+    assert len(rule.probs) == channel.num_outputs
+    assert all(len(row) == len(problem.actions) for row in rule.probs)
+    parameters = range(len(problem.parameters))
+    risks = [risk(problem, i, channel, rule) for i in parameters]
+    assert max(risks) == value
+    assert risks == [risk_reference(problem, i, channel, rule) for i in parameters]
+    assert [risk(problem, i, channel, want_rule) for i in parameters] == \
+        [risk_reference(problem, i, channel, want_rule) for i in parameters]
+    first = (F(1),) + (F(0),) * (len(problem.actions) - 1)
+    for w_row, probs in zip(output_given_parameter_reference(problem, channel), rule.probs):
+        if not any(w_row):
+            assert probs == first
+    assert check_equalizer(problem, prior, channel) == \
+        check_equalizer_reference(problem, prior, channel)
+
+
+def test_minimax_lp_keeps_only_outputs_that_occur(monkeypatch):
+    """Letter 2 is impossible under every parameter, so output "b" (which
+    reads only letter 2) cannot occur, and "d" cannot occur at all: the LP
+    has rows for "a" and "c" and the two parameters, and "b" and "d" get
+    action 0."""
+    problem = DecisionProblem.build((0, 1), (0, 1, 2), [["3/4", "1/4"], ["1/4", "3/4"], [0, 0]],
+                                    (0, 1), [[0, 1], [1, 0]])
+    channel = Channel.build((0, 1, 2), ("a", "b", "c", "d"),
+                            [[1, 0, 0], [0, 0, 1], [0, 1, 0], [0, 0, 0]])
+    lps = []
+
+    def recording_solve(a_eq, b_eq, cost):
+        lps.append(a_eq)
+        return solve_standard_lp(a_eq, b_eq, cost)
+
+    monkeypatch.setattr(decision, "solve_standard_lp", recording_solve)
+    value, rule = minimax_risk(problem, channel)
+    assert value == minimax_risk_reference(problem, channel)[0] == F(1, 4)
+    assert [len(a_eq) for a_eq in lps] == [4]
+    assert rule.probs == ((F(1), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(0)))

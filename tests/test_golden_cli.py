@@ -25,6 +25,23 @@ PROBLEM = {
     "prior": ["4/11", "5/11", "2/11"],
 }
 
+# Two four-letter minimax problems.  Their model columns have zeros, so some
+# vertex channels have output rows that no parameter can produce.
+MINIMAX_M4 = {
+    "m4a": {
+        "parameters": [0, 1, 2], "inputs": [0, 1, 2, 3], "actions": [0, 1, 2],
+        "model": [["1/2", "0", "1/7"], ["1/3", "1/4", "0"],
+                  ["0", "1/4", "2/7"], ["1/6", "1/2", "4/7"]],
+        "loss": [["0", "2", "3"], ["2", "0", "1"], ["3", "1", "0"]],
+    },
+    "m4b": {
+        "parameters": [0, 1, 2, 3], "inputs": [0, 1, 2, 3], "actions": [0, 1],
+        "model": [["3/5", "0", "1/9", "0"], ["2/5", "1/3", "0", "1/4"],
+                  ["0", "2/3", "5/9", "1/4"], ["0", "0", "1/3", "1/2"]],
+        "loss": [["0", "1"], ["1", "0"], ["1", "1"], ["5/2", "0"]],
+    },
+}
+
 GOLDEN = {
     "enumerate --m 3 --t 1":
         "28a124093dddc324947c91658148243bc1a74540e76136bfb4ff03d6a63e37d8",
@@ -60,6 +77,16 @@ GOLDEN = {
         "a972bb1bc3d2486d038321f4a4ce4f7f375ece760a9ab178bf908709bb431be1",
     "put --problem {noprior} --t 3":
         "5f3e4fb6843429e1d12230267fa67e262040a7e33411d95fbc2c30ff35d663f4",
+    # Recorded with a minimax LP that had one rule block per output row,
+    # before the LP kept only the outputs that can occur.
+    "put --problem {m4a} --t 3/2":
+        "3dfcbfb37efd93646501c627b84c58ec0c4756119e2bb42b591eb761b07bb854",
+    "put --problem {m4a} --t 5":
+        "7c29e3500275bd19be7c74bf219479061ee194c033824f0dbd52c53b122b45c9",
+    "put --problem {m4b} --t 3/2":
+        "8c629d2d080e330313f3b4e7d39770115e1e4087394042e40c65427a035b0f55",
+    "put --problem {m4b} --t 5":
+        "b0e306565caa26dc51a10eaea300b25c8c5c1b47924ea6c6fbf9c46ed24579ff",
     "check-channel {channel} --t 2":
         "52fa688e8720f56bc9b294e33fe3cc53f63d8533e4152fbb6695470898df85a0",
     "audit --task ht --m 3 --t 2 --samples 20":
@@ -84,7 +111,12 @@ def files(tmp_path_factory):
     rows = ((Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 3)))
     channel = root / "rr.json"
     channel.write_text(json.dumps(channel_to_json(Channel.build((0, 1), (1, 2), rows))))
-    return {"prior": str(prior), "noprior": str(noprior), "channel": str(channel)}
+    paths = {"prior": str(prior), "noprior": str(noprior), "channel": str(channel)}
+    for name, problem in MINIMAX_M4.items():
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(problem))
+        paths[name] = str(path)
+    return paths
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
