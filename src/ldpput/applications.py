@@ -12,13 +12,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .channels import Channel, PrivacyLevel, as_level
-from .decision import DecisionProblem, Prior, check_equalizer
-from .groups import FiniteAlphabet, mask_to_positions, positions_to_mask
-from .invariant import ss_mechanism
-from .rationals import as_fraction, format_fraction
+from .decision import DecisionProblem, Prior
+from .groups import FiniteAlphabet, mask_to_positions
+from .rationals import as_fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -64,18 +62,6 @@ def ht_subset_risk(m: int, gamma, level, k: int) -> Fraction:
     gamma = as_fraction(gamma)
     t = as_level(level).t
     return 1 - (1 - gamma) / m - gamma * t / (k * t + m - k)
-
-
-def ht_minimax_equals_bayes(m: int, gamma, level) -> bool:
-    """Equalizer certificate at the optimal testing channel.
-
-    The Bayes rule of randomized response has the same risk under every
-    hypothesis, so its Bayes and minimax risks coincide; this runs the
-    exact check rather than trusting the symmetry argument.
-    """
-    problem, prior = ht_problem(m, gamma)
-    channel = ss_mechanism(problem.input_alphabet, 1, level)
-    return check_equalizer(problem, prior, channel, 0)
 
 
 def z_magnitude(mask: int, m: int) -> float:
@@ -124,23 +110,6 @@ def cardioid_orbit_risk(spec: CardioidSpec, mask: int) -> float:
         / (2.0 * (k * float(t) + m - k))
 
 
-def cardioid_consecutive_maximizer(m: int, k: int) -> int:
-    """The size-k subset maximizing |Z|: a consecutive run.
-
-    For m <= 12 this is verified against every size-k subset rather
-    than assumed.
-    """
-    if not 1 <= k <= m - 1:
-        raise ValueError(f"subset size must be in 1..{m - 1}")
-    best = positions_to_mask(range(k))
-    if m <= 12:
-        target = z_magnitude(best, m)
-        for positions in combinations(range(m), k):
-            if z_magnitude(positions_to_mask(positions), m) > target + 1e-9:
-                raise AssertionError("a non-consecutive subset beat the run")
-    return best
-
-
 def cardioid_put_closed_form(spec: CardioidSpec) -> float:
     """Optimal location risk under the privacy constraint.
 
@@ -174,25 +143,3 @@ def cardioid_bayes_risk(spec: CardioidSpec, channel: Channel) -> float:
         cs = sum(float(v) * ms[x] for x, v in enumerate(row))
         total += c0 - math.hypot(cc, cs)
     return total
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    task: str
-    m: int
-    gamma: Fraction
-    level: PrivacyLevel
-    method: str
-    value: Fraction | float
-    winner: str
-    certificate: str
-
-    def csv_row(self) -> list[str]:
-        value = format_fraction(self.value) if isinstance(self.value, Fraction) \
-            else repr(self.value)
-        return [self.task, str(self.m), format_fraction(self.gamma),
-                format_fraction(self.level.t), self.method, value,
-                self.winner, self.certificate]
-
-
-CSV_HEADER = ["task", "m", "gamma", "t", "method", "value", "winner", "certificate"]

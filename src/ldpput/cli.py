@@ -63,6 +63,7 @@ EXIT_DISAGREE = 4
 EXIT_AUDIT = 5
 
 METHODS = ("closed", "transitive", "vertex", "vertex_full", "lp")
+CSV_HEADER = ["task", "m", "gamma", "t", "method", "value", "winner", "certificate"]
 
 
 def _enum_cap() -> int:
@@ -128,7 +129,7 @@ def _to_csv(data) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     if isinstance(data, dict) and "results" in data:
-        writer.writerow(apps.CSV_HEADER)
+        writer.writerow(CSV_HEADER)
         for row in data["results"]:
             writer.writerow([data.get("task", "custom"), data.get("m", ""),
                              data.get("gamma", ""), data.get("t", ""),

@@ -2,7 +2,7 @@
 
 Risks are exact rationals end to end: model, loss, prior, channel, and
 decision rules are all rational.  The Bayes reduction and the output
-likelihoods behind the risk and the minimax LP run on integers over one
+likelihoods behind the minimax LP run on integers over one
 common denominator per matrix and return exact Fractions; the minimax
 linear program is an exact simplex.  Information measures
 (mutual information, f-divergences) are the one exception: they return
@@ -19,9 +19,8 @@ from typing import Callable, Sequence
 
 from .channels import Channel, as_level
 from .errors import AlphabetMismatchError, UnsupportedDivergenceError
-from .groups import FiniteAlphabet
+from .groups import FiniteAlphabet, all_subset_masks
 from .ldp_geometry import staircase_row
-from .groups import all_subset_masks
 from .rationals import as_fraction, integer_matrix
 from .simplex import solve_standard_lp
 
@@ -122,17 +121,6 @@ def _require_alphabet(problem: DecisionProblem, channel: Channel) -> None:
         raise AlphabetMismatchError("channel input must match the problem's alphabet")
 
 
-def risk(problem: DecisionProblem, parameter_index: int, channel: Channel,
-         rule: DecisionRule) -> Fraction:
-    """Expected loss at one parameter, exactly."""
-    _require_alphabet(problem, channel)
-    w, d = _likelihoods(problem, channel.rows)
-    loss_row = problem.loss[parameter_index]
-    total = sum((w_row[parameter_index] * sum(map(mul, probs, loss_row), _ZERO)
-                 for w_row, probs in zip(w, rule.probs) if w_row[parameter_index]), _ZERO)
-    return total / d
-
-
 def _bayes_costs(problem: DecisionProblem, prior: Prior,
                  rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """Prior-weighted loss of each action at each output row: costs[y][a] / d.
@@ -217,37 +205,6 @@ def minimax_risk(problem: DecisionProblem, channel: Channel) -> tuple[Fraction, 
     for k, y in enumerate(live):
         probs[y] = tuple(res.x[k * n_actions:(k + 1) * n_actions])
     return res.value, DecisionRule(probs=tuple(probs))
-
-
-def check_equalizer(problem: DecisionProblem, prior: Prior, channel: Channel,
-                    tolerance: Fraction | int = 0) -> bool:
-    """Equalizer test: is a Bayes-optimal rule's risk flat across parameters?
-
-    When it is, that rule is minimax and the Bayes risk equals the
-    minimax risk; the consequence is verified here, not assumed.  The
-    rule examined averages over tied actions, since the deterministic
-    tie-break can hide the flat representative of the optimal class.
-    """
-    tolerance = as_fraction(tolerance)
-    _require_alphabet(problem, channel)
-    costs, d = _bayes_costs(problem, prior, channel.rows)
-    best = [min(row) for row in costs]
-    rows = []
-    for row, b in zip(costs, best):
-        ties = [a for a, cost in enumerate(row) if cost == b]
-        rows.append(tuple(Fraction(1, len(ties)) if a in ties else _ZERO
-                          for a in range(len(row))))
-    bayes_value = Fraction(sum(best), d)
-    rule = DecisionRule(probs=tuple(rows))
-    risks = [risk(problem, i, channel, rule) for i in range(len(problem.parameters))]
-    spread = max(risks) - min(risks)
-    if spread > tolerance:
-        return False
-    minimax_value, _ = minimax_risk(problem, channel)
-    if abs(minimax_value - bayes_value) > tolerance:
-        raise AssertionError(
-            f"equalizer held but minimax {minimax_value} != bayes {bayes_value}")
-    return True
 
 
 def mutual_information(channel: Channel, input_dist: Sequence) -> float:

@@ -19,10 +19,6 @@ class AlphabetMismatchError(LdpPutError):
     """Operands disagree on an input or output alphabet."""
 
 
-class WeightSumError(LdpPutError):
-    """Mixture weights are negative or do not sum to one."""
-
-
 class PolytopeViolationError(LdpPutError):
     """A weight vector is not a member of the required polytope."""
 
@@ -55,16 +51,12 @@ class RepresentativeMismatchError(LdpPutError):
     """An orbit count depends on the chosen representative; the orbit data is inconsistent."""
 
 
-class BadSubsetSizeError(LdpPutError):
-    """Subset size is outside the valid range 1..m-1."""
-
-
 class UnsupportedDivergenceError(LdpPutError):
     """The requested f-divergence is not one of the supported names."""
 
 
 class AttestationFailedError(LdpPutError):
-    """A declared objective property failed a randomized spot check."""
+    """An objective disagreed with the structure declared for it."""
 
 
 class AuditFailureError(LdpPutError):

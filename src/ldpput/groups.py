@@ -198,13 +198,6 @@ def mask_to_positions(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def positions_to_mask(positions: Iterable[int]) -> int:
-    mask = 0
-    for i in positions:
-        mask |= 1 << i
-    return mask
-
-
 def subset_action(action: GroupAction) -> GroupAction:
     """Lift an action on letters to nonempty proper subsets (as bitmasks)."""
     group = action.group

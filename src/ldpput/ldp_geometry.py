@@ -52,24 +52,6 @@ def staircase_row(mask: int, m: int, t: Fraction) -> tuple[Fraction, ...]:
     return tuple(t if mask >> x & 1 else _ONE for x in range(m))
 
 
-@dataclass(frozen=True)
-class StaircaseMatrix:
-    """All staircase rows for an alphabet, one per nonempty proper subset."""
-
-    input_alphabet: FiniteAlphabet
-    level: PrivacyLevel
-    rows: tuple[tuple[Fraction, ...], ...]
-
-
-def staircase_matrix(alphabet: FiniteAlphabet, level) -> StaircaseMatrix:
-    level = as_level(level)
-    m = alphabet.size
-    if m < 2:
-        raise ValueError("staircase geometry needs at least two letters")
-    rows = tuple(staircase_row(mask, m, level.t) for mask in all_subset_masks(m))
-    return StaircaseMatrix(input_alphabet=alphabet, level=level, rows=rows)
-
-
 # -- orbits -------------------------------------------------------------------
 
 
@@ -220,16 +202,6 @@ class WeightVector:
                      if self.values[index[mask - 1]] != 0)
 
 
-def make_weight_vector(domain: FiniteAlphabet | PermGroup, level,
-                       values: Sequence) -> WeightVector:
-    """Weights on the full polytope of an alphabet, or on the polytope
-    collapsed by a group."""
-    level = as_level(level)
-    polytope = weight_polytope(domain, level) if isinstance(domain, PermGroup) \
-        else full_polytope(domain, level)
-    return WeightVector(polytope=polytope, values=tuple(as_fraction(v) for v in values))
-
-
 def in_weight_polytope(weights: WeightVector) -> bool:
     """Membership test: weights nonnegative, every row sums exactly to one."""
     if any(v < 0 for v in weights.values):
@@ -368,26 +340,15 @@ def ray_subsets(channel: Channel, level) -> list[int | None]:
             for row in channel.rows]
 
 
-def is_maximal(channel: Channel, level) -> bool:
-    """A private channel is maximal (not strictly below any other in the
-    post-processing order) iff each nonzero row is an extreme direction."""
-    return None not in ray_subsets(channel, level)
-
-
-def canonical_weight(channel: Channel, level) -> WeightVector:
-    """Gather a maximal channel's rows into its polytope representative.
+def canonical_weight_from_rays(channel: Channel, level: PrivacyLevel,
+                               subsets: list[int | None]) -> WeightVector:
+    """Gather a maximal channel's rows into its polytope representative,
+    given the channel's ray_subsets (not rescanned).
 
     Rows proportional to the same staircase row pool their scales, so
     equivalent maximal channels (up to relabeling, zero rows, and row
     splits) map to the same weight vector.
     """
-    level = as_level(level)
-    return canonical_weight_from_rays(channel, level, ray_subsets(channel, level))
-
-
-def canonical_weight_from_rays(channel: Channel, level: PrivacyLevel,
-                               subsets: list[int | None]) -> WeightVector:
-    """canonical_weight, given the channel's ray_subsets (not rescanned)."""
     if None in subsets:
         raise NotMaximalError("only maximal channels have a canonical weight")
     m = channel.input_alphabet.size
@@ -440,7 +401,3 @@ def dominating_maximal(channel: Channel, level) -> tuple[Channel, DominanceWitne
                    rows=tuple(tuple(r) for r in w_rows))
     witness = DominanceWitness(base=maximal, derived=channel, post_processor=post)
     return maximal, witness
-
-
-def subset_size(mask: int) -> int:
-    return len(mask_to_positions(mask))

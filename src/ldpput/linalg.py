@@ -19,8 +19,9 @@ from .rationals import integer_matrix
 
 
 def _integer_rows(matrix) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators; scaling keeps the row space."""
-    return [integer_matrix([[Fraction(v) for v in row]])[0][0] for row in matrix]
+    """Scale each row of ints and Fractions by the lcm of its denominators;
+    scaling keeps the row space."""
+    return [integer_matrix([row])[0][0] for row in matrix]
 
 
 def _eliminate(a: list[list[int]], square: bool = False) -> list[int] | None:

@@ -12,13 +12,12 @@ quasiconvex over labeled mixtures, concave over plain mixtures,
 group-invariant) and those attestations decide how strong the returned
 certificate is: "exact" needs data processing and concavity, and a
 group reduction is refused without invariance and a direct-sum
-attestation.  They are checked only on request (`spot_check_rng`), on
-random instances.  Every grouped "exact" rests instead on a per-subset
-form checked by `constant_on_orbits`: the linear form of the sweep
-(`coefficients=`) and of `put_by_lp`, and the closed form's values,
-which it refuses unless constant on every orbit.  A grouped sweep
-without a form is only a bound.  The sweep also checks its form
-against the objective itself at its argmin channel.
+attestation.  The solver does not check them.  Every grouped "exact"
+rests instead on a per-subset form checked by `constant_on_orbits`: the
+linear form of the sweep (`coefficients=`) and of `put_by_lp`, and the
+closed form's values, which it refuses unless constant on every orbit.
+A grouped sweep without a form is only a bound.  The sweep also checks
+its form against the objective itself at its argmin channel.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .channels import Channel, as_level, compose, direct_sum, apply_group_element
+from .channels import Channel, as_level, compose
 from .errors import AttestationFailedError, AuditFailureError, DimensionCapError, NotTransitiveError
-from .groups import FiniteAlphabet, PermGroup, natural_action, subset_action
+from .groups import FiniteAlphabet, PermGroup
 from .invariant import enumerate_invariant_vertices
 from .ldp_geometry import (
     DEFAULT_ENUM_CAP_M,
@@ -50,7 +49,6 @@ _ONE = Fraction(1)
 
 CERT_EXACT = "exact"
 CERT_BOUND = "bound_only"
-CERT_EQUALIZER = "equalizer_certified"
 
 # Float-valued objectives are compared with this absolute tolerance.
 FLOAT_TOLERANCE = 1e-9
@@ -92,16 +90,9 @@ class PutResult:
     table: tuple = ()
 
 
-def _certificate(traits: ObjectiveTraits,
-                 equalizer: Callable[[Channel], bool] | None = None,
-                 channel: Channel | None = None) -> str:
-    """The certificate the attestations justify; the equalizer check on
-    the argmin channel runs only when the result is not already exact."""
-    if traits.data_processing and traits.concave:
-        return CERT_EXACT
-    if equalizer is not None and equalizer(channel):
-        return CERT_EQUALIZER
-    return CERT_BOUND
+def _certificate(traits: ObjectiveTraits) -> str:
+    """The certificate the attestations justify."""
+    return CERT_EXACT if traits.data_processing and traits.concave else CERT_BOUND
 
 
 def _require_group_reduction(traits: ObjectiveTraits) -> None:
@@ -131,17 +122,12 @@ def _orbit_costs(per_subset: Sequence, orbits: Sequence[SubsetOrbit]) -> list:
             for orbit in orbits]
 
 
-def _close(lhs, rhs, cmp) -> bool:
-    """cmp(lhs, rhs, tolerance): exact for two Fractions, otherwise on
-    floats within FLOAT_TOLERANCE."""
+def _agree(lhs, rhs) -> bool:
+    """Equality: exact for two Fractions, otherwise on floats within
+    FLOAT_TOLERANCE."""
     if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
-        return cmp(lhs, rhs, 0)
-    return cmp(float(lhs), float(rhs), FLOAT_TOLERANCE)
-
-
-_ge = lambda a, b, tol: a >= b - tol
-_eq = lambda a, b, tol: abs(a - b) <= tol
-_le = lambda a, b, tol: a <= b + tol
+        return lhs == rhs
+    return abs(float(lhs) - float(rhs)) <= FLOAT_TOLERANCE
 
 
 def _vertex_result(vertices: Sequence[WeightVector], values: Sequence, best: int,
@@ -157,9 +143,7 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
                               group: PermGroup | None = None, *,
                               traits: ObjectiveTraits,
                               coefficients: Sequence | None = None,
-                              cap: int = DEFAULT_ENUM_CAP_M,
-                              equalizer: Callable[[Channel], bool] | None = None,
-                              spot_check_rng: random.Random | None = None) -> PutResult:
+                              cap: int = DEFAULT_ENUM_CAP_M) -> PutResult:
     """Minimize the objective over the polytope vertices.
 
     With a group, only the collapsed polytope's vertices are scanned;
@@ -179,9 +163,6 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
     if coefficients is not None:
         _require_coefficient_count(coefficients, alphabet.size)
         coefficients = _as_form(coefficients)
-    if spot_check_rng is not None:
-        spot_check_traits(objective, alphabet, level, traits, group=group,
-                          rng=spot_check_rng)
     grouped = group is not None and group.order > 1
     if grouped:
         _require_group_reduction(traits)
@@ -203,11 +184,11 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
         best = min(range(len(values)), key=lambda i: (values[i], i))
         best_channel = extremal_channel(vertices[best])
         direct = objective(best_channel)
-        if not _close(direct, values[best], _eq):
+        if not _agree(direct, values[best]):
             raise AttestationFailedError(f"objective {direct} at the argmin channel "
                                          f"differs from its linear-form score {values[best]}")
         invariant = constant_on_orbits(coefficients, orbits)
-    certificate = _certificate(traits, equalizer, best_channel) if invariant else CERT_BOUND
+    certificate = _certificate(traits) if invariant else CERT_BOUND
     return _vertex_result(vertices, values, best, best_channel, method, certificate)
 
 
@@ -219,7 +200,7 @@ def constant_on_orbits(per_subset: Sequence, orbits: Sequence[SubsetOrbit]) -> b
     the group's orbit polytope holds its optimum: averaging any weights
     over the group then keeps their value.
     """
-    return all(_close(per_subset[mask - 1], per_subset[orbit.representative - 1], _eq)
+    return all(_agree(per_subset[mask - 1], per_subset[orbit.representative - 1])
                for orbit in orbits for mask in orbit.masks)
 
 
@@ -404,53 +385,3 @@ def random_channel_audit(objective: Callable[[Channel], Fraction | float],
                 f"sample {i} beat the claimed optimum by {-gap}",
                 gap=gap, channel_json=channel_to_json(q), sample_index=i)
     return AuditReport(samples=samples, min_gap=min_gap, passed=True, worst_sample=worst)
-
-
-def spot_check_traits(objective: Callable[[Channel], Fraction | float],
-                      alphabet: FiniteAlphabet, level, traits: ObjectiveTraits,
-                      group: PermGroup | None = None, *,
-                      rng: random.Random, trials: int = 3) -> None:
-    """Randomized sanity check of attested objective structure.
-
-    Exact values are compared exactly; float-valued objectives get a
-    tolerance of FLOAT_TOLERANCE.  Failures raise AttestationFailedError:
-    a wrong attestation would silently produce wrong certificates
-    downstream.
-    """
-    level = as_level(level)
-    vertices = integer_vertices(alphabet, level)
-    for _ in range(trials):
-        q1 = extremal_channel(random_polytope_point(rng, alphabet, level, vertices=vertices))
-        q2 = extremal_channel(random_polytope_point(rng, alphabet, level, vertices=vertices))
-        if traits.data_processing:
-            degraded = random_post_processing(rng, q1)
-            if not _close(objective(degraded), objective(q1), _ge):
-                raise AttestationFailedError("data-processing attestation failed")
-        lam = Fraction(rng.randint(0, 4), 4)
-        if traits.direct_sum_affine or traits.direct_sum_quasiconvex:
-            mixed = direct_sum([lam, 1 - lam], [q1, q2])
-            v1, v2, vm = objective(q1), objective(q2), objective(mixed)
-            if traits.direct_sum_affine:
-                target = lam * v1 + (1 - lam) * v2 if isinstance(v1, Fraction) \
-                    else float(lam) * float(v1) + float(1 - lam) * float(v2)
-                if not _close(vm, target, _eq):
-                    raise AttestationFailedError("direct-sum affinity attestation failed")
-            if traits.direct_sum_quasiconvex:
-                if not _close(vm, max(v1, v2), _le):
-                    raise AttestationFailedError("direct-sum quasiconvexity attestation failed")
-        if traits.concave:
-            rows = tuple(tuple(lam * a + (1 - lam) * b for a, b in zip(r1, r2))
-                         for r1, r2 in zip(q1.rows, q2.rows))
-            blend = Channel(input_alphabet=q1.input_alphabet,
-                            output_alphabet=q1.output_alphabet, rows=rows)
-            v1, v2 = objective(q1), objective(q2)
-            target = lam * v1 + (1 - lam) * v2 if isinstance(v1, Fraction) \
-                else float(lam) * float(v1) + float(1 - lam) * float(v2)
-            if not _close(objective(blend), target, _ge):
-                raise AttestationFailedError("concavity attestation failed")
-        if traits.group_invariant and group is not None and group.order > 1:
-            g = group.elements[rng.randrange(group.order)]
-            sigma = subset_action(natural_action(group))
-            moved = apply_group_element(g, sigma, q1)
-            if not _close(objective(moved), objective(q1), _eq):
-                raise AttestationFailedError("group-invariance attestation failed")

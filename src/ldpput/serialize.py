@@ -1,4 +1,5 @@
-"""JSON and CSV forms for channels, groups, problems, and results.
+"""JSON forms of what the commands read (channels, groups, problems)
+and write (weights, vertices, maximality verdicts), and channel hashes.
 
 Rationals travel as "p/q" strings so files round-trip exactly.  Letters
 may be ints, strings, or tuples; tuples become JSON lists and are
@@ -7,18 +8,15 @@ rebuilt as tuples on load.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
-from fractions import Fraction
 
 from .channels import Channel, as_level
 from .decision import DecisionProblem, Prior
 from .errors import NotLdpError
 from .groups import FiniteAlphabet, PermGroup, Permutation, generate_group
-from .ldp_geometry import WeightVector, canonical_weight_from_rays, full_polytope, ray_subsets
-from .rationals import as_fraction, format_fraction
+from .ldp_geometry import WeightVector, canonical_weight_from_rays, ray_subsets
+from .rationals import format_fraction
 
 
 def letter_to_json(letter):
@@ -53,42 +51,10 @@ def channel_hash(channel: Channel) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def channel_to_csv(channel: Channel) -> str:
-    """Flattened triplet layout: one line per (output, input, value)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["output", "input", "value"])
-    for letter, row in zip(channel.output_alphabet.letters, channel.rows):
-        for x, value in zip(channel.input_alphabet.letters, row):
-            writer.writerow([str(letter_to_json(letter)), str(letter_to_json(x)),
-                             format_fraction(value)])
-    return buf.getvalue()
-
-
-def group_to_json(group: PermGroup) -> dict:
-    return {
-        "alphabet": [letter_to_json(v) for v in group.alphabet.letters],
-        "generators": [list(g.images) for g in group.generators],
-    }
-
-
 def group_from_json(data: dict) -> PermGroup:
     alphabet = FiniteAlphabet(tuple(letter_from_json(v) for v in data["alphabet"]))
     gens = [Permutation(tuple(images)) for images in data["generators"]]
     return generate_group(alphabet, gens)
-
-
-def problem_to_json(problem: DecisionProblem, prior: Prior | None = None) -> dict:
-    data = {
-        "parameters": [letter_to_json(v) for v in problem.parameters],
-        "inputs": [letter_to_json(v) for v in problem.input_alphabet.letters],
-        "actions": [letter_to_json(v) for v in problem.actions],
-        "model": [[format_fraction(v) for v in row] for row in problem.model],
-        "loss": [[format_fraction(v) for v in row] for row in problem.loss],
-    }
-    if prior is not None:
-        data["prior"] = [format_fraction(v) for v in prior.values]
-    return data
 
 
 def problem_from_json(data: dict) -> tuple[DecisionProblem, Prior | None]:
@@ -111,15 +77,6 @@ def weights_to_json(weights: WeightVector) -> dict:
         "support": list(support),
         "weights": [format_fraction(weights.weight(mask)) for mask in support],
     }
-
-
-def weights_from_json(data: dict) -> WeightVector:
-    m = int(data["m"])
-    values = [Fraction(0)] * ((1 << m) - 2)
-    for mask, value in zip(data["support"], data["weights"]):
-        values[int(mask) - 1] = as_fraction(value)
-    return WeightVector(polytope=full_polytope(FiniteAlphabet.of_size(m), as_level(data["t"])),
-                        values=tuple(values))
 
 
 def maximality_certificate(channel: Channel, level) -> dict:

@@ -7,24 +7,35 @@ counting, kernels by elimination, LP optima and pivot paths on a
 Fraction tableau, channel products, Bayes and minimax risks one Fraction
 per multiply-add), so a test can compare the two.  numpy is needed here
 only.
+
+It also holds what tests use to check other library code or to build
+inputs, and what no command runs: Blackwell dominance and equivalence,
+direct sums, relabeling and symmetrization of channels, staircase
+matrices, weight vectors, maximality and canonical weights, subset
+selection and lifting, the JSON writers no command calls, the equalizer
+check, and the spot checks of the attested objective traits (data
+processing, direct sums, concavity, invariance) on the library's risks.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from math import comb
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ldpput.applications import CardioidSpec
-from ldpput.channels import Channel, PrivacyLevel, as_level
+from ldpput.applications import CardioidSpec, z_magnitude
+from ldpput.channels import Channel, DominanceWitness, PrivacyLevel, as_level
 from ldpput.decision import DecisionProblem, DecisionRule, Prior
 from ldpput.errors import (
     AlphabetMismatchError,
+    AttestationFailedError,
     LdpPutError,
     LpInfeasibleError,
     LpUnboundedError,
@@ -35,16 +46,35 @@ from ldpput.groups import (
     FiniteAlphabet,
     GroupAction,
     PermGroup,
+    Permutation,
+    all_subset_masks,
     cyclic_group,
     mask_to_positions,
     natural_action,
     orbits,
     subset_action,
 )
-from ldpput.ldp_geometry import SubsetOrbit, WeightVector, weight_polytope
+from ldpput.ldp_geometry import (
+    SubsetOrbit,
+    WeightVector,
+    canonical_weight_from_rays,
+    extremal_channel,
+    full_polytope,
+    ray_subsets,
+    staircase_row,
+    weight_polytope,
+)
 from ldpput.linalg import rank
-from ldpput.rationals import as_fraction
-from ldpput.simplex import LpResult
+from ldpput.put_solver import (
+    FLOAT_TOLERANCE,
+    ObjectiveTraits,
+    integer_vertices,
+    random_polytope_point,
+    random_post_processing,
+)
+from ldpput.rationals import as_fraction, format_fraction
+from ldpput.serialize import letter_to_json
+from ldpput.simplex import LpResult, feasible_point
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -623,3 +653,359 @@ def verify_invariance(problem: DecisionProblem, declaration: InvarianceDeclarati
             if prior is not None and prior.values[gi] != prior.values[i]:
                 return False
     return True
+
+
+# -- the Blackwell order, direct sums and relabeling --------------------------
+
+
+class WeightSumError(LdpPutError):
+    """Mixture weights are negative or do not sum to one."""
+
+
+def dominates(q1: Channel, q2: Channel) -> DominanceWitness | None:
+    """Exact Blackwell dominance test: is q2 a post-processing of q1?
+
+    Decided by a rational feasibility LP over the post-processor
+    entries; returns the witness found, or None when infeasible.
+    """
+    if q1.input_alphabet != q2.input_alphabet:
+        raise AlphabetMismatchError("dominance needs a common input alphabet")
+    n1 = q1.num_outputs
+    n2 = q2.num_outputs
+    n_in = q1.num_inputs
+    nvars = n1 * n2  # W[z][y] at index z * n1 + y
+    a_eq: list[list[Fraction]] = []
+    b_eq: list[Fraction] = []
+    for z in range(n2):
+        for x in range(n_in):
+            row = [_ZERO] * nvars
+            for y in range(n1):
+                row[z * n1 + y] = q1.rows[y][x]
+            a_eq.append(row)
+            b_eq.append(q2.rows[z][x])
+    for y in range(n1):
+        row = [_ZERO] * nvars
+        for z in range(n2):
+            row[z * n1 + y] = _ONE
+        a_eq.append(row)
+        b_eq.append(_ONE)
+    solution = feasible_point(a_eq, b_eq, nvars)
+    if solution is None:
+        return None
+    w_rows = tuple(tuple(solution[z * n1 + y] for y in range(n1)) for z in range(n2))
+    post = Channel(input_alphabet=q1.output_alphabet,
+                   output_alphabet=q2.output_alphabet,
+                   rows=w_rows)
+    return DominanceWitness(base=q1, derived=q2, post_processor=post)
+
+
+def equivalent(q1: Channel, q2: Channel) -> bool:
+    """Blackwell equivalence: each channel post-processes into the other."""
+    return dominates(q1, q2) is not None and dominates(q2, q1) is not None
+
+
+def direct_sum(weights: Sequence, channels: Sequence[Channel]) -> Channel:
+    """Mixture with labeled components: run channel j with probability p_j.
+
+    Output letters are (block_index, letter) pairs, so the result keeps
+    every component's rows even at weight zero.
+    """
+    if len(weights) != len(channels) or not channels:
+        raise WeightSumError("need one weight per channel, at least one of each")
+    probs = [as_fraction(w) for w in weights]
+    if any(p < 0 for p in probs):
+        raise WeightSumError("mixture weights must be nonnegative")
+    if sum(probs) != 1:
+        raise WeightSumError(f"mixture weights sum to {sum(probs)}, not 1")
+    base_input = channels[0].input_alphabet
+    for q in channels:
+        if q.input_alphabet != base_input:
+            raise AlphabetMismatchError("direct sum needs a common input alphabet")
+    letters = []
+    rows = []
+    for j, (p, q) in enumerate(zip(probs, channels)):
+        for y, letter in enumerate(q.output_alphabet.letters):
+            letters.append((j, letter))
+            rows.append(tuple(p * v for v in q.rows[y]))
+    return Channel(input_alphabet=base_input,
+                   output_alphabet=FiniteAlphabet(tuple(letters)),
+                   rows=tuple(rows))
+
+
+def apply_group_element(g: Permutation, sigma: GroupAction, channel: Channel) -> Channel:
+    """Relabel a channel by g on inputs and sigma_g on outputs.
+
+    The result Q' satisfies Q'[y, x] = Q[sigma_{g^-1}(y), g^-1 x], so a
+    channel is invariant exactly when this returns it unchanged for
+    every group element.
+    """
+    m = channel.num_inputs
+    if g.degree != m:
+        raise AlphabetMismatchError("group element degree must match the input size")
+    if set(sigma.carrier) != set(channel.output_alphabet.letters):
+        raise AlphabetMismatchError("output action carrier must match the output alphabet")
+    g_inv = g.inverse()
+    out_index = {letter: i for i, letter in enumerate(channel.output_alphabet.letters)}
+    rows = tuple(
+        tuple(channel.rows[out_index[sigma.act(g_inv, y_letter)]][g_inv(x)]
+              for x in range(m))
+        for y_letter in channel.output_alphabet.letters
+    )
+    return Channel(input_alphabet=channel.input_alphabet,
+                   output_alphabet=channel.output_alphabet,
+                   rows=rows)
+
+
+def symmetrize(group: PermGroup, channel: Channel) -> Channel:
+    """Average a channel over a group, keeping one labeled block per element.
+
+    Block g holds (1/|G|) Q[y, g^-1 x]; the result is invariant under
+    the action that sends block g to block h*g (see
+    symmetrized_output_action) and is dominated by the original channel.
+    """
+    if group.alphabet != channel.input_alphabet:
+        raise AlphabetMismatchError("group must act on the channel's input alphabet")
+    share = Fraction(1, group.order)
+    letters = []
+    rows = []
+    for gidx, g in enumerate(group.elements):
+        g_inv = g.inverse()
+        for y, letter in enumerate(channel.output_alphabet.letters):
+            letters.append((gidx, letter))
+            rows.append(tuple(share * channel.rows[y][g_inv(x)]
+                              for x in range(channel.num_inputs)))
+    return Channel(input_alphabet=channel.input_alphabet,
+                   output_alphabet=FiniteAlphabet(tuple(letters)),
+                   rows=tuple(rows))
+
+
+def symmetrized_output_action(group: PermGroup, channel: Channel) -> GroupAction:
+    """The output action (block g, y) -> (block h*g, y) for symmetrize(group, channel)."""
+    index = {g: i for i, g in enumerate(group.elements)}
+    carrier = tuple((gidx, letter)
+                    for gidx in range(group.order)
+                    for letter in channel.output_alphabet.letters)
+
+    def act(h: Permutation, point):
+        gidx, letter = point
+        return (index[h * group.elements[gidx]], letter)
+
+    return GroupAction(group=group, carrier=carrier, act=act)
+
+
+# -- staircase geometry and maximal channels ----------------------------------
+
+
+@dataclass(frozen=True)
+class StaircaseMatrix:
+    """All staircase rows for an alphabet, one per nonempty proper subset."""
+
+    input_alphabet: FiniteAlphabet
+    level: PrivacyLevel
+    rows: tuple[tuple[Fraction, ...], ...]
+
+
+def staircase_matrix(alphabet: FiniteAlphabet, level) -> StaircaseMatrix:
+    level = as_level(level)
+    m = alphabet.size
+    if m < 2:
+        raise ValueError("staircase geometry needs at least two letters")
+    rows = tuple(staircase_row(mask, m, level.t) for mask in all_subset_masks(m))
+    return StaircaseMatrix(input_alphabet=alphabet, level=level, rows=rows)
+
+
+def make_weight_vector(domain: FiniteAlphabet | PermGroup, level,
+                       values: Sequence) -> WeightVector:
+    """Weights on the full polytope of an alphabet, or on the polytope
+    collapsed by a group."""
+    level = as_level(level)
+    polytope = weight_polytope(domain, level) if isinstance(domain, PermGroup) \
+        else full_polytope(domain, level)
+    return WeightVector(polytope=polytope, values=tuple(as_fraction(v) for v in values))
+
+
+def is_maximal(channel: Channel, level) -> bool:
+    """A private channel is maximal (not strictly below any other in the
+    post-processing order) iff each nonzero row is an extreme direction."""
+    return None not in ray_subsets(channel, level)
+
+
+def canonical_weight(channel: Channel, level) -> WeightVector:
+    """Gather a maximal channel's rows into its polytope representative.
+
+    Rows proportional to the same staircase row pool their scales, so
+    equivalent maximal channels (up to relabeling, zero rows, and row
+    splits) map to the same weight vector.
+    """
+    level = as_level(level)
+    return canonical_weight_from_rays(channel, level, ray_subsets(channel, level))
+
+
+def subset_size(mask: int) -> int:
+    return len(mask_to_positions(mask))
+
+
+# -- subset selection and lifting ---------------------------------------------
+
+
+class BadSubsetSizeError(LdpPutError):
+    """Subset size is outside the valid range 1..m-1."""
+
+
+def lift_weights(weights: WeightVector) -> WeightVector:
+    """Spread each orbit weight onto all of the orbit's subsets."""
+    m = weights.input_alphabet.size
+    return WeightVector(polytope=full_polytope(weights.input_alphabet, weights.level),
+                        values=tuple(weights.weight(mask) for mask in all_subset_masks(m)))
+
+
+def ss_mechanism(alphabet: FiniteAlphabet, k: int, level) -> Channel:
+    """Subset selection: report a uniform random size-k subset, tilted to
+    favor subsets containing the true letter.
+
+    Equals the fully symmetric invariant channel on the k-subset orbit;
+    built directly so large alphabets need no group closure.
+    """
+    level = as_level(level)
+    m = alphabet.size
+    if not 1 <= k <= m - 1:
+        raise BadSubsetSizeError(f"subset size must be in 1..{m - 1}, got {k}")
+    t = level.t
+    w = Fraction(m, 1) / (comb(m, k) * (k * t + m - k))
+    masks = [mask for mask in all_subset_masks(m) if len(mask_to_positions(mask)) == k]
+    rows = tuple(tuple(v * w for v in staircase_row(mask, m, t)) for mask in masks)
+    return Channel(input_alphabet=alphabet,
+                   output_alphabet=FiniteAlphabet(tuple(masks)),
+                   rows=rows)
+
+
+def invariant_output_action(group: PermGroup, channel: Channel) -> GroupAction:
+    """Subset action restricted to a channel whose outputs are masks."""
+    base = subset_action(natural_action(group))
+    return GroupAction(group=group, carrier=tuple(channel.output_alphabet.letters),
+                       act=base.act)
+
+
+# -- the circular family's maximizing subsets ---------------------------------
+
+
+def positions_to_mask(positions: Iterable[int]) -> int:
+    mask = 0
+    for i in positions:
+        mask |= 1 << i
+    return mask
+
+
+def cardioid_consecutive_maximizer(m: int, k: int) -> int:
+    """The size-k subset maximizing |Z|: a consecutive run.
+
+    For m <= 12 this is verified against every size-k subset rather
+    than assumed.
+    """
+    if not 1 <= k <= m - 1:
+        raise ValueError(f"subset size must be in 1..{m - 1}")
+    best = positions_to_mask(range(k))
+    if m <= 12:
+        target = z_magnitude(best, m)
+        for positions in combinations(range(m), k):
+            if z_magnitude(positions_to_mask(positions), m) > target + 1e-9:
+                raise AssertionError("a non-consecutive subset beat the run")
+    return best
+
+
+# -- JSON writers the commands never use --------------------------------------
+
+
+def group_to_json(group: PermGroup) -> dict:
+    return {
+        "alphabet": [letter_to_json(v) for v in group.alphabet.letters],
+        "generators": [list(g.images) for g in group.generators],
+    }
+
+
+def problem_to_json(problem: DecisionProblem, prior: Prior | None = None) -> dict:
+    data = {
+        "parameters": [letter_to_json(v) for v in problem.parameters],
+        "inputs": [letter_to_json(v) for v in problem.input_alphabet.letters],
+        "actions": [letter_to_json(v) for v in problem.actions],
+        "model": [[format_fraction(v) for v in row] for row in problem.model],
+        "loss": [[format_fraction(v) for v in row] for row in problem.loss],
+    }
+    if prior is not None:
+        data["prior"] = [format_fraction(v) for v in prior.values]
+    return data
+
+
+def weights_from_json(data: dict) -> WeightVector:
+    m = int(data["m"])
+    values = [Fraction(0)] * ((1 << m) - 2)
+    for mask, value in zip(data["support"], data["weights"]):
+        values[int(mask) - 1] = as_fraction(value)
+    return WeightVector(polytope=full_polytope(FiniteAlphabet.of_size(m), as_level(data["t"])),
+                        values=tuple(values))
+
+
+# -- spot checks of the attested objective traits -----------------------------
+
+
+def _close(lhs, rhs, cmp) -> bool:
+    """cmp(lhs, rhs, tolerance): exact for two Fractions, otherwise on
+    floats within FLOAT_TOLERANCE."""
+    if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
+        return cmp(lhs, rhs, 0)
+    return cmp(float(lhs), float(rhs), FLOAT_TOLERANCE)
+
+
+_ge = lambda a, b, tol: a >= b - tol
+_eq = lambda a, b, tol: abs(a - b) <= tol
+_le = lambda a, b, tol: a <= b + tol
+
+
+def spot_check_traits(objective: Callable[[Channel], Fraction | float],
+                      alphabet: FiniteAlphabet, level, traits: ObjectiveTraits,
+                      group: PermGroup | None = None, *,
+                      rng: random.Random, trials: int = 3) -> None:
+    """Randomized sanity check of attested objective structure.
+
+    Exact values are compared exactly; float-valued objectives get a
+    tolerance of FLOAT_TOLERANCE.  Failures raise AttestationFailedError:
+    a wrong attestation would silently produce wrong certificates
+    downstream.
+    """
+    level = as_level(level)
+    vertices = integer_vertices(alphabet, level)
+    for _ in range(trials):
+        q1 = extremal_channel(random_polytope_point(rng, alphabet, level, vertices=vertices))
+        q2 = extremal_channel(random_polytope_point(rng, alphabet, level, vertices=vertices))
+        if traits.data_processing:
+            degraded = random_post_processing(rng, q1)
+            if not _close(objective(degraded), objective(q1), _ge):
+                raise AttestationFailedError("data-processing attestation failed")
+        lam = Fraction(rng.randint(0, 4), 4)
+        if traits.direct_sum_affine or traits.direct_sum_quasiconvex:
+            mixed = direct_sum([lam, 1 - lam], [q1, q2])
+            v1, v2, vm = objective(q1), objective(q2), objective(mixed)
+            if traits.direct_sum_affine:
+                target = lam * v1 + (1 - lam) * v2 if isinstance(v1, Fraction) \
+                    else float(lam) * float(v1) + float(1 - lam) * float(v2)
+                if not _close(vm, target, _eq):
+                    raise AttestationFailedError("direct-sum affinity attestation failed")
+            if traits.direct_sum_quasiconvex:
+                if not _close(vm, max(v1, v2), _le):
+                    raise AttestationFailedError("direct-sum quasiconvexity attestation failed")
+        if traits.concave:
+            rows = tuple(tuple(lam * a + (1 - lam) * b for a, b in zip(r1, r2))
+                         for r1, r2 in zip(q1.rows, q2.rows))
+            blend = Channel(input_alphabet=q1.input_alphabet,
+                            output_alphabet=q1.output_alphabet, rows=rows)
+            v1, v2 = objective(q1), objective(q2)
+            target = lam * v1 + (1 - lam) * v2 if isinstance(v1, Fraction) \
+                else float(lam) * float(v1) + float(1 - lam) * float(v2)
+            if not _close(objective(blend), target, _ge):
+                raise AttestationFailedError("concavity attestation failed")
+        if traits.group_invariant and group is not None and group.order > 1:
+            g = group.elements[rng.randrange(group.order)]
+            sigma = subset_action(natural_action(group))
+            moved = apply_group_element(g, sigma, q1)
+            if not _close(objective(moved), objective(q1), _eq):
+                raise AttestationFailedError("group-invariance attestation failed")

@@ -11,32 +11,25 @@ import pytest
 
 from ldpput.applications import (
     CardioidSpec,
-    ExperimentResult,
     cardioid_bayes_risk,
-    cardioid_consecutive_maximizer,
     cardioid_orbit_risk,
     cardioid_put_closed_form,
-    ht_minimax_equals_bayes,
     ht_problem,
     ht_put_closed_form,
     ht_subset_risk,
     z_magnitude,
 )
-from ldpput.channels import PrivacyLevel
 from ldpput.decision import bayes_optimal_risk
-from ldpput.groups import (
-    FiniteAlphabet,
-    cyclic_group,
-    natural_action,
-    positions_to_mask,
-    symmetric_group,
-)
-from ldpput.invariant import ss_mechanism
+from ldpput.groups import FiniteAlphabet, cyclic_group, natural_action, symmetric_group
 from ldpput.ldp_geometry import subset_orbits
 from oracles import (
     InvarianceDeclaration,
+    check_equalizer_reference,
+    cardioid_consecutive_maximizer,
     cardioid_orbit_risk_numeric,
     cardioid_rule_risk,
+    positions_to_mask,
+    ss_mechanism,
     verify_invariance,
 )
 
@@ -131,7 +124,9 @@ def test_ht_subset_risk_matches_decision_engine():
     [(2, F(1), F(3)), (4, F(1, 2), F(2)), (3, F(1), F(1))],
 )
 def test_ht_minimax_equals_bayes(m, gamma, t):
-    assert ht_minimax_equals_bayes(m, gamma, t)
+    problem, prior = ht_problem(m, gamma)
+    channel = ss_mechanism(problem.input_alphabet, 1, t)
+    assert check_equalizer_reference(problem, prior, channel, 0)
 
 
 # -- cardioid geometry --------------------------------------------------------
@@ -300,23 +295,3 @@ def test_cardioid_spec_validation():
         CardioidSpec.build(4, F(3, 2), F(2))
     with pytest.raises(ValueError):
         CardioidSpec.build(4, F(0), F(2))
-
-
-# -- experiment rows ----------------------------------------------------------
-
-
-def test_experiment_result_csv_row():
-    res = ExperimentResult(
-        task="ht",
-        m=3,
-        gamma=F(1),
-        level=PrivacyLevel(F(2)),
-        method="closed_form",
-        value=F(1, 2),
-        winner="k=1",
-        certificate="exact",
-    )
-    row = res.csv_row()
-    assert row[0] == "ht"
-    assert row[3] == "2"
-    assert row[5] == "1/2"

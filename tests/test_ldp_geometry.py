@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpput import ldp_geometry, linalg
-from ldpput.channels import Channel, dominates, equivalent, is_ldp
+from ldpput.channels import Channel, is_ldp
 from ldpput.errors import (
     DimensionCapError,
     NotMaximalError,
@@ -19,26 +19,28 @@ from ldpput.errors import (
 )
 from ldpput.groups import FiniteAlphabet, all_subset_masks
 from ldpput.ldp_geometry import (
-    canonical_weight,
     dominating_maximal,
     enumerate_polytope_vertices,
     extremal_channel,
     full_polytope,
     in_weight_polytope,
     is_extreme_direction,
-    is_maximal,
-    make_weight_vector,
-    staircase_matrix,
     staircase_row,
-    subset_size,
 )
 from ldpput.linalg import enumerate_basic_feasible
 from oracles import (
     NotInConeError,
     basic_feasible_reference,
+    canonical_weight,
     cone_constraint_matrix,
+    dominates,
+    equivalent,
     in_cone,
+    is_maximal,
     kernel_rank_check,
+    make_weight_vector,
+    staircase_matrix,
+    subset_size,
 )
 
 X2 = FiniteAlphabet.of_size(2)

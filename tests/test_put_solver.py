@@ -16,23 +16,16 @@ from ldpput.decision import (
     Prior,
     bayes_linear_coefficients,
     bayes_optimal_risk,
-    check_equalizer,
     mutual_information,
     mutual_information_linear_coefficients,
 )
 from ldpput.errors import AttestationFailedError, AuditFailureError
 from ldpput.groups import FiniteAlphabet, all_subset_masks, cyclic_group, symmetric_group
-from ldpput.ldp_geometry import (
-    enumerate_polytope_vertices,
-    in_weight_polytope,
-    subset_size,
-)
+from ldpput.ldp_geometry import enumerate_polytope_vertices, in_weight_polytope
 from ldpput.put_solver import (
     BAYES_TRAITS,
     CERT_BOUND,
-    CERT_EQUALIZER,
     CERT_EXACT,
-    MINIMAX_TRAITS,
     ObjectiveTraits,
     _sample_rng,
     put_by_lp,
@@ -42,10 +35,14 @@ from ldpput.put_solver import (
     random_polytope_point,
     random_post_processing,
     random_private_channel,
-    spot_check_traits,
 )
 from ldpput.serialize import channel_to_json
-from oracles import bayes_optimal_risk_reference, compose_reference
+from oracles import (
+    bayes_optimal_risk_reference,
+    compose_reference,
+    spot_check_traits,
+    subset_size,
+)
 
 F = Fraction
 
@@ -251,29 +248,6 @@ def test_exact_certificate_needs_data_processing():
         traits=ObjectiveTraits(data_processing=False, concave=True),
     )
     assert res.certificate == CERT_BOUND
-
-
-def test_equalizer_promotes_minimax_bound():
-    m, t = 3, F(2)
-    p, prior, objective = bayes_objective(m)
-
-    def mm_objective(channel: Channel):
-        from ldpput.decision import minimax_risk
-
-        return minimax_risk(p, channel)[0]
-
-    def equalizer(channel: Channel) -> bool:
-        return check_equalizer(p, prior, channel)
-
-    res = put_by_vertex_enumeration(
-        mm_objective,
-        FiniteAlphabet.of_size(m),
-        t,
-        traits=MINIMAX_TRAITS,
-        equalizer=equalizer,
-    )
-    assert res.certificate == CERT_EQUALIZER
-    assert res.value == F(1, 2)
 
 
 def test_argmin_tie_break_is_first_index():
@@ -700,16 +674,3 @@ def test_spot_check_rejects_false_affinity():
             rng=random.Random(3),
             trials=8,
         )
-
-
-def test_vertex_enumeration_runs_spot_checks_when_given_rng():
-    m, t = 3, F(2)
-    _, _, objective = bayes_objective(m)
-    res = put_by_vertex_enumeration(
-        objective,
-        FiniteAlphabet.of_size(m),
-        t,
-        traits=BAYES_TRAITS,
-        spot_check_rng=random.Random(9),
-    )
-    assert res.value == F(1, 2)

@@ -14,19 +14,16 @@ from ldpput.ldp_geometry import enumerate_polytope_vertices
 from ldpput.serialize import (
     channel_from_json,
     channel_hash,
-    channel_to_csv,
     channel_to_json,
     group_from_json,
-    group_to_json,
     letter_from_json,
     letter_to_json,
     maximality_certificate,
     problem_from_json,
-    problem_to_json,
     vertices_to_json,
-    weights_from_json,
     weights_to_json,
 )
+from oracles import group_to_json, problem_to_json, weights_from_json
 
 F = Fraction
 
@@ -76,13 +73,6 @@ def test_channel_from_json_rejects_bad_rationals():
 def test_channel_hash_stable_and_discriminating():
     assert channel_hash(rr(3)) == channel_hash(rr(3))
     assert channel_hash(rr(3)) != channel_hash(rr(2))
-
-
-def test_channel_csv_has_header_and_entries():
-    text = channel_to_csv(rr(3))
-    lines = text.strip().splitlines()
-    assert lines[0].split(",")[:3] == ["output", "input", "value"]
-    assert len(lines) == 1 + 4
 
 
 def test_group_roundtrip():
