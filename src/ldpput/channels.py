@@ -103,9 +103,6 @@ class Channel:
     def num_outputs(self) -> int:
         return self.output_alphabet.size
 
-    def column(self, x: int) -> tuple[Fraction, ...]:
-        return tuple(row[x] for row in self.rows)
-
     def push_forward(self, dist: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Output distribution for an exact input distribution."""
         return tuple(sum((row[x] * dist[x] for x in range(self.num_inputs)), _ZERO)

@@ -65,12 +65,6 @@ class Permutation:
         # (self * other)(i) = self(other(i))
         return Permutation(tuple(self.images[j] for j in other.images))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
 
 @dataclass(frozen=True)
 class PermGroup:
@@ -146,30 +140,12 @@ class GroupAction:
     """A group acting on an ordered carrier of points.
 
     `act(g, point)` must satisfy the usual laws (identity fixes every
-    point, compatibility with composition); `validate` checks them by
-    exhaustion.
+    point, compatibility with composition).
     """
 
     group: PermGroup
     carrier: tuple[Hashable, ...]
     act: Callable[[Permutation, Hashable], Hashable] = field(compare=False)
-
-    def validate(self) -> None:
-        identity = Permutation.identity(self.group.alphabet.size)
-        carrier_set = set(self.carrier)
-        for p in self.carrier:
-            if self.act(identity, p) != p:
-                raise ValueError(f"identity moves {p!r}")
-        for g in self.group.elements:
-            for h in self.group.elements:
-                gh = g * h
-                for p in self.carrier:
-                    if self.act(g, self.act(h, p)) != self.act(gh, p):
-                        raise ValueError("action is not compatible with composition")
-        for g in self.group.elements:
-            image = {self.act(g, p) for p in self.carrier}
-            if image != carrier_set:
-                raise ValueError("action does not permute the carrier")
 
 
 def natural_action(group: PermGroup) -> GroupAction:

@@ -85,19 +85,10 @@ def subset_orbits(group: PermGroup) -> tuple[SubsetOrbit, ...]:
                  for orbit in orbits(subset_action(natural_action(group))))
 
 
-@dataclass(frozen=True)
-class OrbitCoefficients:
-    """Counts tying one input-letter orbit to one subset orbit."""
-
-    incidence: int          # members of the subset orbit containing a fixed letter
-    orbit_size: int
-    subset_size: int
-    column_sum: Fraction    # t * incidence + (orbit_size - incidence)
-
-
-def orbit_coefficients(group: PermGroup, letter_orbit: tuple, orbit: SubsetOrbit,
-                       level) -> OrbitCoefficients:
-    """Incidence counts for one coefficient of the polytope's equalities.
+def orbit_column_sum(group: PermGroup, letter_orbit: tuple, orbit: SubsetOrbit,
+                     level) -> Fraction:
+    """One coefficient of the polytope's equalities: t * r + (|orbit| - r),
+    where r counts the members of the subset orbit that contain a letter.
 
     The count is the same for every letter in the orbit (the group maps
     witnesses to witnesses); this is checked rather than assumed.
@@ -112,10 +103,7 @@ def orbit_coefficients(group: PermGroup, letter_orbit: tuple, orbit: SubsetOrbit
         raise RepresentativeMismatchError(
             f"incidence count varies over the letter orbit: {counts}")
     r = counts[0]
-    return OrbitCoefficients(incidence=r,
-                             orbit_size=orbit.size,
-                             subset_size=orbit.subset_size,
-                             column_sum=t * r + (orbit.size - r))
+    return t * r + (orbit.size - r)
 
 
 # -- the weight polytope ------------------------------------------------------
@@ -147,8 +135,7 @@ def weight_polytope(group: PermGroup, level) -> WeightPolytope:
         raise ValueError("the weight polytope needs at least two letters")
     orbs = subset_orbits(group)
     letter_orbits = input_orbits(group)
-    rows = tuple(tuple(orbit_coefficients(group, lo, orbit, level).column_sum
-                       for orbit in orbs)
+    rows = tuple(tuple(orbit_column_sum(group, lo, orbit, level) for orbit in orbs)
                  for lo in letter_orbits)
     index = [0] * ((1 << m) - 2)
     for i, orbit in enumerate(orbs):

@@ -6,18 +6,20 @@ the closed form when a transitive group collapses the polytope to a
 simplex.  A seeded audit hammers the claimed optimum with random
 channels that never should beat it.
 
-The solver does not prove anything about a caller's objective; the
-caller attests its structure (data-processing monotone, affine or
-quasiconvex over labeled mixtures, concave over plain mixtures,
-group-invariant) and those attestations decide how strong the returned
-certificate is: "exact" needs data processing and concavity, and a
-group reduction is refused without invariance and a direct-sum
-attestation.  The solver does not check them.  Every grouped "exact"
-rests instead on a per-subset form checked by `constant_on_orbits`: the
-linear form of the sweep (`coefficients=`) and of `put_by_lp`, and the
-closed form's values, which it refuses unless constant on every orbit.
-A grouped sweep without a form is only a bound.  The sweep also checks
-its form against the objective itself at its argmin channel.
+One rule decides every certificate: a result is "exact" only when the
+solver holds a per-subset form (indexed by mask - 1) that
+`constant_on_orbits` finds constant on every subset orbit of its group,
+and "bound_only" otherwise.  The forms are the linear form of the sweep
+(`coefficients=`) and of `put_by_lp`, and the closed form's values,
+which it refuses unless constant on every orbit.  A sweep without a form
+is only a bound, grouped or not.  The sweep also checks its form against
+the objective itself at its argmin channel.
+
+The caller's contract: a form or closed-form values come from a
+data-processing-monotone objective that is affine over direct sums, such
+as a Bayes risk.  Then the polytope's optimum is the optimum over all
+private channels, and an orbit-constant form keeps it on the group's
+orbit polytope.
 """
 
 from __future__ import annotations
@@ -55,53 +57,18 @@ FLOAT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
-class ObjectiveTraits:
-    """Caller attestations about the objective being minimized.
-
-    data_processing: post-processing never lowers the value.
-    direct_sum_affine: labeled mixtures average the value exactly.
-    direct_sum_quasiconvex: labeled mixtures never exceed the max component.
-    concave: plain (same-output) mixtures never fall below the average.
-    group_invariant: relabeling by the supplied group preserves the value.
-    """
-
-    data_processing: bool = True
-    direct_sum_affine: bool = False
-    direct_sum_quasiconvex: bool = False
-    concave: bool = False
-    group_invariant: bool = False
-
-
-BAYES_TRAITS = ObjectiveTraits(data_processing=True, direct_sum_affine=True,
-                               direct_sum_quasiconvex=True, concave=True,
-                               group_invariant=True)
-MINIMAX_TRAITS = ObjectiveTraits(data_processing=True, direct_sum_affine=False,
-                                 direct_sum_quasiconvex=True, concave=False,
-                                 group_invariant=True)
-
-
-@dataclass(frozen=True)
 class PutResult:
     value: Fraction | float
     argmin_weights: WeightVector
     argmin_channel: Channel
     method: str
     certificate: str
-    table: tuple = ()
 
 
-def _certificate(traits: ObjectiveTraits) -> str:
-    """The certificate the attestations justify."""
-    return CERT_EXACT if traits.data_processing and traits.concave else CERT_BOUND
-
-
-def _require_group_reduction(traits: ObjectiveTraits) -> None:
-    """Optimizing over a group's orbit polytope is sound only for an
-    objective attested group-invariant and direct-sum compatible."""
-    if not (traits.group_invariant and
-            (traits.direct_sum_affine or traits.direct_sum_quasiconvex)):
-        raise ValueError("group reduction needs group_invariant plus a "
-                         "direct-sum attestation")
+def _certificate(form: Sequence | None, orbits: Sequence[SubsetOrbit]) -> str:
+    """"exact" only for a per-subset form constant on every subset orbit."""
+    exact = form is not None and constant_on_orbits(form, orbits)
+    return CERT_EXACT if exact else CERT_BOUND
 
 
 def _require_coefficient_count(coefficients: Sequence, m: int) -> None:
@@ -130,34 +97,23 @@ def _agree(lhs, rhs) -> bool:
     return abs(float(lhs) - float(rhs)) <= FLOAT_TOLERANCE
 
 
-def _vertex_result(vertices: Sequence[WeightVector], values: Sequence, best: int,
-                   channel: Channel, method: str, certificate: str) -> PutResult:
-    """The result at vertices[best]; the table pairs each vertex with its value."""
-    return PutResult(value=values[best], argmin_weights=vertices[best],
-                     argmin_channel=channel, method=method, certificate=certificate,
-                     table=tuple(zip(vertices, values)))
-
-
 def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
                               alphabet: FiniteAlphabet, level,
                               group: PermGroup | None = None, *,
-                              traits: ObjectiveTraits,
                               coefficients: Sequence | None = None,
                               cap: int = DEFAULT_ENUM_CAP_M) -> PutResult:
     """Minimize the objective over the polytope vertices.
 
-    With a group, only the collapsed polytope's vertices are scanned;
-    that requires the objective to be attested group-invariant and
-    mixture-compatible, since otherwise the reduction is unsound.  `cap`
-    bounds the full polytope only; a grouped scan is bounded by its
+    With a group, only the collapsed polytope's vertices are scanned.
+    `cap` bounds the full polytope only; a grouped scan is bounded by its
     number of candidate supports instead.
 
     `coefficients` is the objective's per-subset linear form (indexed by
     mask - 1, as `put_by_lp` takes it).  With it, each vertex is scored
     as u.w, only the argmin gets a channel, and the objective runs once
     there and must equal the score (AttestationFailedError otherwise);
-    a grouped result is exact only when u is constant on every subset
-    orbit.  Without it, a grouped result is only a bound.
+    the result is exact when u is constant on every subset orbit.
+    Without it, the result is only a bound.
     """
     level = as_level(level)
     if coefficients is not None:
@@ -165,19 +121,16 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
         coefficients = _as_form(coefficients)
     grouped = group is not None and group.order > 1
     if grouped:
-        _require_group_reduction(traits)
         vertices = enumerate_invariant_vertices(group, level)
     else:
         vertices = enumerate_polytope_vertices(alphabet, level, cap=cap)
-    method = "vertex_enumeration_grouped" if grouped else "vertex_enumeration"
+    orbits = vertices[0].orbits
     if coefficients is None:
         channels = [extremal_channel(v) for v in vertices]
         values = [objective(q) for q in channels]
         best = min(range(len(values)), key=lambda i: (values[i], i))
         best_channel = channels[best]
-        invariant = not grouped
     else:
-        orbits = vertices[0].orbits
         costs = _orbit_costs(coefficients, orbits)
         values = [sum((w * c for w, c in zip(v.values, costs) if w), _ZERO)
                   for v in vertices]
@@ -187,9 +140,10 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
         if not _agree(direct, values[best]):
             raise AttestationFailedError(f"objective {direct} at the argmin channel "
                                          f"differs from its linear-form score {values[best]}")
-        invariant = constant_on_orbits(coefficients, orbits)
-    certificate = _certificate(traits) if invariant else CERT_BOUND
-    return _vertex_result(vertices, values, best, best_channel, method, certificate)
+    return PutResult(value=values[best], argmin_weights=vertices[best],
+                     argmin_channel=best_channel,
+                     method="vertex_enumeration_grouped" if grouped else "vertex_enumeration",
+                     certificate=_certificate(coefficients, orbits))
 
 
 def constant_on_orbits(per_subset: Sequence, orbits: Sequence[SubsetOrbit]) -> bool:
@@ -234,36 +188,38 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
     return PutResult(value=res.value, argmin_weights=weights,
                      argmin_channel=extremal_channel(weights),
                      method="lp_grouped" if grouped else "lp",
-                     certificate=CERT_EXACT if constant_on_orbits(given, polytope.orbits)
-                     else CERT_BOUND)
+                     certificate=_certificate(given, polytope.orbits))
 
 
-def put_transitive_closed_form(values: Sequence, group: PermGroup, level, *,
-                               traits: ObjectiveTraits) -> PutResult:
+def put_transitive_closed_form(values: Sequence, group: PermGroup, level) -> PutResult:
     """Minimize over the collapsed simplex of a transitive group.
 
     Each subset orbit is a vertex: its one membership coefficient c
     gives it weight 1/c.  `values[mask - 1]` is the objective at the
     pure channel on mask's orbit, computed from mask alone; values that
     differ within an orbit raise ValueError, since the orbit minimum is
-    then not achieved by its argmin channel.
+    then not achieved by its argmin channel.  The values must come from
+    an objective that is data-processing monotone and affine over direct
+    sums (a Bayes risk), so that the orbit minimum is the optimum over
+    all private channels.
     """
-    _require_group_reduction(traits)
     level = as_level(level)
     polytope = weight_polytope(group, level)
     if len(polytope.letter_orbits) != 1:
         raise NotTransitiveError("the closed form needs a transitive group")
     _require_coefficient_count(values, group.alphabet.size)
-    if not constant_on_orbits(values, polytope.orbits):
+    certificate = _certificate(values, polytope.orbits)
+    if certificate != CERT_EXACT:
         raise ValueError("closed-form values differ within a subset orbit")
-    n = len(polytope.orbits)
-    vertices = [WeightVector(polytope=polytope,
-                             values=tuple(_ONE / c if i == j else _ZERO for i in range(n)))
-                for j, c in enumerate(polytope.rows[0])]
     orbit_values = [values[orbit.representative - 1] for orbit in polytope.orbits]
-    best = min(range(n), key=lambda i: (orbit_values[i], i))
-    return _vertex_result(vertices, orbit_values, best, extremal_channel(vertices[best]),
-                          "transitive_closed_form", _certificate(traits))
+    best = min(range(len(orbit_values)), key=lambda i: (orbit_values[i], i))
+    weight = _ONE / polytope.rows[0][best]
+    argmin = WeightVector(polytope=polytope,
+                          values=tuple(weight if i == best else _ZERO
+                                       for i in range(len(orbit_values))))
+    return PutResult(value=orbit_values[best], argmin_weights=argmin,
+                     argmin_channel=extremal_channel(argmin),
+                     method="transitive_closed_form", certificate=certificate)
 
 
 def _sample_rng(seed, index: int) -> random.Random:
@@ -297,17 +253,12 @@ def integer_vertices(alphabet: FiniteAlphabet, level,
     return IntegerVertices(vertices[0].polytope, tuple(numerators), d)
 
 
-def random_polytope_point(rng: random.Random, alphabet: FiniteAlphabet, level,
-                          cap: int = DEFAULT_ENUM_CAP_M, *,
-                          vertices: IntegerVertices | None = None) -> WeightVector:
+def random_polytope_point(rng: random.Random, vertices: IntegerVertices) -> WeightVector:
     """A random convex combination of the polytope vertices, exact.
 
-    `vertices` is `integer_vertices(alphabet, level, cap)`, read here
-    when not given.  Count c_k on vertex k mixes the integer rows as
-    sum c_k * n_k, over sum(c) times the vertices' denominator.
+    Count c_k on vertex k mixes the integer rows as sum c_k * n_k, over
+    sum(c) times the vertices' denominator.
     """
-    if vertices is None:
-        vertices = integer_vertices(alphabet, level, cap)
     rows = vertices.numerators
     picks = rng.sample(range(len(rows)), k=min(len(rows), rng.randint(1, 3)))
     counts = _random_counts(rng, len(picks))
@@ -332,18 +283,14 @@ def random_post_processing(rng: random.Random, channel: Channel) -> Channel:
     return compose(post, channel)
 
 
-def random_private_channel(rng: random.Random, alphabet: FiniteAlphabet, level,
-                           cap: int = DEFAULT_ENUM_CAP_M, *,
-                           vertices: IntegerVertices | None = None) -> Channel:
-    """A random channel satisfying the privacy constraint.
+def random_private_channel(rng: random.Random, vertices: IntegerVertices) -> Channel:
+    """A random channel satisfying the privacy constraint of `vertices`.
 
     Random conic mixtures of staircase rows (via polytope points) give
     maximal channels; a random post-processing then pushes the sample
     into the interior, so the audit covers non-maximal channels too.
-    `vertices` is as for `random_polytope_point`.
     """
-    q = extremal_channel(random_polytope_point(rng, alphabet, level, cap=cap,
-                                               vertices=vertices))
+    q = extremal_channel(random_polytope_point(rng, vertices))
     if rng.random() < Fraction(2, 3):
         q = random_post_processing(rng, q)
     return q
@@ -353,9 +300,7 @@ def random_private_channel(rng: random.Random, alphabet: FiniteAlphabet, level,
 class AuditReport:
     """`worst_sample` is the first index at `min_gap` (None without samples)."""
 
-    samples: int
     min_gap: Fraction | float | None
-    passed: bool
     worst_sample: int | None
 
 
@@ -375,7 +320,7 @@ def random_channel_audit(objective: Callable[[Channel], Fraction | float],
     min_gap = worst = None
     for i in range(samples):
         rng = _sample_rng(seed, i)
-        q = random_private_channel(rng, alphabet, level, cap=cap, vertices=vertices)
+        q = random_private_channel(rng, vertices)
         gap = objective(q) - baseline_value
         if min_gap is None or gap < min_gap:
             min_gap, worst = gap, i
@@ -384,4 +329,4 @@ def random_channel_audit(objective: Callable[[Channel], Fraction | float],
             raise AuditFailureError(
                 f"sample {i} beat the claimed optimum by {-gap}",
                 gap=gap, channel_json=channel_to_json(q), sample_index=i)
-    return AuditReport(samples=samples, min_gap=min_gap, passed=True, worst_sample=worst)
+    return AuditReport(min_gap=min_gap, worst_sample=worst)

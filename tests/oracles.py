@@ -9,12 +9,13 @@ per multiply-add), so a test can compare the two.  numpy is needed here
 only.
 
 It also holds what tests use to check other library code or to build
-inputs, and what no command runs: Blackwell dominance and equivalence,
-direct sums, relabeling and symmetrization of channels, staircase
-matrices, weight vectors, maximality and canonical weights, subset
-selection and lifting, the JSON writers no command calls, the equalizer
-check, and the spot checks of the attested objective traits (data
-processing, direct sums, concavity, invariance) on the library's risks.
+inputs, and what no command runs: permutation inverses, the group-action
+laws, channel columns, Blackwell dominance and equivalence, direct sums,
+relabeling and symmetrization of channels, staircase matrices, weight
+vectors, maximality and canonical weights, subset selection and lifting,
+the JSON writers no command calls, the equalizer check, and the spot
+checks of the paper's four properties of a risk (data processing, direct
+sums, concavity, invariance) on the library's risks.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from ldpput.ldp_geometry import (
 from ldpput.linalg import rank
 from ldpput.put_solver import (
     FLOAT_TOLERANCE,
-    ObjectiveTraits,
     integer_vertices,
     random_polytope_point,
     random_post_processing,
@@ -655,6 +655,42 @@ def verify_invariance(problem: DecisionProblem, declaration: InvarianceDeclarati
     return True
 
 
+# -- permutations, group actions and channel columns -------------------------
+
+
+def inverse(g: Permutation) -> Permutation:
+    inv = [0] * g.degree
+    for i, j in enumerate(g.images):
+        inv[j] = i
+    return Permutation(tuple(inv))
+
+
+def validate_action(action: GroupAction) -> None:
+    """Check the action laws by exhaustion: the identity fixes every
+    point, acting is compatible with composition, and every element
+    permutes the carrier.  ValueError otherwise."""
+    identity = Permutation.identity(action.group.alphabet.size)
+    carrier_set = set(action.carrier)
+    for p in action.carrier:
+        if action.act(identity, p) != p:
+            raise ValueError(f"identity moves {p!r}")
+    for g in action.group.elements:
+        for h in action.group.elements:
+            gh = g * h
+            for p in action.carrier:
+                if action.act(g, action.act(h, p)) != action.act(gh, p):
+                    raise ValueError("action is not compatible with composition")
+    for g in action.group.elements:
+        image = {action.act(g, p) for p in action.carrier}
+        if image != carrier_set:
+            raise ValueError("action does not permute the carrier")
+
+
+def column(channel: Channel, x: int) -> tuple[Fraction, ...]:
+    """The output distribution of input x."""
+    return tuple(row[x] for row in channel.rows)
+
+
 # -- the Blackwell order, direct sums and relabeling --------------------------
 
 
@@ -744,7 +780,7 @@ def apply_group_element(g: Permutation, sigma: GroupAction, channel: Channel) ->
         raise AlphabetMismatchError("group element degree must match the input size")
     if set(sigma.carrier) != set(channel.output_alphabet.letters):
         raise AlphabetMismatchError("output action carrier must match the output alphabet")
-    g_inv = g.inverse()
+    g_inv = inverse(g)
     out_index = {letter: i for i, letter in enumerate(channel.output_alphabet.letters)}
     rows = tuple(
         tuple(channel.rows[out_index[sigma.act(g_inv, y_letter)]][g_inv(x)]
@@ -769,7 +805,7 @@ def symmetrize(group: PermGroup, channel: Channel) -> Channel:
     letters = []
     rows = []
     for gidx, g in enumerate(group.elements):
-        g_inv = g.inverse()
+        g_inv = inverse(g)
         for y, letter in enumerate(channel.output_alphabet.letters):
             letters.append((gidx, letter))
             rows.append(tuple(share * channel.rows[y][g_inv(x)]
@@ -945,7 +981,29 @@ def weights_from_json(data: dict) -> WeightVector:
                         values=tuple(values))
 
 
-# -- spot checks of the attested objective traits -----------------------------
+# -- spot checks of the paper's four properties of a risk ---------------------
+
+
+@dataclass(frozen=True)
+class RiskTraits:
+    """Properties a risk is claimed to have, for `spot_check_traits`.
+
+    data_processing: post-processing never lowers the value.
+    direct_sum_affine: labeled mixtures average the value exactly.
+    direct_sum_quasiconvex: labeled mixtures never exceed the max component.
+    concave: plain (same-output) mixtures never fall below the average.
+    group_invariant: relabeling by the supplied group preserves the value.
+    """
+
+    data_processing: bool = True
+    direct_sum_affine: bool = False
+    direct_sum_quasiconvex: bool = False
+    concave: bool = False
+    group_invariant: bool = False
+
+
+BAYES_TRAITS = RiskTraits(data_processing=True, direct_sum_affine=True,
+                          direct_sum_quasiconvex=True, concave=True, group_invariant=True)
 
 
 def _close(lhs, rhs, cmp) -> bool:
@@ -962,21 +1020,20 @@ _le = lambda a, b, tol: a <= b + tol
 
 
 def spot_check_traits(objective: Callable[[Channel], Fraction | float],
-                      alphabet: FiniteAlphabet, level, traits: ObjectiveTraits,
+                      alphabet: FiniteAlphabet, level, traits: RiskTraits,
                       group: PermGroup | None = None, *,
                       rng: random.Random, trials: int = 3) -> None:
-    """Randomized sanity check of attested objective structure.
+    """Randomized sanity check that a risk has the claimed properties.
 
     Exact values are compared exactly; float-valued objectives get a
-    tolerance of FLOAT_TOLERANCE.  Failures raise AttestationFailedError:
-    a wrong attestation would silently produce wrong certificates
-    downstream.
+    tolerance of FLOAT_TOLERANCE.  A property that fails raises
+    AttestationFailedError.
     """
     level = as_level(level)
     vertices = integer_vertices(alphabet, level)
     for _ in range(trials):
-        q1 = extremal_channel(random_polytope_point(rng, alphabet, level, vertices=vertices))
-        q2 = extremal_channel(random_polytope_point(rng, alphabet, level, vertices=vertices))
+        q1 = extremal_channel(random_polytope_point(rng, vertices))
+        q2 = extremal_channel(random_polytope_point(rng, vertices))
         if traits.data_processing:
             degraded = random_post_processing(rng, q1)
             if not _close(objective(degraded), objective(q1), _ge):

@@ -21,6 +21,7 @@ from ldpput.groups import FiniteAlphabet, Permutation, cyclic_group, symmetric_g
 from oracles import (
     WeightSumError,
     apply_group_element,
+    column,
     compose_reference,
     direct_sum,
     dominates,
@@ -171,7 +172,7 @@ def test_direct_sum_block_structure():
     s = direct_sum([Fraction(1, 3), Fraction(2, 3)], [q1, q2])
     assert s.output_alphabet.size == 4
     assert s.output_alphabet.letters[0] == (0, 0)
-    col = s.column(0)
+    col = column(s, 0)
     assert sum(col) == 1
     assert col[0] == Fraction(1, 3) * q1.rows[0][0]
     assert col[2] == Fraction(2, 3) * q2.rows[0][0]

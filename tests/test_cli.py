@@ -21,6 +21,7 @@ from ldpput.cli import (
     EXIT_OK,
     EXIT_PARSE,
     METHODS,
+    build_parser,
     main,
 )
 from ldpput.serialize import channel_to_json
@@ -557,6 +558,15 @@ def test_cli_requires_subcommand():
 
 
 # ----------------------------------------------------------------------- audit
+
+
+def test_parser_is_built_once(capsys):
+    """main reuses one parser, and two calls in a row give the same bytes."""
+    assert build_parser() is build_parser()
+    argv = ("put", "--task", "ht", "--m", "3", "--t", "2", "--method", "closed,lp")
+    first = run(capsys, *argv)
+    assert first[0] == EXIT_OK
+    assert run(capsys, *argv) == first
 
 
 def test_audit_ht_passes(capsys):

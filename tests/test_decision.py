@@ -26,13 +26,14 @@ from ldpput.decision import (
 )
 from ldpput.groups import FiniteAlphabet, natural_action, symmetric_group
 from ldpput.ldp_geometry import enumerate_polytope_vertices, extremal_channel
-from ldpput.put_solver import random_private_channel
+from ldpput.put_solver import integer_vertices, random_private_channel
 from ldpput.simplex import solve_standard_lp
 from oracles import (
     InvarianceDeclaration,
     bayes_action_costs_reference,
     bayes_optimal_risk_reference,
     check_equalizer_reference,
+    column,
     direct_sum,
     make_weight_vector,
     minimax_risk_reference,
@@ -522,7 +523,7 @@ def tied_bayes_case(draw):
     """A tied problem with 1-3 parameters, a prior, and a channel with zero
     entries, maybe a zero row, and columns over unrelated denominators."""
     problem = draw_tied_problem(draw, 3)
-    prior = Prior(values=draw_sparse_stochastic(draw, len(problem.parameters), 1).column(0))
+    prior = Prior(values=column(draw_sparse_stochastic(draw, len(problem.parameters), 1), 0))
     channel = draw_sparse_stochastic(draw, draw(st.integers(min_value=1, max_value=5)),
                                      problem.input_alphabet.size)
     return problem, prior, channel
@@ -559,7 +560,7 @@ def minimax_case(draw):
     with a zero-weight block."""
     problem = draw_tied_problem(draw, 4)
     model, m = problem.model, problem.input_alphabet.size
-    prior = Prior(values=draw_sparse_stochastic(draw, len(problem.parameters), 1).column(0))
+    prior = Prior(values=column(draw_sparse_stochastic(draw, len(problem.parameters), 1), 0))
     alphabet = FiniteAlphabet.of_size(m)
     t = F(draw(st.sampled_from(["1", "3/2", "2", "5"])))
     vertices = enumerate_polytope_vertices(alphabet, t)
@@ -575,7 +576,7 @@ def minimax_case(draw):
         channel = vertex
     elif kind == "audit":
         channel = random_private_channel(random.Random(draw(st.integers(0, 2**16))),
-                                         alphabet, t)
+                                         integer_vertices(alphabet, t))
     elif kind == "sparse":
         channel = sparse
     else:

@@ -159,3 +159,18 @@ def test_traced_names_resolve():
     for key in _traced():
         module, _, name = key.partition(".")
         assert callable(getattr(importlib.import_module(f"ldpput.{module}"), name)), key
+
+
+def test_every_method_is_read_as_an_attribute():
+    """Every method or property of a class in src/ldpput is read as an
+    attribute somewhere in src/ or perfbench/, matched by name: one that
+    only tests call belongs in tests/oracles.py."""
+    read = {node.attr for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]
+            for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.stem}.{cls.name}.{node.name}" for path in sorted(SRC.glob("*.py"))
+              for cls in _parse(path).body if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, ast.FunctionDef)
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and node.name not in read]
+    assert unread == []
