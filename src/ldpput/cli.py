@@ -35,6 +35,7 @@ from .ldp_geometry import (
     DEFAULT_ENUM_CAP_M,
     enumerate_polytope_vertices,
     require_enum_cap,
+    require_grouped_cap,
     subset_orbits,
 )
 from .put_solver import (
@@ -167,7 +168,8 @@ def cmd_enumerate(args) -> int:
     data = {"m": args.m, "t": format_fraction(level.t)}
     if note:
         data["level_note"] = note
-    if group is not None and group.order > 1:
+    if group is not None and not group.is_trivial:
+        require_grouped_cap(args.m)
         vertices = enumerate_invariant_vertices(group, level)
         data["group"] = args.group
         data["vertices"] = [
@@ -192,7 +194,7 @@ def _format_value(value) -> str:
 
 
 def _winner_label(weights) -> str:
-    if weights.polytope.group.order > 1:
+    if not weights.polytope.group.is_trivial:
         for orbit, w in zip(weights.orbits, weights.values):
             if w:
                 return f"orbit(rep={orbit.representative},k={orbit.subset_size})"
@@ -276,18 +278,21 @@ def _solve(task: _Task, wanted: list[str], group, level) -> list[dict]:
 
     `transitive` and `vertex` reduce by the user's group or else the
     task's default, `vertex_full` by none, and `lp` by the user's group
-    only.  The enumeration cap is checked before u is built, and a
-    user's group before any solver runs: every per-subset list in use
-    (u, and the values, which a value-based closed form also reads) must
-    be constant on its subset orbits.
+    only.  The grouped cap is checked before any subset orbits are
+    built, the enumeration cap before u is built, and a user's group
+    before any solver runs: every per-subset list in use (u, and the
+    values, which a value-based closed form also reads) must be constant
+    on its subset orbits.
     """
     reduced = group
     if group is None and task.default_group and {"transitive", "vertex"} & set(wanted):
         reduced = task.default_group()
     group_of = {"transitive": reduced, "vertex": reduced, "vertex_full": None, "lp": group}
     on_form = [w for w in wanted if w in ("vertex", "vertex_full", "lp")]
+    if reduced is not None:
+        require_grouped_cap(task.alphabet.size)  # before the 2^m - 2 subset orbits
     cap = DEFAULT_ENUM_CAP_M  # grouped solvers do not read it
-    if any(group_of[w] is None or group_of[w].order == 1 for w in on_form):
+    if any(group_of[w] is None or group_of[w].is_trivial for w in on_form):
         cap = _enum_cap()
         require_enum_cap(task.alphabet.size, cap)  # before the 2^m - 2 coefficients
     u = task.form() if task.form and on_form else None

@@ -55,8 +55,9 @@ class UnsupportedDivergenceError(LdpPutError):
     """The requested f-divergence is not one of the supported names."""
 
 
-class AttestationFailedError(LdpPutError):
-    """An objective disagreed with the structure declared for it."""
+class ObjectiveMismatchError(LdpPutError):
+    """The objective at a channel differs from the score its per-subset
+    linear form gives that channel."""
 
 
 class AuditFailureError(LdpPutError):

@@ -8,6 +8,7 @@ derives from it, so results are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import CapExceededError, NotBijectiveError
@@ -67,24 +68,83 @@ class Permutation:
 
 
 @dataclass(frozen=True)
+class SubsetOrbit:
+    """An orbit of subsets under the induced action, masks ascending."""
+
+    masks: tuple[int, ...]
+
+    @property
+    def representative(self) -> int:
+        return self.masks[0]
+
+    @property
+    def size(self) -> int:
+        return len(self.masks)
+
+    @property
+    def subset_size(self) -> int:
+        return len(mask_to_positions(self.masks[0]))
+
+
+@dataclass(frozen=True)
 class PermGroup:
-    """A permutation group on an alphabet, with its full element list."""
+    """A permutation group on an alphabet, given by its generators.
+
+    Orbits need only the generators.  The element list is closed on
+    first read and kept; only a caller that needs every element reads it.
+    """
 
     alphabet: FiniteAlphabet
     generators: tuple[Permutation, ...]
-    elements: tuple[Permutation, ...]
+
+    @property
+    def is_trivial(self) -> bool:
+        """Whether every generator is the identity."""
+        identity = tuple(range(self.alphabet.size))
+        return all(g.images == identity for g in self.generators)
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        """Every element, closed breadth first and sorted by image tuple.
+
+        Raises CapExceededError as soon as the closure grows past
+        GROUP_CAP elements.
+        """
+        identity = Permutation.identity(self.alphabet.size)
+        seen = {identity}
+        frontier = [identity]
+        while frontier:
+            nxt = []
+            for g in frontier:
+                for h in self.generators:
+                    prod = h * g
+                    if prod not in seen:
+                        seen.add(prod)
+                        nxt.append(prod)
+                        if len(seen) > GROUP_CAP:
+                            raise CapExceededError(f"group order exceeds cap {GROUP_CAP}")
+            frontier = nxt
+        return tuple(sorted(seen))
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def subset_orbits(self) -> tuple[SubsetOrbit, ...]:
+        """Orbits of nonempty proper subsets, ordered by smallest member;
+        built once per group object, however many callers read them."""
+        return tuple(SubsetOrbit(masks=orbit)
+                     for orbit in orbits(subset_action(natural_action(self))))
+
 
 def generate_group(alphabet: FiniteAlphabet,
                    generators: Iterable[Permutation | Sequence[int]]) -> PermGroup:
-    """Close a generator list into a full group, breadth first.
+    """The group a generator list generates on an alphabet.
 
-    Elements are stored sorted by image tuple.  Raises CapExceededError
-    as soon as the closure grows past GROUP_CAP elements.
+    Each generator must be a permutation of the alphabet's positions
+    (NotBijectiveError otherwise).  Nothing is closed here: the elements
+    are built when `elements` is first read.
     """
     m = alphabet.size
     gens: list[Permutation] = []
@@ -93,23 +153,7 @@ def generate_group(alphabet: FiniteAlphabet,
         if perm.degree != m:
             raise NotBijectiveError(f"permutation degree {perm.degree} != alphabet size {m}")
         gens.append(perm)
-    identity = Permutation.identity(m)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = h * g
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    if len(seen) > GROUP_CAP:
-                        raise CapExceededError(f"group order exceeds cap {GROUP_CAP}")
-        frontier = nxt
-    return PermGroup(alphabet=alphabet,
-                     generators=tuple(gens),
-                     elements=tuple(sorted(seen)))
+    return PermGroup(alphabet=alphabet, generators=tuple(gens))
 
 
 def trivial_group(alphabet: FiniteAlphabet) -> PermGroup:

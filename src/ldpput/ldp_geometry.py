@@ -29,11 +29,11 @@ from .errors import (
 from .groups import (
     FiniteAlphabet,
     PermGroup,
+    SubsetOrbit,
     all_subset_masks,
     mask_to_positions,
     natural_action,
     orbits,
-    subset_action,
     symmetric_generators,
     trivial_group,
 )
@@ -42,6 +42,9 @@ from .rationals import as_fraction
 from .simplex import feasible_point
 
 DEFAULT_ENUM_CAP_M = 5
+# Every path with a group splits all 2^m - 2 subsets into orbits: 65,534
+# masks at m = 16, a few seconds for S_16.
+GROUPED_CAP_M = 16
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -55,34 +58,15 @@ def staircase_row(mask: int, m: int, t: Fraction) -> tuple[Fraction, ...]:
 # -- orbits -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubsetOrbit:
-    """An orbit of subsets under the induced action, masks ascending."""
-
-    masks: tuple[int, ...]
-
-    @property
-    def representative(self) -> int:
-        return self.masks[0]
-
-    @property
-    def size(self) -> int:
-        return len(self.masks)
-
-    @property
-    def subset_size(self) -> int:
-        return len(mask_to_positions(self.masks[0]))
-
-
 def input_orbits(group: PermGroup) -> tuple[tuple, ...]:
     """Orbits of the group on its own letters."""
     return orbits(natural_action(group))
 
 
 def subset_orbits(group: PermGroup) -> tuple[SubsetOrbit, ...]:
-    """Orbits of nonempty proper subsets, ordered by smallest member."""
-    return tuple(SubsetOrbit(masks=orbit)
-                 for orbit in orbits(subset_action(natural_action(group))))
+    """Orbits of nonempty proper subsets, ordered by smallest member; one
+    group object builds them once (`PermGroup.subset_orbits`)."""
+    return group.subset_orbits
 
 
 def orbit_column_sum(group: PermGroup, letter_orbit: tuple, orbit: SubsetOrbit,
@@ -254,7 +238,7 @@ def polytope_vertices(polytope: WeightPolytope,
     its scan solves one support per S_m orbit of supports and maps each
     solution around its orbit; a grouped polytope scans every support.
     """
-    full_m = polytope.group.alphabet.size if polytope.group.order == 1 else None
+    full_m = polytope.group.alphabet.size if polytope.group.is_trivial else None
     return [WeightVector(polytope=polytope, values=values)
             for values in _basic_feasible_cached(polytope.rows, candidate_cap, full_m)]
 
@@ -276,6 +260,13 @@ def require_enum_cap(m: int, cap: int = DEFAULT_ENUM_CAP_M) -> None:
     """The full vertex enumeration's dimension cap."""
     if m > cap:
         raise DimensionCapError(f"vertex enumeration capped at m <= {cap}, got m = {m}")
+
+
+def require_grouped_cap(m: int) -> None:
+    """The dimension cap of every path with a group, GROUPED_CAP_M; no
+    setting raises it."""
+    if m > GROUPED_CAP_M:
+        raise DimensionCapError(f"grouped paths capped at m <= {GROUPED_CAP_M}, got m = {m}")
 
 
 # -- extreme directions and maximal channels ----------------------------------

@@ -30,7 +30,12 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .channels import Channel, as_level, compose
-from .errors import AttestationFailedError, AuditFailureError, DimensionCapError, NotTransitiveError
+from .errors import (
+    AuditFailureError,
+    DimensionCapError,
+    NotTransitiveError,
+    ObjectiveMismatchError,
+)
 from .groups import FiniteAlphabet, PermGroup
 from .invariant import enumerate_invariant_vertices
 from .ldp_geometry import (
@@ -111,7 +116,7 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
     `coefficients` is the objective's per-subset linear form (indexed by
     mask - 1, as `put_by_lp` takes it).  With it, each vertex is scored
     as u.w, only the argmin gets a channel, and the objective runs once
-    there and must equal the score (AttestationFailedError otherwise);
+    there and must equal the score (ObjectiveMismatchError otherwise);
     the result is exact when u is constant on every subset orbit.
     Without it, the result is only a bound.
     """
@@ -119,7 +124,7 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
     if coefficients is not None:
         _require_coefficient_count(coefficients, alphabet.size)
         coefficients = _as_form(coefficients)
-    grouped = group is not None and group.order > 1
+    grouped = group is not None and not group.is_trivial
     if grouped:
         vertices = enumerate_invariant_vertices(group, level)
     else:
@@ -138,7 +143,7 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
         best_channel = extremal_channel(vertices[best])
         direct = objective(best_channel)
         if not _agree(direct, values[best]):
-            raise AttestationFailedError(f"objective {direct} at the argmin channel "
+            raise ObjectiveMismatchError(f"objective {direct} at the argmin channel "
                                          f"differs from its linear-form score {values[best]}")
     return PutResult(value=values[best], argmin_weights=vertices[best],
                      argmin_channel=best_channel,
@@ -174,7 +179,7 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
     _require_coefficient_count(coefficients, m)
     given = _as_form(coefficients)
     exact_u = [Fraction(u) for u in given]
-    grouped = group is not None and group.order > 1
+    grouped = group is not None and not group.is_trivial
     if grouped:
         polytope = weight_polytope(group, level)
     elif m > cap:

@@ -36,11 +36,11 @@ from ldpput.channels import Channel, DominanceWitness, PrivacyLevel, as_level
 from ldpput.decision import DecisionProblem, DecisionRule, Prior
 from ldpput.errors import (
     AlphabetMismatchError,
-    AttestationFailedError,
     LdpPutError,
     LpInfeasibleError,
     LpUnboundedError,
     NotTransitiveError,
+    ObjectiveMismatchError,
     ZeroVectorError,
 )
 from ldpput.groups import (
@@ -1027,7 +1027,7 @@ def spot_check_traits(objective: Callable[[Channel], Fraction | float],
 
     Exact values are compared exactly; float-valued objectives get a
     tolerance of FLOAT_TOLERANCE.  A property that fails raises
-    AttestationFailedError.
+    ObjectiveMismatchError.
     """
     level = as_level(level)
     vertices = integer_vertices(alphabet, level)
@@ -1037,7 +1037,7 @@ def spot_check_traits(objective: Callable[[Channel], Fraction | float],
         if traits.data_processing:
             degraded = random_post_processing(rng, q1)
             if not _close(objective(degraded), objective(q1), _ge):
-                raise AttestationFailedError("data-processing attestation failed")
+                raise ObjectiveMismatchError("data-processing attestation failed")
         lam = Fraction(rng.randint(0, 4), 4)
         if traits.direct_sum_affine or traits.direct_sum_quasiconvex:
             mixed = direct_sum([lam, 1 - lam], [q1, q2])
@@ -1046,10 +1046,10 @@ def spot_check_traits(objective: Callable[[Channel], Fraction | float],
                 target = lam * v1 + (1 - lam) * v2 if isinstance(v1, Fraction) \
                     else float(lam) * float(v1) + float(1 - lam) * float(v2)
                 if not _close(vm, target, _eq):
-                    raise AttestationFailedError("direct-sum affinity attestation failed")
+                    raise ObjectiveMismatchError("direct-sum affinity attestation failed")
             if traits.direct_sum_quasiconvex:
                 if not _close(vm, max(v1, v2), _le):
-                    raise AttestationFailedError("direct-sum quasiconvexity attestation failed")
+                    raise ObjectiveMismatchError("direct-sum quasiconvexity attestation failed")
         if traits.concave:
             rows = tuple(tuple(lam * a + (1 - lam) * b for a, b in zip(r1, r2))
                          for r1, r2 in zip(q1.rows, q2.rows))
@@ -1059,10 +1059,10 @@ def spot_check_traits(objective: Callable[[Channel], Fraction | float],
             target = lam * v1 + (1 - lam) * v2 if isinstance(v1, Fraction) \
                 else float(lam) * float(v1) + float(1 - lam) * float(v2)
             if not _close(objective(blend), target, _ge):
-                raise AttestationFailedError("concavity attestation failed")
+                raise ObjectiveMismatchError("concavity attestation failed")
         if traits.group_invariant and group is not None and group.order > 1:
             g = group.elements[rng.randrange(group.order)]
             sigma = subset_action(natural_action(group))
             moved = apply_group_element(g, sigma, q1)
             if not _close(objective(moved), objective(q1), _eq):
-                raise AttestationFailedError("group-invariance attestation failed")
+                raise ObjectiveMismatchError("group-invariance attestation failed")

@@ -230,11 +230,99 @@ def test_enumerate_cap_env_garbage_exits_parse(capsys, monkeypatch):
 
 
 def test_enumerate_group_closure_cap_exits_cap(capsys):
-    # S_9 has 362,880 elements, past the group closure cap.
-    code, out, err = run(capsys, "enumerate", "--m", "9", "--t", "2", "--group", "sym")
+    # One letter past the grouped cap: 2^17 - 2 subsets to split into orbits.
+    m = ldp_geometry.GROUPED_CAP_M + 1
+    code, out, err = run(capsys, "enumerate", "--m", str(m), "--t", "2", "--group", "sym")
     assert code == EXIT_CAP
     assert "cap exceeded" in err
 
+
+@pytest.mark.parametrize("argv", [
+    ("put", "--task", "ht", "--method", "closed,transitive"),
+    ("put", "--task", "ht", "--method", "closed", "--group", "sym"),
+    ("put", "--task", "cardioid"),
+    ("enumerate", "--group", "cyclic"),
+])
+def test_grouped_cap_exits_before_subset_lists(capsys, monkeypatch, argv):
+    """One letter past the grouped cap exits 3 before any subset orbit or
+    per-subset list is built, and LDPPUT_CAP_M does not raise that cap."""
+    from ldpput import cli, groups
+
+    def refuse(*args):
+        raise AssertionError("a 2^m - 2 list was built past the grouped cap")
+
+    monkeypatch.setattr(cli, "all_subset_masks", refuse)
+    monkeypatch.setattr(groups, "all_subset_masks", refuse)
+    monkeypatch.setenv("LDPPUT_CAP_M", "40")
+    m = ldp_geometry.GROUPED_CAP_M + 1
+    code, out, err = run(capsys, *argv, "--m", str(m), "--t", "2")
+    assert code == EXIT_CAP
+    assert f"cap exceeded: grouped paths capped at m <= {m - 1}, got m = {m}" in err
+
+
+def test_closed_form_runs_past_grouped_cap(capsys):
+    data = run_json(capsys, "put", "--task", "ht", "--m", "30", "--t", "2",
+                    "--method", "closed")
+    assert data["results"][0]["value"] == "29/31"
+
+
+@pytest.mark.parametrize("m", range(8, 15))
+def test_enumerate_sym_one_vertex_per_subset_size(capsys, m):
+    # Past the old closure cap (S_8 has 40,320 elements): S_m leaves one
+    # letter orbit, so each subset size is a vertex on its own.
+    data = run_json(capsys, "enumerate", "--m", str(m), "--t", "2", "--group", "sym")
+    assert data["count"] == m - 1
+    assert sorted(v["orbits"][0]["subset_size"] for v in data["vertices"]) == list(range(1, m))
+
+
+@pytest.mark.parametrize("m", range(8, 13))
+def test_put_ht_grouped_methods_agree_past_closure_cap(capsys, m):
+    data = run_json(capsys, "put", "--task", "ht", "--m", str(m), "--t", "3/2",
+                    "--gamma", "1/2", "--method", "closed,transitive,vertex")
+    assert data["agreement"] is True
+    assert [r["method"] for r in data["results"]] == [
+        "closed_form", "transitive_closed_form", "vertex_enumeration_grouped"]
+    assert len({r["value"] for r in data["results"]}) == 1
+    assert all(r["certificate"] == "exact" for r in data["results"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("put", "--task", "cardioid", "--m", "10", "--gamma", "1/2"),
+    ("put", "--task", "ht", "--m", "7", "--method", "closed,transitive,vertex"),
+    ("put", "--task", "ht", "--m", "7", "--group", "cyclic", "--method", "transitive,vertex"),
+    ("put", "--task", "ht", "--m", "7", "--group", "sym", "--method", "lp"),
+    ("enumerate", "--m", "7", "--group", "sym"),
+    ("enumerate", "--m", "7", "--group", "cyclic"),
+])
+def test_grouped_commands_close_no_group(capsys, monkeypatch, argv):
+    """Grouped commands read generators and orbits only: with the element
+    list (and so the order) unreadable, each still answers."""
+    from ldpput.groups import PermGroup
+
+    def closed(group):
+        raise AssertionError("a group was closed into its elements")
+
+    monkeypatch.setattr(PermGroup, "elements", property(closed))
+    run_json(capsys, *argv, "--t", "2")
+
+
+def test_grouped_put_builds_subset_orbits_once(capsys, monkeypatch):
+    """The --group check, the closed form and the grouped sweep share one
+    subset-orbit partition."""
+    from ldpput import groups
+
+    original = groups.orbits
+    carriers = []
+
+    def counting_orbits(action):
+        carriers.append(len(action.carrier))
+        return original(action)
+
+    monkeypatch.setattr(groups, "orbits", counting_orbits)
+    monkeypatch.setattr(ldp_geometry, "orbits", counting_orbits)
+    run_json(capsys, "put", "--task", "ht", "--m", "7", "--t", "2", "--group", "cyclic",
+             "--method", "transitive,vertex")
+    assert carriers.count((1 << 7) - 2) == 1
 
 
 @pytest.mark.parametrize("argv", [("enumerate", "--m", "7"),
@@ -289,7 +377,7 @@ def test_put_ht_all_methods(capsys):
 
 
 def test_put_ht_closed_needs_no_default_group(capsys):
-    # S_8 would exceed the group closure cap; the closed form never needs it.
+    # The closed form reads no group and no per-subset list.
     data = run_json(capsys, "put", "--task", "ht", "--m", "8", "--method", "closed",
                     "--t", "2")
     assert [row["method"] for row in data["results"]] == ["closed_form"]

@@ -553,14 +553,13 @@ def test_bayes_linear_coefficients_equal_fraction_reference(case, t):
 
 @st.composite
 def minimax_case(draw):
-    """A tied problem with 1-4 parameters, a prior, and a channel: an
-    m <= 4 vertex channel, an audit sample, a sparse channel (which may
-    send a letter that no parameter produces to an output of its own, so
-    a nonzero channel row has a zero likelihood row), or a direct sum
-    with a zero-weight block."""
+    """A tied problem with 1-4 parameters and a channel: an m <= 4 vertex
+    channel, an audit sample, a sparse channel (which may send a letter
+    that no parameter produces to an output of its own, so a nonzero
+    channel row has a zero likelihood row), or a direct sum with a
+    zero-weight block."""
     problem = draw_tied_problem(draw, 4)
     model, m = problem.model, problem.input_alphabet.size
-    prior = Prior(values=column(draw_sparse_stochastic(draw, len(problem.parameters), 1), 0))
     alphabet = FiniteAlphabet.of_size(m)
     t = F(draw(st.sampled_from(["1", "3/2", "2", "5"])))
     vertices = enumerate_polytope_vertices(alphabet, t)
@@ -581,7 +580,7 @@ def minimax_case(draw):
         channel = sparse
     else:
         channel = direct_sum([0, 1], draw(st.permutations([vertex, sparse])))
-    return problem, prior, channel
+    return problem, channel
 
 
 @given(minimax_case())
@@ -589,7 +588,7 @@ def minimax_case(draw):
 def test_minimax_risk_equals_fraction_reference(case):
     """The same value as the LP over every output, and a rule whose worst
     risk is that value, with action 0 at each output that cannot occur."""
-    problem, _, channel = case
+    problem, channel = case
     value, rule = minimax_risk(problem, channel)
     want, _ = minimax_risk_reference(problem, channel)
     assert value == want

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from ldpput.groups import (
     symmetric_group,
     trivial_group,
 )
+from ldpput.serialize import group_from_json
 from oracles import inverse, is_transitive, positions_to_mask, validate_action
 
 
@@ -75,12 +78,53 @@ def test_trivial_group():
 
 
 def test_generate_group_cap():
-    # Sym(8) has order 40320, past the default cap of 10080.
+    # Sym(8) has order 40320, past the default cap of 10080: generating it
+    # closes nothing, and the cap is met only when its elements are read.
     x = FiniteAlphabet.of_size(8)
     swap = Permutation((1, 0, 2, 3, 4, 5, 6, 7))
     shift = Permutation(tuple((i + 1) % 8 for i in range(8)))
+    group = generate_group(x, [swap, shift])
+    assert group.generators == (swap, shift)
     with pytest.raises(CapExceededError):
-        generate_group(x, [swap, shift])
+        group.elements
+
+
+@st.composite
+def file_groups(draw):
+    """A group as a `file:` JSON gives it: up to three generators on one to
+    five letters, every one of them the identity about half the time."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    perms = st.just(list(range(m))) if draw(st.booleans()) else st.permutations(range(m))
+    gens = draw(st.lists(perms, max_size=3))
+    return group_from_json({"alphabet": list(range(m)), "generators": gens})
+
+
+@given(file_groups())
+@settings(max_examples=100, deadline=None)
+def test_is_trivial_iff_order_one(group):
+    assert group.is_trivial == (group.order == 1)
+
+
+def _attribute_reads(node, scope, names):
+    """(innermost enclosing def, attribute) for each read of `names`."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, ast.FunctionDef) else scope
+        if isinstance(child, ast.Attribute) and child.attr in names:
+            yield scope, child.attr
+        yield from _attribute_reads(child, inner, names)
+
+
+def test_only_column_group_reads_group_elements():
+    """In src/, only `linalg._column_group` closes a group: every other
+    caller reads generators, orbits or `is_trivial`.  `PermGroup.order`
+    itself reads the element list."""
+    src = Path(__file__).resolve().parent.parent / "src" / "ldpput"
+    readers = {(path.stem, scope, attr)
+               for path in sorted(src.glob("*.py"))
+               for scope, attr in _attribute_reads(ast.parse(path.read_text(encoding="utf-8")),
+                                                   "<module>", ("elements", "order"))}
+    assert readers == {("linalg", "_column_group", "elements"),
+                       ("groups", "order", "elements")}
 
 
 def test_group_elements_deterministic_order():

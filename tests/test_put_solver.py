@@ -19,7 +19,7 @@ from ldpput.decision import (
     mutual_information,
     mutual_information_linear_coefficients,
 )
-from ldpput.errors import AttestationFailedError, AuditFailureError
+from ldpput.errors import AuditFailureError, ObjectiveMismatchError
 from ldpput.groups import FiniteAlphabet, all_subset_masks, cyclic_group, symmetric_group
 from ldpput.invariant import enumerate_invariant_vertices
 from ldpput.ldp_geometry import enumerate_polytope_vertices, extremal_channel, in_weight_polytope
@@ -199,7 +199,7 @@ def test_wrong_linear_form_fails_the_argmin_check():
     best = put_by_vertex_enumeration(objective, alphabet, t, coefficients=u)
     wrong = list(u)
     wrong[best.argmin_weights.support[0] - 1] -= F(1, 7)
-    with pytest.raises(AttestationFailedError):
+    with pytest.raises(ObjectiveMismatchError):
         put_by_vertex_enumeration(objective, alphabet, t, coefficients=wrong)
 
 
@@ -211,7 +211,7 @@ def test_float_linear_form_is_checked_within_tolerance():
     res = put_by_vertex_enumeration(lambda q: float(objective(q)), alphabet, t, coefficients=u)
     assert res.value == pytest.approx(0.5, abs=1e-12)
     u[res.argmin_weights.support[0] - 1] -= 1e-6
-    with pytest.raises(AttestationFailedError):
+    with pytest.raises(ObjectiveMismatchError):
         put_by_vertex_enumeration(lambda q: float(objective(q)), alphabet, t, coefficients=u)
 
 
@@ -625,7 +625,7 @@ def test_spot_check_rejects_false_affinity():
         return minimax_risk(p, channel)[0]
 
     bad = RiskTraits(direct_sum_affine=True, concave=False)
-    with pytest.raises(AttestationFailedError):
+    with pytest.raises(ObjectiveMismatchError):
         spot_check_traits(
             mm_objective,
             FiniteAlphabet.of_size(m),
