@@ -136,10 +136,13 @@ def cardioid_bayes_risk(spec: CardioidSpec, channel: Channel) -> float:
     m0 = [1.0 / m] * m
     mc = [gamma * math.cos(2.0 * math.pi * x / m) / (2.0 * m) for x in range(m)]
     ms = [gamma * math.sin(2.0 * math.pi * x / m) / (2.0 * m) for x in range(m)]
+    d = channel.denominator
     total = 0.0
-    for row in channel.rows:
-        c0 = sum(float(v) * m0[x] for x, v in enumerate(row))
-        cc = sum(float(v) * mc[x] for x, v in enumerate(row))
-        cs = sum(float(v) * ms[x] for x, v in enumerate(row))
+    for row in channel.numerators:
+        # n / d is int true division, correctly rounded: the float of the Fraction.
+        entries = [n / d for n in row]
+        c0 = sum(v * m0[x] for x, v in enumerate(entries))
+        cc = sum(v * mc[x] for x, v in enumerate(entries))
+        cs = sum(v * ms[x] for x, v in enumerate(entries))
         total += c0 - math.hypot(cc, cs)
     return total

@@ -1,10 +1,13 @@
 """Channels between finite alphabets, privacy levels, composition, and
 post-processing witnesses.
 
-A channel is stored as an exact rational matrix, rows indexed by output
-letters and columns by input letters, every column summing to one.
-Zero rows are allowed: they correspond to outputs that never occur and
-keep row indexing stable under the geometric constructions.
+A channel is stored as integer numerators over one positive common
+denominator, reduced by the gcd of all of them, so equal matrices have
+equal fields; rows are indexed by output letters and columns by input
+letters, and every column of numerators sums to the denominator.  The
+exact Fraction rows are a view built on first read.  Zero rows are
+allowed: they correspond to outputs that never occur and keep row
+indexing stable under the geometric constructions.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -64,36 +69,57 @@ def as_level(value) -> PrivacyLevel:
 
 @dataclass(frozen=True)
 class Channel:
-    """Exact column-stochastic matrix from an input to an output alphabet."""
+    """Exact column-stochastic matrix from an input to an output alphabet:
+    entry [y][x] is numerators[y][x] / denominator."""
 
     input_alphabet: FiniteAlphabet
     output_alphabet: FiniteAlphabet
-    rows: tuple[tuple[Fraction, ...], ...]
+    numerators: tuple[tuple[int, ...], ...]
+    denominator: int
 
     def __post_init__(self):
         n_out = self.output_alphabet.size
         n_in = self.input_alphabet.size
-        if len(self.rows) != n_out:
-            raise ValueError(f"expected {n_out} rows, got {len(self.rows)}")
-        for row in self.rows:
+        numerators, d = self.numerators, self.denominator
+        if d <= 0:
+            raise ValueError(f"channel denominator must be positive, got {d}")
+        if len(numerators) != n_out:
+            raise ValueError(f"expected {n_out} rows, got {len(numerators)}")
+        for row in numerators:
             if len(row) != n_in:
                 raise ValueError(f"expected {n_in} entries per row, got {len(row)}")
-            for v in row:
-                if v < 0:
-                    raise ValueError("channel entries must be nonnegative")
+            if min(row) < 0:
+                raise ValueError("channel entries must be nonnegative")
+        sums = [sum(col) for col in zip(*numerators)] or [0] * n_in
         for x in range(n_in):
-            total = sum((row[x] for row in self.rows), _ZERO)
-            if total != 1:
-                raise ValueError(f"column {x} sums to {total}, not 1")
+            if sums[x] != d:
+                raise ValueError(f"column {x} sums to {Fraction(sums[x], d)}, not 1")
+        g = math.gcd(d, *chain.from_iterable(numerators))
+        if g != 1:
+            object.__setattr__(self, "numerators",
+                               tuple(tuple(v // g for v in row) for row in numerators))
+            object.__setattr__(self, "denominator", d // g)
+
+    @classmethod
+    def of_rows(cls, input_alphabet: FiniteAlphabet, output_alphabet: FiniteAlphabet,
+                rows: Iterable[Iterable]) -> "Channel":
+        """The channel of exact rows (Fractions or ints)."""
+        numerators, d = integer_matrix(rows)
+        return cls(input_alphabet=input_alphabet, output_alphabet=output_alphabet,
+                   numerators=tuple(map(tuple, numerators)), denominator=d)
 
     @classmethod
     def build(cls, input_letters: Sequence, output_letters: Sequence,
               rows: Iterable[Iterable]) -> "Channel":
-        return cls(
-            input_alphabet=FiniteAlphabet(tuple(input_letters)),
-            output_alphabet=FiniteAlphabet(tuple(output_letters)),
-            rows=tuple(tuple(as_fraction(v) for v in row) for row in rows),
-        )
+        return cls.of_rows(FiniteAlphabet(tuple(input_letters)),
+                           FiniteAlphabet(tuple(output_letters)),
+                           [[as_fraction(v) for v in row] for row in rows])
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as exact Fractions, built on first read."""
+        d = self.denominator
+        return tuple(tuple(Fraction(v, d) for v in row) for row in self.numerators)
 
     @property
     def num_inputs(self) -> int:
@@ -113,11 +139,13 @@ def is_ldp(channel: Channel, level) -> bool:
     """Whether every output's likelihood ratio across inputs is within t.
 
     Row by row this is t * min >= max, which is exactly the pairwise
-    constraint t * Q[y, x] >= Q[y, x'] for all x, x'.
+    constraint t * Q[y, x] >= Q[y, x'] for all x, x'; with t = p/q it
+    runs on the numerators as p * min >= q * max.
     """
     t = as_level(level).t
-    for row in channel.rows:
-        if t * min(row) < max(row):
+    p, q = t.numerator, t.denominator
+    for row in channel.numerators:
+        if p * min(row) < q * max(row):
             return False
     return True
 
@@ -130,21 +158,19 @@ def require_ldp(channel: Channel, level) -> None:
 def compose(post: Channel, channel: Channel) -> Channel:
     """Matrix product: feed `channel` outputs through `post`.
 
-    Each matrix is scaled to integers over one common denominator, so
-    the product runs on integers and each entry is an exact Fraction
-    built once, at the end.
+    The product runs on the numerators, over the product of the two
+    denominators.
     """
     if post.input_alphabet != channel.output_alphabet:
         raise AlphabetMismatchError("post-processor input must match channel output")
-    p, d_post = integer_matrix(post.rows)
-    c, d_channel = integer_matrix(channel.rows)
-    d = d_post * d_channel
+    c = channel.numerators
     cols = [[row[x] for row in c] for x in range(channel.num_inputs)]
-    rows = tuple(tuple(Fraction(sum(map(mul, p_row, col)), d) for col in cols)
-                 for p_row in p)
+    numerators = tuple(tuple(sum(map(mul, p_row, col)) for col in cols)
+                       for p_row in post.numerators)
     return Channel(input_alphabet=channel.input_alphabet,
                    output_alphabet=post.output_alphabet,
-                   rows=rows)
+                   numerators=numerators,
+                   denominator=post.denominator * channel.denominator)
 
 
 @dataclass(frozen=True)

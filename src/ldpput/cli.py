@@ -235,7 +235,7 @@ def _task(args, level) -> _Task:
         if prior is None:
             return _Task(header, alphabet, lambda q: minimax_risk(problem, q)[0], ("vertex",))
         return _Task(header, alphabet,
-                     lambda q: bayes_optimal_risk(problem, prior, q)[0], ("vertex", "lp"),
+                     lambda q: bayes_optimal_risk(problem, prior, q), ("vertex", "lp"),
                      form=lambda: bayes_linear_coefficients(problem, prior, level))
     if args.task not in ("ht", "cardioid"):
         raise ValueError("put needs --task ht|cardioid or --problem FILE")
@@ -252,7 +252,7 @@ def _task(args, level) -> _Task:
             return [by_k[mask.bit_count()] for mask in all_subset_masks(m)]
 
         return _Task(header, alphabet,
-                     lambda q: bayes_optimal_risk(problem, prior, q)[0], METHODS,
+                     lambda q: bayes_optimal_risk(problem, prior, q), METHODS,
                      default_group=lambda: symmetric_group(alphabet),
                      form=lambda: bayes_linear_coefficients(problem, prior, level),
                      values=values,

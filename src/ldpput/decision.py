@@ -2,9 +2,10 @@
 
 Risks are exact rationals end to end: model, loss, prior, channel, and
 decision rules are all rational.  The Bayes reduction and the output
-likelihoods behind the minimax LP run on integers over one
-common denominator per matrix and return exact Fractions; the minimax
-linear program is an exact simplex.  Information measures
+likelihoods behind the minimax LP run on the channel's integer
+numerators and on the model, loss and prior each scaled over one
+common denominator, and return exact Fractions; the minimax linear
+program is an exact simplex.  Information measures
 (mutual information, f-divergences) are the one exception: they return
 floats, computed from exact joint distributions at the last step.
 """
@@ -95,25 +96,18 @@ class DecisionRule:
             if any(v < 0 for v in row) or sum(row) != 1:
                 raise ValueError("each output needs a distribution over actions")
 
-    @classmethod
-    def deterministic(cls, choices: Sequence[int], n_actions: int) -> "DecisionRule":
-        return cls(probs=tuple(
-            tuple(_ONE if a == choice else _ZERO for a in range(n_actions))
-            for choice in choices))
 
-
-def _likelihoods(problem: DecisionProblem,
-                 rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+def _likelihoods(problem: DecisionProblem, channel: Channel) -> tuple[list[list[int]], int]:
     """Chance of each output row under each parameter: w[y][i] / d.
 
-    w[y][i] = sum_x rows[y][x] * model[x][i], one integer matrix product
-    with the channel and the model each scaled over one denominator; d
-    is their product.
+    w[y][i] = sum_x Q[y][x] * model[x][i], one integer matrix product of
+    the channel's numerators and the model scaled over one denominator;
+    d is the product of the two denominators.
     """
-    c, d_c = integer_matrix(rows)
     model, d_m = integer_matrix(problem.model)
     cols = list(zip(*model))
-    return [[sum(map(mul, c_row, col)) for col in cols] for c_row in c], d_c * d_m
+    return ([[sum(map(mul, c_row, col)) for col in cols] for c_row in channel.numerators],
+            channel.denominator * d_m)
 
 
 def _require_alphabet(problem: DecisionProblem, channel: Channel) -> None:
@@ -121,9 +115,10 @@ def _require_alphabet(problem: DecisionProblem, channel: Channel) -> None:
         raise AlphabetMismatchError("channel input must match the problem's alphabet")
 
 
-def _bayes_costs(problem: DecisionProblem, prior: Prior,
-                 rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Prior-weighted loss of each action at each output row: costs[y][a] / d.
+def _bayes_costs(problem: DecisionProblem, prior: Prior, numerators: Sequence[Sequence[int]],
+                 d_c: int) -> tuple[list[list[int]], int]:
+    """Prior-weighted loss of each action at each output row, for the
+    rows numerators / d_c: costs[y][a] / d.
 
     That is sum_x rows[y][x] * K[x][a], with K[x][a] = sum_i prior_i *
     model[x][i] * loss[i][a] formed once, all on integers: each matrix is
@@ -138,23 +133,15 @@ def _bayes_costs(problem: DecisionProblem, prior: Prior,
     k_cols = [[sum(p_i * v * loss_row[a] for p_i, v, loss_row in zip(p, model_row, loss))
                for model_row in model]
               for a in range(len(problem.actions))]
-    c, d_c = integer_matrix(rows)
-    return ([[sum(map(mul, c_row, col)) for col in k_cols] for c_row in c],
+    return ([[sum(map(mul, c_row, col)) for col in k_cols] for c_row in numerators],
             d_p * d_m * d_l * d_c)
 
 
-def bayes_optimal_risk(problem: DecisionProblem, prior: Prior,
-                       channel: Channel) -> tuple[Fraction, DecisionRule]:
-    """Minimal average risk and an optimal deterministic rule.
-
-    Ties between actions go to the lowest action index, so the returned
-    rule is deterministic in every sense.
-    """
+def bayes_optimal_risk(problem: DecisionProblem, prior: Prior, channel: Channel) -> Fraction:
+    """Minimal average risk: each output takes its cheapest action."""
     _require_alphabet(problem, channel)
-    costs, d = _bayes_costs(problem, prior, channel.rows)
-    best = [min(row) for row in costs]
-    choices = [row.index(b) for row, b in zip(costs, best)]
-    return Fraction(sum(best), d), DecisionRule.deterministic(choices, len(problem.actions))
+    costs, d = _bayes_costs(problem, prior, channel.numerators, channel.denominator)
+    return Fraction(sum(map(min, costs)), d)
 
 
 def minimax_risk(problem: DecisionProblem, channel: Channel) -> tuple[Fraction, DecisionRule]:
@@ -173,7 +160,7 @@ def minimax_risk(problem: DecisionProblem, channel: Channel) -> tuple[Fraction, 
     output would give.
     """
     _require_alphabet(problem, channel)
-    w, d_w = _likelihoods(problem, channel.rows)
+    w, d_w = _likelihoods(problem, channel)
     loss, d_l = integer_matrix(problem.loss)
     live = [y for y, w_row in enumerate(w) if any(w_row)]
     n_actions = len(problem.actions)
@@ -284,8 +271,8 @@ def bayes_linear_coefficients(problem: DecisionProblem, prior: Prior,
                               level) -> list[Fraction]:
     """Per-subset coefficients u with Bayes risk(channel of weights c)
     equal to sum(c_y * u_y): the Bayes cost of each raw staircase row."""
-    costs, d = _bayes_costs(problem, prior,
-                            _per_staircase_row(problem.input_alphabet.size, level, tuple))
+    rows, d_rows = integer_matrix(_per_staircase_row(problem.input_alphabet.size, level, tuple))
+    costs, d = _bayes_costs(problem, prior, rows, d_rows)
     return [Fraction(min(row), d) for row in costs]
 
 

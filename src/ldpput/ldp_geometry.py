@@ -38,7 +38,7 @@ from .groups import (
     trivial_group,
 )
 from .linalg import enumerate_basic_feasible
-from .rationals import as_fraction
+from .rationals import as_fraction, integer_matrix
 from .simplex import feasible_point
 
 DEFAULT_ENUM_CAP_M = 5
@@ -174,12 +174,17 @@ class WeightVector:
 
 
 def in_weight_polytope(weights: WeightVector) -> bool:
-    """Membership test: weights nonnegative, every row sums exactly to one."""
-    if any(v < 0 for v in weights.values):
+    """Membership test: weights nonnegative, every row sums exactly to one.
+
+    Weights n / d and rows r / d_r are scaled to integers, so a row sums
+    to one when r . n == d * d_r.
+    """
+    (n,), d = integer_matrix([weights.values])
+    if min(n) < 0:
         return False
-    support = [(j, v) for j, v in enumerate(weights.values) if v]
-    return all(sum((row[j] * v for j, v in support), _ZERO) == 1
-               for row in weights.polytope.rows)
+    rows, d_rows = integer_matrix(weights.polytope.rows)
+    support = [(j, v) for j, v in enumerate(n) if v]
+    return all(sum(row[j] * v for j, v in support) == d * d_rows for row in rows)
 
 
 def extremal_channel(weights: WeightVector) -> Channel:
@@ -188,21 +193,30 @@ def extremal_channel(weights: WeightVector) -> Channel:
     Row y is the staircase row of y scaled by the weight of its orbit;
     zero-weight rows are kept so the output alphabet always lists every
     subset, orbit by orbit (ascending under the trivial group).  Output
-    letters are the subset bitmasks themselves.
+    letters are the subset bitmasks themselves.  With weights n / d and
+    t = p / q, row y is n_y * p on the subset and n_y * q elsewhere, over
+    d * q.
     """
     if not in_weight_polytope(weights):
         raise PolytopeViolationError("weights are not a member of the weight polytope")
     m = weights.input_alphabet.size
     t = weights.level.t
+    p, q = t.numerator, t.denominator
+    (n,), d = integer_matrix([weights.values])
+    zero = (0,) * m
     letters = []
     rows = []
-    for orbit, w in zip(weights.orbits, weights.values):
-        for mask in orbit.masks:
-            letters.append(mask)
-            rows.append(tuple(w * t if mask >> x & 1 else w for x in range(m)))
+    for orbit, w in zip(weights.orbits, n):
+        letters.extend(orbit.masks)
+        if not w:
+            rows.extend([zero] * orbit.size)
+            continue
+        wp, wq = w * p, w * q
+        rows.extend(tuple(wp if mask >> x & 1 else wq for x in range(m))
+                    for mask in orbit.masks)
     return Channel(input_alphabet=weights.input_alphabet,
                    output_alphabet=FiniteAlphabet(tuple(letters)),
-                   rows=tuple(rows))
+                   numerators=tuple(rows), denominator=d * q)
 
 
 def subset_column_symmetries(m: int) -> list[tuple[int, ...]]:
@@ -374,8 +388,6 @@ def dominating_maximal(channel: Channel, level) -> tuple[Channel, DominanceWitne
     for j in range(n):
         if totals[j] == 0:
             w_rows[0][j] = _ONE
-    post = Channel(input_alphabet=maximal.output_alphabet,
-                   output_alphabet=channel.output_alphabet,
-                   rows=tuple(tuple(r) for r in w_rows))
+    post = Channel.of_rows(maximal.output_alphabet, channel.output_alphabet, w_rows)
     witness = DominanceWitness(base=maximal, derived=channel, post_processor=post)
     return maximal, witness

@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .channels import Channel, as_level, compose
@@ -276,15 +277,20 @@ def random_polytope_point(rng: random.Random, vertices: IntegerVertices) -> Weig
 
 def random_post_processing(rng: random.Random, channel: Channel) -> Channel:
     """Compose with a random exact stochastic map into a fresh alphabet
-    of at most two more outputs than the channel has."""
+    of at most two more outputs than the channel has.
+
+    Column y of the map is its random counts over their sum s_y, written
+    over the lcm of the column sums.
+    """
     n_in = channel.num_outputs
     n_out = rng.randint(1, n_in + 2)
     cols = [_random_counts(rng, n_out) for _ in range(n_in)]
-    rows = tuple(tuple(Fraction(cols[y][z], sum(cols[y])) for y in range(n_in))
-                 for z in range(n_out))
+    d = lcm(*map(sum, cols))
+    cols = [[v * (d // sum(col)) for v in col] for col in cols]
     post = Channel(input_alphabet=channel.output_alphabet,
                    output_alphabet=FiniteAlphabet(tuple(range(n_out))),
-                   rows=rows)
+                   numerators=tuple(zip(*cols)),
+                   denominator=d)
     return compose(post, channel)
 
 

@@ -494,9 +494,9 @@ def compose_reference(post: Channel, channel: Channel) -> Channel:
               for x in range(channel.num_inputs))
         for z in range(post.num_outputs)
     )
-    return Channel(input_alphabet=channel.input_alphabet,
-                   output_alphabet=post.output_alphabet,
-                   rows=rows)
+    return Channel.of_rows(input_alphabet=channel.input_alphabet,
+                           output_alphabet=post.output_alphabet,
+                           rows=rows)
 
 
 def bayes_action_costs_reference(problem: DecisionProblem, prior: Prior,
@@ -510,6 +510,13 @@ def bayes_action_costs_reference(problem: DecisionProblem, prior: Prior,
     mass = [prior.values[i] * likelihoods[i] for i in range(n_par)]
     return [sum((mass[i] * problem.loss[i][a] for i in range(n_par)), _ZERO)
             for a in range(len(problem.actions))]
+
+
+def deterministic_rule(choices: Sequence[int], n_actions: int) -> DecisionRule:
+    """The rule that takes action choices[y] at output y."""
+    return DecisionRule(probs=tuple(
+        tuple(_ONE if a == choice else _ZERO for a in range(n_actions))
+        for choice in choices))
 
 
 def bayes_optimal_risk_reference(problem: DecisionProblem, prior: Prior,
@@ -527,7 +534,7 @@ def bayes_optimal_risk_reference(problem: DecisionProblem, prior: Prior,
         best = min(costs)
         total += best
         choices.append(costs.index(best))
-    return total, DecisionRule.deterministic(choices, len(problem.actions))
+    return total, deterministic_rule(choices, len(problem.actions))
 
 
 # -- minimax risk and invariance on Fractions -----------------------------------
@@ -729,9 +736,9 @@ def dominates(q1: Channel, q2: Channel) -> DominanceWitness | None:
     if solution is None:
         return None
     w_rows = tuple(tuple(solution[z * n1 + y] for y in range(n1)) for z in range(n2))
-    post = Channel(input_alphabet=q1.output_alphabet,
-                   output_alphabet=q2.output_alphabet,
-                   rows=w_rows)
+    post = Channel.of_rows(input_alphabet=q1.output_alphabet,
+                           output_alphabet=q2.output_alphabet,
+                           rows=w_rows)
     return DominanceWitness(base=q1, derived=q2, post_processor=post)
 
 
@@ -763,9 +770,9 @@ def direct_sum(weights: Sequence, channels: Sequence[Channel]) -> Channel:
         for y, letter in enumerate(q.output_alphabet.letters):
             letters.append((j, letter))
             rows.append(tuple(p * v for v in q.rows[y]))
-    return Channel(input_alphabet=base_input,
-                   output_alphabet=FiniteAlphabet(tuple(letters)),
-                   rows=tuple(rows))
+    return Channel.of_rows(input_alphabet=base_input,
+                           output_alphabet=FiniteAlphabet(tuple(letters)),
+                           rows=tuple(rows))
 
 
 def apply_group_element(g: Permutation, sigma: GroupAction, channel: Channel) -> Channel:
@@ -787,9 +794,9 @@ def apply_group_element(g: Permutation, sigma: GroupAction, channel: Channel) ->
               for x in range(m))
         for y_letter in channel.output_alphabet.letters
     )
-    return Channel(input_alphabet=channel.input_alphabet,
-                   output_alphabet=channel.output_alphabet,
-                   rows=rows)
+    return Channel.of_rows(input_alphabet=channel.input_alphabet,
+                           output_alphabet=channel.output_alphabet,
+                           rows=rows)
 
 
 def symmetrize(group: PermGroup, channel: Channel) -> Channel:
@@ -810,9 +817,9 @@ def symmetrize(group: PermGroup, channel: Channel) -> Channel:
             letters.append((gidx, letter))
             rows.append(tuple(share * channel.rows[y][g_inv(x)]
                               for x in range(channel.num_inputs)))
-    return Channel(input_alphabet=channel.input_alphabet,
-                   output_alphabet=FiniteAlphabet(tuple(letters)),
-                   rows=tuple(rows))
+    return Channel.of_rows(input_alphabet=channel.input_alphabet,
+                           output_alphabet=FiniteAlphabet(tuple(letters)),
+                           rows=tuple(rows))
 
 
 def symmetrized_output_action(group: PermGroup, channel: Channel) -> GroupAction:
@@ -910,9 +917,9 @@ def ss_mechanism(alphabet: FiniteAlphabet, k: int, level) -> Channel:
     w = Fraction(m, 1) / (comb(m, k) * (k * t + m - k))
     masks = [mask for mask in all_subset_masks(m) if len(mask_to_positions(mask)) == k]
     rows = tuple(tuple(v * w for v in staircase_row(mask, m, t)) for mask in masks)
-    return Channel(input_alphabet=alphabet,
-                   output_alphabet=FiniteAlphabet(tuple(masks)),
-                   rows=rows)
+    return Channel.of_rows(input_alphabet=alphabet,
+                           output_alphabet=FiniteAlphabet(tuple(masks)),
+                           rows=rows)
 
 
 def invariant_output_action(group: PermGroup, channel: Channel) -> GroupAction:
@@ -1053,8 +1060,8 @@ def spot_check_traits(objective: Callable[[Channel], Fraction | float],
         if traits.concave:
             rows = tuple(tuple(lam * a + (1 - lam) * b for a, b in zip(r1, r2))
                          for r1, r2 in zip(q1.rows, q2.rows))
-            blend = Channel(input_alphabet=q1.input_alphabet,
-                            output_alphabet=q1.output_alphabet, rows=rows)
+            blend = Channel.of_rows(input_alphabet=q1.input_alphabet,
+                                    output_alphabet=q1.output_alphabet, rows=rows)
             v1, v2 = objective(q1), objective(q2)
             target = lam * v1 + (1 - lam) * v2 if isinstance(v1, Fraction) \
                 else float(lam) * float(v1) + float(1 - lam) * float(v2)

@@ -133,7 +133,7 @@ def _ht_five_methods(m, gamma, level):
     problem, prior = ht_problem(m, gamma)
 
     def objective(q):
-        return bayes_optimal_risk(problem, prior, q)[0]
+        return bayes_optimal_risk(problem, prior, q)
 
     closed = ht_put_closed_form(m, gamma, level)
     transitive = put_transitive_closed_form(
@@ -176,7 +176,7 @@ def test_ht_minimax_matches_bayes_with_equalizer():
         problem, prior = ht_problem(m, gamma)
         best = ss_mechanism(FiniteAlphabet.of_size(m), 1, level)
         value = ht_put_closed_form(m, gamma, level)
-        assert bayes_optimal_risk(problem, prior, best)[0] == value
+        assert bayes_optimal_risk(problem, prior, best) == value
         assert minimax_risk(problem, best)[0] == value
         assert check_equalizer_reference(problem, prior, best, tolerance=0)
 
@@ -325,8 +325,8 @@ def test_risk_functional_property_suites():
         w = _random_channel(rng, q.num_outputs, rng.randint(2, 3))
         prior = _random_prior(rng, len(p.parameters))
         degraded = compose(w, q)
-        assert bayes_optimal_risk(p, prior, degraded)[0] \
-            >= bayes_optimal_risk(p, prior, q)[0]
+        assert bayes_optimal_risk(p, prior, degraded) \
+            >= bayes_optimal_risk(p, prior, q)
         assert minimax_risk(p, degraded)[0] >= minimax_risk(p, q)[0]
 
     rng = random.Random("direct-sum-affine")
@@ -337,9 +337,9 @@ def test_risk_functional_property_suites():
         q2 = _random_channel(rng, m, rng.randint(2, 3))
         lam = F(rng.randint(1, 9), 10)
         prior = _random_prior(rng, len(p.parameters))
-        lhs = bayes_optimal_risk(p, prior, direct_sum([lam, 1 - lam], [q1, q2]))[0]
-        rhs = lam * bayes_optimal_risk(p, prior, q1)[0] \
-            + (1 - lam) * bayes_optimal_risk(p, prior, q2)[0]
+        lhs = bayes_optimal_risk(p, prior, direct_sum([lam, 1 - lam], [q1, q2]))
+        rhs = lam * bayes_optimal_risk(p, prior, q1) \
+            + (1 - lam) * bayes_optimal_risk(p, prior, q2)
         assert lhs == rhs
 
     rng = random.Random("direct-sum-quasiconvex")
@@ -366,9 +366,9 @@ def test_risk_functional_property_suites():
             [[lam * q1.rows[y][x] + (1 - lam) * q2.rows[y][x] for x in range(m)]
              for y in range(n_out)])
         prior = _random_prior(rng, len(p.parameters))
-        lhs = bayes_optimal_risk(p, prior, mixed)[0]
-        rhs = lam * bayes_optimal_risk(p, prior, q1)[0] \
-            + (1 - lam) * bayes_optimal_risk(p, prior, q2)[0]
+        lhs = bayes_optimal_risk(p, prior, mixed)
+        rhs = lam * bayes_optimal_risk(p, prior, q1) \
+            + (1 - lam) * bayes_optimal_risk(p, prior, q2)
         assert lhs >= rhs
 
     rng = random.Random("group-moves")
@@ -389,8 +389,8 @@ def test_risk_functional_property_suites():
         g = group.elements[rng.randrange(len(group.elements))]
         moved = apply_group_element(g, out_action, q)
         prior = Prior.uniform(m)
-        assert bayes_optimal_risk(p, prior, moved)[0] \
-            == bayes_optimal_risk(p, prior, q)[0]
+        assert bayes_optimal_risk(p, prior, moved) \
+            == bayes_optimal_risk(p, prior, q)
         assert minimax_risk(p, moved)[0] == minimax_risk(p, q)[0]
 
 
@@ -406,7 +406,7 @@ def test_group_reduction_preserves_optimum():
         problem, prior = ht_problem(m, gamma)
 
         def objective(q):
-            return bayes_optimal_risk(problem, prior, q)[0]
+            return bayes_optimal_risk(problem, prior, q)
 
         reduced = put_by_vertex_enumeration(objective, alphabet, level, group=group).value
         full = put_by_vertex_enumeration(objective, alphabet, level, cap=5).value
@@ -455,7 +455,7 @@ def test_random_channel_audit_never_beats_optimum():
     baseline = ht_put_closed_form(3, F(1), level)
 
     def objective(q):
-        return bayes_optimal_risk(problem, prior, q)[0]
+        return bayes_optimal_risk(problem, prior, q)
 
     report = random_channel_audit(objective, problem.input_alphabet, level,
                                   samples=1000, seed="7",

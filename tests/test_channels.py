@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +19,17 @@ from ldpput.channels import (
     is_ldp,
     require_ldp,
 )
+from ldpput.applications import CardioidSpec, cardioid_bayes_risk
 from ldpput.errors import AlphabetMismatchError, NotLdpError
-from ldpput.groups import FiniteAlphabet, Permutation, cyclic_group, symmetric_group
+from ldpput.groups import (
+    FiniteAlphabet,
+    Permutation,
+    all_subset_masks,
+    cyclic_group,
+    symmetric_group,
+)
+from ldpput.ldp_geometry import extremal_channel, staircase_row
+from ldpput.put_solver import integer_vertices, random_polytope_point, random_private_channel
 from oracles import (
     WeightSumError,
     apply_group_element,
@@ -363,3 +375,114 @@ def test_compose_equals_fraction_reference(pair):
     out = compose(post, q)
     assert out == compose_reference(post, q)
     assert all(type(v) is Fraction for row in out.rows for v in row)
+
+
+# -- the integer form ---------------------------------------------------------
+
+
+def test_equal_matrices_from_different_scalings_are_equal():
+    two = FiniteAlphabet.of_size(2)
+    halves = Channel(input_alphabet=two, output_alphabet=two,
+                     numerators=((1, 1), (1, 1)), denominator=2)
+    quarters = Channel(input_alphabet=two, output_alphabet=two,
+                       numerators=((2, 2), (2, 2)), denominator=4)
+    assert halves == quarters
+    assert hash(halves) == hash(quarters)
+    assert quarters.numerators == ((1, 1), (1, 1)) and quarters.denominator == 2
+    assert quarters == uniform_channel(2, 2)
+
+
+@given(sparse_pair())
+@settings(max_examples=60, deadline=None)
+def test_rows_round_trip_the_built_fractions(pair):
+    for q in pair:
+        rows = [list(row) for row in q.rows]
+        rebuilt = Channel.build(q.input_alphabet.letters, q.output_alphabet.letters, rows)
+        assert rebuilt.rows == tuple(map(tuple, rows))
+        assert rebuilt == q
+        assert all(type(v) is Fraction for row in rebuilt.rows for v in row)
+
+
+@pytest.mark.parametrize("numerators, denominator, message", [
+    (((3, 1), (-1, 1)), 2, "channel entries must be nonnegative"),
+    (((1, 1), (1, 0)), 2, "column 1 sums to 1/2, not 1"),
+    (((1, 1), (1, 1), (0, 0)), 2, "expected 2 rows, got 3"),
+    (((1, 1), (1,)), 2, "expected 2 entries per row, got 1"),
+    (((0, 0), (0, 0)), 0, "channel denominator must be positive"),
+    (((-1, -1), (0, 0)), -1, "channel denominator must be positive"),
+])
+def test_channel_validation_messages(numerators, denominator, message):
+    two = FiniteAlphabet.of_size(2)
+    with pytest.raises(ValueError, match=message):
+        Channel(input_alphabet=two, output_alphabet=two,
+                numerators=numerators, denominator=denominator)
+
+
+def test_channel_build_keeps_fraction_messages():
+    with pytest.raises(ValueError, match="column 0 sums to 5/6, not 1"):
+        Channel.build([0, 1], [0, 1], [["1/2", "1/2"], ["1/3", "1/2"]])
+    with pytest.raises(ValueError, match="channel entries must be nonnegative"):
+        Channel.build([0, 1], [0, 1], [["3/2", "1/2"], ["-1/2", "1/2"]])
+
+
+@pytest.mark.parametrize("n_in", [1, 3])
+def test_channel_without_outputs_is_refused(n_in):
+    """With no output row every column sums to 0, and each column is
+    checked; the output alphabet is a size-0 stand-in, since
+    FiniteAlphabet itself refuses to be empty."""
+    with pytest.raises(ValueError):
+        Channel.build(range(n_in), [], [])
+    with pytest.raises(ValueError, match="column 0 sums to 0, not 1"):
+        Channel(input_alphabet=FiniteAlphabet.of_size(n_in),
+                output_alphabet=SimpleNamespace(size=0), numerators=(), denominator=1)
+
+
+@given(st.sampled_from([2, 3, 4]), st.sampled_from(["1", "3/2", "2", "7/3"]),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_extremal_channel_is_the_weighted_staircase(m, t, seed):
+    """Row y is w_y * t on the subset and w_y elsewhere, as Fractions."""
+    t = Fraction(t)
+    vertices = integer_vertices(FiniteAlphabet.of_size(m), t)
+    weights = random_polytope_point(random.Random(seed), vertices)
+    q = extremal_channel(weights)
+    assert q.rows == tuple(
+        tuple(weights.weight(mask) * s for s in staircase_row(mask, m, t))
+        for mask in all_subset_masks(m))
+    assert q.output_alphabet.letters == tuple(all_subset_masks(m))
+
+
+@given(sparse_pair(), st.sampled_from(["1", "3/2", "2", "7/3", "5", "1000"]))
+@settings(max_examples=100, deadline=None)
+def test_is_ldp_agrees_with_the_fraction_rule(pair, t):
+    post, q = pair
+    t = Fraction(t)
+    for channel in (q, compose(post, q)):
+        expected = all(t * min(row) >= max(row) for row in channel.rows)
+        assert is_ldp(channel, t) is expected
+
+
+def _cardioid_risk_on_fractions(spec, channel) -> float:
+    """cardioid_bayes_risk with float(Fraction) per entry."""
+    m = spec.m
+    gamma = float(spec.gamma)
+    m0 = [1.0 / m] * m
+    mc = [gamma * math.cos(2.0 * math.pi * x / m) / (2.0 * m) for x in range(m)]
+    ms = [gamma * math.sin(2.0 * math.pi * x / m) / (2.0 * m) for x in range(m)]
+    total = 0.0
+    for row in channel.rows:
+        c0 = sum(float(v) * m0[x] for x, v in enumerate(row))
+        cc = sum(float(v) * mc[x] for x, v in enumerate(row))
+        cs = sum(float(v) * ms[x] for x, v in enumerate(row))
+        total += c0 - math.hypot(cc, cs)
+    return total
+
+
+@given(st.sampled_from([3, 4]), st.sampled_from(["3/2", "2", "5"]),
+       st.sampled_from(["1/3", "1", "3/4"]), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_cardioid_bayes_risk_is_the_float_of_each_fraction(m, t, gamma, seed):
+    spec = CardioidSpec.build(m, gamma, t)
+    vertices = integer_vertices(FiniteAlphabet.of_size(m), Fraction(t))
+    q = random_private_channel(random.Random(seed), vertices)
+    assert cardioid_bayes_risk(spec, q) == _cardioid_risk_on_fractions(spec, q)

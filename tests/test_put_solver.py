@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpput.channels import Channel, compose, is_ldp
-from ldpput.applications import ht_problem, ht_subset_risk
+from ldpput.applications import CardioidSpec, cardioid_bayes_risk, ht_problem, ht_subset_risk
 from ldpput.decision import (
     DecisionProblem,
     Prior,
@@ -65,7 +65,7 @@ def bayes_objective(m: int):
     prior = Prior.uniform(m)
 
     def objective(channel: Channel) -> Fraction:
-        return bayes_optimal_risk(p, prior, channel)[0]
+        return bayes_optimal_risk(p, prior, channel)
 
     return p, prior, objective
 
@@ -128,7 +128,7 @@ def test_grouped_sweep_of_asymmetric_problem_is_a_bound():
     u = bayes_linear_coefficients(p, prior, t)
 
     def objective(channel):
-        return bayes_optimal_risk(p, prior, channel)[0]
+        return bayes_optimal_risk(p, prior, channel)
 
     sym = symmetric_group(alphabet)
     for form in (u, None):
@@ -174,7 +174,7 @@ def test_linear_form_sweep_matches_direct_sweep(case, grouped):
     u = bayes_linear_coefficients(p, prior, t)
 
     def objective(channel):
-        return bayes_optimal_risk(p, prior, channel)[0]
+        return bayes_optimal_risk(p, prior, channel)
 
     direct = put_by_vertex_enumeration(objective, alphabet, t, group=group)
     linear = put_by_vertex_enumeration(objective, alphabet, t, group=group, coefficients=u)
@@ -404,7 +404,7 @@ def test_transitive_closed_form_matches_grouped_sweep_and_lp(m, t, gamma, cyclic
                       for mask in all_subset_masks(m)]
     closed = put_transitive_closed_form(values, group, t)
     sweep = put_by_vertex_enumeration(
-        lambda q: bayes_optimal_risk(problem, prior, q)[0], alphabet, t, group=group,
+        lambda q: bayes_optimal_risk(problem, prior, q), alphabet, t, group=group,
         coefficients=u)
     lp = put_by_lp(u, alphabet, t, group=group)
     for res in (sweep, lp):
@@ -508,7 +508,7 @@ def test_integer_kernels_on_sampled_channels(seed, m, t):
     assert compose(post, q) == compose_reference(post, q)
     for problem, prior in (ht_problem(m, F(1, 3)), bayes_objective(m)[:2]):
         assert bayes_optimal_risk(problem, prior, q) == \
-            bayes_optimal_risk_reference(problem, prior, q)
+            bayes_optimal_risk_reference(problem, prior, q)[0]
 
 
 # -- audit --------------------------------------------------------------------
@@ -526,6 +526,24 @@ def test_audit_passes_for_true_put():
         baseline_value=F(1, 2),
     )
     assert report.min_gap >= 0
+
+
+def test_audit_builds_no_fraction_rows():
+    """The sampler and both audit objectives read the integer form: no
+    sampled channel builds its Fraction rows."""
+    m, t = 4, F(3, 2)
+    problem, prior = ht_problem(m, F(1, 2))
+    spec = CardioidSpec.build(m, F(1, 2), t)
+    sampled = []
+
+    def objective(q):
+        sampled.append(q)
+        return bayes_optimal_risk(problem, prior, q) + F(cardioid_bayes_risk(spec, q))
+
+    random_channel_audit(objective, FiniteAlphabet.of_size(m), t, samples=40, seed=3,
+                         baseline_value=F(0))
+    assert len(sampled) == 40
+    assert not any("rows" in vars(q) for q in sampled)
 
 
 def test_audit_flags_fake_baseline():
