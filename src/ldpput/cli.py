@@ -233,7 +233,7 @@ def _task(args, level) -> _Task:
         header = {"task": "custom", "risk": "minimax" if prior is None else "bayes",
                   "m": alphabet.size, "t": t}
         if prior is None:
-            return _Task(header, alphabet, lambda q: minimax_risk(problem, q)[0], ("vertex",))
+            return _Task(header, alphabet, lambda q: minimax_risk(problem, q), ("vertex",))
         return _Task(header, alphabet,
                      lambda q: bayes_optimal_risk(problem, prior, q), ("vertex", "lp"),
                      form=lambda: bayes_linear_coefficients(problem, prior, level))

@@ -1,11 +1,11 @@
 """Statistical decision problems observed through a channel.
 
-Risks are exact rationals end to end: model, loss, prior, channel, and
-decision rules are all rational.  The Bayes reduction and the output
-likelihoods behind the minimax LP run on the channel's integer
-numerators and on the model, loss and prior each scaled over one
-common denominator, and return exact Fractions; the minimax linear
-program is an exact simplex.  Information measures
+Risks are exact rationals end to end: model, loss, prior and channel
+are all rational.  The Bayes reduction and the output likelihoods
+behind the minimax LP run on the channel's integer numerators and on
+the model, loss and prior each scaled over one common denominator
+(built once per problem and prior), and return exact Fractions; the
+minimax linear program is an exact simplex.  Information measures
 (mutual information, f-divergences) are the one exception: they return
 floats, computed from exact joint distributions at the last step.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
@@ -26,7 +27,6 @@ from .rationals import as_fraction, integer_matrix
 from .simplex import solve_standard_lp
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 F_DIVERGENCES = ("kl", "tv", "chi2", "hellinger2")
 
@@ -47,6 +47,10 @@ class DecisionProblem:
 
     def __post_init__(self):
         n_par = len(self.parameters)
+        if not n_par:
+            raise ValueError("a decision problem needs at least one parameter")
+        if not self.actions:
+            raise ValueError("a decision problem needs at least one action")
         m = self.input_alphabet.size
         if len(self.model) != m or any(len(r) != n_par for r in self.model):
             raise ValueError("model must be an m x #parameters matrix")
@@ -56,6 +60,16 @@ class DecisionProblem:
                 raise ValueError(f"model column {i} is not a distribution")
         if len(self.loss) != n_par or any(len(r) != len(self.actions) for r in self.loss):
             raise ValueError("loss must be a #parameters x #actions matrix")
+
+    @cached_property
+    def integer_model(self) -> tuple[list[list[int]], int]:
+        """The model as integer rows over one denominator, built once."""
+        return integer_matrix(self.model)
+
+    @cached_property
+    def integer_loss(self) -> tuple[list[list[int]], int]:
+        """The loss as integer rows over one denominator, built once."""
+        return integer_matrix(self.loss)
 
     @classmethod
     def build(cls, parameters, input_letters, model, actions, loss) -> "DecisionProblem":
@@ -76,6 +90,12 @@ class Prior:
         if any(v < 0 for v in self.values) or sum(self.values) != 1:
             raise ValueError("prior must be a distribution")
 
+    @cached_property
+    def integer_values(self) -> tuple[list[int], int]:
+        """The values as integers over one denominator, built once."""
+        (values,), d = integer_matrix([self.values])
+        return values, d
+
     @classmethod
     def uniform(cls, n: int) -> "Prior":
         return cls(values=tuple(Fraction(1, n) for _ in range(n)))
@@ -85,18 +105,6 @@ class Prior:
         return cls(values=tuple(as_fraction(v) for v in values))
 
 
-@dataclass(frozen=True)
-class DecisionRule:
-    """Randomized rule: probs[y][a] is the chance of action a at output y."""
-
-    probs: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        for row in self.probs:
-            if any(v < 0 for v in row) or sum(row) != 1:
-                raise ValueError("each output needs a distribution over actions")
-
-
 def _likelihoods(problem: DecisionProblem, channel: Channel) -> tuple[list[list[int]], int]:
     """Chance of each output row under each parameter: w[y][i] / d.
 
@@ -104,7 +112,7 @@ def _likelihoods(problem: DecisionProblem, channel: Channel) -> tuple[list[list[
     the channel's numerators and the model scaled over one denominator;
     d is the product of the two denominators.
     """
-    model, d_m = integer_matrix(problem.model)
+    model, d_m = problem.integer_model
     cols = list(zip(*model))
     return ([[sum(map(mul, c_row, col)) for col in cols] for c_row in channel.numerators],
             channel.denominator * d_m)
@@ -127,9 +135,9 @@ def _bayes_costs(problem: DecisionProblem, prior: Prior, numerators: Sequence[Se
     """
     if len(prior.values) != len(problem.parameters):
         raise ValueError("prior length must match the parameter list")
-    (p,), d_p = integer_matrix([prior.values])
-    model, d_m = integer_matrix(problem.model)
-    loss, d_l = integer_matrix(problem.loss)
+    p, d_p = prior.integer_values
+    model, d_m = problem.integer_model
+    loss, d_l = problem.integer_loss
     k_cols = [[sum(p_i * v * loss_row[a] for p_i, v, loss_row in zip(p, model_row, loss))
                for model_row in model]
               for a in range(len(problem.actions))]
@@ -144,24 +152,28 @@ def bayes_optimal_risk(problem: DecisionProblem, prior: Prior, channel: Channel)
     return Fraction(sum(map(min, costs)), d)
 
 
-def minimax_risk(problem: DecisionProblem, channel: Channel) -> tuple[Fraction, DecisionRule]:
+def minimax_risk(problem: DecisionProblem, channel: Channel) -> Fraction:
     """Minimal worst-case risk over randomized rules, by exact LP.
 
     Variables are the rule probabilities of each output that can occur
     (its likelihood row is nonzero), a split level s = s+ - s-, and one
     slack per parameter; an output no parameter can produce adds nothing
-    to any risk, so it stays out of the LP and its rule row is action 0.
-    A vertex channel has at most m nonzero rows, so at m = 4 the LP has
-    at most 4 + #parameters rows, not 14 + #parameters.  Each parameter
-    row is the rational row times the product of the channel, model and
-    loss denominators, all integers, so the value is the same Fraction.
-    Bland pivoting keeps the solve deterministic; on a degenerate optimum
-    the rule may be a different optimal rule than the LP over every
-    output would give.
+    to any risk, so it stays out of the LP.  A vertex channel has at
+    most m nonzero rows, so at m = 4 the LP has at most 4 + #parameters
+    rows, not 14 + #parameters.  Each parameter row is the rational row
+    times the product of the channel, model and loss denominators, all
+    integers, so the value is the same Fraction.
+
+    The LP starts from a feasible basis known in advance, so it runs
+    phase 2 only: action 0 at every output, whose risk at parameter i
+    is loss[i][0] whatever the channel; the level s at the first worst
+    of those risks (s+ if it is >= 0, s- if not); and every other
+    parameter's slack at its gap to it.  Returns the value alone: on a
+    degenerate optimum the rule would depend on the start.
     """
     _require_alphabet(problem, channel)
     w, d_w = _likelihoods(problem, channel)
-    loss, d_l = integer_matrix(problem.loss)
+    loss, d_l = problem.integer_loss
     live = [y for y, w_row in enumerate(w) if any(w_row)]
     n_actions = len(problem.actions)
     n_par = len(problem.parameters)
@@ -187,11 +199,10 @@ def minimax_risk(problem: DecisionProblem, channel: Channel) -> tuple[Fraction, 
     cost = [0] * nvars
     cost[s_plus] = 1
     cost[s_minus] = -1
-    res = solve_standard_lp(a_eq, [1] * len(live) + [0] * n_par, cost)
-    probs = [(_ONE,) + (_ZERO,) * (n_actions - 1)] * channel.num_outputs
-    for k, y in enumerate(live):
-        probs[y] = tuple(res.x[k * n_actions:(k + 1) * n_actions])
-    return res.value, DecisionRule(probs=tuple(probs))
+    worst = max(range(n_par), key=lambda i: loss[i][0])
+    basis = [k * n_actions for k in range(len(live))] + [s_minus + 1 + i for i in range(n_par)]
+    basis[len(live) + worst] = s_plus if loss[worst][0] >= 0 else s_minus
+    return solve_standard_lp(a_eq, [1] * len(live) + [0] * n_par, cost, basis).value
 
 
 def mutual_information(channel: Channel, input_dist: Sequence) -> float:
@@ -271,8 +282,12 @@ def bayes_linear_coefficients(problem: DecisionProblem, prior: Prior,
                               level) -> list[Fraction]:
     """Per-subset coefficients u with Bayes risk(channel of weights c)
     equal to sum(c_y * u_y): the Bayes cost of each raw staircase row."""
-    rows, d_rows = integer_matrix(_per_staircase_row(problem.input_alphabet.size, level, tuple))
-    costs, d = _bayes_costs(problem, prior, rows, d_rows)
+    t = as_level(level).t
+    p, q = t.numerator, t.denominator
+    m = problem.input_alphabet.size
+    # Staircase row S over q: p at the letters in S and q elsewhere.
+    rows = [[p if mask >> x & 1 else q for x in range(m)] for mask in all_subset_masks(m)]
+    costs, d = _bayes_costs(problem, prior, rows, q)
     return [Fraction(min(row), d) for row in costs]
 
 

@@ -3,7 +3,10 @@
 Standard form: minimize c.x subject to A x = b, x >= 0.  Bland's rule
 is used for both the entering and leaving choices, so the method
 terminates on degenerate problems and, given identical input, always
-performs the identical pivot sequence.
+performs the identical pivot sequence.  A caller that knows a feasible
+basis can pass it: its columns are pivoted in row by row (a crash
+basis, Bixby 1992), and only phase 2 runs, on a tableau with no
+artificial columns.
 
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968; as in Avis's
 lrs): each constraint row is scaled once to integers, and the whole
@@ -37,8 +40,8 @@ class LpResult:
 def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, d: int) -> int:
     """Pivot on (row, col) under common denominator d; returns the new one."""
     if tableau[row][col] < 0:
-        # Only a drive-out pivot can be negative (its rhs is 0): negating
-        # the row keeps the new denominator positive.
+        # Only a drive-out pivot (its rhs is 0) or a start-basis pivot can
+        # be negative: negating the row keeps the new denominator positive.
         tableau[row] = [-v for v in tableau[row]]
     pivot_row = tableau[row]
     p = pivot_row[col]
@@ -80,10 +83,14 @@ def _run(tableau: list[list[int]], basis: list[int], allowed_cols: int, d: int) 
 
 
 def solve_standard_lp(a_eq: list[list[Fraction]], b_eq: list[Fraction],
-                      cost: list[Fraction]) -> LpResult:
+                      cost: list[Fraction], basis: list[int] | None = None) -> LpResult:
     """Minimize cost.x over {x >= 0 : A x = b}.
 
-    Raises LpInfeasibleError / LpUnboundedError accordingly.
+    With basis (one column per row), the solve starts there: column
+    basis[i] is pivoted in at row i, and phase 2 runs from that basis.
+    It raises ValueError unless the columns are independent and the
+    basic point is >= 0.  Raises LpInfeasibleError / LpUnboundedError
+    accordingly.
     """
     nrows = len(a_eq)
     ncols = len(cost)
@@ -95,6 +102,9 @@ def solve_standard_lp(a_eq: list[list[Fraction]], b_eq: list[Fraction],
         if row[-1] < 0:
             row = [-v for v in row]
         rows.append(row)
+    if basis is not None:
+        basis, d = _start(rows, basis, ncols)
+        return _phase2(rows, basis, d, cost)
 
     # Phase 1: artificial basis, minimize the artificial mass.  The cost
     # row is the negated sum of the unscaled rows, times L = lcm(scales),
@@ -130,9 +140,32 @@ def solve_standard_lp(a_eq: list[list[Fraction]], b_eq: list[Fraction],
     # rational tableau row; artificial columns can no longer enter.
     tableau = [tableau[i][:ncols] + tableau[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
+    return _phase2(tableau, basis, d, cost)
 
-    # Phase 2: the reduced-cost row times lc * d, where lc scales the cost
-    # to integers (the trailing 1 again).
+
+def _start(rows: list[list[int]], start: list[int], ncols: int) -> tuple[list[int], int]:
+    """Pivot column start[i] in at row i, in place; returns the basis and
+    the denominator.  ValueError unless it is a basis whose point is >= 0."""
+    if len(start) != len(rows) or not all(0 <= j < ncols for j in start):
+        raise ValueError("a start basis needs one column index per row")
+    basis = [-1] * len(rows)
+    d = 1
+    for i, col in enumerate(start):
+        if rows[i][col] == 0:
+            raise ValueError("the start basis is singular")
+        d = _pivot(rows, basis, i, col, d)
+    if any(row[-1] < 0 for row in rows):
+        raise ValueError("the start basis is infeasible")
+    return basis, d
+
+
+def _phase2(tableau: list[list[int]], basis: list[int], d: int,
+            cost: list[Fraction]) -> LpResult:
+    """Phase 2 from a feasible basis whose rows are T_i / d, with no
+    artificial columns."""
+    ncols = len(cost)
+    # The reduced-cost row times lc * d, where lc scales the cost to
+    # integers (the trailing 1 again).
     *int_cost, lc = _integer_rows([[*cost, 1]])[0]
     reduced = [d * v for v in int_cost] + [0]
     for row, bv in zip(tableau, basis):

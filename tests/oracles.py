@@ -33,7 +33,7 @@ import numpy as np
 
 from ldpput.applications import CardioidSpec, z_magnitude
 from ldpput.channels import Channel, DominanceWitness, PrivacyLevel, as_level
-from ldpput.decision import DecisionProblem, DecisionRule, Prior
+from ldpput.decision import DecisionProblem, Prior
 from ldpput.errors import (
     AlphabetMismatchError,
     LdpPutError,
@@ -385,12 +385,15 @@ def _run(tableau: list[list[Fraction]], basis: list[int], allowed_cols: int) -> 
 
 
 def solve_standard_lp_reference(a_eq: list[list[Fraction]], b_eq: list[Fraction],
-                      cost: list[Fraction]) -> LpResult:
+                                cost: list[Fraction],
+                                basis: list[int] | None = None) -> LpResult:
     """Minimize cost.x over {x >= 0 : A x = b} on a Fraction tableau.
 
     The rational two-phase simplex with Bland's rule that the integer
-    tableau of ldpput.simplex must follow pivot for pivot.  Raises
-    LpInfeasibleError / LpUnboundedError accordingly.
+    tableau of ldpput.simplex must follow pivot for pivot.  With basis,
+    column basis[i] is pivoted in at row i and phase 2 runs from there;
+    ValueError unless that basis is nonsingular and its point >= 0.
+    Raises LpInfeasibleError / LpUnboundedError accordingly.
     """
     nrows = len(a_eq)
     ncols = len(cost)
@@ -404,6 +407,19 @@ def solve_standard_lp_reference(a_eq: list[list[Fraction]], b_eq: list[Fraction]
             b = -b
         rows.append(row)
         rhs.append(b)
+
+    if basis is not None:
+        if len(basis) != nrows or not all(0 <= j < ncols for j in basis):
+            raise ValueError("a start basis needs one column index per row")
+        tableau = [row + [b] for row, b in zip(rows, rhs)]
+        start, basis = basis, [-1] * nrows
+        for i, col in enumerate(start):
+            if tableau[i][col] == 0:
+                raise ValueError("the start basis is singular")
+            _pivot(tableau, basis, i, col)
+        if any(row[-1] < 0 for row in tableau):
+            raise ValueError("the start basis is infeasible")
+        return _phase2_reference(tableau, basis, cost)
 
     # Phase 1: artificial basis, minimize the artificial mass.
     tableau = []
@@ -422,7 +438,8 @@ def solve_standard_lp_reference(a_eq: list[list[Fraction]], b_eq: list[Fraction]
     if tableau[-1][-1] != 0:
         raise LpInfeasibleError("no feasible point")
 
-    # Drive any artificial variables out of the basis; drop redundant rows.
+    # Drive any artificial variables out of the basis; drop redundant rows
+    # and the artificial columns.
     keep = []
     for i in range(nrows):
         if basis[i] >= ncols:
@@ -431,24 +448,28 @@ def solve_standard_lp_reference(a_eq: list[list[Fraction]], b_eq: list[Fraction]
                 continue  # 0 = 0 row
             _pivot(tableau, basis, i, col)
         keep.append(i)
-    tableau = [tableau[i] for i in keep] + [tableau[-1]]
+    tableau = [tableau[i][:ncols] + tableau[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
+    return _phase2_reference(tableau, basis, cost)
 
-    # Phase 2: rebuild the reduced-cost row for the real objective.
+
+def _phase2_reference(tableau: list[list[Fraction]], basis: list[int],
+                      cost: list[Fraction]) -> LpResult:
+    """Phase 2 from a feasible basis of the real columns."""
+    ncols = len(cost)
     cost = [Fraction(v) for v in cost]
-    reduced = list(cost) + [_ZERO] * nrows + [_ZERO]
+    reduced = list(cost) + [_ZERO]
     for i, bv in enumerate(basis):
         cb = cost[bv]
         if cb != 0:
             reduced = [rj - cb * tij for rj, tij in zip(reduced, tableau[i])]
-    tableau[-1] = reduced
+    tableau.append(reduced)
     if not _run(tableau, basis, ncols):
         raise LpUnboundedError("objective unbounded below")
 
     x = [_ZERO] * ncols
     for i, bv in enumerate(basis):
-        if bv < ncols:
-            x[bv] = tableau[i][-1]
+        x[bv] = tableau[i][-1]
     value = sum((cv * xv for cv, xv in zip(cost, x)), _ZERO)
     return LpResult(x=x, value=value)
 
@@ -510,6 +531,18 @@ def bayes_action_costs_reference(problem: DecisionProblem, prior: Prior,
     mass = [prior.values[i] * likelihoods[i] for i in range(n_par)]
     return [sum((mass[i] * problem.loss[i][a] for i in range(n_par)), _ZERO)
             for a in range(len(problem.actions))]
+
+
+@dataclass(frozen=True)
+class DecisionRule:
+    """Randomized rule: probs[y][a] is the chance of action a at output y."""
+
+    probs: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        for row in self.probs:
+            if any(v < 0 for v in row) or sum(row) != 1:
+                raise ValueError("each output needs a distribution over actions")
 
 
 def deterministic_rule(choices: Sequence[int], n_actions: int) -> DecisionRule:

@@ -177,7 +177,7 @@ def test_ht_minimax_matches_bayes_with_equalizer():
         best = ss_mechanism(FiniteAlphabet.of_size(m), 1, level)
         value = ht_put_closed_form(m, gamma, level)
         assert bayes_optimal_risk(problem, prior, best) == value
-        assert minimax_risk(problem, best)[0] == value
+        assert minimax_risk(problem, best) == value
         assert check_equalizer_reference(problem, prior, best, tolerance=0)
 
 
@@ -327,7 +327,7 @@ def test_risk_functional_property_suites():
         degraded = compose(w, q)
         assert bayes_optimal_risk(p, prior, degraded) \
             >= bayes_optimal_risk(p, prior, q)
-        assert minimax_risk(p, degraded)[0] >= minimax_risk(p, q)[0]
+        assert minimax_risk(p, degraded) >= minimax_risk(p, q)
 
     rng = random.Random("direct-sum-affine")
     for _ in range(PROPERTY_INSTANCES):
@@ -350,8 +350,8 @@ def test_risk_functional_property_suites():
         q2 = _random_channel(rng, m, rng.randint(2, 3))
         lam = F(rng.randint(1, 9), 10)
         s = direct_sum([lam, 1 - lam], [q1, q2])
-        assert minimax_risk(p, s)[0] \
-            <= max(minimax_risk(p, q1)[0], minimax_risk(p, q2)[0])
+        assert minimax_risk(p, s) \
+            <= max(minimax_risk(p, q1), minimax_risk(p, q2))
 
     rng = random.Random("mixture-concave")
     for _ in range(PROPERTY_INSTANCES):
@@ -391,7 +391,7 @@ def test_risk_functional_property_suites():
         prior = Prior.uniform(m)
         assert bayes_optimal_risk(p, prior, moved) \
             == bayes_optimal_risk(p, prior, q)
-        assert minimax_risk(p, moved)[0] == minimax_risk(p, q)[0]
+        assert minimax_risk(p, moved) == minimax_risk(p, q)
 
 
 # -- 8: symmetry reduction preserves the optimum -------------------------------

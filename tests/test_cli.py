@@ -438,6 +438,38 @@ def test_put_custom_problem_minimax(capsys, tmp_path):
     assert data["results"][0]["certificate"] == "bound_only"
 
 
+def test_put_custom_problem_minimax_negative_losses(capsys, tmp_path):
+    # Every action-0 loss is negative, so each minimax LP starts on s-.
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({
+        "parameters": [0, 1], "inputs": [0, 1], "actions": [0, 1],
+        "model": [["3/4", "1/4"], ["1/4", "3/4"]], "loss": [["-1", "-2"], ["-3", "-1"]]}))
+    data = run_json(capsys, "put", "--problem", str(path), "--t", "2")
+    assert [(r["value"], r["winner"]) for r in data["results"]] == [("-33/19", "support(1,2)")]
+
+
+@pytest.mark.parametrize("problem, message", [
+    ({"parameters": [], "inputs": [0, 1], "actions": [0, 1], "model": [[], []], "loss": []},
+     "at least one parameter"),
+    ({"parameters": [0, 1], "inputs": [0, 1], "actions": [],
+      "model": [["3/4", "1/4"], ["1/4", "3/4"]], "loss": [[], []]},
+     "at least one action"),
+    ({"parameters": [0, 1], "inputs": [0, 1], "actions": [],
+      "model": [["3/4", "1/4"], ["1/4", "3/4"]], "loss": [[], []], "prior": ["1/2", "1/2"]},
+     "at least one action"),
+], ids=["no-parameters", "no-actions", "no-actions-with-prior"])
+def test_put_custom_problem_refuses_empty_lists(capsys, tmp_path, problem, message):
+    # These once reached the solvers and failed with an LP artefact
+    # ("objective unbounded below", "no feasible point") or a bare
+    # "min() arg is an empty sequence".
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run(capsys, "put", "--problem", str(path), "--t", "2")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == f"error: a decision problem needs {message}\n"
+
+
 # A problem with no symmetry: its optimum 181/143 is not reached by any
 # S_3-invariant channel, whose best is 189/143.
 ASYMMETRIC_PROBLEM = {

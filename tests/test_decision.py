@@ -37,7 +37,6 @@ from oracles import (
     direct_sum,
     make_weight_vector,
     minimax_risk_reference,
-    output_given_parameter_reference,
     risk_reference,
     staircase_matrix,
     verify_invariance,
@@ -100,6 +99,28 @@ def test_risk_identity_channel_perfect_rule():
     assert risk_reference(p, 1, identity_channel(2), rule) == 0
 
 
+@pytest.mark.parametrize("parameters, actions, message", [
+    ((), (0, 1), "at least one parameter"),
+    ((0, 1), (), "at least one action"),
+])
+def test_problem_refuses_empty_lists(parameters, actions, message):
+    model = [[F(1, 2)] * len(parameters)] * 2
+    with pytest.raises(ValueError, match=message):
+        DecisionProblem.build(parameters, (0, 1), model, actions,
+                              [[0] * len(actions) for _ in parameters])
+
+
+def test_integer_forms_are_built_once_and_exact():
+    p = DecisionProblem.build((0, 1), (0, 1), [["1/3", "1/2"], ["2/3", "1/2"]], (0, 1),
+                              [["1/2", 2], [3, "1/4"]])
+    prior = Prior.build(["2/3", "1/3"])
+    assert p.integer_model is p.integer_model
+    for (rows, d), fractions in [(p.integer_model, p.model), (p.integer_loss, p.loss),
+                                 (([prior.integer_values[0]], prior.integer_values[1]),
+                                  [prior.values])]:
+        assert [[F(v, d) for v in row] for row in rows] == [list(row) for row in fractions]
+
+
 def test_risk_wrong_rule():
     p = binary_testing_problem()
     rule = deterministic_rule([1, 0], 2)
@@ -151,7 +172,7 @@ def test_bayes_risk_matches_manual_formula():
 def test_minimax_symmetric_equals_bayes():
     p = binary_testing_problem()
     q = rr(3)
-    mm, _ = minimax_risk(p, q)
+    mm = minimax_risk(p, q)
     bayes = bayes_optimal_risk(p, Prior.uniform(2), q)
     assert mm == bayes == F(1, 4)
 
@@ -159,7 +180,8 @@ def test_minimax_symmetric_equals_bayes():
 def test_minimax_asymmetric_exceeds_uniform_bayes():
     p = asymmetric_problem()
     q = uniform_channel(2)
-    mm, rule = minimax_risk(p, q)
+    mm = minimax_risk(p, q)
+    _, rule = minimax_risk_reference(p, q)
     assert mm == F(3, 4)
     bayes = bayes_optimal_risk(p, Prior.uniform(2), q)
     assert bayes == F(1, 2)
@@ -169,7 +191,7 @@ def test_minimax_asymmetric_exceeds_uniform_bayes():
 
 def test_minimax_rule_is_feasible():
     p = asymmetric_problem()
-    _, rule = minimax_risk(p, rr(2))
+    _, rule = minimax_risk_reference(p, rr(2))
     for row in rule.probs:
         assert sum(row) == 1
         assert all(v >= 0 for v in row)
@@ -178,7 +200,8 @@ def test_minimax_rule_is_feasible():
 def test_minimax_value_is_max_over_parameters():
     p = asymmetric_problem()
     q = rr(2)
-    mm, rule = minimax_risk(p, q)
+    mm = minimax_risk(p, q)
+    _, rule = minimax_risk_reference(p, q)
     assert mm == max(risk_reference(p, i, q, rule) for i in range(2))
 
 
@@ -249,8 +272,8 @@ def test_bayes_risk_invariant_under_group_moves():
         moved = apply_group_element(g, sigma, q)
         value = bayes_optimal_risk(p, Prior.uniform(m), moved)
         assert value == base
-        mm_base, _ = minimax_risk(p, q)
-        mm_moved, _ = minimax_risk(p, moved)
+        mm_base = minimax_risk(p, q)
+        mm_moved = minimax_risk(p, moved)
         assert mm_moved == mm_base
 
 
@@ -304,7 +327,7 @@ def test_dpi_bayes_and_minimax(seed):
     prior = _random_prior(rng, len(p.parameters))
     degraded = compose(w, q)
     assert bayes_optimal_risk(p, prior, degraded) >= bayes_optimal_risk(p, prior, q)
-    assert minimax_risk(p, degraded)[0] >= minimax_risk(p, q)[0]
+    assert minimax_risk(p, degraded) >= minimax_risk(p, q)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -333,7 +356,7 @@ def test_ds_qcvx_minimax(seed):
     q2 = _random_channel(rng, m, rng.randint(2, 3))
     lam = F(rng.randint(1, 9), 10)
     s = direct_sum([lam, 1 - lam], [q1, q2])
-    assert minimax_risk(p, s)[0] <= max(minimax_risk(p, q1)[0], minimax_risk(p, q2)[0])
+    assert minimax_risk(p, s) <= max(minimax_risk(p, q1), minimax_risk(p, q2))
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -505,13 +528,13 @@ def test_f_divergence_linear_coefficients_match_value():
 
 def draw_tied_problem(draw, max_parameters: int) -> DecisionProblem:
     """A problem whose loss repeats an action column (so that action ties
-    at every output) or not, with zero losses, and a model with zero
-    entries and columns over unrelated denominators."""
+    at every output) or not, with zero and negative losses, and a model
+    with zero entries and columns over unrelated denominators."""
     n_par = draw(st.integers(min_value=1, max_value=max_parameters))
     m = draw(st.integers(min_value=2, max_value=4))
     n_act = draw(st.integers(min_value=1, max_value=4))
     model = draw_sparse_stochastic(draw, m, n_par).rows
-    entry = st.fractions(min_value=0, max_value=3, max_denominator=3)
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     loss = [[draw(entry) for _ in range(n_act)] for _ in range(n_par)]
     copy = draw(st.integers(min_value=-1, max_value=n_act - 1))
     if copy >= 0:
@@ -587,40 +610,52 @@ def minimax_case(draw):
 @given(minimax_case())
 @settings(max_examples=100, deadline=None)
 def test_minimax_risk_equals_fraction_reference(case):
-    """The same value as the LP over every output, and a rule whose worst
-    risk is that value, with action 0 at each output that cannot occur."""
+    """The same value as the two-phase LP over every output, whose rule
+    has that value as its worst risk."""
     problem, channel = case
-    value, rule = minimax_risk(problem, channel)
-    want, _ = minimax_risk_reference(problem, channel)
+    value = minimax_risk(problem, channel)
+    want, rule = minimax_risk_reference(problem, channel)
     assert value == want
-    assert len(rule.probs) == channel.num_outputs
-    assert all(len(row) == len(problem.actions) for row in rule.probs)
     parameters = range(len(problem.parameters))
-    risks = [risk_reference(problem, i, channel, rule) for i in parameters]
-    assert max(risks) == value
-    first = (F(1),) + (F(0),) * (len(problem.actions) - 1)
-    for w_row, probs in zip(output_given_parameter_reference(problem, channel), rule.probs):
-        if not any(w_row):
-            assert probs == first
+    assert max(risk_reference(problem, i, channel, rule) for i in parameters) == value
 
 
 def test_minimax_lp_keeps_only_outputs_that_occur(monkeypatch):
     """Letter 2 is impossible under every parameter, so output "b" (which
     reads only letter 2) cannot occur, and "d" cannot occur at all: the LP
-    has rows for "a" and "c" and the two parameters, and "b" and "d" get
-    action 0."""
+    has rows for "a" and "c" and the two parameters.  It starts from
+    action 0 at "a" and "c", the level s+ at parameter 1 (loss 1 beats
+    loss 0) and the slack of parameter 0."""
     problem = DecisionProblem.build((0, 1), (0, 1, 2), [["3/4", "1/4"], ["1/4", "3/4"], [0, 0]],
                                     (0, 1), [[0, 1], [1, 0]])
     channel = Channel.build((0, 1, 2), ("a", "b", "c", "d"),
                             [[1, 0, 0], [0, 0, 1], [0, 1, 0], [0, 0, 0]])
     lps = []
 
-    def recording_solve(a_eq, b_eq, cost):
-        lps.append(a_eq)
-        return solve_standard_lp(a_eq, b_eq, cost)
+    def recording_solve(a_eq, b_eq, cost, basis=None):
+        lps.append((a_eq, basis))
+        return solve_standard_lp(a_eq, b_eq, cost, basis)
 
     monkeypatch.setattr(decision, "solve_standard_lp", recording_solve)
-    value, rule = minimax_risk(problem, channel)
+    value = minimax_risk(problem, channel)
     assert value == minimax_risk_reference(problem, channel)[0] == F(1, 4)
-    assert [len(a_eq) for a_eq in lps] == [4]
-    assert rule.probs == ((F(1), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(0)))
+    # Columns: a0 a1 c0 c1 s+ s- slack0 slack1.
+    assert [(len(a_eq), basis) for a_eq, basis in lps] == [(4, [0, 2, 6, 4])]
+
+
+def test_minimax_starts_at_s_minus_when_every_risk_is_negative(monkeypatch):
+    """With every loss of action 0 negative, the level s starts on s-, at
+    the first parameter whose action-0 loss is the largest."""
+    problem = DecisionProblem.build((0, 1, 2), (0, 1), [["3/4", "1/4", "1/2"], ["1/4", "3/4", "1/2"]],
+                                    (0, 1), [[-2, -1], [-1, -3], [-1, 0]])
+    bases = []
+
+    def recording_solve(a_eq, b_eq, cost, basis=None):
+        bases.append(basis)
+        return solve_standard_lp(a_eq, b_eq, cost, basis)
+
+    monkeypatch.setattr(decision, "solve_standard_lp", recording_solve)
+    channel = Channel.build((0, 1), ("a", "b"), [["2/3", "1/3"], ["1/3", "2/3"]])
+    assert minimax_risk(problem, channel) == minimax_risk_reference(problem, channel)[0]
+    # Columns: a0 a1 b0 b1 s+ s- slack0 slack1 slack2.
+    assert bases == [[0, 2, 6, 5, 8]]

@@ -247,6 +247,29 @@ def test_simplex_degenerate_rows():
     assert res.value == 1
 
 
+def test_simplex_start_basis():
+    # the LP of test_simplex_basic_minimum, started at y = 1: one pivot to x
+    res = solve_standard_lp([[F(1), F(1)]], [F(1)], [F(1), F(2)], basis=[1])
+    assert res.value == 1
+    assert res.x == [F(1), F(0)]
+
+
+def test_simplex_start_basis_singular():
+    # the second row minus twice the first has no y: y cannot enter at row 1
+    with pytest.raises(ValueError, match="singular"):
+        solve_standard_lp([[F(1), F(1), F(0)], [F(2), F(2), F(1)]], [F(1), F(3)],
+                          [F(1), F(1), F(1)], basis=[0, 1])
+    with pytest.raises(ValueError, match="one column index per row"):
+        solve_standard_lp([[F(1), F(1)]], [F(1)], [F(1), F(1)], basis=[0, 1])
+
+
+def test_simplex_start_basis_infeasible():
+    # basis {y, x}: x + y = 1 and x - y = 3 give y = -1
+    with pytest.raises(ValueError, match="infeasible"):
+        solve_standard_lp([[F(1), F(1), F(0)], [F(1), F(-1), F(1)]], [F(1), F(3)],
+                          [F(1), F(1), F(1)], basis=[1, 0])
+
+
 def test_feasible_point():
     x = feasible_point([[F(1), F(1), F(1)]], [F(1)], 3)
     assert x is not None
@@ -320,19 +343,19 @@ def _recording_pivots(module):
         module._pivot = original
 
 
-def _recorded_solve(module, solve, a, b, cost):
+def _recorded_solve(module, solve, a, b, cost, basis):
     """((x, value) or the exception type, pivot sequence) of one solve."""
     with _recording_pivots(module) as pivots:
         try:
-            res = solve(a, b, cost)
-        except (LpInfeasibleError, LpUnboundedError) as exc:
+            res = solve(a, b, cost, basis)
+        except (LpInfeasibleError, LpUnboundedError, ValueError) as exc:
             return type(exc), pivots
     return (res.x, res.value), pivots
 
 
-def _assert_reference_path(a, b, cost):
-    got = _recorded_solve(simplex, solve_standard_lp, a, b, cost)
-    want = _recorded_solve(oracles, solve_standard_lp_reference, a, b, cost)
+def _assert_reference_path(a, b, cost, basis=None):
+    got = _recorded_solve(simplex, solve_standard_lp, a, b, cost, basis)
+    want = _recorded_solve(oracles, solve_standard_lp_reference, a, b, cost, basis)
     assert got == want
 
 
@@ -357,6 +380,29 @@ def test_simplex_follows_reference_path(system, data):
     _assert_reference_path(a, b, cost)
 
 
+@given(_rational_systems(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_simplex_from_start_basis_follows_reference_path(system, data):
+    """From a drawn start basis: the same x, value or exception, and the
+    same pivots (start pivots first), as the Fraction tableau.
+
+    A column may repeat or be dependent on the others (singular), and
+    half the time b = A x0 for an x0 >= 0 on the basis columns, so the
+    start is feasible whenever it is a basis.
+    """
+    a, b = system
+    nrows, ncols = len(a), len(a[0])
+    basis = data.draw(st.lists(st.integers(min_value=0, max_value=ncols - 1),
+                               min_size=nrows, max_size=nrows))
+    if data.draw(st.booleans()):
+        x0 = [Fraction(0)] * ncols
+        for j in basis:
+            x0[j] = data.draw(st.sampled_from([0, 1, Fraction(1, 2), 3]))
+        b = mat_vec(a, x0)
+    cost = data.draw(st.lists(_small_rationals, min_size=ncols, max_size=ncols))
+    _assert_reference_path(a, b, cost, basis)
+
+
 def test_minimax_lps_follow_reference_path(monkeypatch):
     """The 41 minimax LPs over the m=4 vertex channels pivot as the reference."""
     problem = DecisionProblem.build(
@@ -371,13 +417,14 @@ def test_minimax_lps_follow_reference_path(monkeypatch):
     )
     lps = []
 
-    def recording_solve(a_eq, b_eq, cost):
-        lps.append((a_eq, b_eq, cost))
-        return solve_standard_lp(a_eq, b_eq, cost)
+    def recording_solve(a_eq, b_eq, cost, basis=None):
+        lps.append((a_eq, b_eq, cost, basis))
+        return solve_standard_lp(a_eq, b_eq, cost, basis)
 
     monkeypatch.setattr(decision, "solve_standard_lp", recording_solve)
     for vertex in enumerate_polytope_vertices(FiniteAlphabet.of_size(4), Fraction(3, 2)):
         minimax_risk(problem, extremal_channel(vertex))
     assert len(lps) == 41
-    for a_eq, b_eq, cost in lps:
-        _assert_reference_path(a_eq, b_eq, cost)
+    for a_eq, b_eq, cost, basis in lps:
+        assert basis is not None
+        _assert_reference_path(a_eq, b_eq, cost, basis)

@@ -640,7 +640,7 @@ def test_spot_check_rejects_false_affinity():
     def mm_objective(channel: Channel):
         from ldpput.decision import minimax_risk
 
-        return minimax_risk(p, channel)[0]
+        return minimax_risk(p, channel)
 
     bad = RiskTraits(direct_sum_affine=True, concave=False)
     with pytest.raises(ObjectiveMismatchError):
