@@ -249,8 +249,8 @@ def polytope_vertices(polytope: WeightPolytope,
     Support enumeration over the orbit columns, memoised on the
     equality system; candidate_cap bounds the number of candidate
     supports.  The full polytope (trivial group) is S_m-invariant, so
-    its scan solves one support per S_m orbit of supports and maps each
-    solution around its orbit; a grouped polytope scans every support.
+    its scan builds only the first support of each S_m orbit, solves it
+    and maps the solution around the orbit; a grouped one scans all.
     """
     full_m = polytope.group.alphabet.size if polytope.group.is_trivial else None
     return [WeightVector(polytope=polytope, values=values)
@@ -261,10 +261,10 @@ def enumerate_polytope_vertices(alphabet: FiniteAlphabet, level,
                                 cap: int = DEFAULT_ENUM_CAP_M) -> list[WeightVector]:
     """All vertices of the full weight polytope, exactly.
 
-    Support enumeration over the 2^m - 2 columns: the candidates are
-    the C(2^m - 2, m) supports (for t > 1), but only one per S_m orbit
-    is solved, 1,738 of 142,506 at m = 5; the cap keeps it at desk
-    scale (m <= 5 by default).  Results are sorted and deterministic.
+    Support enumeration over the 2^m - 2 columns: of the C(2^m - 2, m)
+    candidates (for t > 1), only the first of each S_m orbit is built,
+    prefix by prefix, and solved: 1,738 of 142,506 at m = 5.  The cap
+    keeps it at desk scale (m <= 5 by default).  The result is sorted.
     """
     require_enum_cap(alphabet.size, cap)
     return polytope_vertices(full_polytope(alphabet, as_level(level)))

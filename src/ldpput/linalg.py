@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 from math import comb
+from operator import add
 from typing import Sequence
 
 from .errors import DimensionCapError
@@ -20,8 +20,9 @@ from .rationals import integer_matrix
 
 def _integer_rows(matrix) -> list[list[int]]:
     """Scale each row of ints and Fractions by the lcm of its denominators;
-    scaling keeps the row space."""
-    return [integer_matrix([row])[0][0] for row in matrix]
+    scaling keeps the row space.  A row of ints is copied unscaled."""
+    return [list(row) if all(type(v) is int for v in row) else integer_matrix([row])[0][0]
+            for row in matrix]
 
 
 def _eliminate(a: list[list[int]], square: bool = False) -> list[int] | None:
@@ -103,12 +104,12 @@ def enumerate_basic_feasible(matrix: list[list[Fraction]], rhs: list[Fraction],
     `symmetries` are column permutations (images[j] is the image of
     column j) that map the rows of [A | b] onto themselves; anything
     else raises ValueError.  They generate a group G, and a support is
-    solved only when it comes first in scan order among its G-images,
-    so the solves are one per G-orbit of supports; each nonnegative
-    solution is then mapped onto every image support.  A basic feasible
-    solution is fixed by its nonzero support, so vertices are told
-    apart by that support alone.  Without symmetries the vertices come
-    in scan order of their first support.
+    solved only when it comes first in lexicographic order among its
+    G-images, so the solves are one per G-orbit of supports; each
+    nonnegative solution is then mapped onto every image support.  A
+    basic feasible solution is fixed by its nonzero support, so
+    vertices are told apart by that support alone.  Without symmetries
+    the vertices come in lexicographic order of their first support.
     """
     aug = _integer_rows([[*row, b] for row, b in zip(matrix, rhs)])
     ncols = len(aug[0]) - 1 if aug else 0
@@ -122,33 +123,22 @@ def enumerate_basic_feasible(matrix: list[list[Fraction]], rhs: list[Fraction],
         raise DimensionCapError(f"support enumeration too large: "
                                 f"C({ncols},{r}) > {candidate_cap}")
 
-    # Bit-reversed keys: column 0 is the highest bit, so a support that
-    # comes earlier in combinations() order has the larger key, and a
-    # support is first of its orbit when no image's key is larger.
-    # tables[g][j] is the key bit of g's image of column j.
-    tables = [[1 << (ncols - 1 - image) for image in g] for g in elements]
-    key_of = tables[0].__getitem__
-    image_keys = [bits.__getitem__ for bits in tables[1:]]
-    # A support first of its orbit starts with a column first of its own
-    # orbit (an image moving that column lower would come earlier), so
-    # most supports are passed over without a key comparison.
-    leads = {j for j in range(ncols) if all(g[j] >= j for g in elements)}
+    # Bit-reversed keys: column 0 is the highest bit, so of two supports
+    # of one size the lexicographically first has the larger key.
+    # columns[j][g] is the key bit of element g's image of column j.
+    columns = [[1 << (ncols - 1 - g[j]) for g in elements] for j in range(ncols)]
     int_rows = [aug[i][:ncols] for i in basis]
     int_rhs = [aug[i][ncols] for i in basis]
     found: dict[int, tuple[Fraction, ...]] = {}  # nonzero-support key -> vertex
     zero = Fraction(0)
-    for support in combinations(range(ncols), r):
-        if support and support[0] not in leads:
-            continue
-        if not _first_of_orbit(support, key_of, image_keys):
-            continue
-        sub = [[row[j] for j in support] for row in int_rows]
-        sol = solve_square_int(sub, int_rhs)
+    for support, keys in _orderly_supports(columns, r, (), [0] * len(elements)):
+        sol = solve_square_int([[row[j] for j in support] for row in int_rows], int_rhs)
         if sol is None or any(v < 0 for v in sol):
             continue
         nonzero = [(j, v) for j, v in zip(support, sol) if v]
-        for g, bits in zip(elements, tables):
-            key = sum(bits[j] for j, _ in nonzero)
+        if len(nonzero) < r:  # degenerate: key the nonzero support (maybe empty)
+            keys = [sum(bits) for bits in zip([0] * len(keys), *(columns[j] for j, _ in nonzero))]
+        for g, key in zip(elements, keys):
             if key not in found:
                 full = [zero] * ncols
                 for j, v in nonzero:
@@ -157,13 +147,24 @@ def enumerate_basic_feasible(matrix: list[list[Fraction]], rhs: list[Fraction],
     return list(found.values())
 
 
-def _first_of_orbit(support, key_of, image_keys) -> bool:
-    """No group image of the support has a larger key (early exit)."""
-    key = sum(map(key_of, support))
-    for image_key in image_keys:
-        if sum(map(image_key, support)) > key:
-            return False
-    return True
+def _orderly_supports(columns: list[list[int]], r: int, support: tuple[int, ...],
+                      keys: list[int]):
+    """In lexicographic order, the r-column supports extending `support`
+    whose key is the largest of their images' keys, each with those keys
+    (one per group element, identity first).
+
+    If an image gP of a prefix P has a larger key, so has gS for each S
+    extending P: the first column where gP and P differ is below max(P),
+    and the columns of S outside P are above it.  So such a prefix is
+    never extended (orderly generation: Read 1978; McKay 1998).
+    """
+    if len(support) == r:
+        yield support, keys
+        return
+    for j in range(support[-1] + 1 if support else 0, len(columns) - r + len(support) + 1):
+        image_keys = list(map(add, keys, columns[j]))
+        if max(image_keys) == image_keys[0]:
+            yield from _orderly_supports(columns, r, (*support, j), image_keys)
 
 
 def _column_group(matrix, rhs, ncols: int,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Sequence
 
@@ -66,9 +67,13 @@ FLOAT_TOLERANCE = 1e-9
 class PutResult:
     value: Fraction | float
     argmin_weights: WeightVector
-    argmin_channel: Channel
     method: str
     certificate: str
+
+    @cached_property
+    def argmin_channel(self) -> Channel:
+        """The extremal channel of `argmin_weights`, built on first read."""
+        return extremal_channel(self.argmin_weights)
 
 
 def _certificate(form: Sequence | None, orbits: Sequence[SubsetOrbit]) -> str:
@@ -132,24 +137,21 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
         vertices = enumerate_polytope_vertices(alphabet, level, cap=cap)
     orbits = vertices[0].orbits
     if coefficients is None:
-        channels = [extremal_channel(v) for v in vertices]
-        values = [objective(q) for q in channels]
-        best = min(range(len(values)), key=lambda i: (values[i], i))
-        best_channel = channels[best]
+        values = [objective(extremal_channel(v)) for v in vertices]
     else:
         costs = _orbit_costs(coefficients, orbits)
         values = [sum((w * c for w, c in zip(v.values, costs) if w), _ZERO)
                   for v in vertices]
-        best = min(range(len(values)), key=lambda i: (values[i], i))
-        best_channel = extremal_channel(vertices[best])
-        direct = objective(best_channel)
+    best = min(range(len(values)), key=lambda i: (values[i], i))
+    result = PutResult(value=values[best], argmin_weights=vertices[best],
+                       method="vertex_enumeration_grouped" if grouped else "vertex_enumeration",
+                       certificate=_certificate(coefficients, orbits))
+    if coefficients is not None:
+        direct = objective(result.argmin_channel)
         if not _agree(direct, values[best]):
             raise ObjectiveMismatchError(f"objective {direct} at the argmin channel "
                                          f"differs from its linear-form score {values[best]}")
-    return PutResult(value=values[best], argmin_weights=vertices[best],
-                     argmin_channel=best_channel,
-                     method="vertex_enumeration_grouped" if grouped else "vertex_enumeration",
-                     certificate=_certificate(coefficients, orbits))
+    return result
 
 
 def constant_on_orbits(per_subset: Sequence, orbits: Sequence[SubsetOrbit]) -> bool:
@@ -192,7 +194,6 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
                             _orbit_costs(exact_u, polytope.orbits))
     weights = WeightVector(polytope=polytope, values=tuple(res.x))
     return PutResult(value=res.value, argmin_weights=weights,
-                     argmin_channel=extremal_channel(weights),
                      method="lp_grouped" if grouped else "lp",
                      certificate=_certificate(given, polytope.orbits))
 
@@ -224,7 +225,6 @@ def put_transitive_closed_form(values: Sequence, group: PermGroup, level) -> Put
                           values=tuple(weight if i == best else _ZERO
                                        for i in range(len(orbit_values))))
     return PutResult(value=orbit_values[best], argmin_weights=argmin,
-                     argmin_channel=extremal_channel(argmin),
                      method="transitive_closed_form", certificate=certificate)
 
 

@@ -65,7 +65,7 @@ from ldpput.ldp_geometry import (
     staircase_row,
     weight_polytope,
 )
-from ldpput.linalg import rank
+from ldpput.linalg import _column_group, rank
 from ldpput.put_solver import (
     FLOAT_TOLERANCE,
     integer_vertices,
@@ -343,6 +343,43 @@ def basic_feasible_reference(matrix: list[list[Fraction]],
             full[j] = v
         seen[tuple(full)] = None
     return list(seen)
+
+
+def basic_feasible_orbit_reference(matrix: list[list[Fraction]], rhs: list[Fraction],
+                                   symmetries: Sequence[Sequence[int]] = ()
+                                   ) -> list[tuple[Fraction, ...]]:
+    """The vertex list of `enumerate_basic_feasible`, order included, by a
+    flat scan of every support.
+
+    Supports of size rank(A) in lexicographic order; one is solved (by
+    rref, as in `basic_feasible_reference`) unless an image under the
+    group of `symmetries` sorts before it.  Each nonnegative solution is
+    mapped onto its images, element by element in the group's order, and
+    a vertex keeps the position of its first image found.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    elements = _column_group(matrix, rhs, ncols, symmetries)
+    r = len(rref(matrix)[1]) if matrix else 0
+    found: dict[frozenset[int], tuple[Fraction, ...]] = {}  # nonzero support -> vertex
+    for support in combinations(range(ncols), r):
+        if any(tuple(sorted(g[j] for j in support)) < support for g in elements):
+            continue
+        reduced, pivots = rref([[row[j] for j in support] + [b]
+                                for row, b in zip(matrix, rhs)])
+        if r in pivots or len(pivots) < r:
+            continue  # inconsistent, or dependent columns
+        sol = [reduced[i][r] for i in range(r)]
+        if any(v < 0 for v in sol):
+            continue
+        nonzero = [(j, v) for j, v in zip(support, sol) if v]
+        for g in elements:
+            image = frozenset(g[j] for j, _ in nonzero)
+            if image not in found:
+                full = [_ZERO] * ncols
+                for j, v in nonzero:
+                    full[g[j]] = v
+                found[image] = tuple(full)
+    return list(found.values())
 
 
 # -- reference simplex --------------------------------------------------------

@@ -377,7 +377,7 @@ def test_m3_t1_vertices_are_simplex_corners():
 
 
 VERTEX_COUNTS = {2: 1, 3: 5, 4: 41, 5: 1291}
-# The m = 4 rows at t = 2, 3, 5 keep their ids t0..t2; m = 5 scans 142,506 supports.
+# The m = 4 rows at t = 2, 3, 5 keep their ids t0..t2; m = 5 solves 1,738 supports.
 VERTEX_COUNT_CASES = (
     [pytest.param(4, t, id=f"t{i}") for i, t in enumerate((F(2), F(3), F(5)))]
     + [pytest.param(m, t, id=f"m{m}-t{t}".replace("/", "_"))

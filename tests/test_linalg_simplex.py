@@ -15,7 +15,12 @@ from ldpput import decision, simplex
 from ldpput.decision import DecisionProblem, minimax_risk
 from ldpput.errors import LpInfeasibleError, LpUnboundedError
 from ldpput.groups import FiniteAlphabet
-from ldpput.ldp_geometry import enumerate_polytope_vertices, extremal_channel
+from ldpput.ldp_geometry import (
+    enumerate_polytope_vertices,
+    extremal_channel,
+    full_polytope,
+    subset_column_symmetries,
+)
 from ldpput.linalg import (
     enumerate_basic_feasible,
     rank,
@@ -24,6 +29,7 @@ from ldpput.linalg import (
 from ldpput.rationals import as_fraction, format_fraction
 from ldpput.simplex import feasible_point, solve_standard_lp
 from oracles import (
+    basic_feasible_orbit_reference,
     basic_feasible_reference,
     kernel_basis,
     mat_vec,
@@ -220,6 +226,38 @@ def test_symmetry_reduced_scan_matches_reference(system):
     a, b, g = system
     assert sorted(enumerate_basic_feasible(a, b, symmetries=[g])) == \
         sorted(basic_feasible_reference(a, b))
+
+
+@given(_symmetric_systems())
+@settings(max_examples=150, deadline=None)
+def test_orderly_scan_matches_flat_orbit_scan(system):
+    """Building supports prefix by prefix gives the flat scan's list, in order."""
+    a, b, g = system
+    assert enumerate_basic_feasible(a, b, symmetries=[g]) == \
+        basic_feasible_orbit_reference(a, b, [g])
+
+
+@given(st.integers(min_value=2, max_value=4),
+       st.integers(min_value=1, max_value=6).flatmap(
+           lambda q: st.builds(Fraction, st.integers(min_value=q + 1, max_value=6 * q),
+                               st.just(q))))
+@settings(max_examples=12, deadline=None)
+def test_orderly_scan_matches_flat_orbit_scan_full_polytope(m, t):
+    """The full polytope under S_m: the same list, in the same order."""
+    a = [list(row) for row in full_polytope(FiniteAlphabet.of_size(m), t).rows]
+    b = [F(1)] * m
+    symmetries = subset_column_symmetries(m)
+    assert enumerate_basic_feasible(a, b, symmetries=symmetries) == \
+        basic_feasible_orbit_reference(a, b, symmetries)
+
+
+def test_rank_zero_systems():
+    """A zero matrix has the empty support alone: the origin when b = 0."""
+    assert enumerate_basic_feasible([[F(0)]], [F(0)]) == [(F(0),)]
+    assert enumerate_basic_feasible([[F(0), F(0)]], [F(0)], symmetries=[(1, 0)]) == \
+        [(F(0), F(0))]
+    assert enumerate_basic_feasible([[F(0)]], [F(1)]) == []
+    assert enumerate_basic_feasible([], []) == [()]
 
 
 def test_simplex_basic_minimum():

@@ -259,6 +259,26 @@ def test_lp_grouped_matches_ungrouped():
     assert grouped.value == plain.value
 
 
+def test_argmin_channel_is_built_only_when_read(monkeypatch):
+    """The LP and the closed form build no channel until one is read."""
+    import ldpput.put_solver
+
+    calls = []
+    build = ldpput.put_solver.extremal_channel
+    monkeypatch.setattr(ldpput.put_solver, "extremal_channel",
+                        lambda weights: calls.append(weights) or build(weights))
+    m, t = 4, F(2)
+    alphabet = FiniteAlphabet.of_size(m)
+    results = [put_by_lp(subset_sizes(m), alphabet, t),
+               put_by_lp(subset_sizes(m), alphabet, t, group=cyclic_group(alphabet)),
+               put_transitive_closed_form(subset_sizes(m), symmetric_group(alphabet), t)]
+    assert calls == []
+    for res in results:
+        assert res.argmin_channel is res.argmin_channel
+        assert res.argmin_channel == extremal_channel(res.argmin_weights)
+    assert calls == [res.argmin_weights for res in results]
+
+
 def test_lp_grouped_certificate_needs_orbit_constant_coefficients():
     """A grouped LP is exact only for coefficients constant on subset orbits."""
     alphabet, t = FiniteAlphabet.of_size(3), F(2)
