@@ -95,6 +95,19 @@ def _parse_level(args) -> tuple[PrivacyLevel, dict | None]:
     raise ValueError("a privacy level is required: --t p/q or --epsilon x")
 
 
+def _tolerance(text: str) -> Fraction:
+    """A --tolerance value, read exactly: a nonnegative decimal (1e-9) or
+    ratio (1/3) that a float can hold.  Both commands parse it here."""
+    try:
+        value = as_fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or not 0 <= value <= sys.float_info.max:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite nonnegative number, got {text!r}")
+    return value
+
+
 def _parse_group(spec: str | None, alphabet: FiniteAlphabet):
     if spec is None:
         return None
@@ -336,12 +349,13 @@ def _methods(args, task: _Task) -> list[str]:
     return wanted
 
 
-def _check_agreement(results: list[dict], tolerance: float) -> None:
+def _check_agreement(results: list[dict], tolerance: Fraction) -> None:
     values = [Fraction(row["value"]) for row in results]
     lo, hi = min(values), max(values)
-    if float(hi - lo) > tolerance:
+    spread, tolerance = float(hi - lo), float(tolerance)
+    if spread > tolerance:
         raise MethodDisagreementError(
-            f"methods disagree: spread {float(hi - lo)} exceeds {tolerance}")
+            f"methods disagree: spread {spread} exceeds {tolerance}")
 
 
 def cmd_put(args) -> int:
@@ -366,9 +380,9 @@ def cmd_audit(args) -> int:
     # The optimum to beat: the LP of the form when there is one.
     baseline = _solve(task, ["lp" if task.form else "closed"], None, level)[0]["value"]
     if isinstance(baseline, Fraction):
-        tolerance = as_fraction(args.tolerance) if args.tolerance else 0
+        tolerance = 0 if args.tolerance is None else args.tolerance
     else:
-        tolerance = float(args.tolerance) if args.tolerance else 1e-9
+        tolerance = 1e-9 if args.tolerance is None else float(args.tolerance)
     data = {**task.header, "samples": args.samples, "seed": args.seed}
     if note:
         data["level_note"] = note
@@ -427,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_level_args(p_put)
     p_put.add_argument("--group", help="sym, cyclic, or file:PATH")
     p_put.add_argument("--method", help="comma list of: " + ",".join(METHODS) + ", or all")
-    p_put.add_argument("--tolerance", type=float, default=1e-9,
+    p_put.add_argument("--tolerance", type=_tolerance, default="1e-9",
                        help="allowed spread between methods")
     add_io_args(p_put)
     p_put.set_defaults(func=cmd_put)
@@ -439,7 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_level_args(p_audit)
     p_audit.add_argument("--samples", type=int, default=100)
     p_audit.add_argument("--seed", default="0")
-    p_audit.add_argument("--tolerance", default=None)
+    p_audit.add_argument("--tolerance", type=_tolerance, default=None,
+                         help="allowed gap below the optimum (default 0, or 1e-9 "
+                              "for a float objective)")
     add_io_args(p_audit)
     p_audit.set_defaults(func=cmd_audit)
     return parser

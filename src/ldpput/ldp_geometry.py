@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .channels import Channel, DominanceWitness, PrivacyLevel, as_level, require_ldp
@@ -110,6 +110,18 @@ class WeightPolytope:
     rows: tuple[tuple[Fraction, ...], ...]
     orbit_index: tuple[int, ...]
 
+    @cached_property
+    def integer_rows(self) -> tuple[list[list[int]], int]:
+        """The equality rows as integers n over one denominator d
+        (rows == n / d), built on first read."""
+        return integer_matrix(self.rows)
+
+    @cached_property
+    def subset_alphabet(self) -> FiniteAlphabet:
+        """The subset bitmasks, orbit by orbit: the output letters of
+        every maximal channel on this polytope."""
+        return FiniteAlphabet(tuple(mask for orbit in self.orbits for mask in orbit.masks))
+
 
 def weight_polytope(group: PermGroup, level) -> WeightPolytope:
     """The weight polytope collapsed onto the group's orbits."""
@@ -174,17 +186,44 @@ class WeightVector:
 
 
 def in_weight_polytope(weights: WeightVector) -> bool:
-    """Membership test: weights nonnegative, every row sums exactly to one.
-
-    Weights n / d and rows r / d_r are scaled to integers, so a row sums
-    to one when r . n == d * d_r.
-    """
+    """Membership test: weights nonnegative, every row sums exactly to one."""
     (n,), d = integer_matrix([weights.values])
+    return integer_point_in_polytope(weights.polytope, n, d)
+
+
+def integer_point_in_polytope(polytope: WeightPolytope, n: Sequence[int], d: int) -> bool:
+    """Whether weights n / d lie in the polytope.
+
+    With the polytope's rows r / d_r, a row sums to one when
+    r . n == d * d_r.
+    """
     if min(n) < 0:
         return False
-    rows, d_rows = integer_matrix(weights.polytope.rows)
+    rows, d_rows = polytope.integer_rows
     support = [(j, v) for j, v in enumerate(n) if v]
     return all(sum(row[j] * v for j, v in support) == d * d_rows for row in rows)
+
+
+def staircase_numerators(polytope: WeightPolytope, n: Sequence[int]) -> list[tuple[int, ...]]:
+    """The rows of the maximal channel of weights n / d, over d * q.
+
+    One row per subset, orbit by orbit: with t = p / q, the row of a
+    subset of weight n_S / d is n_S * p on the subset and n_S * q
+    elsewhere; a zero weight gives a zero row.
+    """
+    m = polytope.group.alphabet.size
+    t = polytope.level.t
+    p, q = t.numerator, t.denominator
+    zero = (0,) * m
+    rows = []
+    for orbit, w in zip(polytope.orbits, n):
+        if not w:
+            rows.extend([zero] * orbit.size)
+            continue
+        wp, wq = w * p, w * q
+        rows.extend(tuple(wp if mask >> x & 1 else wq for x in range(m))
+                    for mask in orbit.masks)
+    return rows
 
 
 def extremal_channel(weights: WeightVector) -> Channel:
@@ -193,30 +232,16 @@ def extremal_channel(weights: WeightVector) -> Channel:
     Row y is the staircase row of y scaled by the weight of its orbit;
     zero-weight rows are kept so the output alphabet always lists every
     subset, orbit by orbit (ascending under the trivial group).  Output
-    letters are the subset bitmasks themselves.  With weights n / d and
-    t = p / q, row y is n_y * p on the subset and n_y * q elsewhere, over
-    d * q.
+    letters are the subset bitmasks themselves (`subset_alphabet`).
     """
-    if not in_weight_polytope(weights):
-        raise PolytopeViolationError("weights are not a member of the weight polytope")
-    m = weights.input_alphabet.size
-    t = weights.level.t
-    p, q = t.numerator, t.denominator
+    polytope = weights.polytope
     (n,), d = integer_matrix([weights.values])
-    zero = (0,) * m
-    letters = []
-    rows = []
-    for orbit, w in zip(weights.orbits, n):
-        letters.extend(orbit.masks)
-        if not w:
-            rows.extend([zero] * orbit.size)
-            continue
-        wp, wq = w * p, w * q
-        rows.extend(tuple(wp if mask >> x & 1 else wq for x in range(m))
-                    for mask in orbit.masks)
+    if not integer_point_in_polytope(polytope, n, d):
+        raise PolytopeViolationError("weights are not a member of the weight polytope")
     return Channel(input_alphabet=weights.input_alphabet,
-                   output_alphabet=FiniteAlphabet(tuple(letters)),
-                   numerators=tuple(rows), denominator=d * q)
+                   output_alphabet=polytope.subset_alphabet,
+                   numerators=tuple(staircase_numerators(polytope, n)),
+                   denominator=d * polytope.level.t.denominator)
 
 
 def subset_column_symmetries(m: int) -> list[tuple[int, ...]]:

@@ -29,14 +29,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Callable, Sequence
 
-from .channels import Channel, as_level, compose
+from .channels import Channel, as_level
 from .errors import (
     AuditFailureError,
     DimensionCapError,
     NotTransitiveError,
     ObjectiveMismatchError,
+    PolytopeViolationError,
 )
 from .groups import FiniteAlphabet, PermGroup
 from .invariant import enumerate_invariant_vertices
@@ -48,6 +50,8 @@ from .ldp_geometry import (
     enumerate_polytope_vertices,
     extremal_channel,
     full_polytope,
+    integer_point_in_polytope,
+    staircase_numerators,
     weight_polytope,
 )
 from .rationals import as_fraction, integer_matrix
@@ -234,9 +238,20 @@ def _sample_rng(seed, index: int) -> random.Random:
 
 
 def _random_counts(rng: random.Random, n: int) -> list[int]:
-    """n random weights in 0..9, not all zero."""
-    raw = [rng.randint(0, 9) for _ in range(n)]
-    if sum(raw) == 0:
+    """n random weights in 0..9, not all zero.
+
+    Each weight is `rng.randint(0, 9)` drawn inline: randint draws 4 bits
+    and redraws values of 10 and above, so this consumes the generator
+    exactly as randint does.
+    """
+    getrandbits = rng.getrandbits
+    raw = []
+    for _ in range(n):
+        r = getrandbits(4)
+        while r >= 10:
+            r = getrandbits(4)
+        raw.append(r)
+    if not any(raw):
         raw[rng.randrange(n)] = 1
     return raw
 
@@ -259,52 +274,45 @@ def integer_vertices(alphabet: FiniteAlphabet, level,
     return IntegerVertices(vertices[0].polytope, tuple(numerators), d)
 
 
-def random_polytope_point(rng: random.Random, vertices: IntegerVertices) -> WeightVector:
-    """A random convex combination of the polytope vertices, exact.
+def random_private_channel(rng: random.Random, vertices: IntegerVertices) -> Channel:
+    """A random channel satisfying the privacy constraint of `vertices`.
 
-    Count c_k on vertex k mixes the integer rows as sum c_k * n_k, over
-    sum(c) times the vertices' denominator.
+    A random convex combination of the polytope vertices gives a maximal
+    channel: counts c_k on the picked vertices mix their numerators as
+    sum c_k * n_k, over d = sum(c) times the vertices' denominator, and
+    with t = p / q its staircase rows lie over d * q.  Two times in
+    three a random stochastic map then post-processes it into a fresh
+    alphabet of at most two more outputs, so the audit covers
+    non-maximal channels too.  Column y of the map is random counts over
+    their sum s_y; every row y draws its column, but only the nonzero
+    rows are multiplied, over lcm(s_y) * d * q.  Either way the sample
+    is built as one Channel.
     """
+    polytope = vertices.polytope
     rows = vertices.numerators
     picks = rng.sample(range(len(rows)), k=min(len(rows), rng.randint(1, 3)))
     counts = _random_counts(rng, len(picks))
     d = sum(counts) * vertices.denominator
-    mixed = [sum(c * rows[k][j] for c, k in zip(counts, picks))
-             for j in range(len(rows[0]))]
-    return WeightVector(polytope=vertices.polytope,
-                        values=tuple(Fraction(n, d) for n in mixed))
-
-
-def random_post_processing(rng: random.Random, channel: Channel) -> Channel:
-    """Compose with a random exact stochastic map into a fresh alphabet
-    of at most two more outputs than the channel has.
-
-    Column y of the map is its random counts over their sum s_y, written
-    over the lcm of the column sums.
-    """
-    n_in = channel.num_outputs
-    n_out = rng.randint(1, n_in + 2)
-    cols = [_random_counts(rng, n_out) for _ in range(n_in)]
-    d = lcm(*map(sum, cols))
-    cols = [[v * (d // sum(col)) for v in col] for col in cols]
-    post = Channel(input_alphabet=channel.output_alphabet,
+    mixed = [sum(map(mul, counts, col)) for col in zip(*(rows[k] for k in picks))]
+    if not integer_point_in_polytope(polytope, mixed, d):
+        raise PolytopeViolationError("a mixture of vertices left the weight polytope")
+    staircase = staircase_numerators(polytope, mixed)
+    d *= polytope.level.t.denominator
+    if rng.random() >= Fraction(2, 3):
+        return Channel(input_alphabet=polytope.group.alphabet,
+                       output_alphabet=polytope.subset_alphabet,
+                       numerators=tuple(staircase), denominator=d)
+    n_out = rng.randint(1, len(staircase) + 2)
+    cols = [_random_counts(rng, n_out) for _ in staircase]
+    live = [y for y, row in enumerate(staircase) if row[0]]
+    scale = lcm(*(sum(cols[y]) for y in live))
+    post = [[v * (scale // sum(cols[y])) for v in cols[y]] for y in live]
+    by_input = list(zip(*(staircase[y] for y in live)))
+    numerators = tuple(tuple(sum(map(mul, coeffs, col)) for col in by_input)
+                       for coeffs in zip(*post))
+    return Channel(input_alphabet=polytope.group.alphabet,
                    output_alphabet=FiniteAlphabet(tuple(range(n_out))),
-                   numerators=tuple(zip(*cols)),
-                   denominator=d)
-    return compose(post, channel)
-
-
-def random_private_channel(rng: random.Random, vertices: IntegerVertices) -> Channel:
-    """A random channel satisfying the privacy constraint of `vertices`.
-
-    Random conic mixtures of staircase rows (via polytope points) give
-    maximal channels; a random post-processing then pushes the sample
-    into the interior, so the audit covers non-maximal channels too.
-    """
-    q = extremal_channel(random_polytope_point(rng, vertices))
-    if rng.random() < Fraction(2, 3):
-        q = random_post_processing(rng, q)
-    return q
+                   numerators=numerators, denominator=scale * d)
 
 
 @dataclass(frozen=True)

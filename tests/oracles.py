@@ -5,7 +5,8 @@ from the rank of the active cone facets, the circular task's risk by
 grid integration, a transitive group's vertex weights by double
 counting, kernels by elimination, LP optima and pivot paths on a
 Fraction tableau, channel products, Bayes and minimax risks one Fraction
-per multiply-add), so a test can compare the two.  numpy is needed here
+per multiply-add, the audit's samples through Fraction weights and
+composed channels), so a test can compare the two.  numpy is needed here
 only.
 
 It also holds what tests use to check other library code or to build
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ldpput.applications import CardioidSpec, z_magnitude
-from ldpput.channels import Channel, DominanceWitness, PrivacyLevel, as_level
+from ldpput.channels import Channel, DominanceWitness, PrivacyLevel, as_level, compose
 from ldpput.decision import DecisionProblem, Prior
 from ldpput.errors import (
     AlphabetMismatchError,
@@ -66,12 +67,7 @@ from ldpput.ldp_geometry import (
     weight_polytope,
 )
 from ldpput.linalg import _column_group, rank
-from ldpput.put_solver import (
-    FLOAT_TOLERANCE,
-    integer_vertices,
-    random_polytope_point,
-    random_post_processing,
-)
+from ldpput.put_solver import FLOAT_TOLERANCE, IntegerVertices, integer_vertices
 from ldpput.rationals import as_fraction, format_fraction
 from ldpput.serialize import letter_to_json
 from ldpput.simplex import LpResult, feasible_point
@@ -1056,6 +1052,64 @@ def weights_from_json(data: dict) -> WeightVector:
         values[int(mask) - 1] = as_fraction(value)
     return WeightVector(polytope=full_polytope(FiniteAlphabet.of_size(m), as_level(data["t"])),
                         values=tuple(values))
+
+
+# -- the audit's reference sampler --------------------------------------------
+
+
+def _random_counts_reference(rng: random.Random, n: int) -> list[int]:
+    """n random weights in 0..9, not all zero, drawn by randint."""
+    raw = [rng.randint(0, 9) for _ in range(n)]
+    if sum(raw) == 0:
+        raw[rng.randrange(n)] = 1
+    return raw
+
+
+def random_polytope_point(rng: random.Random, vertices: IntegerVertices) -> WeightVector:
+    """A random convex combination of the polytope vertices, exact.
+
+    Count c_k on vertex k mixes the integer rows as sum c_k * n_k, over
+    sum(c) times the vertices' denominator.
+    """
+    rows = vertices.numerators
+    picks = rng.sample(range(len(rows)), k=min(len(rows), rng.randint(1, 3)))
+    counts = _random_counts_reference(rng, len(picks))
+    d = sum(counts) * vertices.denominator
+    mixed = [sum(c * rows[k][j] for c, k in zip(counts, picks))
+             for j in range(len(rows[0]))]
+    return WeightVector(polytope=vertices.polytope,
+                        values=tuple(Fraction(n, d) for n in mixed))
+
+
+def random_post_processing(rng: random.Random, channel: Channel) -> Channel:
+    """Compose with a random exact stochastic map into a fresh alphabet
+    of at most two more outputs than the channel has.
+
+    Column y of the map is its random counts over their sum s_y, written
+    over the lcm of the column sums.
+    """
+    n_in = channel.num_outputs
+    n_out = rng.randint(1, n_in + 2)
+    cols = [_random_counts_reference(rng, n_out) for _ in range(n_in)]
+    d = math.lcm(*map(sum, cols))
+    cols = [[v * (d // sum(col)) for v in col] for col in cols]
+    post = Channel(input_alphabet=channel.output_alphabet,
+                   output_alphabet=FiniteAlphabet(tuple(range(n_out))),
+                   numerators=tuple(zip(*cols)),
+                   denominator=d)
+    return compose(post, channel)
+
+
+def random_private_channel_reference(rng: random.Random,
+                                     vertices: IntegerVertices) -> Channel:
+    """`put_solver.random_private_channel` one step at a time: a polytope
+    point as Fraction weights, its extremal channel, and two times in
+    three a post-processor channel composed after it.  It draws the
+    same numbers in the same order."""
+    q = extremal_channel(random_polytope_point(rng, vertices))
+    if rng.random() < Fraction(2, 3):
+        q = random_post_processing(rng, q)
+    return q
 
 
 # -- spot checks of the paper's four properties of a risk ---------------------

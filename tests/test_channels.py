@@ -29,7 +29,7 @@ from ldpput.groups import (
     symmetric_group,
 )
 from ldpput.ldp_geometry import extremal_channel, staircase_row
-from ldpput.put_solver import integer_vertices, random_polytope_point, random_private_channel
+from ldpput.put_solver import integer_vertices, random_private_channel
 from oracles import (
     WeightSumError,
     apply_group_element,
@@ -38,6 +38,7 @@ from oracles import (
     direct_sum,
     dominates,
     equivalent,
+    random_polytope_point,
     symmetrize,
     symmetrized_output_action,
 )

@@ -742,3 +742,41 @@ def test_audit_negative_samples_exits_parse(capsys):
                          "--samples", "-5")
     assert code == EXIT_PARSE
     assert out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ("put", "--task", "ht", "--m", "3", "--t", "2"),
+    ("audit", "--task", "ht", "--m", "3", "--t", "2", "--samples", "2"),
+    ("audit", "--task", "cardioid", "--m", "3", "--t", "2", "--samples", "2"),
+])
+@pytest.mark.parametrize("tolerance", ["-1", "-1e-9", "nan", "inf", "-inf", "1e400",
+                                       "1/0", "abc"])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, command, tolerance):
+    """A negative tolerance made put report a disagreement and audit a
+    violation; nan or inf passed every check unread.  Both commands now
+    refuse them, before any work, with one message."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, f"--tolerance={tolerance}"])
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --tolerance: must be a finite nonnegative number" in captured.err
+
+
+def test_tolerance_is_read_exactly_by_both_commands(capsys, monkeypatch):
+    """A ratio is a valid tolerance: it forgives a spread or a gap within it."""
+    import ldpput.applications
+    import ldpput.cli as cli_mod
+
+    monkeypatch.setattr(ldpput.applications, "ht_put_closed_form",
+                        lambda m, gamma, level: Fraction(9, 10))
+    argv = ("put", "--task", "ht", "--m", "3", "--gamma", "1", "--t", "2",
+            "--method", "closed,lp")
+    assert run(capsys, *argv)[0] == EXIT_DISAGREE
+    assert run_json(capsys, *argv, "--tolerance", "1/2")["agreement"] is True
+    solve = cli_mod.put_by_lp
+    monkeypatch.setattr(cli_mod, "put_by_lp",
+                        lambda *a, **k: dataclasses.replace(solve(*a, **k), value=Fraction(1)))
+    argv = ("audit", "--task", "ht", "--m", "3", "--t", "2", "--samples", "3")
+    assert run(capsys, *argv)[0] == EXIT_AUDIT
+    assert run_json(capsys, *argv, "--tolerance", "1/1")["passed"] is True

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldpput import put_solver
 from ldpput.channels import Channel, compose, is_ldp
 from ldpput.applications import CardioidSpec, cardioid_bayes_risk, ht_problem, ht_subset_risk
 from ldpput.decision import (
@@ -26,14 +28,13 @@ from ldpput.ldp_geometry import enumerate_polytope_vertices, extremal_channel, i
 from ldpput.put_solver import (
     CERT_BOUND,
     CERT_EXACT,
+    _random_counts,
     _sample_rng,
     integer_vertices,
     put_by_lp,
     put_by_vertex_enumeration,
     put_transitive_closed_form,
     random_channel_audit,
-    random_polytope_point,
-    random_post_processing,
     random_private_channel,
 )
 from ldpput.serialize import channel_to_json
@@ -42,6 +43,9 @@ from oracles import (
     RiskTraits,
     bayes_optimal_risk_reference,
     compose_reference,
+    random_polytope_point,
+    random_post_processing,
+    random_private_channel_reference,
     spot_check_traits,
     subset_size,
 )
@@ -510,6 +514,81 @@ def test_samplers_deterministic_per_seed():
     a = random_private_channel(random.Random(42), vertices)
     b = random_private_channel(random.Random(42), vertices)
     assert a.rows == b.rows
+
+
+def test_random_counts_draw_as_randint():
+    """Each count is randint(0, 9), drawn inline: the same values and the
+    same generator state after, the all-zero fix-up included (n = 1
+    meets it once in ten draws)."""
+    for n in (1, 2, 5, 16):
+        rng, rng2 = random.Random(n), random.Random(n)
+        fixed = 0
+        for _ in range(300):
+            expected = [rng2.randint(0, 9) for _ in range(n)]
+            if not any(expected):
+                fixed += 1
+                expected[rng2.randrange(n)] = 1
+            assert _random_counts(rng, n) == expected
+            assert rng.getstate() == rng2.getstate()
+        if n == 1:
+            assert fixed > 0
+
+
+SAMPLER_CASES = st.tuples(st.integers(min_value=0, max_value=10 ** 6),
+                          st.sampled_from([2, 3, 4, 5]),
+                          st.sampled_from(["3/2", "2", "7/3", "5"]))
+
+
+@given(SAMPLER_CASES)
+@settings(max_examples=80, deadline=None)
+def test_random_private_channel_matches_reference(case):
+    """The integer sampler gives the reference sampler's channel (Fraction
+    weights, extremal channel, composed post-processor) and leaves the
+    generator where the reference does; t = 7/3 has q != 1."""
+    seed, m, t = case
+    vertices = integer_vertices(FiniteAlphabet.of_size(m), F(t))
+    rng, rng2 = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert random_private_channel(rng, vertices) == \
+            random_private_channel_reference(rng2, vertices)
+        assert rng.getstate() == rng2.getstate()
+
+
+@given(SAMPLER_CASES)
+@settings(max_examples=20, deadline=None)
+def test_audit_matches_reference_sampler(case):
+    """The audit reports the same worst sample, and on a failure the same
+    sample index and channel JSON, with either sampler."""
+    seed, m, t = case
+    alphabet = FiniteAlphabet.of_size(m)
+    problem, prior = ht_problem(m, F(1, 3))
+
+    def objective(q):
+        return bayes_optimal_risk(problem, prior, q)
+
+    def audit(baseline):
+        return random_channel_audit(objective, alphabet, F(t), samples=12, seed=seed,
+                                    baseline_value=baseline)
+
+    def failure(baseline):
+        with pytest.raises(AuditFailureError) as excinfo:
+            audit(baseline)
+        return excinfo.value.sample_index, excinfo.value.gap, excinfo.value.channel_json
+
+    report = audit(F(0))
+    vertices = integer_vertices(alphabet, F(t))
+    values = sorted(objective(random_private_channel(_sample_rng(seed, i), vertices))
+                    for i in range(12))
+    # Above the optimum: some sample must beat it, not necessarily the first.
+    fake = values[len(values) // 2]
+    if fake == values[0]:
+        fake = values[-1] + 1
+    failed = failure(fake)
+    with mock.patch.object(put_solver, "random_private_channel",
+                           random_private_channel_reference):
+        assert audit(F(0)) == report
+        assert failure(fake) == failed
+    assert report.min_gap == values[0]
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([3, 4]),
