@@ -208,7 +208,7 @@ def _format_value(value) -> str:
 
 def _winner_label(weights) -> str:
     if not weights.polytope.group.is_trivial:
-        for orbit, w in zip(weights.orbits, weights.values):
+        for orbit, w in zip(weights.orbits, weights.numerators):
             if w:
                 return f"orbit(rep={orbit.representative},k={orbit.subset_size})"
         return "none"

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Sequence
 
 from .channels import Channel, DominanceWitness, PrivacyLevel, as_level, require_ldp
@@ -70,9 +71,10 @@ def subset_orbits(group: PermGroup) -> tuple[SubsetOrbit, ...]:
 
 
 def orbit_column_sum(group: PermGroup, letter_orbit: tuple, orbit: SubsetOrbit,
-                     level) -> Fraction:
-    """One coefficient of the polytope's equalities: t * r + (|orbit| - r),
-    where r counts the members of the subset orbit that contain a letter.
+                     level) -> int:
+    """One coefficient of the polytope's equalities, t * r + (|orbit| - r),
+    as its numerator p * r + q * (|orbit| - r) over t = p / q, where r
+    counts the members of the subset orbit that contain a letter.
 
     The count is the same for every letter in the orbit (the group maps
     witnesses to witnesses); this is checked rather than assumed.
@@ -87,7 +89,7 @@ def orbit_column_sum(group: PermGroup, letter_orbit: tuple, orbit: SubsetOrbit,
         raise RepresentativeMismatchError(
             f"incidence count varies over the letter orbit: {counts}")
     r = counts[0]
-    return t * r + (orbit.size - r)
+    return t.numerator * r + t.denominator * (orbit.size - r)
 
 
 # -- the weight polytope ------------------------------------------------------
@@ -95,26 +97,22 @@ def orbit_column_sum(group: PermGroup, letter_orbit: tuple, orbit: SubsetOrbit,
 
 @dataclass(frozen=True)
 class WeightPolytope:
-    """{w >= 0 : rows . w = 1} in orbit coordinates.
+    """{w >= 0 : (rows / denominator) . w = 1} in orbit coordinates.
 
     One weight per subset orbit of `group` (in `orbits` order) and one
     equality row per input-letter orbit: a letter's weighted staircase
-    column must sum to one.  `orbit_index[mask - 1]` is the position of
-    the orbit holding `mask`.
+    column must sum to one.  The rows are integer numerators over one
+    positive denominator (t's).  `orbit_index[mask - 1]` is the position
+    of the orbit holding `mask`.
     """
 
     group: PermGroup
     level: PrivacyLevel
     orbits: tuple[SubsetOrbit, ...]
     letter_orbits: tuple[tuple, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    denominator: int
     orbit_index: tuple[int, ...]
-
-    @cached_property
-    def integer_rows(self) -> tuple[list[list[int]], int]:
-        """The equality rows as integers n over one denominator d
-        (rows == n / d), built on first read."""
-        return integer_matrix(self.rows)
 
     @cached_property
     def subset_alphabet(self) -> FiniteAlphabet:
@@ -139,7 +137,7 @@ def weight_polytope(group: PermGroup, level) -> WeightPolytope:
             index[mask - 1] = i
     return WeightPolytope(group=group, level=level, orbits=orbs,
                           letter_orbits=letter_orbits, rows=rows,
-                          orbit_index=tuple(index))
+                          denominator=level.t.denominator, orbit_index=tuple(index))
 
 
 @lru_cache(maxsize=64)
@@ -148,18 +146,43 @@ def full_polytope(alphabet: FiniteAlphabet, level) -> WeightPolytope:
     return weight_polytope(trivial_group(alphabet), level)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Nonnegative weights, one per subset orbit of its polytope; a member
-    when every equality row of the polytope sums to one."""
+    """Weights, one per subset orbit of its polytope: weight j is
+    numerators[j] / denominator.  A member when they are nonnegative and
+    every equality row of the polytope sums to one.  Equality and hash
+    go by value, whatever the denominator."""
 
     polytope: WeightPolytope
-    values: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self):
         expected = len(self.polytope.orbits)
-        if len(self.values) != expected:
-            raise ValueError(f"expected {expected} weights, got {len(self.values)}")
+        if len(self.numerators) != expected:
+            raise ValueError(f"expected {expected} weights, got {len(self.numerators)}")
+        if self.denominator <= 0:
+            raise ValueError(f"weight denominator must be positive, got {self.denominator}")
+
+    @classmethod
+    def of_values(cls, polytope: WeightPolytope, values: Sequence) -> "WeightVector":
+        """The weight vector of exact values (Fractions or ints)."""
+        (numerators,), d = integer_matrix([values])
+        return cls(polytope, tuple(numerators), d)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The weights as exact Fractions, built on first read."""
+        d = self.denominator
+        return tuple(Fraction(v, d) for v in self.numerators)
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightVector):
+            return NotImplemented
+        return self.polytope == other.polytope and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.polytope, self.values))
 
     @property
     def input_alphabet(self) -> FiniteAlphabet:
@@ -175,33 +198,24 @@ class WeightVector:
 
     def weight(self, mask: int) -> Fraction:
         """The weight on one subset: that of its orbit."""
-        return self.values[self.polytope.orbit_index[mask - 1]]
+        return Fraction(self.numerators[self.polytope.orbit_index[mask - 1]], self.denominator)
 
     @property
     def support(self) -> tuple[int, ...]:
         """Subsets with nonzero weight, ascending."""
-        index = self.polytope.orbit_index
-        return tuple(mask for mask in range(1, len(index) + 1)
-                     if self.values[index[mask - 1]] != 0)
+        index, n = self.polytope.orbit_index, self.numerators
+        return tuple(mask for mask in range(1, len(index) + 1) if n[index[mask - 1]])
 
 
 def in_weight_polytope(weights: WeightVector) -> bool:
-    """Membership test: weights nonnegative, every row sums exactly to one."""
-    (n,), d = integer_matrix([weights.values])
-    return integer_point_in_polytope(weights.polytope, n, d)
+    """Membership test: weights nonnegative, every row sums exactly to one.
 
-
-def integer_point_in_polytope(polytope: WeightPolytope, n: Sequence[int], d: int) -> bool:
-    """Whether weights n / d lie in the polytope.
-
-    With the polytope's rows r / d_r, a row sums to one when
-    r . n == d * d_r.
+    With weights n / d and the polytope's rows r / d_r, a row sums to one
+    when r . n == d * d_r.
     """
-    if min(n) < 0:
-        return False
-    rows, d_rows = polytope.integer_rows
-    support = [(j, v) for j, v in enumerate(n) if v]
-    return all(sum(row[j] * v for j, v in support) == d * d_rows for row in rows)
+    n, polytope = weights.numerators, weights.polytope
+    target = weights.denominator * polytope.denominator
+    return min(n) >= 0 and all(sum(map(mul, row, n)) == target for row in polytope.rows)
 
 
 def staircase_numerators(polytope: WeightPolytope, n: Sequence[int]) -> list[tuple[int, ...]]:
@@ -235,13 +249,12 @@ def extremal_channel(weights: WeightVector) -> Channel:
     letters are the subset bitmasks themselves (`subset_alphabet`).
     """
     polytope = weights.polytope
-    (n,), d = integer_matrix([weights.values])
-    if not integer_point_in_polytope(polytope, n, d):
+    if not in_weight_polytope(weights):
         raise PolytopeViolationError("weights are not a member of the weight polytope")
     return Channel(input_alphabet=weights.input_alphabet,
                    output_alphabet=polytope.subset_alphabet,
-                   numerators=tuple(staircase_numerators(polytope, n)),
-                   denominator=d * polytope.level.t.denominator)
+                   numerators=tuple(staircase_numerators(polytope, weights.numerators)),
+                   denominator=weights.denominator * polytope.level.t.denominator)
 
 
 def subset_column_symmetries(m: int) -> list[tuple[int, ...]]:
@@ -257,19 +270,22 @@ def subset_column_symmetries(m: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=64)
-def _basic_feasible_cached(rows: tuple[tuple[Fraction, ...], ...],
-                           candidate_cap: int | None,
-                           full_m: int | None) -> tuple[tuple[Fraction, ...], ...]:
-    a_eq = [list(row) for row in rows]
+def _basic_feasible_cached(rows: tuple[tuple[int, ...], ...], denominator: int,
+                           candidate_cap: int | None, full_m: int | None
+                           ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The vertices of {w >= 0 : rows . w = denominator}, sorted, as
+    numerators over their one common denominator (1 for no vertex); with
+    it fixed, the numerator tuples sort as the weight tuples do."""
     symmetries = subset_column_symmetries(full_m) if full_m else ()
-    return tuple(sorted(enumerate_basic_feasible(a_eq, [_ONE] * len(rows),
-                                                 candidate_cap=candidate_cap,
-                                                 symmetries=symmetries)))
+    found = enumerate_basic_feasible([list(row) for row in rows], [denominator] * len(rows),
+                                     candidate_cap=candidate_cap, symmetries=symmetries)
+    return tuple(sorted(n for n, _ in found)), found[0][1] if found else 1
 
 
 def polytope_vertices(polytope: WeightPolytope,
                       candidate_cap: int | None = None) -> list[WeightVector]:
-    """All vertices of a weight polytope, exactly, sorted.
+    """All vertices of a weight polytope, exactly, sorted, over one
+    shared denominator.
 
     Support enumeration over the orbit columns, memoised on the
     equality system; candidate_cap bounds the number of candidate
@@ -278,8 +294,9 @@ def polytope_vertices(polytope: WeightPolytope,
     and maps the solution around the orbit; a grouped one scans all.
     """
     full_m = polytope.group.alphabet.size if polytope.group.is_trivial else None
-    return [WeightVector(polytope=polytope, values=values)
-            for values in _basic_feasible_cached(polytope.rows, candidate_cap, full_m)]
+    numerators, d = _basic_feasible_cached(polytope.rows, polytope.denominator,
+                                           candidate_cap, full_m)
+    return [WeightVector(polytope, n, d) for n in numerators]
 
 
 def enumerate_polytope_vertices(alphabet: FiniteAlphabet, level,
@@ -369,12 +386,12 @@ def canonical_weight_from_rays(channel: Channel, level: PrivacyLevel,
     if None in subsets:
         raise NotMaximalError("only maximal channels have a canonical weight")
     m = channel.input_alphabet.size
-    totals = [_ZERO] * ((1 << m) - 2)
-    for row, mask in zip(channel.rows, subsets):
+    totals = [0] * ((1 << m) - 2)
+    for row, mask in zip(channel.numerators, subsets):
         if mask:
             totals[mask - 1] += min(row)
-    weights = WeightVector(polytope=full_polytope(channel.input_alphabet, level),
-                           values=tuple(totals))
+    weights = WeightVector(full_polytope(channel.input_alphabet, level), tuple(totals),
+                           channel.denominator)
     if not in_weight_polytope(weights):
         raise PolytopeViolationError("gathered weights left the polytope; "
                                      "channel columns cannot be stochastic")
@@ -399,13 +416,13 @@ def dominating_maximal(channel: Channel, level) -> tuple[Channel, DominanceWitne
         if all(x == 0 for x in row):
             decompositions.append([_ZERO] * n)
             continue
-        sol = feasible_point(a_eq, list(row), n)
+        sol = feasible_point(a_eq, [x * polytope.denominator for x in row], n)
         if sol is None:
             raise DecompositionInfeasibleError("row is not a conic combination of "
                                                "staircase rows")
         decompositions.append(sol)
     totals = [sum((d[j] for d in decompositions), _ZERO) for j in range(n)]
-    maximal = extremal_channel(WeightVector(polytope=polytope, values=tuple(totals)))
+    maximal = extremal_channel(WeightVector.of_values(polytope, totals))
     w_rows = [[d[j] / totals[j] if totals[j] else _ZERO for j in range(n)]
               for d in decompositions]
     # Zero-weight subsets have zero rows in the maximal channel; their

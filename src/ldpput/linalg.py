@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from operator import add
 from typing import Sequence
 
@@ -66,12 +66,13 @@ def rank(matrix: list[list[Fraction]]) -> int:
     return len(_eliminate(_integer_rows(matrix)))
 
 
-def solve_square_int(matrix: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
+def solve_square_int(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
     """Solve an integer square system exactly, or return None if singular.
 
-    After elimination the last pivot d is the determinant up to sign, and
-    d * x is an integer vector (Cramer's rule), so back substitution stays
-    in integers too; each entry becomes a Fraction once, at the end.
+    The solution is x = numerators / det with det > 0.  After elimination
+    the last pivot is the determinant up to sign, and det * x is an
+    integer vector (Cramer's rule), so back substitution stays in
+    integers too.
     """
     n = len(matrix)
     a = [[*row, b] for row, b in zip(matrix, rhs)]
@@ -85,14 +86,18 @@ def solve_square_int(matrix: list[list[int]], rhs: list[int]) -> list[Fraction] 
         for j in range(i + 1, n):
             acc -= row[j] * y[j]
         y[i] = acc // row[i]
-    return [Fraction(v, det) for v in y]
+    if det < 0:
+        return [-v for v in y], -det
+    return y, det
 
 
-def enumerate_basic_feasible(matrix: list[list[Fraction]], rhs: list[Fraction],
+def enumerate_basic_feasible(matrix: list[list[Fraction | int]], rhs: list[Fraction | int],
                              candidate_cap: int | None = None,
                              symmetries: Sequence[Sequence[int]] = ()
-                             ) -> list[tuple[Fraction, ...]]:
-    """All vertices of {x >= 0 : A x = b}, as exact tuples.
+                             ) -> list[tuple[tuple[int, ...], int]]:
+    """All vertices of {x >= 0 : A x = b}, exactly: vertex x is a pair
+    (numerators, d) with x = numerators / d.  Every vertex has the same
+    d > 0, the least common denominator of the list.
 
     Vertices are basic feasible solutions: supports of size rank(A)
     whose columns are independent and whose unique solve is nonnegative.
@@ -129,22 +134,34 @@ def enumerate_basic_feasible(matrix: list[list[Fraction]], rhs: list[Fraction],
     columns = [[1 << (ncols - 1 - g[j]) for g in elements] for j in range(ncols)]
     int_rows = [aug[i][:ncols] for i in basis]
     int_rhs = [aug[i][ncols] for i in basis]
-    found: dict[int, tuple[Fraction, ...]] = {}  # nonzero-support key -> vertex
-    zero = Fraction(0)
+    seen: dict[int, None] = {}  # keys of the vertices found (smaller than a set)
+    solves = []  # (nonzero entries, det, the elements mapping them to new vertices)
     for support, keys in _orderly_supports(columns, r, (), [0] * len(elements)):
-        sol = solve_square_int([[row[j] for j in support] for row in int_rows], int_rhs)
-        if sol is None or any(v < 0 for v in sol):
+        solved = solve_square_int([[row[j] for j in support] for row in int_rows], int_rhs)
+        if solved is None or min(solved[0], default=0) < 0:
             continue
-        nonzero = [(j, v) for j, v in zip(support, sol) if v]
+        sol, det = solved
+        common = gcd(det, *sol)  # lowest terms
+        nonzero = [(j, v // common) for j, v in zip(support, sol) if v]
         if len(nonzero) < r:  # degenerate: key the nonzero support (maybe empty)
             keys = [sum(bits) for bits in zip([0] * len(keys), *(columns[j] for j, _ in nonzero))]
+        images = []
         for g, key in zip(elements, keys):
-            if key not in found:
-                full = [zero] * ncols
-                for j, v in nonzero:
-                    full[g[j]] = v
-                found[key] = tuple(full)
-    return list(found.values())
+            if key not in seen:
+                seen[key] = None
+                images.append(g)
+        solves.append((nonzero, det // common, images))
+    # Over the common denominator, the images of one solve share their entries.
+    d = lcm(*(det for _, det, _ in solves))
+    vertices = []
+    for nonzero, det, images in solves:
+        nonzero = [(j, v * (d // det)) for j, v in nonzero]
+        for g in images:
+            full = [0] * ncols
+            for j, v in nonzero:
+                full[g[j]] = v
+            vertices.append((tuple(full), d))
+    return vertices
 
 
 def _orderly_supports(columns: list[list[int]], r: int, support: tuple[int, ...],

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import inf, lcm
 from operator import mul
 from typing import Callable, Sequence
 
@@ -45,12 +45,11 @@ from .invariant import enumerate_invariant_vertices
 from .ldp_geometry import (
     DEFAULT_ENUM_CAP_M,
     SubsetOrbit,
-    WeightPolytope,
     WeightVector,
     enumerate_polytope_vertices,
     extremal_channel,
     full_polytope,
-    integer_point_in_polytope,
+    in_weight_polytope,
     staircase_numerators,
     weight_polytope,
 )
@@ -58,7 +57,6 @@ from .rationals import as_fraction, integer_matrix
 from .simplex import solve_standard_lp
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 CERT_EXACT = "exact"
 CERT_BOUND = "bound_only"
@@ -128,7 +126,9 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
     as u.w, only the argmin gets a channel, and the objective runs once
     there and must equal the score (ObjectiveMismatchError otherwise);
     the result is exact when u is constant on every subset orbit.
-    Without it, the result is only a bound.
+    Without it, the result is only a bound.  An exact form is scaled to
+    integers and scores the vertices' numerators (over their one shared
+    denominator) as integers; a form with floats scores in floats.
     """
     level = as_level(level)
     if coefficients is not None:
@@ -140,21 +140,28 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
     else:
         vertices = enumerate_polytope_vertices(alphabet, level, cap=cap)
     orbits = vertices[0].orbits
+    scale = None  # set when the scores are integers over one denominator
     if coefficients is None:
-        values = [objective(extremal_channel(v)) for v in vertices]
+        scores = [objective(extremal_channel(v)) for v in vertices]
     else:
         costs = _orbit_costs(coefficients, orbits)
-        values = [sum((w * c for w, c in zip(v.values, costs) if w), _ZERO)
-                  for v in vertices]
-    best = min(range(len(values)), key=lambda i: (values[i], i))
-    result = PutResult(value=values[best], argmin_weights=vertices[best],
+        if any(isinstance(c, float) for c in costs):
+            scores = [sum((w * c for w, c in zip(v.values, costs) if w), _ZERO)
+                      for v in vertices]
+        else:
+            (int_costs,), cost_d = integer_matrix([costs])
+            scores = [sum(map(mul, v.numerators, int_costs)) for v in vertices]
+            scale = cost_d * vertices[0].denominator
+    best = min(range(len(scores)), key=lambda i: (scores[i], i))
+    value = scores[best] if scale is None else Fraction(scores[best], scale)
+    result = PutResult(value=value, argmin_weights=vertices[best],
                        method="vertex_enumeration_grouped" if grouped else "vertex_enumeration",
                        certificate=_certificate(coefficients, orbits))
     if coefficients is not None:
         direct = objective(result.argmin_channel)
-        if not _agree(direct, values[best]):
+        if not _agree(direct, value):
             raise ObjectiveMismatchError(f"objective {direct} at the argmin channel "
-                                         f"differs from its linear-form score {values[best]}")
+                                         f"differs from its linear-form score {value}")
     return result
 
 
@@ -194,9 +201,9 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
     else:
         polytope = full_polytope(alphabet, level)
     res = solve_standard_lp([list(row) for row in polytope.rows],
-                            [_ONE] * len(polytope.rows),
+                            [polytope.denominator] * len(polytope.rows),
                             _orbit_costs(exact_u, polytope.orbits))
-    weights = WeightVector(polytope=polytope, values=tuple(res.x))
+    weights = WeightVector.of_values(polytope, res.x)
     return PutResult(value=res.value, argmin_weights=weights,
                      method="lp_grouped" if grouped else "lp",
                      certificate=_certificate(given, polytope.orbits))
@@ -205,8 +212,8 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
 def put_transitive_closed_form(values: Sequence, group: PermGroup, level) -> PutResult:
     """Minimize over the collapsed simplex of a transitive group.
 
-    Each subset orbit is a vertex: its one membership coefficient c
-    gives it weight 1/c.  `values[mask - 1]` is the objective at the
+    Each subset orbit is a vertex: its one membership coefficient c / d
+    gives it weight d / c.  `values[mask - 1]` is the objective at the
     pure channel on mask's orbit, computed from mask alone; values that
     differ within an orbit raise ValueError, since the orbit minimum is
     then not achieved by its argmin channel.  The values must come from
@@ -224,10 +231,9 @@ def put_transitive_closed_form(values: Sequence, group: PermGroup, level) -> Put
         raise ValueError("closed-form values differ within a subset orbit")
     orbit_values = [values[orbit.representative - 1] for orbit in polytope.orbits]
     best = min(range(len(orbit_values)), key=lambda i: (orbit_values[i], i))
-    weight = _ONE / polytope.rows[0][best]
-    argmin = WeightVector(polytope=polytope,
-                          values=tuple(weight if i == best else _ZERO
-                                       for i in range(len(orbit_values))))
+    argmin = WeightVector(polytope, tuple(polytope.denominator if i == best else 0
+                                          for i in range(len(orbit_values))),
+                          polytope.rows[0][best])
     return PutResult(value=orbit_values[best], argmin_weights=argmin,
                      method="transitive_closed_form", certificate=certificate)
 
@@ -256,26 +262,10 @@ def _random_counts(rng: random.Random, n: int) -> list[int]:
     return raw
 
 
-@dataclass(frozen=True)
-class IntegerVertices:
-    """The full polytope's vertices: vertex k's weights are
-    numerators[k] / denominator."""
-
-    polytope: WeightPolytope
-    numerators: tuple[list[int], ...]
-    denominator: int
-
-
-def integer_vertices(alphabet: FiniteAlphabet, level,
-                     cap: int = DEFAULT_ENUM_CAP_M) -> IntegerVertices:
-    """The vertex list of `enumerate_polytope_vertices`, as integers."""
-    vertices = enumerate_polytope_vertices(alphabet, as_level(level), cap=cap)
-    numerators, d = integer_matrix(v.values for v in vertices)
-    return IntegerVertices(vertices[0].polytope, tuple(numerators), d)
-
-
-def random_private_channel(rng: random.Random, vertices: IntegerVertices) -> Channel:
-    """A random channel satisfying the privacy constraint of `vertices`.
+def random_private_channel(rng: random.Random, vertices: Sequence[WeightVector]) -> Channel:
+    """A random channel satisfying the privacy constraint of `vertices`,
+    a polytope's vertex list over its one shared denominator (as
+    `polytope_vertices` gives it).
 
     A random convex combination of the polytope vertices gives a maximal
     channel: counts c_k on the picked vertices mix their numerators as
@@ -288,13 +278,12 @@ def random_private_channel(rng: random.Random, vertices: IntegerVertices) -> Cha
     rows are multiplied, over lcm(s_y) * d * q.  Either way the sample
     is built as one Channel.
     """
-    polytope = vertices.polytope
-    rows = vertices.numerators
-    picks = rng.sample(range(len(rows)), k=min(len(rows), rng.randint(1, 3)))
+    polytope = vertices[0].polytope
+    picks = rng.sample(range(len(vertices)), k=min(len(vertices), rng.randint(1, 3)))
     counts = _random_counts(rng, len(picks))
-    d = sum(counts) * vertices.denominator
-    mixed = [sum(map(mul, counts, col)) for col in zip(*(rows[k] for k in picks))]
-    if not integer_point_in_polytope(polytope, mixed, d):
+    d = sum(counts) * vertices[0].denominator
+    mixed = [sum(map(mul, counts, col)) for col in zip(*(vertices[k].numerators for k in picks))]
+    if not in_weight_polytope(WeightVector(polytope, tuple(mixed), d)):
         raise PolytopeViolationError("a mixture of vertices left the weight polytope")
     staircase = staircase_numerators(polytope, mixed)
     d *= polytope.level.t.denominator
@@ -332,10 +321,13 @@ def random_channel_audit(objective: Callable[[Channel], Fraction | float],
     Sampling is seed-deterministic per index, so reruns see the exact
     same channels, and sample i alone is redrawn by _sample_rng(seed, i).
     A violation raises AuditFailureError carrying the offending channel
-    and its sample index.  The vertex list is read once per audit.
+    and its sample index.  The vertex list is read once per audit.  A
+    negative or non-finite tolerance raises ValueError.
     """
+    if not 0 <= tolerance < inf:
+        raise ValueError(f"the audit tolerance must be finite and nonnegative, got {tolerance}")
     level = as_level(level)
-    vertices = integer_vertices(alphabet, level, cap)
+    vertices = enumerate_polytope_vertices(alphabet, level, cap)
     min_gap = worst = None
     for i in range(samples):
         rng = _sample_rng(seed, i)

@@ -6,7 +6,8 @@ grid integration, a transitive group's vertex weights by double
 counting, kernels by elimination, LP optima and pivot paths on a
 Fraction tableau, channel products, Bayes and minimax risks one Fraction
 per multiply-add, the audit's samples through Fraction weights and
-composed channels), so a test can compare the two.  numpy is needed here
+composed channels, the polytope's vertex list and vertex sweep on
+Fraction weights), so a test can compare the two.  numpy is needed here
 only.
 
 It also holds what tests use to check other library code or to build
@@ -58,16 +59,19 @@ from ldpput.groups import (
 )
 from ldpput.ldp_geometry import (
     SubsetOrbit,
+    WeightPolytope,
     WeightVector,
     canonical_weight_from_rays,
+    enumerate_polytope_vertices,
     extremal_channel,
     full_polytope,
     ray_subsets,
     staircase_row,
+    subset_column_symmetries,
     weight_polytope,
 )
-from ldpput.linalg import _column_group, rank
-from ldpput.put_solver import FLOAT_TOLERANCE, IntegerVertices, integer_vertices
+from ldpput.linalg import _column_group, _eliminate, _integer_rows, _orderly_supports, rank
+from ldpput.put_solver import FLOAT_TOLERANCE
 from ldpput.rationals import as_fraction, format_fraction
 from ldpput.serialize import letter_to_json
 from ldpput.simplex import LpResult, feasible_point
@@ -277,7 +281,7 @@ def pure_orbit_weights(group: PermGroup, orbit_index: int, level) -> WeightVecto
     weight = transitive_vertex_weight(group, polytope.orbits[orbit_index], level)
     values = [_ZERO] * len(polytope.orbits)
     values[orbit_index] = weight
-    return WeightVector(polytope=polytope, values=tuple(values))
+    return WeightVector.of_values(polytope, values)
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -376,6 +380,93 @@ def basic_feasible_orbit_reference(matrix: list[list[Fraction]], rhs: list[Fract
                     full[g[j]] = v
                 found[image] = tuple(full)
     return list(found.values())
+
+
+# -- the polytope layer in Fractions ------------------------------------------
+
+
+def fraction_vertices(vertices: Iterable[tuple[Sequence[int], int]]
+                      ) -> list[tuple[Fraction, ...]]:
+    """`enumerate_basic_feasible`'s (numerators, d) pairs as Fraction tuples."""
+    return [tuple(Fraction(v, d) for v in n) for n, d in vertices]
+
+
+def fraction_rows(polytope: WeightPolytope) -> list[list[Fraction]]:
+    """A weight polytope's equality rows as Fractions (rows / denominator)."""
+    return [[Fraction(v, polytope.denominator) for v in row] for row in polytope.rows]
+
+
+def _solve_square_fraction(matrix: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
+    """A square integer solve with one Fraction per entry, by Bareiss
+    elimination and integer back substitution over the last pivot."""
+    n = len(matrix)
+    a = [[*row, b] for row, b in zip(matrix, rhs)]
+    if _eliminate(a, square=True) is None:
+        return None
+    det = a[-1][-2] if n else 1
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = det * row[n]
+        for j in range(i + 1, n):
+            acc -= row[j] * y[j]
+        y[i] = acc // row[i]
+    return [Fraction(v, det) for v in y]
+
+
+def basic_feasible_fraction_reference(matrix: list[list[Fraction]], rhs: list[Fraction],
+                                      symmetries: Sequence[Sequence[int]] = ()
+                                      ) -> list[tuple[Fraction, ...]]:
+    """`enumerate_basic_feasible` with a Fraction per vertex entry: the
+    same orderly scan, each solve turned into Fractions and each vertex
+    kept as a Fraction tuple, so the list and its order must match."""
+    aug = _integer_rows([[*row, b] for row, b in zip(matrix, rhs)])
+    ncols = len(aug[0]) - 1 if aug else 0
+    elements = _column_group(matrix, rhs, ncols, symmetries)
+    basis = _eliminate([list(col) for col in zip(*aug)][:ncols])
+    r = len(basis)
+    if len(_eliminate([list(row) for row in aug])) > r:
+        return []
+    columns = [[1 << (ncols - 1 - g[j]) for g in elements] for j in range(ncols)]
+    int_rows = [aug[i][:ncols] for i in basis]
+    int_rhs = [aug[i][ncols] for i in basis]
+    found: dict[int, tuple[Fraction, ...]] = {}
+    for support, keys in _orderly_supports(columns, r, (), [0] * len(elements)):
+        sol = _solve_square_fraction([[row[j] for j in support] for row in int_rows], int_rhs)
+        if sol is None or any(v < 0 for v in sol):
+            continue
+        nonzero = [(j, v) for j, v in zip(support, sol) if v]
+        if len(nonzero) < r:
+            keys = [sum(bits) for bits in zip([0] * len(keys), *(columns[j] for j, _ in nonzero))]
+        for g, key in zip(elements, keys):
+            if key not in found:
+                full = [_ZERO] * ncols
+                for j, v in nonzero:
+                    full[g[j]] = v
+                found[key] = tuple(full)
+    return list(found.values())
+
+
+def polytope_vertices_reference(polytope: WeightPolytope) -> list[tuple[Fraction, ...]]:
+    """The values of `polytope_vertices(polytope)`, in order: the
+    Fraction scan of the Fraction rows (under S_m for the full polytope),
+    sorted as Fraction tuples."""
+    rows = fraction_rows(polytope)
+    m = polytope.group.alphabet.size
+    symmetries = subset_column_symmetries(m) if polytope.group.is_trivial else ()
+    return sorted(basic_feasible_fraction_reference(rows, [_ONE] * len(rows), symmetries))
+
+
+def vertex_sweep_reference(vertices: Sequence[WeightVector],
+                           coefficients: Sequence) -> tuple[Fraction | float, int]:
+    """The vertex sweep's value and argmin index by Fraction weights: each
+    vertex scores sum over orbits of weight * (sum of the orbit's
+    coefficients); the first lowest score wins."""
+    costs = [sum((coefficients[mask - 1] for mask in orbit.masks), _ZERO)
+             for orbit in vertices[0].orbits]
+    scores = [sum((w * c for w, c in zip(v.values, costs) if w), _ZERO) for v in vertices]
+    best = min(range(len(scores)), key=lambda i: (scores[i], i))
+    return scores[best], best
 
 
 # -- reference simplex --------------------------------------------------------
@@ -930,7 +1021,7 @@ def make_weight_vector(domain: FiniteAlphabet | PermGroup, level,
     level = as_level(level)
     polytope = weight_polytope(domain, level) if isinstance(domain, PermGroup) \
         else full_polytope(domain, level)
-    return WeightVector(polytope=polytope, values=tuple(as_fraction(v) for v in values))
+    return WeightVector.of_values(polytope, [as_fraction(v) for v in values])
 
 
 def is_maximal(channel: Channel, level) -> bool:
@@ -964,8 +1055,8 @@ class BadSubsetSizeError(LdpPutError):
 def lift_weights(weights: WeightVector) -> WeightVector:
     """Spread each orbit weight onto all of the orbit's subsets."""
     m = weights.input_alphabet.size
-    return WeightVector(polytope=full_polytope(weights.input_alphabet, weights.level),
-                        values=tuple(weights.weight(mask) for mask in all_subset_masks(m)))
+    return WeightVector.of_values(full_polytope(weights.input_alphabet, weights.level),
+                                  [weights.weight(mask) for mask in all_subset_masks(m)])
 
 
 def ss_mechanism(alphabet: FiniteAlphabet, k: int, level) -> Channel:
@@ -1050,8 +1141,8 @@ def weights_from_json(data: dict) -> WeightVector:
     values = [Fraction(0)] * ((1 << m) - 2)
     for mask, value in zip(data["support"], data["weights"]):
         values[int(mask) - 1] = as_fraction(value)
-    return WeightVector(polytope=full_polytope(FiniteAlphabet.of_size(m), as_level(data["t"])),
-                        values=tuple(values))
+    return WeightVector.of_values(full_polytope(FiniteAlphabet.of_size(m), as_level(data["t"])),
+                                  values)
 
 
 # -- the audit's reference sampler --------------------------------------------
@@ -1065,20 +1156,19 @@ def _random_counts_reference(rng: random.Random, n: int) -> list[int]:
     return raw
 
 
-def random_polytope_point(rng: random.Random, vertices: IntegerVertices) -> WeightVector:
+def random_polytope_point(rng: random.Random,
+                          vertices: Sequence[WeightVector]) -> WeightVector:
     """A random convex combination of the polytope vertices, exact.
 
-    Count c_k on vertex k mixes the integer rows as sum c_k * n_k, over
-    sum(c) times the vertices' denominator.
+    Count c_k on vertex k gives it the Fraction weight c_k / sum(c).
     """
-    rows = vertices.numerators
-    picks = rng.sample(range(len(rows)), k=min(len(rows), rng.randint(1, 3)))
+    picks = rng.sample(range(len(vertices)), k=min(len(vertices), rng.randint(1, 3)))
     counts = _random_counts_reference(rng, len(picks))
-    d = sum(counts) * vertices.denominator
-    mixed = [sum(c * rows[k][j] for c, k in zip(counts, picks))
-             for j in range(len(rows[0]))]
-    return WeightVector(polytope=vertices.polytope,
-                        values=tuple(Fraction(n, d) for n in mixed))
+    total = sum(counts)
+    mixed = [sum((Fraction(c, total) * vertices[k].values[j] for c, k in zip(counts, picks)),
+                 _ZERO)
+             for j in range(len(vertices[0].values))]
+    return WeightVector.of_values(vertices[0].polytope, mixed)
 
 
 def random_post_processing(rng: random.Random, channel: Channel) -> Channel:
@@ -1101,7 +1191,7 @@ def random_post_processing(rng: random.Random, channel: Channel) -> Channel:
 
 
 def random_private_channel_reference(rng: random.Random,
-                                     vertices: IntegerVertices) -> Channel:
+                                     vertices: Sequence[WeightVector]) -> Channel:
     """`put_solver.random_private_channel` one step at a time: a polytope
     point as Fraction weights, its extremal channel, and two times in
     three a post-processor channel composed after it.  It draws the
@@ -1161,7 +1251,7 @@ def spot_check_traits(objective: Callable[[Channel], Fraction | float],
     ObjectiveMismatchError.
     """
     level = as_level(level)
-    vertices = integer_vertices(alphabet, level)
+    vertices = enumerate_polytope_vertices(alphabet, level)
     for _ in range(trials):
         q1 = extremal_channel(random_polytope_point(rng, vertices))
         q2 = extremal_channel(random_polytope_point(rng, vertices))

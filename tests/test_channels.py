@@ -28,8 +28,8 @@ from ldpput.groups import (
     cyclic_group,
     symmetric_group,
 )
-from ldpput.ldp_geometry import extremal_channel, staircase_row
-from ldpput.put_solver import integer_vertices, random_private_channel
+from ldpput.ldp_geometry import enumerate_polytope_vertices, extremal_channel, staircase_row
+from ldpput.put_solver import random_private_channel
 from oracles import (
     WeightSumError,
     apply_group_element,
@@ -444,7 +444,7 @@ def test_channel_without_outputs_is_refused(n_in):
 def test_extremal_channel_is_the_weighted_staircase(m, t, seed):
     """Row y is w_y * t on the subset and w_y elsewhere, as Fractions."""
     t = Fraction(t)
-    vertices = integer_vertices(FiniteAlphabet.of_size(m), t)
+    vertices = enumerate_polytope_vertices(FiniteAlphabet.of_size(m), t)
     weights = random_polytope_point(random.Random(seed), vertices)
     q = extremal_channel(weights)
     assert q.rows == tuple(
@@ -484,6 +484,6 @@ def _cardioid_risk_on_fractions(spec, channel) -> float:
 @settings(max_examples=60, deadline=None)
 def test_cardioid_bayes_risk_is_the_float_of_each_fraction(m, t, gamma, seed):
     spec = CardioidSpec.build(m, gamma, t)
-    vertices = integer_vertices(FiniteAlphabet.of_size(m), Fraction(t))
+    vertices = enumerate_polytope_vertices(FiniteAlphabet.of_size(m), Fraction(t))
     q = random_private_channel(random.Random(seed), vertices)
     assert cardioid_bayes_risk(spec, q) == _cardioid_risk_on_fractions(spec, q)

@@ -25,7 +25,7 @@ from ldpput.decision import (
 )
 from ldpput.groups import FiniteAlphabet, natural_action, symmetric_group
 from ldpput.ldp_geometry import enumerate_polytope_vertices, extremal_channel
-from ldpput.put_solver import integer_vertices, random_private_channel
+from ldpput.put_solver import random_private_channel
 from ldpput.simplex import solve_standard_lp
 from oracles import (
     InvarianceDeclaration,
@@ -599,7 +599,7 @@ def minimax_case(draw):
         channel = vertex
     elif kind == "audit":
         channel = random_private_channel(random.Random(draw(st.integers(0, 2**16))),
-                                         integer_vertices(alphabet, t))
+                                         enumerate_polytope_vertices(alphabet, t))
     elif kind == "sparse":
         channel = sparse
     else:

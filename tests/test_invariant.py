@@ -34,6 +34,7 @@ from oracles import (
     apply_group_element,
     canonical_weight,
     equivalent,
+    fraction_rows,
     invariant_output_action,
     is_maximal,
     lift_weights,
@@ -228,8 +229,8 @@ def test_trivial_group_reduction_matches_full(m, t):
     group = trivial_group(alphabet)
     masks = all_subset_masks(m)
     polytope = weight_polytope(group, t)
-    assert polytope.rows == tuple(tuple(t if mask >> x & 1 else 1 for mask in masks)
-                                  for x in range(m))
+    assert fraction_rows(polytope) == [[t if mask >> x & 1 else 1 for mask in masks]
+                                       for x in range(m)]
 
     reduced = enumerate_invariant_vertices(group, t)
     full = enumerate_polytope_vertices(alphabet, t)

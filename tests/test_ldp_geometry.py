@@ -17,15 +17,19 @@ from ldpput.errors import (
     PolytopeViolationError,
     ZeroVectorError,
 )
-from ldpput.groups import FiniteAlphabet, all_subset_masks
+from ldpput.groups import FiniteAlphabet, all_subset_masks, cyclic_group, symmetric_group
+from ldpput.invariant import CANDIDATE_CAP
 from ldpput.ldp_geometry import (
+    WeightVector,
     dominating_maximal,
     enumerate_polytope_vertices,
     extremal_channel,
     full_polytope,
     in_weight_polytope,
     is_extreme_direction,
+    polytope_vertices,
     staircase_row,
+    weight_polytope,
 )
 from ldpput.linalg import enumerate_basic_feasible
 from oracles import (
@@ -35,10 +39,13 @@ from oracles import (
     cone_constraint_matrix,
     dominates,
     equivalent,
+    fraction_rows,
+    fraction_vertices,
     in_cone,
     is_maximal,
     kernel_rank_check,
     make_weight_vector,
+    polytope_vertices_reference,
     staircase_matrix,
     subset_size,
 )
@@ -413,8 +420,7 @@ def test_enumeration_deterministic():
 
 
 def _full_system(m: int, t: Fraction) -> tuple[list[list[Fraction]], list[Fraction]]:
-    rows = full_polytope(FiniteAlphabet.of_size(m), t).rows
-    return [list(row) for row in rows], [F(1)] * m
+    return fraction_rows(full_polytope(FiniteAlphabet.of_size(m), t)), [F(1)] * m
 
 
 @pytest.mark.parametrize("t", [F(1), F(3, 2), F(2), F(3), F(5)])
@@ -437,7 +443,48 @@ def test_symmetry_reduced_vertices_match_full_scan_m5():
     """At m = 5 the reduced scan equals the scan of all 142,506 supports."""
     t = F(3, 2)
     got = [v.values for v in enumerate_polytope_vertices(FiniteAlphabet.of_size(5), t)]
-    assert got == sorted(enumerate_basic_feasible(*_full_system(5, t)))
+    assert got == sorted(fraction_vertices(enumerate_basic_feasible(*_full_system(5, t))))
+
+
+RATIONAL_T = st.integers(min_value=1, max_value=6).flatmap(
+    lambda q: st.builds(Fraction, st.integers(min_value=q, max_value=6 * q), st.just(q)))
+
+
+@given(st.integers(min_value=2, max_value=5), RATIONAL_T)
+@settings(max_examples=16, deadline=None)
+def test_integer_vertices_match_fraction_reference(m, t):
+    """The full polytope's vertices share one denominator, and their values
+    and order are those of the Fraction scan sorted as Fraction tuples."""
+    polytope = full_polytope(FiniteAlphabet.of_size(m), t)
+    vertices = polytope_vertices(polytope)
+    assert len({v.denominator for v in vertices}) == 1
+    assert [v.values for v in vertices] == polytope_vertices_reference(polytope)
+
+
+@given(st.integers(min_value=3, max_value=7), st.sampled_from([symmetric_group, cyclic_group]),
+       RATIONAL_T)
+@settings(max_examples=30, deadline=None)
+def test_grouped_integer_vertices_match_fraction_reference(m, group, t):
+    polytope = weight_polytope(group(FiniteAlphabet.of_size(m)), t)
+    vertices = polytope_vertices(polytope, candidate_cap=CANDIDATE_CAP)
+    assert len({v.denominator for v in vertices}) == 1
+    assert [v.values for v in vertices] == polytope_vertices_reference(polytope)
+
+
+@given(st.integers(min_value=2, max_value=4), RATIONAL_T, st.integers(min_value=0),
+       st.integers(min_value=2, max_value=10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_weight_vector_equality_is_by_value(m, t, index, k):
+    """Equality and hash hold across denominators, and tell vertices apart."""
+    vertices = enumerate_polytope_vertices(FiniteAlphabet.of_size(m), t)
+    v = vertices[index % len(vertices)]
+    scaled = WeightVector(v.polytope, tuple(n * k for n in v.numerators), v.denominator * k)
+    assert scaled == v and hash(scaled) == hash(v) and scaled.values == v.values
+    assert WeightVector.of_values(v.polytope, v.values) == v
+    assert len(set(vertices) | {scaled}) == len(vertices)
+    assert all(w != scaled for w in vertices if w is not v)
+    with pytest.raises(ValueError, match="positive"):
+        WeightVector(v.polytope, v.numerators, 0)
 
 
 @pytest.mark.parametrize("m,solves", [(3, 6), (4, 68), (5, 1738)])

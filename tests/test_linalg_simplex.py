@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -31,6 +32,8 @@ from ldpput.simplex import feasible_point, solve_standard_lp
 from oracles import (
     basic_feasible_orbit_reference,
     basic_feasible_reference,
+    fraction_rows,
+    fraction_vertices,
     kernel_basis,
     mat_vec,
     rref,
@@ -40,6 +43,18 @@ from oracles import (
 
 def F(v) -> Fraction:
     return Fraction(v)
+
+
+def _scan(*args, **kwargs) -> list[tuple[Fraction, ...]]:
+    """`enumerate_basic_feasible`'s vertices as Fraction tuples, checked to
+    share one positive denominator, the least common one."""
+    found = enumerate_basic_feasible(*args, **kwargs)
+    denominators = {d for _, d in found}
+    assert len(denominators) <= 1 and all(d > 0 for d in denominators)
+    if found:
+        d = found[0][1]
+        assert math.gcd(d, *(v for n, _ in found for v in n)) == 1
+    return fraction_vertices(found)
 
 
 def test_as_fraction_accepts_strings():
@@ -82,8 +97,8 @@ def test_kernel_basis_matches_rank_nullity():
 def test_solve_square_int_exact():
     a = [[2, 1], [1, 3]]
     b = [5, 10]
-    x = solve_square_int(a, b)
-    assert x == [Fraction(1), Fraction(3)]
+    x, d = solve_square_int(a, b)
+    assert d > 0 and [Fraction(v, d) for v in x] == [1, 3]
 
 
 def test_solve_square_int_singular_returns_none():
@@ -98,18 +113,21 @@ def test_solve_square_int_random(n, data):
         for _ in range(n)
     ]
     b = data.draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n))
-    x = solve_square_int([list(r) for r in rows], list(b))
-    if x is None:
+    solved = solve_square_int([list(r) for r in rows], list(b))
+    if solved is None:
         assert rank([[F(v) for v in r] for r in rows]) < n
     else:
-        assert mat_vec([[F(v) for v in r] for r in rows], x) == [F(v) for v in b]
+        x, d = solved
+        assert d > 0
+        assert mat_vec([[F(v) for v in r] for r in rows], [F(v) / d for v in x]) == \
+            [F(v) for v in b]
 
 
 def test_enumerate_basic_feasible_simplex_vertices():
     """x + y + z = 1, x,y,z >= 0 has exactly the three unit vertices."""
     a = [[F(1), F(1), F(1)]]
     b = [F(1)]
-    verts = enumerate_basic_feasible(a, b)
+    verts = _scan(a, b)
     assert sorted(verts) == [
         (F(0), F(0), F(1)),
         (F(0), F(1), F(0)),
@@ -121,7 +139,7 @@ def test_enumerate_basic_feasible_square():
     """Two independent equations in 3 unknowns: at most C(3,2) vertices."""
     a = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
     b = [F(1), F(1)]
-    verts = enumerate_basic_feasible(a, b)
+    verts = _scan(a, b)
     # supports {x,y},{y,z},{x,z}: solutions (1,0,1) has support {x,z}
     assert (F(1), F(0), F(1)) in verts
     assert (F(0), F(1), F(0)) in verts
@@ -133,7 +151,7 @@ def test_enumerate_basic_feasible_square():
 def test_enumerate_basic_feasible_infeasible():
     a = [[F(1), F(1)]]
     b = [F(-1)]
-    assert enumerate_basic_feasible(a, b) == []
+    assert _scan(a, b) == []
 
 
 _small_rationals = st.builds(Fraction, st.integers(min_value=-4, max_value=4),
@@ -169,15 +187,15 @@ def test_kernel_matches_rref_reference(system):
     """rank and the vertex scan equal the rref-per-support reference."""
     a, b = system
     assert rank(a) == len(rref(a)[1])
-    assert enumerate_basic_feasible(a, b) == basic_feasible_reference(a, b)
+    assert _scan(a, b) == basic_feasible_reference(a, b)
 
 
 def test_enumerate_basic_feasible_dependent_rows():
     """A repeated row changes nothing; an inconsistent repeat empties the set."""
     a = [[F(1), F(1), F(0)], [F(0), F(1), F(1)], [F(1), F(2), F(1)]]
-    assert enumerate_basic_feasible(a, [F(1), F(1), F(2)]) == \
-        enumerate_basic_feasible(a[:2], [F(1), F(1)])
-    assert enumerate_basic_feasible(a, [F(1), F(1), F(3)]) == []
+    assert _scan(a, [F(1), F(1), F(2)]) == \
+        _scan(a[:2], [F(1), F(1)])
+    assert _scan(a, [F(1), F(1), F(3)]) == []
 
 
 def test_enumerate_basic_feasible_rejects_non_symmetry():
@@ -186,12 +204,12 @@ def test_enumerate_basic_feasible_rejects_non_symmetry():
     b = [F(1), F(1)]
     for swap in ((1, 0, 2), (2, 1, 0)):
         with pytest.raises(ValueError, match="not a symmetry"):
-            enumerate_basic_feasible(a, b, symmetries=[swap])
+            _scan(a, b, symmetries=[swap])
     with pytest.raises(ValueError, match="not a permutation"):
-        enumerate_basic_feasible(a, b, symmetries=[(0, 0, 2)])
+        _scan(a, b, symmetries=[(0, 0, 2)])
     # Swapping columns 0 and 2 maps each row of this system onto the other.
     a = [[F(1), F(2), F(0)], [F(0), F(2), F(1)]]
-    assert sorted(enumerate_basic_feasible(a, b, symmetries=[(2, 1, 0)])) == \
+    assert sorted(_scan(a, b, symmetries=[(2, 1, 0)])) == \
         sorted(basic_feasible_reference(a, b))
 
 
@@ -224,7 +242,7 @@ def _symmetric_systems(draw):
 def test_symmetry_reduced_scan_matches_reference(system):
     """Solving one support per orbit finds the reference's vertex set."""
     a, b, g = system
-    assert sorted(enumerate_basic_feasible(a, b, symmetries=[g])) == \
+    assert sorted(_scan(a, b, symmetries=[g])) == \
         sorted(basic_feasible_reference(a, b))
 
 
@@ -233,7 +251,7 @@ def test_symmetry_reduced_scan_matches_reference(system):
 def test_orderly_scan_matches_flat_orbit_scan(system):
     """Building supports prefix by prefix gives the flat scan's list, in order."""
     a, b, g = system
-    assert enumerate_basic_feasible(a, b, symmetries=[g]) == \
+    assert _scan(a, b, symmetries=[g]) == \
         basic_feasible_orbit_reference(a, b, [g])
 
 
@@ -244,20 +262,20 @@ def test_orderly_scan_matches_flat_orbit_scan(system):
 @settings(max_examples=12, deadline=None)
 def test_orderly_scan_matches_flat_orbit_scan_full_polytope(m, t):
     """The full polytope under S_m: the same list, in the same order."""
-    a = [list(row) for row in full_polytope(FiniteAlphabet.of_size(m), t).rows]
+    a = fraction_rows(full_polytope(FiniteAlphabet.of_size(m), t))
     b = [F(1)] * m
     symmetries = subset_column_symmetries(m)
-    assert enumerate_basic_feasible(a, b, symmetries=symmetries) == \
+    assert _scan(a, b, symmetries=symmetries) == \
         basic_feasible_orbit_reference(a, b, symmetries)
 
 
 def test_rank_zero_systems():
     """A zero matrix has the empty support alone: the origin when b = 0."""
-    assert enumerate_basic_feasible([[F(0)]], [F(0)]) == [(F(0),)]
-    assert enumerate_basic_feasible([[F(0), F(0)]], [F(0)], symmetries=[(1, 0)]) == \
+    assert _scan([[F(0)]], [F(0)]) == [(F(0),)]
+    assert _scan([[F(0), F(0)]], [F(0)], symmetries=[(1, 0)]) == \
         [(F(0), F(0))]
-    assert enumerate_basic_feasible([[F(0)]], [F(1)]) == []
-    assert enumerate_basic_feasible([], []) == [()]
+    assert _scan([[F(0)]], [F(1)]) == []
+    assert _scan([], []) == [()]
 
 
 def test_simplex_basic_minimum():

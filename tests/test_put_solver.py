@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from ldpput import put_solver
 from ldpput.channels import Channel, compose, is_ldp
-from ldpput.applications import CardioidSpec, cardioid_bayes_risk, ht_problem, ht_subset_risk
+from ldpput.applications import (
+    CardioidSpec,
+    cardioid_bayes_risk,
+    ht_problem,
+    ht_put_closed_form,
+    ht_subset_risk,
+)
 from ldpput.decision import (
     DecisionProblem,
     Prior,
@@ -30,7 +36,6 @@ from ldpput.put_solver import (
     CERT_EXACT,
     _random_counts,
     _sample_rng,
-    integer_vertices,
     put_by_lp,
     put_by_vertex_enumeration,
     put_transitive_closed_form,
@@ -48,6 +53,7 @@ from oracles import (
     random_private_channel_reference,
     spot_check_traits,
     subset_size,
+    vertex_sweep_reference,
 )
 
 F = Fraction
@@ -234,6 +240,53 @@ def test_argmin_tie_break_is_first_index():
     res = put_by_vertex_enumeration(lambda q: F(1), alphabet, t)
     first = enumerate_polytope_vertices(alphabet, t)[0]
     assert res.argmin_weights.values == first.values
+
+
+RATIONAL_T = st.integers(min_value=1, max_value=6).flatmap(
+    lambda q: st.builds(F, st.integers(min_value=q, max_value=6 * q), st.just(q)))
+FORM_ENTRY = st.one_of(
+    st.builds(F, st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=12)),
+    st.floats(min_value=-2, max_value=2, allow_nan=False))
+
+
+def _form_objective(u):
+    """The objective whose linear form is u: on a maximal channel, each
+    output's subset (its letter) times the row's weight (its minimum)."""
+    return lambda q: sum((u[y - 1] * min(row) for y, row in zip(q.output_alphabet.letters, q.rows)),
+                         F(0))
+
+
+@given(st.integers(min_value=2, max_value=4), RATIONAL_T,
+       st.sampled_from([None, "sym", "cyclic"]), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_sweep_matches_fraction_sweep(m, t, group_name, exact, data):
+    """The sweep's value (type included) and argmin vertex equal the
+    Fraction sweep's; a form with a float keeps float arithmetic."""
+    alphabet = FiniteAlphabet.of_size(m)
+    group = {None: None, "sym": symmetric_group, "cyclic": cyclic_group}[group_name]
+    group = group and group(alphabet)
+    entry = FORM_ENTRY.filter(lambda v: isinstance(v, F)) if exact else FORM_ENTRY
+    u = data.draw(st.lists(entry, min_size=(1 << m) - 2, max_size=(1 << m) - 2))
+    res = put_by_vertex_enumeration(_form_objective(u), alphabet, t, group=group, coefficients=u)
+    vertices = (enumerate_invariant_vertices(group, t) if group
+                else enumerate_polytope_vertices(alphabet, t))
+    value, best = vertex_sweep_reference(vertices, u)
+    assert res.value == value and type(res.value) is type(value)
+    assert res.argmin_weights == vertices[best]
+
+
+@pytest.mark.parametrize("t", [F(3, 2), F(2), F(3), F(5)])
+def test_integer_sweep_matches_fraction_sweep_ht_m5(t):
+    """The benchmark's sweep: the ht Bayes form over the 1,291 vertices at m = 5."""
+    m, alphabet = 5, FiniteAlphabet.of_size(5)
+    problem, prior = ht_problem(m, F(1, 2))
+    u = bayes_linear_coefficients(problem, prior, t)
+    res = put_by_vertex_enumeration(lambda q: bayes_optimal_risk(problem, prior, q),
+                                    alphabet, t, coefficients=u)
+    vertices = enumerate_polytope_vertices(alphabet, t)
+    value, best = vertex_sweep_reference(vertices, u)
+    assert (res.value, res.argmin_weights) == (value, vertices[best])
+    assert res.value == ht_put_closed_form(m, F(1, 2), t)
 
 
 # -- LP path ------------------------------------------------------------------
@@ -485,7 +538,7 @@ def test_float_linear_form_is_orbit_constant_within_tolerance():
 
 def test_random_polytope_point_valid():
     rng = random.Random(0)
-    vertices = integer_vertices(FiniteAlphabet.of_size(3), F(2))
+    vertices = enumerate_polytope_vertices(FiniteAlphabet.of_size(3), F(2))
     for _ in range(50):
         c = random_polytope_point(rng, vertices)
         assert in_weight_polytope(c)
@@ -494,7 +547,7 @@ def test_random_polytope_point_valid():
 def test_random_private_channel_is_ldp():
     rng = random.Random(1)
     t = F(2)
-    vertices = integer_vertices(FiniteAlphabet.of_size(3), t)
+    vertices = enumerate_polytope_vertices(FiniteAlphabet.of_size(3), t)
     for _ in range(40):
         q = random_private_channel(rng, vertices)
         assert is_ldp(q, t)
@@ -510,7 +563,7 @@ def test_random_post_processing_is_stochastic():
 
 
 def test_samplers_deterministic_per_seed():
-    vertices = integer_vertices(FiniteAlphabet.of_size(3), F(2))
+    vertices = enumerate_polytope_vertices(FiniteAlphabet.of_size(3), F(2))
     a = random_private_channel(random.Random(42), vertices)
     b = random_private_channel(random.Random(42), vertices)
     assert a.rows == b.rows
@@ -546,11 +599,13 @@ def test_random_private_channel_matches_reference(case):
     weights, extremal channel, composed post-processor) and leaves the
     generator where the reference does; t = 7/3 has q != 1."""
     seed, m, t = case
-    vertices = integer_vertices(FiniteAlphabet.of_size(m), F(t))
+    vertices = enumerate_polytope_vertices(FiniteAlphabet.of_size(m), F(t))
     rng, rng2 = random.Random(seed), random.Random(seed)
     for _ in range(3):
-        assert random_private_channel(rng, vertices) == \
-            random_private_channel_reference(rng2, vertices)
+        q = random_private_channel(rng, vertices)
+        reference = random_private_channel_reference(rng2, vertices)
+        assert q == reference
+        assert channel_to_json(q) == channel_to_json(reference)
         assert rng.getstate() == rng2.getstate()
 
 
@@ -576,7 +631,7 @@ def test_audit_matches_reference_sampler(case):
         return excinfo.value.sample_index, excinfo.value.gap, excinfo.value.channel_json
 
     report = audit(F(0))
-    vertices = integer_vertices(alphabet, F(t))
+    vertices = enumerate_polytope_vertices(alphabet, F(t))
     values = sorted(objective(random_private_channel(_sample_rng(seed, i), vertices))
                     for i in range(12))
     # Above the optimum: some sample must beat it, not necessarily the first.
@@ -599,7 +654,7 @@ def test_integer_kernels_on_sampled_channels(seed, m, t):
     audit's own channels: post-processed mixtures of polytope vertices."""
     rng = random.Random(seed)
     alphabet = FiniteAlphabet.of_size(m)
-    q = random_post_processing(rng, random_private_channel(rng, integer_vertices(alphabet, t)))
+    q = random_post_processing(rng, random_private_channel(rng, enumerate_polytope_vertices(alphabet, t)))
     # Post-processing the identity channel gives the random post-processor itself.
     post = random_post_processing(rng, Channel.build(
         q.output_alphabet.letters, q.output_alphabet.letters,
@@ -679,7 +734,7 @@ def test_audit_report_names_worst_sample():
     _, _, objective = bayes_objective(m)
     report = random_channel_audit(objective, alphabet, t, samples=40, seed=11,
                                   baseline_value=F(1, 2))
-    vertices = integer_vertices(alphabet, t)
+    vertices = enumerate_polytope_vertices(alphabet, t)
     gaps = [objective(random_private_channel(_sample_rng(11, i), vertices)) - F(1, 2)
             for i in range(40)]
     assert report.worst_sample == gaps.index(min(gaps))
@@ -698,12 +753,29 @@ def test_audit_failure_names_replayable_sample():
                              baseline_value=F(3, 5))
     i = excinfo.value.sample_index
     assert str(excinfo.value).startswith(f"sample {i} beat")
-    vertices = integer_vertices(alphabet, t)
+    vertices = enumerate_polytope_vertices(alphabet, t)
     q = random_private_channel(_sample_rng(7, i), vertices)
     assert objective(q) - F(3, 5) == excinfo.value.gap
     assert channel_to_json(q) == excinfo.value.channel_json
     assert all(objective(random_private_channel(_sample_rng(7, j), vertices)) >= F(3, 5)
                for j in range(i))
+
+
+@pytest.mark.parametrize("tolerance,baseline", [
+    (-1, "optimum"), (F(-1, 100), "optimum"), (-0.5, "optimum"),
+    (float("nan"), F(10)), (float("inf"), F(10)), (float("-inf"), "optimum")])
+def test_audit_refuses_negative_or_non_finite_tolerance(tolerance, baseline):
+    """A negative tolerance failed a true optimum (ht, m = 3, t = 2,
+    gamma = 1), and a nan one passed a baseline above every sample with
+    a negative min_gap; both raise before any sample is drawn."""
+    m, t, gamma = 3, F(2), F(1)
+    problem, prior = ht_problem(m, gamma)
+    if baseline == "optimum":
+        baseline = ht_put_closed_form(m, gamma, t)
+    with pytest.raises(ValueError, match="tolerance"):
+        random_channel_audit(lambda q: bayes_optimal_risk(problem, prior, q),
+                             FiniteAlphabet.of_size(m), t, samples=20, seed=0,
+                             baseline_value=baseline, tolerance=tolerance)
 
 
 def test_audit_zero_samples():
