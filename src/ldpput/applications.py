@@ -103,7 +103,7 @@ def cardioid_orbit_risk(spec: CardioidSpec, mask: int) -> float:
     carry no directional information and sit at risk 1.
     """
     m = spec.m
-    k = len(mask_to_positions(mask))
+    k = mask.bit_count()
     t = spec.level.t
     amplitude = z_magnitude(mask, m)
     return 1.0 - float(spec.gamma) * (float(t) - 1.0) * amplitude \

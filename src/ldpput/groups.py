@@ -1,15 +1,18 @@
-"""Finite alphabets, permutation groups, and group actions.
+"""Finite alphabets, permutation groups, and their orbits on letters
+and subsets.
 
 Alphabets carry an explicit letter order; every other canonical order
 in the package (subsets as bitmasks, orbit listings, group elements)
-derives from it, so results are reproducible across runs.
+derives from it, so results are reproducible across runs.  Orbits are
+computed on integer points (letter positions or subset masks) from one
+image table per generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import CapExceededError, NotBijectiveError
 
@@ -83,7 +86,7 @@ class SubsetOrbit:
 
     @property
     def subset_size(self) -> int:
-        return len(mask_to_positions(self.masks[0]))
+        return self.masks[0].bit_count()
 
 
 @dataclass(frozen=True)
@@ -134,8 +137,12 @@ class PermGroup:
     def subset_orbits(self) -> tuple[SubsetOrbit, ...]:
         """Orbits of nonempty proper subsets, ordered by smallest member;
         built once per group object, however many callers read them."""
-        return tuple(SubsetOrbit(masks=orbit)
-                     for orbit in orbits(subset_action(natural_action(self))))
+        m = self.alphabet.size
+        if m < 2:
+            raise ValueError("subset action needs at least two letters")
+        action = TableAction(carrier=all_subset_masks(m),
+                             images=tuple(mask_images(g.images) for g in self.generators))
+        return tuple(SubsetOrbit(masks=orbit) for orbit in orbits(action))
 
 
 def generate_group(alphabet: FiniteAlphabet,
@@ -180,26 +187,13 @@ def symmetric_group(alphabet: FiniteAlphabet) -> PermGroup:
 
 
 @dataclass(frozen=True)
-class GroupAction:
-    """A group acting on an ordered carrier of points.
+class TableAction:
+    """Generators acting on integer points by table lookup: images[k][p]
+    is generator k's image of point p.  The carrier lists the points in
+    ascending order, and every table maps it onto itself."""
 
-    `act(g, point)` must satisfy the usual laws (identity fixes every
-    point, compatibility with composition).
-    """
-
-    group: PermGroup
-    carrier: tuple[Hashable, ...]
-    act: Callable[[Permutation, Hashable], Hashable] = field(compare=False)
-
-
-def natural_action(group: PermGroup) -> GroupAction:
-    """The group acting on its own alphabet letters."""
-    letters = group.alphabet.letters
-
-    def act(g: Permutation, letter):
-        return letters[g(letters.index(letter))]
-
-    return GroupAction(group=group, carrier=letters, act=act)
+    carrier: Sequence[int]
+    images: tuple[Sequence[int], ...]
 
 
 def all_subset_masks(m: int) -> tuple[int, ...]:
@@ -218,49 +212,34 @@ def mask_to_positions(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def subset_action(action: GroupAction) -> GroupAction:
-    """Lift an action on letters to nonempty proper subsets (as bitmasks)."""
-    group = action.group
-    letters = group.alphabet.letters
-    m = len(letters)
-    if m < 2:
-        raise ValueError("subset action needs at least two letters")
-    if action.carrier != letters:
-        raise ValueError("subset action must be built over the letter action")
-    index = {letter: i for i, letter in enumerate(letters)}
-
-    def act(g: Permutation, mask: int) -> int:
-        out = 0
-        for i in mask_to_positions(mask):
-            out |= 1 << index[action.act(g, letters[i])]
-        return out
-
-    return GroupAction(group=group, carrier=all_subset_masks(m), act=act)
+def mask_images(images: Sequence[int]) -> list[int]:
+    """The image of every mask 0 .. 2^m - 1 when bit x moves to bit
+    images[x], built by doubling: the masks with highest bit x are those
+    below 2^x with bit images[x] added."""
+    table = [0]
+    for image in images:
+        bit = 1 << image
+        table += [v | bit for v in table]
+    return table
 
 
-def orbits(action: GroupAction) -> tuple[tuple[Hashable, ...], ...]:
-    """Orbit partition of the carrier.
-
-    Points inside an orbit keep carrier order; orbits are sorted by
-    their smallest member's carrier position.
-    """
-    position = {p: i for i, p in enumerate(action.carrier)}
-    unseen = set(action.carrier)
+def orbits(action: TableAction) -> tuple[tuple[int, ...], ...]:
+    """Orbit partition of the carrier, each orbit ascending and the
+    orbits by smallest member; one breadth-first pass over seen points."""
+    images = action.images
+    seen = bytearray(action.carrier[-1] + 1)
     out = []
     for p in action.carrier:
-        if p not in unseen:
+        if seen[p]:
             continue
-        orbit = {p}
-        frontier = [p]
-        while frontier:
-            nxt = []
-            for q in frontier:
-                for g in action.group.generators:
-                    image = action.act(g, q)
-                    if image not in orbit:
-                        orbit.add(image)
-                        nxt.append(image)
-            frontier = nxt
-        unseen -= orbit
-        out.append(tuple(sorted(orbit, key=position.__getitem__)))
+        seen[p] = 1
+        orbit = [p]
+        for q in orbit:  # grows while it is read: breadth first
+            for table in images:
+                r = table[q]
+                if not seen[r]:
+                    seen[r] = 1
+                    orbit.append(r)
+        orbit.sort()
+        out.append(tuple(orbit))
     return tuple(out)

@@ -3,12 +3,12 @@
 Each recomputes a quantity the library derives another way (extremality
 from the rank of the active cone facets, the circular task's risk by
 grid integration, a transitive group's vertex weights by double
-counting, kernels by elimination, LP optima and pivot paths on a
-Fraction tableau, channel products, Bayes and minimax risks one Fraction
-per multiply-add, the audit's samples through Fraction weights and
-composed channels, the polytope's vertex list and vertex sweep on
-Fraction weights), so a test can compare the two.  numpy is needed here
-only.
+counting, orbits by calling a group action on every point, kernels by
+elimination, LP optima and pivot paths on a Fraction tableau, channel
+products, Bayes and minimax risks one Fraction per multiply-add, the
+audit's samples through Fraction weights and composed channels, the
+polytope's vertex list and vertex sweep on Fraction weights), so a test
+can compare the two.  numpy is needed here only.
 
 It also holds what tests use to check other library code or to build
 inputs, and what no command runs: permutation inverses, the group-action
@@ -25,11 +25,11 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,19 +43,17 @@ from ldpput.errors import (
     LpUnboundedError,
     NotTransitiveError,
     ObjectiveMismatchError,
+    RepresentativeMismatchError,
     ZeroVectorError,
 )
 from ldpput.groups import (
     FiniteAlphabet,
-    GroupAction,
     PermGroup,
     Permutation,
     all_subset_masks,
     cyclic_group,
     mask_to_positions,
-    natural_action,
-    orbits,
-    subset_action,
+    symmetric_generators,
 )
 from ldpput.ldp_geometry import (
     SubsetOrbit,
@@ -169,6 +167,102 @@ def kernel_rank_check(v: Sequence, alphabet: FiniteAlphabet, level) -> bool:
     if not active:
         return m == 1
     return rank(active) == m - 1
+
+
+# -- group actions and their orbits ------------------------------------------
+
+
+@dataclass(frozen=True)
+class GroupAction:
+    """A group acting on an ordered carrier of points.
+
+    `act(g, point)` must satisfy the usual laws (identity fixes every
+    point, compatibility with composition).
+    """
+
+    group: PermGroup
+    carrier: tuple[Hashable, ...]
+    act: Callable[[Permutation, Hashable], Hashable] = field(compare=False)
+
+
+def natural_action(group: PermGroup) -> GroupAction:
+    """The group acting on its own alphabet letters."""
+    letters = group.alphabet.letters
+
+    def act(g: Permutation, letter):
+        return letters[g(letters.index(letter))]
+
+    return GroupAction(group=group, carrier=letters, act=act)
+
+
+def subset_action(action: GroupAction) -> GroupAction:
+    """Lift an action on letters to nonempty proper subsets (as bitmasks)."""
+    group = action.group
+    letters = group.alphabet.letters
+    m = len(letters)
+    if m < 2:
+        raise ValueError("subset action needs at least two letters")
+    if action.carrier != letters:
+        raise ValueError("subset action must be built over the letter action")
+    index = {letter: i for i, letter in enumerate(letters)}
+
+    def act(g: Permutation, mask: int) -> int:
+        out = 0
+        for i in mask_to_positions(mask):
+            out |= 1 << index[action.act(g, letters[i])]
+        return out
+
+    return GroupAction(group=group, carrier=all_subset_masks(m), act=act)
+
+
+def orbits(action: GroupAction) -> tuple[tuple[Hashable, ...], ...]:
+    """Orbit partition of the carrier, closed point by point through the
+    action's callable: the reference for `ldpput.groups.orbits`.
+
+    Points inside an orbit keep carrier order; orbits are sorted by
+    their smallest member's carrier position.
+    """
+    position = {p: i for i, p in enumerate(action.carrier)}
+    unseen = set(action.carrier)
+    out = []
+    for p in action.carrier:
+        if p not in unseen:
+            continue
+        orbit = {p}
+        frontier = [p]
+        while frontier:
+            nxt = []
+            for q in frontier:
+                for g in action.group.generators:
+                    image = action.act(g, q)
+                    if image not in orbit:
+                        orbit.add(image)
+                        nxt.append(image)
+            frontier = nxt
+        unseen -= orbit
+        out.append(tuple(sorted(orbit, key=position.__getitem__)))
+    return tuple(out)
+
+
+def orbit_column_sum_reference(group: PermGroup, letter_orbit: tuple, orbit: SubsetOrbit,
+                               level) -> int:
+    """`orbit_column_sum` by scanning the orbit's masks once per letter."""
+    t = as_level(level).t
+    letters = group.alphabet.letters
+    counts = [sum(1 for mask in orbit.masks if mask >> letters.index(letter) & 1)
+              for letter in letter_orbit]
+    if len(set(counts)) != 1:
+        raise RepresentativeMismatchError(
+            f"incidence count varies over the letter orbit: {counts}")
+    r = counts[0]
+    return t.numerator * r + t.denominator * (orbit.size - r)
+
+
+def subset_column_symmetries_reference(m: int) -> list[tuple[int, ...]]:
+    """`subset_column_symmetries` by decoding every mask into positions."""
+    return [tuple(sum(1 << g(x) for x in mask_to_positions(mask)) - 1
+                  for mask in all_subset_masks(m))
+            for g in symmetric_generators(m)]
 
 
 # -- circular location family ------------------------------------------------

@@ -35,7 +35,6 @@ from ldpput.decision import (
 )
 from ldpput.groups import (
     FiniteAlphabet,
-    GroupAction,
     all_subset_masks,
     cyclic_group,
     symmetric_group,
@@ -55,6 +54,7 @@ from ldpput.put_solver import (
     random_channel_audit,
 )
 from oracles import (
+    GroupAction,
     apply_group_element,
     canonical_weight,
     cardioid_orbit_risk_numeric,

@@ -20,7 +20,7 @@ from ldpput.applications import (
     z_magnitude,
 )
 from ldpput.decision import bayes_optimal_risk
-from ldpput.groups import FiniteAlphabet, cyclic_group, natural_action, symmetric_group
+from ldpput.groups import FiniteAlphabet, cyclic_group, symmetric_group
 from ldpput.ldp_geometry import subset_orbits
 from oracles import (
     InvarianceDeclaration,
@@ -28,6 +28,7 @@ from oracles import (
     cardioid_consecutive_maximizer,
     cardioid_orbit_risk_numeric,
     cardioid_rule_risk,
+    natural_action,
     positions_to_mask,
     ss_mechanism,
     verify_invariance,

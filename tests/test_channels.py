@@ -225,7 +225,7 @@ def test_apply_group_element_permutes_entries():
     q = rr2(3)
     group = symmetric_group(q.input_alphabet)
     swap = Permutation((1, 0))
-    from ldpput.groups import natural_action
+    from oracles import natural_action
 
     sigma = natural_action(group)
     moved = apply_group_element(swap, sigma, q)
@@ -245,7 +245,7 @@ def test_apply_group_element_preserves_ldp():
         ],
     )
     group = cyclic_group(q.input_alphabet)
-    from ldpput.groups import natural_action
+    from oracles import natural_action
 
     sigma = natural_action(group)
     for g in group.elements:

@@ -23,7 +23,7 @@ from ldpput.decision import (
     mutual_information,
     mutual_information_linear_coefficients,
 )
-from ldpput.groups import FiniteAlphabet, natural_action, symmetric_group
+from ldpput.groups import FiniteAlphabet, symmetric_group
 from ldpput.ldp_geometry import enumerate_polytope_vertices, extremal_channel
 from ldpput.put_solver import random_private_channel
 from ldpput.simplex import solve_standard_lp
@@ -37,6 +37,7 @@ from oracles import (
     direct_sum,
     make_weight_vector,
     minimax_risk_reference,
+    natural_action,
     risk_reference,
     staircase_matrix,
     verify_invariance,

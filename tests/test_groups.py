@@ -4,29 +4,38 @@ from __future__ import annotations
 
 import ast
 import itertools
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpput.errors import CapExceededError, NotBijectiveError
+from ldpput.errors import CapExceededError, NotBijectiveError, RepresentativeMismatchError
 from ldpput.groups import (
     FiniteAlphabet,
-    GroupAction,
     Permutation,
     all_subset_masks,
     cyclic_group,
     generate_group,
     mask_to_positions,
-    natural_action,
-    orbits,
-    subset_action,
     symmetric_group,
     trivial_group,
 )
+from ldpput.ldp_geometry import input_orbits, orbit_column_sum
 from ldpput.serialize import group_from_json
-from oracles import inverse, is_transitive, positions_to_mask, validate_action
+from oracles import (
+    GroupAction,
+    inverse,
+    is_transitive,
+    natural_action,
+    orbit_column_sum_reference,
+    orbits,
+    positions_to_mask,
+    subset_action,
+    validate_action,
+)
 
 
 def test_alphabet_of_size():
@@ -242,3 +251,65 @@ def test_group_action_validate_rejects_bad_action():
     )
     with pytest.raises(ValueError):
         validate_action(bad)
+
+
+@st.composite
+def generated_groups(draw, max_m=10):
+    """A group on 2 .. max_m letters in a shuffled letter order, by up to
+    three generators: drawn permutations of every letter or of a few, the
+    identity, and a repeat of one of them."""
+    m = draw(st.integers(min_value=2, max_value=max_m))
+    letters = tuple(draw(st.permutations("abcdefghij"[:m])))
+
+    def moving(positions):
+        images = list(range(m))
+        for x, y in zip(sorted(positions), positions):
+            images[x] = y
+        return images
+
+    perms = st.one_of(st.just(list(range(m))), st.permutations(range(m)),
+                      st.lists(st.integers(0, m - 1), unique=True).flatmap(st.permutations)
+                      .map(moving))
+    gens = draw(st.lists(perms, max_size=3))
+    if gens and draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)))
+    return generate_group(FiniteAlphabet(letters), gens)
+
+
+@given(generated_groups())
+@settings(max_examples=60, deadline=None)
+def test_subset_orbits_match_callable_reference(group):
+    """The table-driven orbit pass lists the same orbits, in the same order
+    and each in the same member order, as closing every mask by calls."""
+    reference = orbits(subset_action(natural_action(group)))
+    assert tuple(orbit.masks for orbit in group.subset_orbits) == reference
+
+
+@given(generated_groups())
+@settings(max_examples=60, deadline=None)
+def test_input_orbits_match_callable_reference(group):
+    assert input_orbits(group) == orbits(natural_action(group))
+
+
+@given(generated_groups(max_m=8), st.sampled_from([Fraction(3, 2), Fraction(2), Fraction(7, 3)]))
+@settings(max_examples=40, deadline=None)
+def test_orbit_column_sum_matches_per_letter_scan(group, t):
+    """Equal coefficients on every (letter orbit, subset orbit) pair, and
+    the same refusal for the whole alphabet where it is not one orbit."""
+    for letter_orbit in input_orbits(group) + (group.alphabet.letters,):
+        for orbit in group.subset_orbits:
+            try:
+                expected = orbit_column_sum_reference(group, letter_orbit, orbit, t)
+            except RepresentativeMismatchError:
+                with pytest.raises(RepresentativeMismatchError):
+                    orbit_column_sum(group, letter_orbit, orbit, t)
+            else:
+                assert orbit_column_sum(group, letter_orbit, orbit, t) == expected
+
+
+def test_symmetric_subset_orbits_m16():
+    """S_16 at the grouped cap: one orbit per subset size k, of C(16, k) masks."""
+    orbs = symmetric_group(FiniteAlphabet.of_size(16)).subset_orbits
+    assert len(orbs) == 15
+    assert [orbit.subset_size for orbit in orbs] == list(range(1, 16))
+    assert [orbit.size for orbit in orbs] == [comb(16, k) for k in range(1, 16)]

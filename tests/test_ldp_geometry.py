@@ -29,6 +29,7 @@ from ldpput.ldp_geometry import (
     is_extreme_direction,
     polytope_vertices,
     staircase_row,
+    subset_column_symmetries,
     weight_polytope,
 )
 from ldpput.linalg import enumerate_basic_feasible
@@ -47,6 +48,7 @@ from oracles import (
     make_weight_vector,
     polytope_vertices_reference,
     staircase_matrix,
+    subset_column_symmetries_reference,
     subset_size,
 )
 
@@ -530,3 +532,10 @@ def test_mixture_stays_in_polytope(c):
 def test_canonical_roundtrip_random_points(c):
     q = extremal_channel(c)
     assert canonical_weight(q, c.level).values == c.values
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_subset_column_symmetries_match_decoded_masks(m):
+    """Read from the mask image tables, the S_m column maps equal those
+    built by decoding every mask, so the full scans see the same supports."""
+    assert subset_column_symmetries(m) == subset_column_symmetries_reference(m)
