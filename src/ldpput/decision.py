@@ -155,54 +155,83 @@ def bayes_optimal_risk(problem: DecisionProblem, prior: Prior, channel: Channel)
 def minimax_risk(problem: DecisionProblem, channel: Channel) -> Fraction:
     """Minimal worst-case risk over randomized rules, by exact LP.
 
-    Variables are the rule probabilities of each output that can occur
-    (its likelihood row is nonzero), a split level s = s+ - s-, and one
-    slack per parameter; an output no parameter can produce adds nothing
-    to any risk, so it stays out of the LP.  A vertex channel has at
-    most m nonzero rows, so at m = 4 the LP has at most 4 + #parameters
-    rows, not 14 + #parameters.  Each parameter row is the rational row
-    times the product of the channel, model and loss denominators, all
-    integers, so the value is the same Fraction.
+    Variables are the rule probabilities x of each output that can occur
+    (its likelihood row is nonzero), a split level sigma = sigma+ -
+    sigma-, and one slack per parameter; an output no parameter can
+    produce adds nothing to any risk, so it stays out of the LP.  A
+    vertex channel has at most m nonzero rows, so at m = 4 the LP has at
+    most 4 + #parameters rows, not 14 + #parameters.  The level and the
+    slacks are those of the rational LP times scale, the product of the
+    channel, model and loss denominators, so every parameter row has
+    integer coefficients and unit level and slack coefficients; the
+    value is the optimum over scale, the same Fraction.
 
-    The LP starts from a feasible basis known in advance, so it runs
-    phase 2 only: action 0 at every output, whose risk at parameter i
-    is loss[i][0] whatever the channel; the level s at the first worst
-    of those risks (s+ if it is >= 0, s- if not); and every other
-    parameter's slack at its gap to it.  Returns the value alone: on a
-    degenerate optimum the rule would depend on the start.
+    The LP is handed over in canonical form for a start basis chosen in
+    advance, B^-1 [A | b] with det B = 1, so the simplex runs phase 2
+    only and its start pivots update no row.  Each output y starts at
+    its cheapest action under the uniform prior, a_y = argmin_a sum_i
+    w[y][i] * loss[i][a] (the lowest index on ties).  Then R_i = sum_y
+    w[y][i] * loss[i][a_y] is parameter i's scaled start risk, and
+    g_i(y, a) = w[y][i] * (loss[i][a] - loss[i][a_y]) its change per unit
+    of x[y][a] once x[y][a_y] = 1 - sum of the rest is substituted.  The
+    first worst parameter i* sets the level: sigma+ = R_i* + g_i*.x +
+    sigma- + slack_i* if R_i* >= 0, sigma- = -R_i* - g_i*.x + sigma+ -
+    slack_i* if not.  Every other parameter keeps its slack basic, at
+    slack_i = (R_i* - R_i) - (g_i - g_i*).x + slack_i*, which the first
+    maximum keeps >= 0.  Returns the value alone: on a degenerate
+    optimum the rule would depend on the start.
     """
     _require_alphabet(problem, channel)
     w, d_w = _likelihoods(problem, channel)
     loss, d_l = problem.integer_loss
-    live = [y for y, w_row in enumerate(w) if any(w_row)]
+    live = [w_row for w_row in w if any(w_row)]
     n_actions = len(problem.actions)
     n_par = len(problem.parameters)
-    s_plus = len(live) * n_actions
-    s_minus = s_plus + 1
-    nvars = s_minus + 1 + n_par  # rule block, s+, s-, slacks
-    scale = d_w * d_l
+    loss_cols = list(zip(*loss))
+    start = []
+    for w_y in live:
+        costs = [sum(map(mul, w_y, col)) for col in loss_cols]
+        start.append(costs.index(min(costs)))
+    risks = [sum(w_y[i] * loss_i[a] for w_y, a in zip(live, start))
+             for i, loss_i in enumerate(loss)]
+    worst = risks.index(max(risks))
+    loss_w = loss[worst]
+    n_rule = len(live) * n_actions
+    slack = n_rule + 2  # columns: rule block, sigma+, sigma-, slacks
+    ncols = slack + n_par
     a_eq: list[list[int]] = []
     for k in range(len(live)):
-        row = [0] * nvars
+        row = [0] * ncols
         row[k * n_actions:(k + 1) * n_actions] = [1] * n_actions
         a_eq.append(row)
-    for i in range(n_par):
-        row = [0] * nvars
-        for k, y in enumerate(live):
-            wy = w[y][i]
-            if wy:
-                row[k * n_actions:(k + 1) * n_actions] = [wy * v for v in loss[i]]
-        row[s_plus] = -scale
-        row[s_minus] = scale
-        row[s_minus + 1 + i] = scale
+    b_eq = [1] * len(live)
+    basis = [k * n_actions + a for k, a in enumerate(start)]
+    # Row i* is the level row times sign, so that its basic level column
+    # (sigma+ at sign -1, sigma- at sign 1) holds +1; every other row i is
+    # row i minus row i*, which leaves slack_i its one basic column.
+    sign = 1 if risks[worst] < 0 else -1
+    for i, loss_i in enumerate(loss):
+        row = [0] * ncols
+        for k, (w_y, a) in enumerate(zip(live, start)):
+            f, base = w_y[i], loss_i[a]
+            if i == worst:
+                block = [sign * f * (v - base) for v in loss_i]
+            else:
+                f_w, base_w = w_y[worst], loss_w[a]
+                block = [f * (v - base) - f_w * (u - base_w) for v, u in zip(loss_i, loss_w)]
+            row[k * n_actions:(k + 1) * n_actions] = block
+        if i == worst:
+            row[n_rule], row[n_rule + 1], row[slack + i] = -sign, sign, sign
+            b_eq.append(-sign * risks[i])
+            basis.append(n_rule + (sign + 1) // 2)
+        else:
+            row[slack + i], row[slack + worst] = 1, -1
+            b_eq.append(risks[worst] - risks[i])
+            basis.append(slack + i)
         a_eq.append(row)
-    cost = [0] * nvars
-    cost[s_plus] = 1
-    cost[s_minus] = -1
-    worst = max(range(n_par), key=lambda i: loss[i][0])
-    basis = [k * n_actions for k in range(len(live))] + [s_minus + 1 + i for i in range(n_par)]
-    basis[len(live) + worst] = s_plus if loss[worst][0] >= 0 else s_minus
-    return solve_standard_lp(a_eq, [1] * len(live) + [0] * n_par, cost, basis).value
+    cost = [0] * ncols
+    cost[n_rule], cost[n_rule + 1] = 1, -1
+    return solve_standard_lp(a_eq, b_eq, cost, basis).value / (d_w * d_l)
 
 
 def mutual_information(channel: Channel, input_dist: Sequence) -> float:

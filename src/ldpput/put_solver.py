@@ -173,6 +173,13 @@ def constant_on_orbits(per_subset: Sequence, orbits: Sequence[SubsetOrbit]) -> b
     the group's orbit polytope holds its optimum: averaging any weights
     over the group then keeps their value.
     """
+    if {*map(type, per_subset)} == {Fraction}:
+        # Fractions are kept in lowest terms, so two are equal exactly when
+        # their integer ratios are, and tuples of ints compare without
+        # Fraction.__eq__.
+        ratios = [u.as_integer_ratio() for u in per_subset]
+        return all(ratios[mask - 1] == rep for orbit in orbits
+                   for rep in (ratios[orbit.representative - 1],) for mask in orbit.masks)
     return all(_agree(per_subset[mask - 1], per_subset[orbit.representative - 1])
                for orbit in orbits for mask in orbit.masks)
 

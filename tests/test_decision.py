@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpput import decision
+from ldpput import decision, simplex
 from ldpput.channels import Channel, compose
 from ldpput.decision import (
     DecisionProblem,
@@ -43,6 +43,7 @@ from oracles import (
     verify_invariance,
 )
 from test_channels import draw_sparse_stochastic
+from test_linalg_simplex import _recording_pivots
 
 F = Fraction
 
@@ -621,42 +622,99 @@ def test_minimax_risk_equals_fraction_reference(case):
     assert max(risk_reference(problem, i, channel, rule) for i in parameters) == value
 
 
+def _handed_over_lps(monkeypatch, problem, channel):
+    """minimax_risk's value and each (a_eq, b_eq, cost, basis) it hands
+    to the simplex."""
+    lps = []
+
+    def recording_solve(a_eq, b_eq, cost, basis=None):
+        lps.append((a_eq, b_eq, cost, basis))
+        return solve_standard_lp(a_eq, b_eq, cost, basis)
+
+    monkeypatch.setattr(decision, "solve_standard_lp", recording_solve)
+    return minimax_risk(problem, channel), lps
+
+
+def _assert_canonical(a_eq, b_eq, basis):
+    """Column basis[i] is the unit column of row i, and the rhs is >= 0:
+    B = I, so the start point is b itself."""
+    assert len(basis) == len(a_eq) == len(b_eq)
+    for i, col in enumerate(basis):
+        assert [row[col] for row in a_eq] == [int(k == i) for k in range(len(a_eq))]
+    assert all(v >= 0 for v in b_eq)
+
+
 def test_minimax_lp_keeps_only_outputs_that_occur(monkeypatch):
     """Letter 2 is impossible under every parameter, so output "b" (which
     reads only letter 2) cannot occur, and "d" cannot occur at all: the LP
-    has rows for "a" and "c" and the two parameters.  It starts from
-    action 0 at "a" and "c", the level s+ at parameter 1 (loss 1 beats
-    loss 0) and the slack of parameter 0."""
+    has rows for "a" and "c" and the two parameters.  Over 4, "a" has
+    likelihoods (3, 1) and "c" (1, 3), so the start rule takes action 0 at
+    "a" (cost 1 against 3) and action 1 at "c"; both parameters then risk
+    1, the first of them carries the level on sigma+, and parameter 1 keeps
+    its slack, at the gap 0."""
     problem = DecisionProblem.build((0, 1), (0, 1, 2), [["3/4", "1/4"], ["1/4", "3/4"], [0, 0]],
                                     (0, 1), [[0, 1], [1, 0]])
     channel = Channel.build((0, 1, 2), ("a", "b", "c", "d"),
                             [[1, 0, 0], [0, 0, 1], [0, 1, 0], [0, 0, 0]])
-    lps = []
-
-    def recording_solve(a_eq, b_eq, cost, basis=None):
-        lps.append((a_eq, basis))
-        return solve_standard_lp(a_eq, b_eq, cost, basis)
-
-    monkeypatch.setattr(decision, "solve_standard_lp", recording_solve)
-    value = minimax_risk(problem, channel)
+    value, lps = _handed_over_lps(monkeypatch, problem, channel)
     assert value == minimax_risk_reference(problem, channel)[0] == F(1, 4)
-    # Columns: a0 a1 c0 c1 s+ s- slack0 slack1.
-    assert [(len(a_eq), basis) for a_eq, basis in lps] == [(4, [0, 2, 6, 4])]
+    # Columns: a0 a1 c0 c1 sigma+ sigma- slack0 slack1.
+    [(a_eq, b_eq, cost, basis)] = lps
+    assert (len(a_eq), basis, b_eq) == (4, [0, 3, 4, 7], [1, 1, 1, 0])
+    assert cost == [0, 0, 0, 0, 1, -1, 0, 0]
+    _assert_canonical(a_eq, b_eq, basis)
 
 
 def test_minimax_starts_at_s_minus_when_every_risk_is_negative(monkeypatch):
-    """With every loss of action 0 negative, the level s starts on s-, at
-    the first parameter whose action-0 loss is the largest."""
+    """With every start risk negative, the level starts on sigma-, at the
+    first parameter whose start risk is the largest.  Over 12, "a" has
+    likelihoods (7, 5, 6) and "b" (5, 7, 6); the start rule takes action 0
+    at "a" (-25 against -22) and action 1 at "b" (-26 against -23), so the
+    start risks are (-19, -26, -6) and parameter 2 carries the level."""
     problem = DecisionProblem.build((0, 1, 2), (0, 1), [["3/4", "1/4", "1/2"], ["1/4", "3/4", "1/2"]],
                                     (0, 1), [[-2, -1], [-1, -3], [-1, 0]])
-    bases = []
-
-    def recording_solve(a_eq, b_eq, cost, basis=None):
-        bases.append(basis)
-        return solve_standard_lp(a_eq, b_eq, cost, basis)
-
-    monkeypatch.setattr(decision, "solve_standard_lp", recording_solve)
     channel = Channel.build((0, 1), ("a", "b"), [["2/3", "1/3"], ["1/3", "2/3"]])
-    assert minimax_risk(problem, channel) == minimax_risk_reference(problem, channel)[0]
-    # Columns: a0 a1 b0 b1 s+ s- slack0 slack1 slack2.
-    assert bases == [[0, 2, 6, 5, 8]]
+    value, lps = _handed_over_lps(monkeypatch, problem, channel)
+    assert value == minimax_risk_reference(problem, channel)[0]
+    # Columns: a0 a1 b0 b1 sigma+ sigma- slack0 slack1 slack2.
+    [(a_eq, b_eq, _, basis)] = lps
+    assert (len(a_eq), basis, b_eq) == (5, [0, 3, 6, 7, 5], [1, 1, 13, 20, 6])
+    _assert_canonical(a_eq, b_eq, basis)
+
+
+@pytest.mark.parametrize("loss, model, rows, basis, value", [
+    # One action: the only rule; the level sits at the larger risk, 2.
+    ([[1], [2]], [["3/4", "1/4"], ["1/4", "3/4"]], [[1, 0], [0, 1]], [0, 1, 4, 2], 2),
+    # One parameter whose start risk is 0: sigma+ is basic at rhs 0.
+    ([[0, 1]], [["1/3"], ["2/3"]], [[1, 0], [0, 1]], [0, 2, 4], 0),
+    # A tie in the start rule: both actions cost 4 at the one output, so
+    # action 0 starts; its risks are (0, 4).
+    ([[0, 1], [1, 0]], [["3/4", "1/4"], ["1/4", "3/4"]], [[1, 1]], [0, 4, 2], F(1, 2)),
+], ids=["one_action", "one_parameter", "start_tie"])
+def test_minimax_start_basis_edge_cases(monkeypatch, loss, model, rows, basis, value):
+    n_par, m = len(loss), len(model)
+    problem = DecisionProblem.build(range(n_par), range(m), model, range(len(loss[0])), loss)
+    channel = Channel.build(range(m), range(len(rows)), rows)
+    got, [(a_eq, b_eq, _, start)] = _handed_over_lps(monkeypatch, problem, channel)
+    assert got == minimax_risk_reference(problem, channel)[0] == value
+    assert start == basis
+    _assert_canonical(a_eq, b_eq, start)
+
+
+@given(minimax_case())
+@settings(max_examples=60, deadline=None)
+def test_minimax_lp_is_canonical_at_its_start_basis(case):
+    """Every LP is handed over as B^-1 [A | b]: unit basis columns, rhs >= 0,
+    and the simplex's start pivots (one per row, at the basis) update no
+    row and leave the denominator at 1."""
+    problem, channel = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _, [(a_eq, b_eq, cost, basis)] = _handed_over_lps(monkeypatch, problem, channel)
+    _assert_canonical(a_eq, b_eq, basis)
+    rows = [[*a, b] for a, b in zip(a_eq, b_eq)]
+    before = [(id(row), row[:]) for row in rows]
+    with _recording_pivots(simplex) as pivots:
+        start, d = simplex._start(rows, basis, len(cost))
+    assert pivots == list(enumerate(basis))
+    assert (start, d) == (basis, 1)
+    assert [(id(row), row) for row in rows] == before

@@ -533,6 +533,33 @@ def test_float_linear_form_is_orbit_constant_within_tolerance():
     assert float(lp.value) == pytest.approx(sweep.value, abs=1e-12)
 
 
+@given(st.integers(min_value=2, max_value=6), st.booleans(),
+       st.sampled_from([F(1, 10 ** 12), F(-1, 3)]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_constant_on_orbits_is_exact_only_for_fraction_forms(m, cyclic, shift, data):
+    """An all-Fraction form is compared exactly: moving one singleton's
+    value by 10^-12 breaks it.  A float form, or a pair of values of which
+    one is a float, is compared within FLOAT_TOLERANCE, so only the larger
+    move breaks it."""
+    alphabet = FiniteAlphabet.of_size(m)
+    orbits = (cyclic_group if cyclic else symmetric_group)(alphabet).subset_orbits
+    form = [F(0)] * ((1 << m) - 2)
+    for orbit in orbits:
+        num, den = data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 9))
+        for mask in orbit.masks:
+            form[mask - 1] = F(num, den)  # equal values, distinct objects
+    assert put_solver.constant_on_orbits(form, orbits)
+    # Masks 1 and 2 ({0} and {1}) share an orbit under both groups.
+    moved = form[:]
+    moved[1] += shift
+    tolerated = abs(shift) <= put_solver.FLOAT_TOLERANCE
+    assert not put_solver.constant_on_orbits(moved, orbits)
+    assert put_solver.constant_on_orbits([float(u) for u in moved], orbits) == tolerated
+    mixed = moved[:]
+    mixed[1] = float(moved[1])
+    assert put_solver.constant_on_orbits(mixed, orbits) == tolerated
+
+
 # -- samplers -----------------------------------------------------------------
 
 
