@@ -28,6 +28,8 @@ def ht_problem(m: int, gamma) -> tuple[DecisionProblem, Prior]:
     Under parameter i the letter distribution is uniform tilted toward
     letter i with strength gamma; the loss is 0-1 on guessing i.
     """
+    if m < 1:
+        raise ValueError(f"hypothesis testing needs m >= 1 letters, got {m}")
     gamma = as_fraction(gamma)
     if not 0 < gamma <= 1:
         raise ValueError("signal strength gamma must lie in (0, 1]")

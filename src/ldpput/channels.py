@@ -1,5 +1,4 @@
-"""Channels between finite alphabets, privacy levels, composition, and
-post-processing witnesses.
+"""Channels between finite alphabets, privacy levels, and composition.
 
 A channel is stored as integer numerators over one positive common
 denominator, reduced by the gcd of all of them, so equal matrices have
@@ -171,16 +170,3 @@ def compose(post: Channel, channel: Channel) -> Channel:
                    output_alphabet=post.output_alphabet,
                    numerators=numerators,
                    denominator=post.denominator * channel.denominator)
-
-
-@dataclass(frozen=True)
-class DominanceWitness:
-    """A stochastic post-processor W with derived == compose(W, base)."""
-
-    base: Channel
-    derived: Channel
-    post_processor: Channel
-
-    def __post_init__(self):
-        if compose(self.post_processor, self.base) != self.derived:
-            raise ValueError("post-processor does not reproduce the derived channel")

@@ -100,7 +100,7 @@ def _tolerance(text: str) -> Fraction:
     ratio (1/3) that a float can hold.  Both commands parse it here."""
     try:
         value = as_fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         value = None
     if value is None or not 0 <= value <= sys.float_info.max:
         raise argparse.ArgumentTypeError(

@@ -35,10 +35,6 @@ class NotMaximalError(LdpPutError):
     """A channel is not maximal, so no canonical weight exists."""
 
 
-class DecompositionInfeasibleError(LdpPutError):
-    """A conic decomposition that should exist could not be found."""
-
-
 class DimensionCapError(LdpPutError):
     """An enumeration would exceed the configured dimension cap."""
 

@@ -18,9 +18,8 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Sequence
 
-from .channels import Channel, DominanceWitness, PrivacyLevel, as_level, require_ldp
+from .channels import Channel, PrivacyLevel, as_level, require_ldp
 from .errors import (
-    DecompositionInfeasibleError,
     DimensionCapError,
     NotMaximalError,
     PolytopeViolationError,
@@ -39,14 +38,12 @@ from .groups import (
 )
 from .linalg import enumerate_basic_feasible
 from .rationals import as_fraction, integer_matrix
-from .simplex import feasible_point
 
 DEFAULT_ENUM_CAP_M = 5
 # Every path with a group splits all 2^m - 2 subsets into orbits: 65,534
 # masks at m = 16, about 0.1 s for S_16.
 GROUPED_CAP_M = 16
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -405,40 +402,3 @@ def canonical_weight_from_rays(channel: Channel, level: PrivacyLevel,
         raise PolytopeViolationError("gathered weights left the polytope; "
                                      "channel columns cannot be stochastic")
     return weights
-
-
-def dominating_maximal(channel: Channel, level) -> tuple[Channel, DominanceWitness]:
-    """A maximal channel above the given one, with the exact witness.
-
-    Each nonzero row is split into a conic combination of staircase
-    rows (a feasibility LP; one always exists inside the cone), the
-    pieces are gathered by subset, and the bookkeeping of the split
-    doubles as the post-processing witness.
-    """
-    level = as_level(level)
-    require_ldp(channel, level)
-    polytope = full_polytope(channel.input_alphabet, level)
-    n = len(polytope.orbits)
-    a_eq = [list(eq) for eq in polytope.rows]
-    decompositions: list[list[Fraction]] = []
-    for row in channel.rows:
-        if all(x == 0 for x in row):
-            decompositions.append([_ZERO] * n)
-            continue
-        sol = feasible_point(a_eq, [x * polytope.denominator for x in row], n)
-        if sol is None:
-            raise DecompositionInfeasibleError("row is not a conic combination of "
-                                               "staircase rows")
-        decompositions.append(sol)
-    totals = [sum((d[j] for d in decompositions), _ZERO) for j in range(n)]
-    maximal = extremal_channel(WeightVector.of_values(polytope, totals))
-    w_rows = [[d[j] / totals[j] if totals[j] else _ZERO for j in range(n)]
-              for d in decompositions]
-    # Zero-weight subsets have zero rows in the maximal channel; their
-    # witness columns can carry arbitrary mass, parked on the first output.
-    for j in range(n):
-        if totals[j] == 0:
-            w_rows[0][j] = _ONE
-    post = Channel.of_rows(maximal.output_alphabet, channel.output_alphabet, w_rows)
-    witness = DominanceWitness(base=maximal, derived=channel, post_processor=post)
-    return maximal, witness

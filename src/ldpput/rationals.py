@@ -10,6 +10,8 @@ from typing import Iterable, Sequence
 def as_fraction(value) -> Fraction:
     """Coerce ints, strings like "3/2", and Fractions to Fraction.
 
+    A string with a zero denominator ("1/0") raises ValueError.
+
     Floats are rejected: exact call sites must not smuggle in binary
     rounding by accident.  Use Fraction(float) explicitly when a float
     really is the intended exact value.
@@ -19,7 +21,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

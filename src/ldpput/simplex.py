@@ -181,13 +181,3 @@ def _phase2(tableau: list[list[int]], basis: list[int], d: int,
     for row, bv in zip(tableau, basis):
         x[bv] = Fraction(row[-1], d)
     return LpResult(x=x, value=Fraction(-tableau[-1][-1], d * lc))
-
-
-def feasible_point(a_eq: list[list[Fraction]], b_eq: list[Fraction],
-                   ncols: int) -> list[Fraction] | None:
-    """A point of {x >= 0 : A x = b}, or None if the set is empty."""
-    try:
-        res = solve_standard_lp(a_eq, b_eq, [_ZERO] * ncols)
-    except LpInfeasibleError:
-        return None
-    return res.x

@@ -12,7 +12,8 @@ can compare the two.  numpy is needed here only.
 
 It also holds what tests use to check other library code or to build
 inputs, and what no command runs: permutation inverses, the group-action
-laws, channel columns, Blackwell dominance and equivalence, direct sums,
+laws, channel columns, Blackwell dominance and equivalence, the
+dominating maximal channel of a private channel, direct sums,
 relabeling and symmetrization of channels, staircase matrices, weight
 vectors, maximality and canonical weights, subset selection and lifting,
 the JSON writers no command calls, the equalizer check, and the spot
@@ -34,7 +35,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 import numpy as np
 
 from ldpput.applications import CardioidSpec, z_magnitude
-from ldpput.channels import Channel, DominanceWitness, PrivacyLevel, as_level, compose
+from ldpput.channels import Channel, PrivacyLevel, as_level, compose, require_ldp
 from ldpput.decision import DecisionProblem, Prior
 from ldpput.errors import (
     AlphabetMismatchError,
@@ -72,7 +73,7 @@ from ldpput.linalg import _column_group, _eliminate, _integer_rows, _orderly_sup
 from ldpput.put_solver import FLOAT_TOLERANCE
 from ldpput.rationals import as_fraction, format_fraction
 from ldpput.serialize import letter_to_json
-from ldpput.simplex import LpResult, feasible_point
+from ldpput.simplex import LpResult, solve_standard_lp
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -956,6 +957,33 @@ class WeightSumError(LdpPutError):
     """Mixture weights are negative or do not sum to one."""
 
 
+class DecompositionInfeasibleError(LdpPutError):
+    """A conic decomposition that should exist could not be found."""
+
+
+@dataclass(frozen=True)
+class DominanceWitness:
+    """A stochastic post-processor W with derived == compose(W, base)."""
+
+    base: Channel
+    derived: Channel
+    post_processor: Channel
+
+    def __post_init__(self):
+        if compose(self.post_processor, self.base) != self.derived:
+            raise ValueError("post-processor does not reproduce the derived channel")
+
+
+def feasible_point(a_eq: list[list[Fraction]], b_eq: list[Fraction],
+                   ncols: int) -> list[Fraction] | None:
+    """A point of {x >= 0 : A x = b}, or None if the set is empty."""
+    try:
+        res = solve_standard_lp(a_eq, b_eq, [_ZERO] * ncols)
+    except LpInfeasibleError:
+        return None
+    return res.x
+
+
 def dominates(q1: Channel, q2: Channel) -> DominanceWitness | None:
     """Exact Blackwell dominance test: is q2 a post-processing of q1?
 
@@ -996,6 +1024,43 @@ def dominates(q1: Channel, q2: Channel) -> DominanceWitness | None:
 def equivalent(q1: Channel, q2: Channel) -> bool:
     """Blackwell equivalence: each channel post-processes into the other."""
     return dominates(q1, q2) is not None and dominates(q2, q1) is not None
+
+
+def dominating_maximal(channel: Channel, level) -> tuple[Channel, DominanceWitness]:
+    """A maximal channel above the given one, with the exact witness.
+
+    Each nonzero row is split into a conic combination of staircase
+    rows (a feasibility LP; one always exists inside the cone), the
+    pieces are gathered by subset, and the bookkeeping of the split
+    doubles as the post-processing witness.
+    """
+    level = as_level(level)
+    require_ldp(channel, level)
+    polytope = full_polytope(channel.input_alphabet, level)
+    n = len(polytope.orbits)
+    a_eq = [list(eq) for eq in polytope.rows]
+    decompositions: list[list[Fraction]] = []
+    for row in channel.rows:
+        if all(x == 0 for x in row):
+            decompositions.append([_ZERO] * n)
+            continue
+        sol = feasible_point(a_eq, [x * polytope.denominator for x in row], n)
+        if sol is None:
+            raise DecompositionInfeasibleError("row is not a conic combination of "
+                                               "staircase rows")
+        decompositions.append(sol)
+    totals = [sum((d[j] for d in decompositions), _ZERO) for j in range(n)]
+    maximal = extremal_channel(WeightVector.of_values(polytope, totals))
+    w_rows = [[d[j] / totals[j] if totals[j] else _ZERO for j in range(n)]
+              for d in decompositions]
+    # Zero-weight subsets have zero rows in the maximal channel; their
+    # witness columns can carry arbitrary mass, parked on the first output.
+    for j in range(n):
+        if totals[j] == 0:
+            w_rows[0][j] = _ONE
+    post = Channel.of_rows(maximal.output_alphabet, channel.output_alphabet, w_rows)
+    witness = DominanceWitness(base=maximal, derived=channel, post_processor=post)
+    return maximal, witness
 
 
 def direct_sum(weights: Sequence, channels: Sequence[Channel]) -> Channel:

@@ -744,6 +744,35 @@ def test_audit_negative_samples_exits_parse(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("put", "--task", "ht", "--m", "3", "--t", "2/0"),
+    ("put", "--task", "ht", "--m", "3", "--t", "2", "--gamma", "1/0"),
+    ("audit", "--task", "ht", "--m", "3", "--t", "2/0", "--samples", "2"),
+    ("enumerate", "--m", "3", "--t", "2/0"),
+    ("put", "--problem", "{problem}", "--t", "2"),
+    ("check-channel", "{channel}", "--t", "2"),
+    ("put", "--task", "ht", "--m", "0", "--t", "2"),
+    ("audit", "--task", "ht", "--m", "0", "--t", "2", "--samples", "2"),
+], ids=["put-t", "put-gamma", "audit-t", "enumerate-t", "problem-file", "channel-file",
+        "put-m0", "audit-m0"])
+def test_zero_denominator_and_empty_alphabet_exit_parse(capsys, tmp_path, argv):
+    """A zero denominator and `--task ht --m 0` once raised ZeroDivisionError
+    through main; each is now one error line."""
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "parameters": [0, 1], "inputs": [0, 1], "actions": [0, 1],
+        "model": [["1/0", "1/4"], ["1/4", "3/4"]], "loss": [["0", "1"], ["1", "0"]]}))
+    channel = tmp_path / "channel.json"
+    channel.write_text(json.dumps({"input": [0, 1], "output": [0, 1],
+                                   "rows": [["1/0", "1/2"], ["1/2", "1/2"]]}))
+    code, out, err = run(capsys, *(arg.format(problem=problem, channel=channel)
+                                   for arg in argv))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [
     ("put", "--task", "ht", "--m", "3", "--t", "2"),
     ("audit", "--task", "ht", "--m", "3", "--t", "2", "--samples", "2"),

@@ -21,7 +21,6 @@ from ldpput.groups import FiniteAlphabet, all_subset_masks, cyclic_group, symmet
 from ldpput.invariant import CANDIDATE_CAP
 from ldpput.ldp_geometry import (
     WeightVector,
-    dominating_maximal,
     enumerate_polytope_vertices,
     extremal_channel,
     full_polytope,
@@ -39,6 +38,7 @@ from oracles import (
     canonical_weight,
     cone_constraint_matrix,
     dominates,
+    dominating_maximal,
     equivalent,
     fraction_rows,
     fraction_vertices,

@@ -28,10 +28,11 @@ from ldpput.linalg import (
     solve_square_int,
 )
 from ldpput.rationals import as_fraction, format_fraction
-from ldpput.simplex import feasible_point, solve_standard_lp
+from ldpput.simplex import solve_standard_lp
 from oracles import (
     basic_feasible_orbit_reference,
     basic_feasible_reference,
+    feasible_point,
     fraction_rows,
     fraction_vertices,
     kernel_basis,

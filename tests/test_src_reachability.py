@@ -25,7 +25,6 @@ ALLOWLIST = {
     "decision.mutual_information_linear_coefficients": 7,
     "decision.f_divergence_utility": 7,
     "decision.f_divergence_linear_coefficients": 7,
-    "ldp_geometry.dominating_maximal": 3,
 }
 
 
