@@ -50,6 +50,8 @@ class PrivacyLevel:
         rounding in the exponential itself).
         """
         epsilon = float(epsilon)
+        if math.isnan(epsilon):
+            raise ValueError("epsilon must be a number, got nan")
         if epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         target = math.exp(epsilon)

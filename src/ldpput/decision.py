@@ -167,8 +167,8 @@ def minimax_risk(problem: DecisionProblem, channel: Channel) -> Fraction:
     value is the optimum over scale, the same Fraction.
 
     The LP is handed over in canonical form for a start basis chosen in
-    advance, B^-1 [A | b] with det B = 1, so the simplex runs phase 2
-    only and its start pivots update no row.  Each output y starts at
+    advance, B^-1 [A | b] with det B = 1, so the simplex's start pivots
+    update no row.  Each output y starts at
     its cheapest action under the uniform prior, a_y = argmin_a sum_i
     w[y][i] * loss[i][a] (the lowest index on ties).  Then R_i = sum_y
     w[y][i] * loss[i][a_y] is parameter i's scaled start risk, and

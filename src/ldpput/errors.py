@@ -74,9 +74,5 @@ class MethodDisagreementError(LdpPutError):
     """Two solution methods disagree beyond the allowed tolerance."""
 
 
-class LpInfeasibleError(LdpPutError):
-    """The linear program has no feasible point."""
-
-
 class LpUnboundedError(LdpPutError):
     """The linear program is unbounded below."""

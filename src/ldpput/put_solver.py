@@ -194,6 +194,14 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
     whatever the source of the numbers.  With a group the optimum over
     its orbit polytope is exact only when the coefficients are constant
     on every subset orbit; otherwise it is an upper bound.
+
+    The simplex starts at randomized response, which every group leaves
+    invariant: row i's basic column is the subset orbit of the singletons
+    of letter orbit i.  For t > 1 that basis is proportional to
+    (t - 1) I + J diag(|L|) over the letter orbits L, so it is
+    nonsingular (each leading block too), and its point is >= 0.  At
+    t = 1 every row is the same, so only row 0 is kept, started at the
+    orbit of mask 1.
     """
     level = as_level(level)
     m = alphabet.size
@@ -207,9 +215,15 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
         raise DimensionCapError(f"LP column count capped at m <= {cap}")
     else:
         polytope = full_polytope(alphabet, level)
-    res = solve_standard_lp([list(row) for row in polytope.rows],
-                            [polytope.denominator] * len(polytope.rows),
-                            _orbit_costs(exact_u, polytope.orbits))
+    rows = polytope.rows
+    if level.t == 1:
+        rows, basis = rows[:1], [polytope.orbit_index[0]]
+    else:
+        index = polytope.group.alphabet.index
+        basis = [polytope.orbit_index[(1 << index(lo[0])) - 1]
+                 for lo in polytope.letter_orbits]
+    res = solve_standard_lp(rows, [polytope.denominator] * len(rows),
+                            _orbit_costs(exact_u, polytope.orbits), basis)
     weights = WeightVector.of_values(polytope, res.x)
     return PutResult(value=res.value, argmin_weights=weights,
                      method="lp_grouped" if grouped else "lp",

@@ -1,12 +1,12 @@
-"""Two-phase simplex over exact rationals, on an integer tableau.
+"""Simplex from a given feasible basis, over exact rationals, on an
+integer tableau.
 
-Standard form: minimize c.x subject to A x = b, x >= 0.  Bland's rule
-is used for both the entering and leaving choices, so the method
-terminates on degenerate problems and, given identical input, always
-performs the identical pivot sequence.  A caller that knows a feasible
-basis can pass it: its columns are pivoted in row by row (a crash
-basis, Bixby 1992), and only phase 2 runs, on a tableau with no
-artificial columns.
+Standard form: minimize c.x subject to A x = b, x >= 0.  The caller
+hands over a feasible basis, one column per row: its columns are pivoted
+in row by row (a crash basis, Bixby 1992), and the simplex runs from
+there.  Bland's rule is used for both the entering and leaving choices,
+so the method terminates on degenerate problems and, given identical
+input, always performs the identical pivot sequence.
 
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968; as in Avis's
 lrs): each constraint row is scaled once to integers, and the whole
@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .errors import LpInfeasibleError, LpUnboundedError
+from .errors import LpUnboundedError
 from .linalg import _integer_rows
 
 _ZERO = Fraction(0)
@@ -40,8 +39,8 @@ class LpResult:
 def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, d: int) -> int:
     """Pivot on (row, col) under common denominator d; returns the new one."""
     if tableau[row][col] < 0:
-        # Only a drive-out pivot (its rhs is 0) or a start-basis pivot can
-        # be negative: negating the row keeps the new denominator positive.
+        # Only a start-basis pivot can be negative: negating the row keeps
+        # the new denominator positive.
         tableau[row] = [-v for v in tableau[row]]
     pivot_row = tableau[row]
     p = pivot_row[col]
@@ -57,12 +56,13 @@ def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int, d: in
     return p
 
 
-def _run(tableau: list[list[int]], basis: list[int], allowed_cols: int, d: int) -> int | None:
+def _run(tableau: list[list[int]], basis: list[int], d: int) -> int | None:
     """Pivot to optimality; returns the final denominator, or None if unbounded."""
     nrows = len(tableau) - 1
+    ncols = len(tableau[-1]) - 1
     while True:
         cost = tableau[-1]
-        enter = next((j for j in range(allowed_cols) if cost[j] < 0), None)
+        enter = next((j for j in range(ncols) if cost[j] < 0), None)
         if enter is None:
             return d
         leave = None
@@ -83,64 +83,34 @@ def _run(tableau: list[list[int]], basis: list[int], allowed_cols: int, d: int) 
 
 
 def solve_standard_lp(a_eq: list[list[Fraction]], b_eq: list[Fraction],
-                      cost: list[Fraction], basis: list[int] | None = None) -> LpResult:
-    """Minimize cost.x over {x >= 0 : A x = b}.
+                      cost: list[Fraction], basis: list[int]) -> LpResult:
+    """Minimize cost.x over {x >= 0 : A x = b}, from a feasible basis.
 
-    With basis (one column per row), the solve starts there: column
-    basis[i] is pivoted in at row i, and phase 2 runs from that basis.
-    It raises ValueError unless the columns are independent and the
-    basic point is >= 0.  Raises LpInfeasibleError / LpUnboundedError
-    accordingly.
+    `basis` holds one column per row: column basis[i] is pivoted in at
+    row i, and the simplex runs from that basis.  It raises ValueError
+    unless the columns are independent and the basic point is >= 0, and
+    LpUnboundedError when the objective is unbounded below.
     """
-    nrows = len(a_eq)
     ncols = len(cost)
-    # A trailing 1 in each row comes out of the scaling as the row's scale.
-    rows: list[list[int]] = []
-    scales: list[int] = []
-    for row in _integer_rows([[*a, b, 1] for a, b in zip(a_eq, b_eq)]):
-        scales.append(row.pop())
-        if row[-1] < 0:
-            row = [-v for v in row]
-        rows.append(row)
-    if basis is not None:
-        basis, d = _start(rows, basis, ncols)
-        return _phase2(rows, basis, d, cost)
-
-    # Phase 1: artificial basis, minimize the artificial mass.  The cost
-    # row is the negated sum of the unscaled rows, times L = lcm(scales),
-    # so its signs (and Bland's path) are those of the rational tableau.
-    tableau = []
-    for i, row in enumerate(rows):
-        art = [0] * nrows
-        art[i] = 1
-        tableau.append(row[:-1] + art + row[-1:])
-    basis = [ncols + i for i in range(nrows)]
-    common = lcm(*scales)
-    weights = [common // s for s in scales]
-    phase1_cost = [0] * (ncols + nrows + 1)
-    for j in (*range(ncols), -1):
-        phase1_cost[j] = -sum(w * row[j] for w, row in zip(weights, rows))
-    tableau.append(phase1_cost)
-    d = _run(tableau, basis, ncols + nrows, 1)
+    tableau = _integer_rows([[*a, b] for a, b in zip(a_eq, b_eq)])
+    basis, d = _start(tableau, basis, ncols)
+    # The reduced-cost row times lc * d, where lc scales the cost to
+    # integers (a trailing 1 comes out of the scaling as lc).
+    *int_cost, lc = _integer_rows([[*cost, 1]])[0]
+    reduced = [d * v for v in int_cost] + [0]
+    for row, bv in zip(tableau, basis):
+        cb = int_cost[bv]
+        if cb:
+            reduced = [rj - cb * tij for rj, tij in zip(reduced, row)]
+    tableau.append(reduced)
+    d = _run(tableau, basis, d)
     if d is None:
-        raise AssertionError("phase 1 cannot be unbounded")
-    if tableau[-1][-1] != 0:
-        raise LpInfeasibleError("no feasible point")
+        raise LpUnboundedError("objective unbounded below")
 
-    # Drive any artificial variables out of the basis; drop redundant rows.
-    keep = []
-    for i in range(nrows):
-        if basis[i] >= ncols:
-            col = next((j for j in range(ncols) if tableau[i][j] != 0), None)
-            if col is None:
-                continue  # 0 = 0 row
-            d = _pivot(tableau, basis, i, col, d)
-        keep.append(i)
-    # Every kept row now has a real basic variable, so T_i / d is the
-    # rational tableau row; artificial columns can no longer enter.
-    tableau = [tableau[i][:ncols] + tableau[i][-1:] for i in keep]
-    basis = [basis[i] for i in keep]
-    return _phase2(tableau, basis, d, cost)
+    x = [_ZERO] * ncols
+    for row, bv in zip(tableau, basis):
+        x[bv] = Fraction(row[-1], d)
+    return LpResult(x=x, value=Fraction(-tableau[-1][-1], d * lc))
 
 
 def _start(rows: list[list[int]], start: list[int], ncols: int) -> tuple[list[int], int]:
@@ -157,27 +127,3 @@ def _start(rows: list[list[int]], start: list[int], ncols: int) -> tuple[list[in
     if any(row[-1] < 0 for row in rows):
         raise ValueError("the start basis is infeasible")
     return basis, d
-
-
-def _phase2(tableau: list[list[int]], basis: list[int], d: int,
-            cost: list[Fraction]) -> LpResult:
-    """Phase 2 from a feasible basis whose rows are T_i / d, with no
-    artificial columns."""
-    ncols = len(cost)
-    # The reduced-cost row times lc * d, where lc scales the cost to
-    # integers (the trailing 1 again).
-    *int_cost, lc = _integer_rows([[*cost, 1]])[0]
-    reduced = [d * v for v in int_cost] + [0]
-    for row, bv in zip(tableau, basis):
-        cb = int_cost[bv]
-        if cb:
-            reduced = [rj - cb * tij for rj, tij in zip(reduced, row)]
-    tableau.append(reduced)
-    d = _run(tableau, basis, ncols, d)
-    if d is None:
-        raise LpUnboundedError("objective unbounded below")
-
-    x = [_ZERO] * ncols
-    for row, bv in zip(tableau, basis):
-        x[bv] = Fraction(row[-1], d)
-    return LpResult(x=x, value=Fraction(-tableau[-1][-1], d * lc))

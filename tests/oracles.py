@@ -40,7 +40,6 @@ from ldpput.decision import DecisionProblem, Prior
 from ldpput.errors import (
     AlphabetMismatchError,
     LdpPutError,
-    LpInfeasibleError,
     LpUnboundedError,
     NotTransitiveError,
     ObjectiveMismatchError,
@@ -73,7 +72,7 @@ from ldpput.linalg import _column_group, _eliminate, _integer_rows, _orderly_sup
 from ldpput.put_solver import FLOAT_TOLERANCE
 from ldpput.rationals import as_fraction, format_fraction
 from ldpput.serialize import letter_to_json
-from ldpput.simplex import LpResult, solve_standard_lp
+from ldpput.simplex import LpResult
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -567,6 +566,10 @@ def vertex_sweep_reference(vertices: Sequence[WeightVector],
 # -- reference simplex --------------------------------------------------------
 
 
+class LpInfeasibleError(LdpPutError):
+    """The linear program has no feasible point."""
+
+
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
     piv = tableau[row][col]
     if piv != 1:
@@ -608,10 +611,13 @@ def solve_standard_lp_reference(a_eq: list[list[Fraction]], b_eq: list[Fraction]
                                 basis: list[int] | None = None) -> LpResult:
     """Minimize cost.x over {x >= 0 : A x = b} on a Fraction tableau.
 
-    The rational two-phase simplex with Bland's rule that the integer
-    tableau of ldpput.simplex must follow pivot for pivot.  With basis,
-    column basis[i] is pivoted in at row i and phase 2 runs from there;
-    ValueError unless that basis is nonsingular and its point >= 0.
+    The rational two-phase simplex with Bland's rule.  With basis,
+    column basis[i] is pivoted in at row i and phase 2 runs from there,
+    the path the integer tableau of ldpput.simplex must follow pivot for
+    pivot; ValueError unless that basis is nonsingular and its point
+    >= 0.  Without basis, phase 1 starts from artificial columns: the
+    optimum that `put_by_lp`, started at randomized response, is checked
+    against.
     Raises LpInfeasibleError / LpUnboundedError accordingly.
     """
     nrows = len(a_eq)
@@ -978,7 +984,7 @@ def feasible_point(a_eq: list[list[Fraction]], b_eq: list[Fraction],
                    ncols: int) -> list[Fraction] | None:
     """A point of {x >= 0 : A x = b}, or None if the set is empty."""
     try:
-        res = solve_standard_lp(a_eq, b_eq, [_ZERO] * ncols)
+        res = solve_standard_lp_reference(a_eq, b_eq, [_ZERO] * ncols)
     except LpInfeasibleError:
         return None
     return res.x

@@ -343,6 +343,15 @@ def test_epsilon_overflow_exits_parse(capsys, epsilon):
     assert "Traceback" not in err
 
 
+def test_nan_epsilon_exits_parse(capsys):
+    """NaN is refused by name before any Fraction conversion, as one
+    error line."""
+    code, out, err = run(capsys, "put", "--task", "ht", "--m", "3", "--epsilon", "nan")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == "error: epsilon must be a number, got nan\n"
+
+
 def test_enumerate_csv(capsys):
     code, out, err = run(capsys, "enumerate", "--m", "3", "--t", "2",
                          "--format", "csv")
@@ -406,6 +415,14 @@ def test_put_cardioid(capsys):
     assert all(r["value"] == "0.8232233047033631" for r in data["results"])
     assert data["results"][0]["winner"] == "k=2"
     assert data["results"][1]["winner"] == "orbit(rep=3,k=2)"
+
+
+def test_put_lp_at_t_1_wins_at_mask_1(capsys):
+    """At t = 1 the LP keeps one row and starts at the orbit of mask 1,
+    which is optimal: every channel is then uninformative."""
+    data = run_json(capsys, "put", "--task", "ht", "--m", "3", "--t", "1", "--method", "lp")
+    assert [(r["method"], r["value"], r["winner"]) for r in data["results"]] == \
+        [("lp", "2/3", "support(1)")]
 
 
 def test_put_epsilon_reports_approximation(capsys):

@@ -627,7 +627,7 @@ def _handed_over_lps(monkeypatch, problem, channel):
     to the simplex."""
     lps = []
 
-    def recording_solve(a_eq, b_eq, cost, basis=None):
+    def recording_solve(a_eq, b_eq, cost, basis):
         lps.append((a_eq, b_eq, cost, basis))
         return solve_standard_lp(a_eq, b_eq, cost, basis)
 

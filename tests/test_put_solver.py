@@ -28,9 +28,21 @@ from ldpput.decision import (
     mutual_information_linear_coefficients,
 )
 from ldpput.errors import AuditFailureError, ObjectiveMismatchError
-from ldpput.groups import FiniteAlphabet, all_subset_masks, cyclic_group, symmetric_group
+from ldpput.groups import (
+    FiniteAlphabet,
+    all_subset_masks,
+    cyclic_group,
+    generate_group,
+    symmetric_group,
+    trivial_group,
+)
 from ldpput.invariant import enumerate_invariant_vertices
-from ldpput.ldp_geometry import enumerate_polytope_vertices, extremal_channel, in_weight_polytope
+from ldpput.ldp_geometry import (
+    enumerate_polytope_vertices,
+    extremal_channel,
+    in_weight_polytope,
+    weight_polytope,
+)
 from ldpput.put_solver import (
     CERT_BOUND,
     CERT_EXACT,
@@ -51,6 +63,7 @@ from oracles import (
     random_polytope_point,
     random_post_processing,
     random_private_channel_reference,
+    solve_standard_lp_reference,
     spot_check_traits,
     subset_size,
     vertex_sweep_reference,
@@ -377,6 +390,57 @@ def test_lp_vs_vertex_agreement_grid(m, t):
     alphabet = FiniteAlphabet.of_size(m)
     assert put_by_lp(coeffs, alphabet, t).value == \
         put_by_vertex_enumeration(objective, alphabet, t).value
+
+
+def _seeded_bayes_problem(rng: random.Random, m: int) -> tuple[DecisionProblem, Prior]:
+    """A random rational Bayes problem on m letters, losses -2..4."""
+    def distribution(n):
+        raw = [rng.randint(1, 9) for _ in range(n)]
+        return [F(v, sum(raw)) for v in raw]
+
+    n_par, n_act = rng.randint(2, 4), rng.randint(2, 4)
+    columns = [distribution(m) for _ in range(n_par)]
+    problem = DecisionProblem.build(
+        parameters=range(n_par), input_letters=range(m),
+        model=[[columns[i][x] for i in range(n_par)] for x in range(m)],
+        actions=range(n_act),
+        loss=[[rng.randint(-2, 4) for _ in range(n_act)] for _ in range(n_par)])
+    return problem, Prior.build(distribution(n_par))
+
+
+_LP_GROUPS = {
+    "trivial": trivial_group,
+    "cyclic": cyclic_group,
+    "sym": symmetric_group,
+    # The swap of letters 0 and 1 alone: two or more letter orbits at m >= 3.
+    "transposition": lambda a: generate_group(a, [(1, 0, *range(2, a.size))]),
+}
+
+
+@pytest.mark.parametrize("group_name", list(_LP_GROUPS))
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_lp_from_randomized_response_matches_two_phase_reference(m, group_name):
+    """Started at randomized response, put_by_lp finds the value and the
+    x of the two-phase Fraction simplex on all the polytope's rows and the
+    same orbit costs: seeded ht and random Bayes problems, t = 1 included."""
+    rng = random.Random(f"{m}:{group_name}")
+    alphabet = FiniteAlphabet.of_size(m)
+    group = _LP_GROUPS[group_name](alphabet)
+    for t in (F(1), F(4, 3), F(3, 2), F(2), F(3), F(5), F(11)):
+        polytope = weight_polytope(group, t)
+        for _ in range(3):
+            problems = (ht_problem(m, F(rng.randint(1, 4), 4)),
+                        _seeded_bayes_problem(rng, m))
+            for problem, prior in problems:
+                u = bayes_linear_coefficients(problem, prior, t)
+                res = put_by_lp(u, alphabet, t, group=group)
+                costs = [sum((u[mask - 1] for mask in orbit.masks), F(0))
+                         for orbit in polytope.orbits]
+                want = solve_standard_lp_reference(
+                    [list(row) for row in polytope.rows],
+                    [polytope.denominator] * len(polytope.rows), costs)
+                assert res.value == want.value
+                assert list(res.argmin_weights.values) == want.x
 
 
 # -- transitive closed form ---------------------------------------------------
