@@ -220,10 +220,11 @@ def _winner_label(weights) -> str:
 class _Task:
     """One objective as `put` and `audit` solve it: the methods it runs,
     the group `transitive` and `vertex` reduce by when no --group is
-    given, and builders, run only when a chosen method needs them, for
-    the per-subset Bayes form u, the objective at the pure channel on
-    each mask's orbit (both indexed by mask - 1), and the closed form
-    with its winner."""
+    given, and the functions that build the per-subset Bayes form u, the
+    objective at the pure channel on each mask's orbit (both indexed by
+    mask - 1), and the closed form with its winner.  Each runs only when
+    a chosen method needs it, except that the values are also built to
+    check a --group against them."""
 
     header: dict
     alphabet: FiniteAlphabet
@@ -233,7 +234,6 @@ class _Task:
     form: Callable | None = None
     values: Callable | None = None
     closed: Callable | None = None
-    closed_on_values: bool = False  # the closed form is the minimum of the values
 
 
 def _task(args, level) -> _Task:
@@ -283,7 +283,7 @@ def _task(args, level) -> _Task:
                  default_group=lambda: cyclic_group(alphabet),
                  values=lambda: [apps.cardioid_orbit_risk(spec, mask)
                                  for mask in all_subset_masks(m)],
-                 closed=closed, closed_on_values=True)
+                 closed=closed)
 
 
 def _solve(task: _Task, wanted: list[str], group, level) -> list[dict]:
@@ -293,9 +293,8 @@ def _solve(task: _Task, wanted: list[str], group, level) -> list[dict]:
     task's default, `vertex_full` by none, and `lp` by the user's group
     only.  The grouped cap is checked before any subset orbits are
     built, the enumeration cap before u is built, and a user's group
-    before any solver runs: every per-subset list in use (u, and the
-    values, which a value-based closed form also reads) must be constant
-    on its subset orbits.
+    before any solver runs: u, when a chosen method reads it, and the
+    task's values must be constant on its subset orbits.
     """
     reduced = group
     if group is None and task.default_group and {"transitive", "vertex"} & set(wanted):
@@ -309,7 +308,7 @@ def _solve(task: _Task, wanted: list[str], group, level) -> list[dict]:
         cap = _enum_cap()
         require_enum_cap(task.alphabet.size, cap)  # before the 2^m - 2 coefficients
     u = task.form() if task.form and on_form else None
-    on_values = "transitive" in wanted or (group is not None and task.closed_on_values)
+    on_values = task.values is not None and ("transitive" in wanted or group is not None)
     values = task.values() if on_values else None
     if group is not None:
         orbits = subset_orbits(group)
@@ -337,8 +336,10 @@ def _solve(task: _Task, wanted: list[str], group, level) -> list[dict]:
 
 
 def _methods(args, task: _Task) -> list[str]:
-    raw = args.method or "all"
+    raw = "all" if args.method is None else args.method
     wanted = METHODS if raw == "all" else [w.strip() for w in raw.split(",") if w.strip()]
+    if not wanted:
+        raise ValueError(f"--method names no method, got {raw!r}")
     for w in wanted:
         if w not in METHODS:
             raise ValueError(f"method must be one of {METHODS} or 'all', got {w!r}")

@@ -371,9 +371,12 @@ def ray_subsets(channel: Channel, level) -> list[int | None]:
 
     A zero row maps to 0 (it is on no ray but leaves maximality
     intact); a nonzero row off every extreme ray maps to None.  A
-    channel that violates the privacy constraint raises NotLdpError.
+    channel that violates the privacy constraint raises NotLdpError,
+    and one without a nonempty proper subset of inputs, ValueError.
     """
     level = as_level(level)
+    if channel.input_alphabet.size < 2:
+        raise ValueError("maximality needs at least two input letters")
     require_ldp(channel, level)
     return [0 if all(x == 0 for x in row)
             else is_extreme_direction(row, channel.input_alphabet, level)

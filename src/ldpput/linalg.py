@@ -1,28 +1,19 @@
-"""Exact rational linear algebra used by the geometry and solver layers.
+"""Exact linear algebra on integer rows for the geometry and solver layers.
 
-One fraction-free kernel (Bareiss elimination over integer rows) serves
-the rank, square solves and the vertex scan; rational input is scaled
-to integers row by row first.  No floating point enters any decision.
+One fraction-free kernel (Bareiss elimination) serves the rank, square
+solves and the vertex scan; a caller scales a rational system to integers
+first.  No floating point enters any decision.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add
 from typing import Sequence
 
 from .errors import DimensionCapError
 from .groups import FiniteAlphabet, generate_group
-from .rationals import integer_matrix
-
-
-def _integer_rows(matrix) -> list[list[int]]:
-    """Scale each row of ints and Fractions by the lcm of its denominators;
-    scaling keeps the row space.  A row of ints is copied unscaled."""
-    return [list(row) if all(type(v) is int for v in row) else integer_matrix([row])[0][0]
-            for row in matrix]
 
 
 def _eliminate(a: list[list[int]], square: bool = False) -> list[int] | None:
@@ -62,8 +53,9 @@ def _eliminate(a: list[list[int]], square: bool = False) -> list[int] | None:
     return pivots
 
 
-def rank(matrix: list[list[Fraction]]) -> int:
-    return len(_eliminate(_integer_rows(matrix)))
+def rank(matrix: list[list[int]]) -> int:
+    """The rank of integer rows."""
+    return len(_eliminate([list(row) for row in matrix]))
 
 
 def solve_square_int(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
@@ -91,13 +83,13 @@ def solve_square_int(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int]
     return y, det
 
 
-def enumerate_basic_feasible(matrix: list[list[Fraction | int]], rhs: list[Fraction | int],
+def enumerate_basic_feasible(matrix: list[list[int]], rhs: list[int],
                              candidate_cap: int | None = None,
                              symmetries: Sequence[Sequence[int]] = ()
                              ) -> list[tuple[tuple[int, ...], int]]:
-    """All vertices of {x >= 0 : A x = b}, exactly: vertex x is a pair
-    (numerators, d) with x = numerators / d.  Every vertex has the same
-    d > 0, the least common denominator of the list.
+    """All vertices of {x >= 0 : A x = b} for integer rows [A | b], exactly:
+    vertex x is a pair (numerators, d) with x = numerators / d.  Every
+    vertex has the same d > 0, the least common denominator of the list.
 
     Vertices are basic feasible solutions: supports of size rank(A)
     whose columns are independent and whose unique solve is nonnegative.
@@ -116,7 +108,7 @@ def enumerate_basic_feasible(matrix: list[list[Fraction | int]], rhs: list[Fract
     vertices are told apart by that support alone.  Without symmetries
     the vertices come in lexicographic order of their first support.
     """
-    aug = _integer_rows([[*row, b] for row, b in zip(matrix, rhs)])
+    aug = [[*row, b] for row, b in zip(matrix, rhs)]
     ncols = len(aug[0]) - 1 if aug else 0
     elements = _column_group(matrix, rhs, ncols, symmetries)
     # Pivot columns of A^T: the first rows of A that are independent.
@@ -188,12 +180,12 @@ def _column_group(matrix, rhs, ncols: int,
                   symmetries: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """The column permutations generated by `symmetries`, identity first.
 
-    Each generator must map the rows of [A | b] onto themselves as a
-    multiset (a row may land on another row); ValueError otherwise.
+    Each generator must map the integer rows of [A | b] onto themselves
+    as a multiset (a row may land on another row); ValueError otherwise.
     """
     if not symmetries:
         return [tuple(range(ncols))]
-    rows = [(*map(Fraction, row), Fraction(b)) for row, b in zip(matrix, rhs)]
+    rows = [(*row, b) for row, b in zip(matrix, rhs)]
     target = Counter(rows)
     for g in symmetries:
         g = tuple(g)

@@ -95,19 +95,22 @@ def _as_form(coefficients: Sequence) -> list:
     return [u if isinstance(u, float) else as_fraction(u) for u in coefficients]
 
 
-def _orbit_costs(per_subset: Sequence, orbits: Sequence[SubsetOrbit]) -> list:
-    """Per-orbit cost of a per-subset linear form (indexed by mask - 1):
-    the objective at weights w is the sum of w_orbit * cost_orbit."""
-    return [sum((per_subset[mask - 1] for mask in orbit.masks), _ZERO)
-            for orbit in orbits]
+def _orbit_costs(exact_form: Sequence[Fraction],
+                 orbits: Sequence[SubsetOrbit]) -> tuple[list[int], int]:
+    """Per-orbit costs of an exact per-subset linear form (indexed by mask
+    - 1) as integers c over one denominator d > 0, so the objective at
+    weights w is sum(w_orbit * c_orbit) / d: the form is scaled to
+    integers once, and its numerators are summed per orbit."""
+    (numerators,), d = integer_matrix([exact_form])
+    return [sum(numerators[mask - 1] for mask in orbit.masks) for orbit in orbits], d
 
 
 def _agree(lhs, rhs) -> bool:
-    """Equality: exact for two Fractions, otherwise on floats within
+    """Equality: exact unless one side is a float, which agrees within
     FLOAT_TOLERANCE."""
-    if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
-        return lhs == rhs
-    return abs(float(lhs) - float(rhs)) <= FLOAT_TOLERANCE
+    if isinstance(lhs, float) or isinstance(rhs, float):
+        return abs(float(lhs) - float(rhs)) <= FLOAT_TOLERANCE
+    return lhs == rhs
 
 
 def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
@@ -143,15 +146,14 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
     scale = None  # set when the scores are integers over one denominator
     if coefficients is None:
         scores = [objective(extremal_channel(v)) for v in vertices]
+    elif any(isinstance(u, float) for u in coefficients):
+        costs = [sum(coefficients[mask - 1] for mask in orbit.masks) for orbit in orbits]
+        scores = [sum((w * c for w, c in zip(v.values, costs) if w), _ZERO)
+                  for v in vertices]
     else:
-        costs = _orbit_costs(coefficients, orbits)
-        if any(isinstance(c, float) for c in costs):
-            scores = [sum((w * c for w, c in zip(v.values, costs) if w), _ZERO)
-                      for v in vertices]
-        else:
-            (int_costs,), cost_d = integer_matrix([costs])
-            scores = [sum(map(mul, v.numerators, int_costs)) for v in vertices]
-            scale = cost_d * vertices[0].denominator
+        costs, cost_d = _orbit_costs(coefficients, orbits)
+        scores = [sum(map(mul, v.numerators, costs)) for v in vertices]
+        scale = cost_d * vertices[0].denominator
     best = min(range(len(scores)), key=lambda i: (scores[i], i))
     value = scores[best] if scale is None else Fraction(scores[best], scale)
     result = PutResult(value=value, argmin_weights=vertices[best],
@@ -166,8 +168,8 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
 
 
 def constant_on_orbits(per_subset: Sequence, orbits: Sequence[SubsetOrbit]) -> bool:
-    """Whether per-subset values (indexed by mask - 1) agree on every orbit,
-    exactly for Fractions and within FLOAT_TOLERANCE for floats.
+    """Whether per-subset values (indexed by mask - 1) agree on every orbit:
+    exactly, except that a float agrees within FLOAT_TOLERANCE.
 
     For an objective linear in the subset weights this is exactly when
     the group's orbit polytope holds its optimum: averaging any weights
@@ -207,7 +209,6 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
     m = alphabet.size
     _require_coefficient_count(coefficients, m)
     given = _as_form(coefficients)
-    exact_u = [Fraction(u) for u in given]
     grouped = group is not None and not group.is_trivial
     if grouped:
         polytope = weight_polytope(group, level)
@@ -222,10 +223,10 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
         index = polytope.group.alphabet.index
         basis = [polytope.orbit_index[(1 << index(lo[0])) - 1]
                  for lo in polytope.letter_orbits]
-    res = solve_standard_lp(rows, [polytope.denominator] * len(rows),
-                            _orbit_costs(exact_u, polytope.orbits), basis)
+    costs, cost_d = _orbit_costs([Fraction(u) for u in given], polytope.orbits)
+    res = solve_standard_lp(rows, [polytope.denominator] * len(rows), costs, basis)
     weights = WeightVector.of_values(polytope, res.x)
-    return PutResult(value=res.value, argmin_weights=weights,
+    return PutResult(value=res.value / cost_d, argmin_weights=weights,
                      method="lp_grouped" if grouped else "lp",
                      certificate=_certificate(given, polytope.orbits))
 

@@ -1,22 +1,24 @@
 """Simplex from a given feasible basis, over exact rationals, on an
 integer tableau.
 
-Standard form: minimize c.x subject to A x = b, x >= 0.  The caller
-hands over a feasible basis, one column per row: its columns are pivoted
-in row by row (a crash basis, Bixby 1992), and the simplex runs from
-there.  Bland's rule is used for both the entering and leaving choices,
-so the method terminates on degenerate problems and, given identical
-input, always performs the identical pivot sequence.
+Standard form: minimize c.x subject to A x = b, x >= 0, for integer A, b
+and c (a caller scales a rational LP: a positive factor on c scales the
+value and keeps every pivot).  The caller hands over a feasible basis,
+one column per row: its columns are pivoted in row by row (a crash
+basis, Bixby 1992), and the simplex runs from there.  Bland's rule is
+used for both the entering and leaving choices, so the method terminates
+on degenerate problems and, given identical input, always performs the
+identical pivot sequence.
 
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968; as in Avis's
-lrs): each constraint row is scaled once to integers, and the whole
-tableau shares one positive common denominator d, so row i stands for
-the rational row T_i / d.  A pivot on (r, s) sets every other row to
-(T_i * T_rs - T_is * T_r) // d, which divides exactly, and then d = T_rs.
-Every choice is a sign test or a cross-multiplied ratio, and each row
-and column differs from the rational tableau of the same basis only by
-a positive factor, so the pivot path is the rational method's, pivot
-for pivot.  Entries become Fractions once, in the returned point.
+lrs): the whole tableau shares one positive common denominator d, so
+row i stands for the rational row T_i / d.  A pivot on (r, s) sets
+every other row to (T_i * T_rs - T_is * T_r) // d, which divides
+exactly, and then d = T_rs.  Every choice is a sign test or a
+cross-multiplied ratio, and each row and column differs from the
+rational tableau of the same basis only by a positive factor, so the
+pivot path is the rational method's, pivot for pivot.  Entries become
+Fractions once, in the returned point.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LpUnboundedError
-from .linalg import _integer_rows
 
 _ZERO = Fraction(0)
 
@@ -82,9 +83,10 @@ def _run(tableau: list[list[int]], basis: list[int], d: int) -> int | None:
         d = _pivot(tableau, basis, leave, enter, d)
 
 
-def solve_standard_lp(a_eq: list[list[Fraction]], b_eq: list[Fraction],
-                      cost: list[Fraction], basis: list[int]) -> LpResult:
-    """Minimize cost.x over {x >= 0 : A x = b}, from a feasible basis.
+def solve_standard_lp(a_eq: list[list[int]], b_eq: list[int],
+                      cost: list[int], basis: list[int]) -> LpResult:
+    """Minimize cost.x over {x >= 0 : A x = b}, for integer rows A, b and
+    cost, from a feasible basis.
 
     `basis` holds one column per row: column basis[i] is pivoted in at
     row i, and the simplex runs from that basis.  It raises ValueError
@@ -92,14 +94,12 @@ def solve_standard_lp(a_eq: list[list[Fraction]], b_eq: list[Fraction],
     LpUnboundedError when the objective is unbounded below.
     """
     ncols = len(cost)
-    tableau = _integer_rows([[*a, b] for a, b in zip(a_eq, b_eq)])
+    tableau = [[*a, b] for a, b in zip(a_eq, b_eq)]
     basis, d = _start(tableau, basis, ncols)
-    # The reduced-cost row times lc * d, where lc scales the cost to
-    # integers (a trailing 1 comes out of the scaling as lc).
-    *int_cost, lc = _integer_rows([[*cost, 1]])[0]
-    reduced = [d * v for v in int_cost] + [0]
+    # The reduced-cost row times d.
+    reduced = [d * v for v in cost] + [0]
     for row, bv in zip(tableau, basis):
-        cb = int_cost[bv]
+        cb = cost[bv]
         if cb:
             reduced = [rj - cb * tij for rj, tij in zip(reduced, row)]
     tableau.append(reduced)
@@ -110,7 +110,7 @@ def solve_standard_lp(a_eq: list[list[Fraction]], b_eq: list[Fraction],
     x = [_ZERO] * ncols
     for row, bv in zip(tableau, basis):
         x[bv] = Fraction(row[-1], d)
-    return LpResult(x=x, value=Fraction(-tableau[-1][-1], d * lc))
+    return LpResult(x=x, value=Fraction(-tableau[-1][-1], d))
 
 
 def _start(rows: list[list[int]], start: list[int], ncols: int) -> tuple[list[int], int]:

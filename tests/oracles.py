@@ -68,9 +68,9 @@ from ldpput.ldp_geometry import (
     subset_column_symmetries,
     weight_polytope,
 )
-from ldpput.linalg import _column_group, _eliminate, _integer_rows, _orderly_supports, rank
+from ldpput.linalg import _column_group, _eliminate, _orderly_supports, rank
 from ldpput.put_solver import FLOAT_TOLERANCE
-from ldpput.rationals import as_fraction, format_fraction
+from ldpput.rationals import as_fraction, format_fraction, integer_matrix
 from ldpput.serialize import letter_to_json
 from ldpput.simplex import LpResult
 
@@ -166,7 +166,7 @@ def kernel_rank_check(v: Sequence, alphabet: FiniteAlphabet, level) -> bool:
     active = cone_constraint_matrix(alphabet, level).active_rows(vals)
     if not active:
         return m == 1
-    return rank(active) == m - 1
+    return rank(integer_matrix(active)[0]) == m - 1
 
 
 # -- group actions and their orbits ------------------------------------------
@@ -452,7 +452,7 @@ def basic_feasible_orbit_reference(matrix: list[list[Fraction]], rhs: list[Fract
     a vertex keeps the position of its first image found.
     """
     ncols = len(matrix[0]) if matrix else 0
-    elements = _column_group(matrix, rhs, ncols, symmetries)
+    elements = _column_group(*integer_system(matrix, rhs), ncols, symmetries)
     r = len(rref(matrix)[1]) if matrix else 0
     found: dict[frozenset[int], tuple[Fraction, ...]] = {}  # nonzero support -> vertex
     for support in combinations(range(ncols), r):
@@ -474,6 +474,15 @@ def basic_feasible_orbit_reference(matrix: list[list[Fraction]], rhs: list[Fract
                     full[g[j]] = v
                 found[image] = tuple(full)
     return list(found.values())
+
+
+def integer_system(matrix: list[list[Fraction]], rhs: list[Fraction]
+                   ) -> tuple[list[list[int]], list[int]]:
+    """A rational system A x = b as the integer system the exact kernels
+    take: [A | b] scaled by one positive denominator, which keeps every
+    solution, then split back into A and b."""
+    aug, _ = integer_matrix([*row, b] for row, b in zip(matrix, rhs))
+    return [row[:-1] for row in aug], [row[-1] for row in aug]
 
 
 # -- the polytope layer in Fractions ------------------------------------------
@@ -514,9 +523,10 @@ def basic_feasible_fraction_reference(matrix: list[list[Fraction]], rhs: list[Fr
     """`enumerate_basic_feasible` with a Fraction per vertex entry: the
     same orderly scan, each solve turned into Fractions and each vertex
     kept as a Fraction tuple, so the list and its order must match."""
-    aug = _integer_rows([[*row, b] for row, b in zip(matrix, rhs)])
+    int_a, int_b = integer_system(matrix, rhs)
+    aug = [[*row, b] for row, b in zip(int_a, int_b)]
     ncols = len(aug[0]) - 1 if aug else 0
-    elements = _column_group(matrix, rhs, ncols, symmetries)
+    elements = _column_group(int_a, int_b, ncols, symmetries)
     basis = _eliminate([list(col) for col in zip(*aug)][:ncols])
     r = len(basis)
     if len(_eliminate([list(row) for row in aug])) > r:

@@ -106,6 +106,18 @@ def test_check_channel_checks_privacy_and_scans_rows_once(capsys, monkeypatch,
     assert calls == {"is_ldp": 1, "is_extreme_direction": 2}
 
 
+@pytest.mark.parametrize("t", ["1", "2"])
+def test_check_channel_one_input_letter_exits_parse(capsys, tmp_path, t):
+    """One input letter has no nonempty proper subset: at t = 1 this once
+    raised IndexError through main, and at t = 2 it reported a verdict."""
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"input": [0], "output": ["a"], "rows": [["1"]]}))
+    code, out, err = run(capsys, "check-channel", str(path), "--t", t)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == "error: maximality needs at least two input letters\n"
+
+
 def test_check_channel_csv(capsys, rr_channel_file):
     code, out, err = run(capsys, "check-channel", rr_channel_file,
                          "--t", "2", "--format", "csv")
@@ -595,15 +607,19 @@ def test_put_rejects_group_on_other_letters(capsys, tmp_path, monkeypatch, lette
         assert "Traceback" not in err
 
 
-def test_put_ht_closed_builds_no_values(capsys, monkeypatch):
+def test_put_group_checks_ht_values_no_method_reads(capsys, monkeypatch):
     import ldpput.cli
 
-    # Only `transitive` reads ht's per-mask values; a --group alone does not.
+    # A --group is checked against the task's per-mask values even when no
+    # chosen method reads them; ht's depend on |S| alone, so it passes.
+    built = []
+    all_subset_masks = ldpput.cli.all_subset_masks
     monkeypatch.setattr(ldpput.cli, "all_subset_masks",
-                        lambda *a: pytest.fail("the per-mask values were built"))
+                        lambda m: built.append(m) or all_subset_masks(m))
     data = run_json(capsys, "put", "--task", "ht", "--m", "4", "--t", "2",
                     "--group", "cyclic", "--method", "closed,lp")
     assert [r["value"] for r in data["results"]] == ["3/5", "3/5"]
+    assert built == [4]
 
 
 def test_put_cardioid_rejects_group_it_lacks(capsys):
@@ -657,8 +673,7 @@ def test_put_bad_method(capsys):
     assert code == EXIT_PARSE
 
 
-@pytest.mark.parametrize("task,method", [("cardioid", "lp"), ("cardioid", "vertex"),
-                                         ("ht", ",")])
+@pytest.mark.parametrize("task,method", [("cardioid", "lp"), ("cardioid", "vertex")])
 def test_put_method_list_the_task_cannot_run(capsys, task, method):
     code, out, err = run(capsys, "put", "--task", task, "--m", "4", "--t", "2",
                          "--method", method)
@@ -666,6 +681,17 @@ def test_put_method_list_the_task_cannot_run(capsys, task, method):
     assert out == ""
     supported = ("closed", "transitive") if task == "cardioid" else METHODS
     assert f"--task {task} runs only the methods {supported}, got {method!r}" in err
+
+
+@pytest.mark.parametrize("method", ["", ",", ",,"], ids=["empty", ",", ",,"])
+def test_put_method_naming_no_method(capsys, method):
+    """An empty --method once ran every method, and a list of commas was
+    reported as methods the task cannot run."""
+    code, out, err = run(capsys, "put", "--task", "ht", "--m", "3", "--t", "2",
+                         "--method", method)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == f"error: --method names no method, got {method!r}\n"
 
 
 def test_put_out_file(capsys, tmp_path):

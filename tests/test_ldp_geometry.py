@@ -43,6 +43,7 @@ from oracles import (
     fraction_rows,
     fraction_vertices,
     in_cone,
+    integer_system,
     is_maximal,
     kernel_rank_check,
     make_weight_vector,
@@ -445,7 +446,8 @@ def test_symmetry_reduced_vertices_match_full_scan_m5():
     """At m = 5 the reduced scan equals the scan of all 142,506 supports."""
     t = F(3, 2)
     got = [v.values for v in enumerate_polytope_vertices(FiniteAlphabet.of_size(5), t)]
-    assert got == sorted(fraction_vertices(enumerate_basic_feasible(*_full_system(5, t))))
+    assert got == sorted(fraction_vertices(
+        enumerate_basic_feasible(*integer_system(*_full_system(5, t)))))
 
 
 RATIONAL_T = st.integers(min_value=1, max_value=6).flatmap(

@@ -6,6 +6,7 @@ import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from ldpput.linalg import (
     rank,
     solve_square_int,
 )
-from ldpput.rationals import as_fraction, format_fraction
+from ldpput.rationals import as_fraction, format_fraction, integer_matrix
 from ldpput.simplex import solve_standard_lp
 from oracles import (
     LpInfeasibleError,
@@ -36,6 +37,7 @@ from oracles import (
     feasible_point,
     fraction_rows,
     fraction_vertices,
+    integer_system,
     kernel_basis,
     mat_vec,
     rref,
@@ -47,10 +49,11 @@ def F(v) -> Fraction:
     return Fraction(v)
 
 
-def _scan(*args, **kwargs) -> list[tuple[Fraction, ...]]:
-    """`enumerate_basic_feasible`'s vertices as Fraction tuples, checked to
-    share one positive denominator, the least common one."""
-    found = enumerate_basic_feasible(*args, **kwargs)
+def _scan(a, b, **kwargs) -> list[tuple[Fraction, ...]]:
+    """`enumerate_basic_feasible`'s vertices of the rational system A x = b,
+    handed over as its integer system, as Fraction tuples, checked to share
+    one positive denominator, the least common one."""
+    found = enumerate_basic_feasible(*integer_system(a, b), **kwargs)
     denominators = {d for _, d in found}
     assert len(denominators) <= 1 and all(d > 0 for d in denominators)
     if found:
@@ -84,14 +87,14 @@ def test_rref_identity_pivots():
 
 
 def test_rank_deficient():
-    m = [[F(1), F(2)], [F(2), F(4)]]
+    m = [[1, 2], [2, 4]]
     assert rank(m) == 1
 
 
 def test_kernel_basis_matches_rank_nullity():
     m = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
     basis = kernel_basis(m)
-    assert len(basis) == 3 - rank(m)
+    assert len(basis) == 3 - rank(integer_matrix(m)[0])
     for v in basis:
         assert mat_vec(m, list(v)) == [F(0)] * 2
 
@@ -117,7 +120,7 @@ def test_solve_square_int_random(n, data):
     b = data.draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n))
     solved = solve_square_int([list(r) for r in rows], list(b))
     if solved is None:
-        assert rank([[F(v) for v in r] for r in rows]) < n
+        assert rank(rows) < n
     else:
         x, d = solved
         assert d > 0
@@ -188,7 +191,7 @@ def _rational_systems(draw):
 def test_kernel_matches_rref_reference(system):
     """rank and the vertex scan equal the rref-per-support reference."""
     a, b = system
-    assert rank(a) == len(rref(a)[1])
+    assert rank(integer_matrix(a)[0]) == len(rref(a)[1])
     assert _scan(a, b) == basic_feasible_reference(a, b)
 
 
@@ -296,7 +299,7 @@ def test_simplex_unbounded():
     # minimize -x subject to x - y = 0, from x basic at 0: ray (s, s)
     # drives cost to -inf
     with pytest.raises(LpUnboundedError):
-        solve_standard_lp([[F(1), F(-1)]], [F(0)], [F(-1), F(0)], [0])
+        solve_standard_lp([[1, -1]], [0], [-1, 0], [0])
 
 
 def test_simplex_degenerate_rows():
@@ -308,7 +311,7 @@ def test_simplex_degenerate_rows():
 
 def test_simplex_start_basis():
     # the LP of test_simplex_basic_minimum, started at y = 1: one pivot to x
-    res = solve_standard_lp([[F(1), F(1)]], [F(1)], [F(1), F(2)], basis=[1])
+    res = solve_standard_lp([[1, 1]], [1], [1, 2], basis=[1])
     assert res.value == 1
     assert res.x == [F(1), F(0)]
 
@@ -316,17 +319,15 @@ def test_simplex_start_basis():
 def test_simplex_start_basis_singular():
     # the second row minus twice the first has no y: y cannot enter at row 1
     with pytest.raises(ValueError, match="singular"):
-        solve_standard_lp([[F(1), F(1), F(0)], [F(2), F(2), F(1)]], [F(1), F(3)],
-                          [F(1), F(1), F(1)], basis=[0, 1])
+        solve_standard_lp([[1, 1, 0], [2, 2, 1]], [1, 3], [1, 1, 1], basis=[0, 1])
     with pytest.raises(ValueError, match="one column index per row"):
-        solve_standard_lp([[F(1), F(1)]], [F(1)], [F(1), F(1)], basis=[0, 1])
+        solve_standard_lp([[1, 1]], [1], [1, 1], basis=[0, 1])
 
 
 def test_simplex_start_basis_infeasible():
     # basis {y, x}: x + y = 1 and x - y = 3 give y = -1
     with pytest.raises(ValueError, match="infeasible"):
-        solve_standard_lp([[F(1), F(1), F(0)], [F(1), F(-1), F(1)]], [F(1), F(3)],
-                          [F(1), F(1), F(1)], basis=[1, 0])
+        solve_standard_lp([[1, 1, 0], [1, -1, 1]], [1, 3], [1, 1, 1], basis=[1, 0])
 
 
 def test_feasible_point():
@@ -337,22 +338,22 @@ def test_feasible_point():
 
 
 def _random_lp(rng: random.Random):
-    """A random standard-form LP with a feasible start basis: column
-    basis[i] can be pivoted in at row i in turn (each leading minor is
-    nonzero), and b = A x0 for an x0 >= 0 on the basis columns."""
+    """A random integer standard-form LP with a feasible start basis:
+    column basis[i] can be pivoted in at row i in turn (each leading minor
+    is nonzero), and b = A x0 for an x0 >= 0 on the basis columns."""
     n = rng.randint(2, 6)
     k = rng.randint(1, min(3, n - 1))
     while True:
-        a = [[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(k)]
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
         basis = rng.sample(range(n), k)
         if all(rank([[row[j] for j in basis[:i]] for row in a[:i]]) == i
                for i in range(1, k + 1)):
             break
-    x0 = [F(0)] * n
+    x0 = [0] * n
     for j in basis:
-        x0[j] = F(rng.randint(0, 5))
-    b = mat_vec(a, x0)
-    cost = [F(rng.randint(-5, 5)) for _ in range(n)]
+        x0[j] = rng.randint(0, 5)
+    b = [sum(map(mul, row, x0)) for row in a]
+    cost = [rng.randint(-5, 5) for _ in range(n)]
     return a, b, cost, basis
 
 
@@ -411,18 +412,23 @@ def _recording_pivots(module):
         module._pivot = original
 
 
-def _recorded_solve(module, solve, a, b, cost, basis):
-    """((x, value) or the exception type, pivot sequence) of one solve."""
+def _recorded_solve(module, solve, a, b, cost, basis, cost_d=1):
+    """((x, value) or the exception type, pivot sequence) of one solve; the
+    value is divided by cost_d, the denominator the cost was scaled by."""
     with _recording_pivots(module) as pivots:
         try:
             res = solve(a, b, cost, basis)
         except (LpUnboundedError, ValueError) as exc:
             return type(exc), pivots
-    return (res.x, res.value), pivots
+    return (res.x, res.value / cost_d), pivots
 
 
 def _assert_reference_path(a, b, cost, basis):
-    got = _recorded_solve(simplex, solve_standard_lp, a, b, cost, basis)
+    """The kernel on the LP scaled to integers ([A | b] and the cost each by
+    one denominator) pivots as the Fraction reference on the LP itself."""
+    (int_cost,), cost_d = integer_matrix([cost])
+    got = _recorded_solve(simplex, solve_standard_lp, *integer_system(a, b), int_cost, basis,
+                          cost_d)
     want = _recorded_solve(oracles, solve_standard_lp_reference, a, b, cost, basis)
     assert got == want
 

@@ -624,6 +624,19 @@ def test_constant_on_orbits_is_exact_only_for_fraction_forms(m, cyclic, shift, d
     assert put_solver.constant_on_orbits(mixed, orbits) == tolerated
 
 
+def test_exact_values_are_compared_without_tolerance():
+    """Ints and Fractions are compared exactly, beside each other too: mask
+    1 scoring 10^-10 where mask 2 scores 0, or 10^17 + 1 where mask 2
+    scores 10^17 (equal as floats), once passed as one orbit value."""
+    group = cyclic_group(FiniteAlphabet.of_size(3))
+    b = 10 ** 17
+    for values in ([F(1, 10 ** 10), 0, 1, 0, 1, 1], [b + 1, b, b + 5, b, b + 5, b + 5]):
+        with pytest.raises(ValueError, match="differ within a subset orbit"):
+            put_transitive_closed_form(values, group, F(2))
+    assert not put_solver.constant_on_orbits([0, F(1, 10 ** 10), 0, 0, 0, 0],
+                                             group.subset_orbits)
+
+
 # -- samplers -----------------------------------------------------------------
 
 

@@ -9,7 +9,10 @@ source checkout, labelled), with the run length of BENCHMARK.json; which
 tree runs first alternates from seed to seed.  The file keeps every run
 and, per workload and tree, the median and quartiles of ``solve_s``,
 ``setup_s`` and ``peak_rss_mb``, the runs that were not correct, the
-seeds, the host and the Python version.  Without --tree it measures the
+seeds, the host and the Python version.  Each tree after the first also
+gets the ratio of its medians to the first tree's, and ``past_bound``
+lists every (workload, metric, tree) whose ratio exceeds 1 + the
+metric's ``bound`` in BENCHMARK.json.  Without --tree it measures the
 current directory as ``change``.
 """
 
@@ -66,6 +69,26 @@ def summarise(runs: list[dict]) -> dict:
     return out
 
 
+def ratios(summary: dict, trees: list[str], bounds: dict[str, float]) -> list[dict]:
+    """Give each later tree's summary the ratio of its median to the first
+    tree's, per metric; returns the entries past 1 + the metric's bound."""
+    past = []
+    first, *later = trees
+    for workload, entries in summary.items():
+        for label in later:
+            entry = entries[label]
+            entry["ratio"] = {}
+            for name in METRICS:
+                base, own = entries[first][name], entry[name]
+                if not base.get("median") or not own:
+                    continue  # no correct run on one side
+                ratio = entry["ratio"][name] = own["median"] / base["median"]
+                if ratio > 1 + bounds[name]:
+                    past.append({"workload": workload, "metric": name, "tree": label,
+                                 "ratio": ratio, "bound": bounds[name]})
+    return past
+
+
 def host() -> dict:
     cpu = None
     try:
@@ -102,14 +125,18 @@ def main(argv=None) -> int:
                 print(json.dumps(run), file=sys.stderr, flush=True)
                 runs.append(run)
 
+    labels = [label for label, _ in trees]
+    summary = summarise(runs)
+    bounds = {metric["name"]: metric["bound"] for metric in bench["end_to_end"]}
     report = {
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "host": host(),
         "python": platform.python_version(),
         "run_seconds": seconds,
         "seeds": args.seeds,
-        "trees": [label for label, _ in trees],
-        "summary": summarise(runs),
+        "trees": labels,
+        "past_bound": ratios(summary, labels, bounds),
+        "summary": summary,
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
