@@ -112,15 +112,25 @@ def cardioid_orbit_risk(spec: CardioidSpec, mask: int) -> float:
         / (2.0 * (k * float(t) + m - k))
 
 
+def cardioid_best_size(spec: CardioidSpec) -> int:
+    """The run size k of the optimal subsets: the first k in 1..m-1 that
+    maximizes sin(pi*k/m)/(k*t + m - k)."""
+    m = spec.m
+    t = float(spec.level.t)
+    return max(range(1, m), key=lambda k: math.sin(math.pi * k / m) / (k * t + m - k))
+
+
 def cardioid_put_closed_form(spec: CardioidSpec) -> float:
     """Optimal location risk under the privacy constraint.
 
     Consecutive runs maximize |Z| at each size, giving
-    1 - gamma*(t-1)/(2*sin(pi/m)) * max_k sin(pi*k/m)/(k*t + m - k).
+    1 - gamma*(t-1)/(2*sin(pi/m)) * max_k sin(pi*k/m)/(k*t + m - k),
+    attained at k = cardioid_best_size(spec).
     """
     m = spec.m
     t = float(spec.level.t)
-    best = max(math.sin(math.pi * k / m) / (k * t + m - k) for k in range(1, m))
+    k = cardioid_best_size(spec)
+    best = math.sin(math.pi * k / m) / (k * t + m - k)
     return 1.0 - float(spec.gamma) * (t - 1.0) / (2.0 * math.sin(math.pi / m)) * best
 
 

@@ -12,7 +12,6 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import sys
 from collections.abc import Callable
@@ -40,6 +39,7 @@ from .ldp_geometry import (
 )
 from .put_solver import (
     CERT_EXACT,
+    FLOAT_TOLERANCE,
     constant_on_orbits,
     put_by_lp,
     put_by_vertex_enumeration,
@@ -273,17 +273,13 @@ def _task(args, level) -> _Task:
     spec = apps.CardioidSpec.build(m, gamma, level)
     alphabet = FiniteAlphabet.of_size(m)
 
-    def closed():
-        best_k = max(range(1, m),
-                     key=lambda k: math.sin(math.pi * k / m) / (k * float(level.t) + m - k))
-        return apps.cardioid_put_closed_form(spec), f"k={best_k}"
-
     return _Task(header, alphabet, lambda q: apps.cardioid_bayes_risk(spec, q),
                  ("closed", "transitive"),
                  default_group=lambda: cyclic_group(alphabet),
                  values=lambda: [apps.cardioid_orbit_risk(spec, mask)
                                  for mask in all_subset_masks(m)],
-                 closed=closed)
+                 closed=lambda: (apps.cardioid_put_closed_form(spec),
+                                 f"k={apps.cardioid_best_size(spec)}"))
 
 
 def _solve(task: _Task, wanted: list[str], group, level) -> list[dict]:
@@ -341,6 +337,8 @@ def _methods(args, task: _Task) -> list[str]:
     if not wanted:
         raise ValueError(f"--method names no method, got {raw!r}")
     for w in wanted:
+        if w == "all":
+            raise ValueError(f"--method all must stand alone, got {raw!r}")
         if w not in METHODS:
             raise ValueError(f"method must be one of {METHODS} or 'all', got {w!r}")
     wanted = [w for w in wanted if w in task.methods]
@@ -383,7 +381,7 @@ def cmd_audit(args) -> int:
     if isinstance(baseline, Fraction):
         tolerance = 0 if args.tolerance is None else args.tolerance
     else:
-        tolerance = 1e-9 if args.tolerance is None else float(args.tolerance)
+        tolerance = FLOAT_TOLERANCE if args.tolerance is None else float(args.tolerance)
     data = {**task.header, "samples": args.samples, "seed": args.seed}
     if note:
         data["level_note"] = note

@@ -341,8 +341,11 @@ def is_extreme_direction(v: Sequence, alphabet: FiniteAlphabet, level) -> int | 
     of staircase rows: value t*c on a nonempty proper subset Z, value c
     elsewhere.  Returns Z as a bitmask when v has that shape.  At t = 1
     the cone degenerates to the constant ray; the lowest singleton is
-    returned as the canonical subset there.
+    returned as the canonical subset there.  An alphabet of fewer than
+    two letters has no such subset and raises ValueError.
     """
+    if alphabet.size < 2:
+        raise ValueError("maximality needs at least two input letters")
     t = as_level(level).t
     vals = [as_fraction(x) for x in v]
     if len(vals) != alphabet.size:
@@ -372,11 +375,10 @@ def ray_subsets(channel: Channel, level) -> list[int | None]:
     A zero row maps to 0 (it is on no ray but leaves maximality
     intact); a nonzero row off every extreme ray maps to None.  A
     channel that violates the privacy constraint raises NotLdpError,
-    and one without a nonempty proper subset of inputs, ValueError.
+    and one with fewer than two inputs (it has a nonzero row), the
+    ValueError of is_extreme_direction.
     """
     level = as_level(level)
-    if channel.input_alphabet.size < 2:
-        raise ValueError("maximality needs at least two input letters")
     require_ldp(channel, level)
     return [0 if all(x == 0 for x in row)
             else is_extreme_direction(row, channel.input_alphabet, level)

@@ -12,8 +12,11 @@ solver holds a per-subset form (indexed by mask - 1) that
 and "bound_only" otherwise.  The forms are the linear form of the sweep
 (`coefficients=`) and of `put_by_lp`, and the closed form's values,
 which it refuses unless constant on every orbit.  A sweep without a form
-is only a bound, grouped or not.  The sweep also checks its form against
-the objective itself at its argmin channel.
+is only a bound, grouped or not.  The sweep and the LP read a form
+through one reader, `_form_costs`: every entry exactly (a float as the
+binary rational it holds), so both optimise the same objective, and only
+the certificate compares floats, within FLOAT_TOLERANCE.  The sweep also
+checks its form against the objective itself at its argmin channel.
 
 The caller's contract: a form or closed-form values come from a
 data-processing-monotone objective that is affine over direct sums, such
@@ -45,6 +48,7 @@ from .invariant import enumerate_invariant_vertices
 from .ldp_geometry import (
     DEFAULT_ENUM_CAP_M,
     SubsetOrbit,
+    WeightPolytope,
     WeightVector,
     enumerate_polytope_vertices,
     extremal_channel,
@@ -55,8 +59,6 @@ from .ldp_geometry import (
 )
 from .rationals import as_fraction, integer_matrix
 from .simplex import solve_standard_lp
-
-_ZERO = Fraction(0)
 
 CERT_EXACT = "exact"
 CERT_BOUND = "bound_only"
@@ -78,31 +80,31 @@ class PutResult:
         return extremal_channel(self.argmin_weights)
 
 
-def _certificate(form: Sequence | None, orbits: Sequence[SubsetOrbit]) -> str:
-    """"exact" only for a per-subset form constant on every subset orbit."""
-    exact = form is not None and constant_on_orbits(form, orbits)
-    return CERT_EXACT if exact else CERT_BOUND
-
-
 def _require_coefficient_count(coefficients: Sequence, m: int) -> None:
     n = (1 << m) - 2
     if len(coefficients) != n:
         raise ValueError(f"need {n} coefficients, got {len(coefficients)}")
 
 
-def _as_form(coefficients: Sequence) -> list:
-    """A per-subset linear form: exact inputs as Fractions, floats kept."""
-    return [u if isinstance(u, float) else as_fraction(u) for u in coefficients]
+def _form_costs(coefficients: Sequence, polytope: WeightPolytope) -> tuple[list[int], int, str]:
+    """Read a per-subset linear form (indexed by mask - 1) on a polytope:
+    per-orbit integer costs c over one denominator d > 0, so the
+    objective at weights w is sum(w_orbit * c_orbit) / d, and the form's
+    certificate.
 
-
-def _orbit_costs(exact_form: Sequence[Fraction],
-                 orbits: Sequence[SubsetOrbit]) -> tuple[list[int], int]:
-    """Per-orbit costs of an exact per-subset linear form (indexed by mask
-    - 1) as integers c over one denominator d > 0, so the objective at
-    weights w is sum(w_orbit * c_orbit) / d: the form is scaled to
-    integers once, and its numerators are summed per orbit."""
-    (numerators,), d = integer_matrix([exact_form])
-    return [sum(numerators[mask - 1] for mask in orbit.masks) for orbit in orbits], d
+    Every entry is read exactly, a float as the binary rational it
+    holds, so both solvers optimise the same objective.  The form is
+    scaled to integers once and its numerators are summed per orbit.
+    The certificate is decided on the form as given: floats that agree
+    within FLOAT_TOLERANCE on every orbit still make it "exact".
+    """
+    _require_coefficient_count(coefficients, polytope.group.alphabet.size)
+    given = [u if isinstance(u, float) else as_fraction(u) for u in coefficients]
+    (numerators,), d = integer_matrix([[Fraction(u) if isinstance(u, float) else u
+                                        for u in given]])
+    costs = [sum(numerators[mask - 1] for mask in orbit.masks) for orbit in polytope.orbits]
+    exact = constant_on_orbits(given, polytope.orbits)
+    return costs, d, CERT_EXACT if exact else CERT_BOUND
 
 
 def _agree(lhs, rhs) -> bool:
@@ -125,45 +127,35 @@ def put_by_vertex_enumeration(objective: Callable[[Channel], Fraction | float],
     number of candidate supports instead.
 
     `coefficients` is the objective's per-subset linear form (indexed by
-    mask - 1, as `put_by_lp` takes it).  With it, each vertex is scored
-    as u.w, only the argmin gets a channel, and the objective runs once
-    there and must equal the score (ObjectiveMismatchError otherwise);
-    the result is exact when u is constant on every subset orbit.
-    Without it, the result is only a bound.  An exact form is scaled to
-    integers and scores the vertices' numerators (over their one shared
-    denominator) as integers; a form with floats scores in floats.
+    mask - 1), read exactly as `put_by_lp` reads it: floats as the
+    binary rationals they hold.  With it, each vertex is scored as u.w
+    in integers (the form's per-orbit numerators against the vertices'
+    numerators, over their one shared denominator), only the argmin gets
+    a channel, and the objective runs once there and must equal the
+    score (ObjectiveMismatchError otherwise); the result is exact when u
+    is constant on every subset orbit.  Without it, the result is only a
+    bound.
     """
     level = as_level(level)
-    if coefficients is not None:
-        _require_coefficient_count(coefficients, alphabet.size)
-        coefficients = _as_form(coefficients)
     grouped = group is not None and not group.is_trivial
     if grouped:
         vertices = enumerate_invariant_vertices(group, level)
     else:
         vertices = enumerate_polytope_vertices(alphabet, level, cap=cap)
-    orbits = vertices[0].orbits
-    scale = None  # set when the scores are integers over one denominator
+    method = "vertex_enumeration_grouped" if grouped else "vertex_enumeration"
     if coefficients is None:
         scores = [objective(extremal_channel(v)) for v in vertices]
-    elif any(isinstance(u, float) for u in coefficients):
-        costs = [sum(coefficients[mask - 1] for mask in orbit.masks) for orbit in orbits]
-        scores = [sum((w * c for w, c in zip(v.values, costs) if w), _ZERO)
-                  for v in vertices]
-    else:
-        costs, cost_d = _orbit_costs(coefficients, orbits)
-        scores = [sum(map(mul, v.numerators, costs)) for v in vertices]
-        scale = cost_d * vertices[0].denominator
+        best = min(range(len(scores)), key=lambda i: (scores[i], i))
+        return PutResult(scores[best], vertices[best], method, CERT_BOUND)
+    costs, d, certificate = _form_costs(coefficients, vertices[0].polytope)
+    scores = [sum(map(mul, v.numerators, costs)) for v in vertices]
     best = min(range(len(scores)), key=lambda i: (scores[i], i))
-    value = scores[best] if scale is None else Fraction(scores[best], scale)
-    result = PutResult(value=value, argmin_weights=vertices[best],
-                       method="vertex_enumeration_grouped" if grouped else "vertex_enumeration",
-                       certificate=_certificate(coefficients, orbits))
-    if coefficients is not None:
-        direct = objective(result.argmin_channel)
-        if not _agree(direct, value):
-            raise ObjectiveMismatchError(f"objective {direct} at the argmin channel "
-                                         f"differs from its linear-form score {value}")
+    value = Fraction(scores[best], d * vertices[best].denominator)
+    result = PutResult(value, vertices[best], method, certificate)
+    direct = objective(result.argmin_channel)
+    if not _agree(direct, value):
+        raise ObjectiveMismatchError(f"objective {direct} at the argmin channel "
+                                     f"differs from its linear-form score {value}")
     return result
 
 
@@ -191,9 +183,10 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
               cap: int = DEFAULT_ENUM_CAP_M) -> PutResult:
     """Minimize an objective given by per-subset linear coefficients.
 
-    Float coefficients are converted to exact rationals (binary floats
-    are rationals), so the simplex path stays exact and deterministic
-    whatever the source of the numbers.  With a group the optimum over
+    The coefficients are read exactly, as the vertex sweep reads its
+    form: a float is the binary rational it holds, so the simplex path
+    stays exact and deterministic whatever the source of the numbers,
+    and the sweep reaches the same value.  With a group the optimum over
     its orbit polytope is exact only when the coefficients are constant
     on every subset orbit; otherwise it is an upper bound.
 
@@ -207,8 +200,6 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
     """
     level = as_level(level)
     m = alphabet.size
-    _require_coefficient_count(coefficients, m)
-    given = _as_form(coefficients)
     grouped = group is not None and not group.is_trivial
     if grouped:
         polytope = weight_polytope(group, level)
@@ -223,12 +214,11 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
         index = polytope.group.alphabet.index
         basis = [polytope.orbit_index[(1 << index(lo[0])) - 1]
                  for lo in polytope.letter_orbits]
-    costs, cost_d = _orbit_costs([Fraction(u) for u in given], polytope.orbits)
+    costs, d, certificate = _form_costs(coefficients, polytope)
     res = solve_standard_lp(rows, [polytope.denominator] * len(rows), costs, basis)
     weights = WeightVector.of_values(polytope, res.x)
-    return PutResult(value=res.value / cost_d, argmin_weights=weights,
-                     method="lp_grouped" if grouped else "lp",
-                     certificate=_certificate(given, polytope.orbits))
+    return PutResult(value=res.value / d, argmin_weights=weights,
+                     method="lp_grouped" if grouped else "lp", certificate=certificate)
 
 
 def put_transitive_closed_form(values: Sequence, group: PermGroup, level) -> PutResult:
@@ -248,8 +238,7 @@ def put_transitive_closed_form(values: Sequence, group: PermGroup, level) -> Put
     if len(polytope.letter_orbits) != 1:
         raise NotTransitiveError("the closed form needs a transitive group")
     _require_coefficient_count(values, group.alphabet.size)
-    certificate = _certificate(values, polytope.orbits)
-    if certificate != CERT_EXACT:
+    if not constant_on_orbits(values, polytope.orbits):
         raise ValueError("closed-form values differ within a subset orbit")
     orbit_values = [values[orbit.representative - 1] for orbit in polytope.orbits]
     best = min(range(len(orbit_values)), key=lambda i: (orbit_values[i], i))
@@ -257,7 +246,7 @@ def put_transitive_closed_form(values: Sequence, group: PermGroup, level) -> Put
                                           for i in range(len(orbit_values))),
                           polytope.rows[0][best])
     return PutResult(value=orbit_values[best], argmin_weights=argmin,
-                     method="transitive_closed_form", certificate=certificate)
+                     method="transitive_closed_form", certificate=CERT_EXACT)
 
 
 def _sample_rng(seed, index: int) -> random.Random:

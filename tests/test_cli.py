@@ -694,6 +694,17 @@ def test_put_method_naming_no_method(capsys, method):
     assert err == f"error: --method names no method, got {method!r}\n"
 
 
+@pytest.mark.parametrize("method", ["all,lp", "closed,all"])
+def test_put_method_all_must_stand_alone(capsys, method):
+    """`all` in a list was once refused by a message that listed it as
+    allowed."""
+    code, out, err = run(capsys, "put", "--task", "ht", "--m", "3", "--t", "2",
+                         "--method", method)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == f"error: --method all must stand alone, got {method!r}\n"
+
+
 def test_put_out_file(capsys, tmp_path):
     out_path = tmp_path / "result.json"
     code, out, err = run(capsys, "put", "--task", "ht", "--m", "3",

@@ -211,6 +211,14 @@ def test_is_extreme_direction_zero_vector():
         is_extreme_direction([F(0), F(0)], X2, F(3))
 
 
+@pytest.mark.parametrize("t", [F(1), F(2)])
+def test_is_extreme_direction_refuses_one_letter(t):
+    """One letter has no nonempty proper subset, so no ray has one: mask 1
+    was once returned for [1] at t = 1."""
+    with pytest.raises(ValueError, match="at least two input letters"):
+        is_extreme_direction([F(1)], FiniteAlphabet.of_size(1), t)
+
+
 def test_is_extreme_direction_degenerate_t1():
     # at t = 1 every positive constant vector spans the only ray
     assert is_extreme_direction([F(2), F(2), F(2)], X3, F(1)) == 1

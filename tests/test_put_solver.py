@@ -24,6 +24,8 @@ from ldpput.decision import (
     Prior,
     bayes_linear_coefficients,
     bayes_optimal_risk,
+    f_divergence_linear_coefficients,
+    f_divergence_utility,
     mutual_information,
     mutual_information_linear_coefficients,
 )
@@ -274,7 +276,7 @@ def _form_objective(u):
 @settings(max_examples=60, deadline=None)
 def test_integer_sweep_matches_fraction_sweep(m, t, group_name, exact, data):
     """The sweep's value (type included) and argmin vertex equal the
-    Fraction sweep's; a form with a float keeps float arithmetic."""
+    Fraction sweep's; a float is read as the binary rational it holds."""
     alphabet = FiniteAlphabet.of_size(m)
     group = {None: None, "sym": symmetric_group, "cyclic": cyclic_group}[group_name]
     group = group and group(alphabet)
@@ -283,7 +285,7 @@ def test_integer_sweep_matches_fraction_sweep(m, t, group_name, exact, data):
     res = put_by_vertex_enumeration(_form_objective(u), alphabet, t, group=group, coefficients=u)
     vertices = (enumerate_invariant_vertices(group, t) if group
                 else enumerate_polytope_vertices(alphabet, t))
-    value, best = vertex_sweep_reference(vertices, u)
+    value, best = vertex_sweep_reference(vertices, [F(v) for v in u])
     assert res.value == value and type(res.value) is type(value)
     assert res.argmin_weights == vertices[best]
 
@@ -595,6 +597,40 @@ def test_float_linear_form_is_orbit_constant_within_tolerance():
                                       t, group=sym, coefficients=u)
     assert lp.certificate == sweep.certificate == CERT_EXACT
     assert float(lp.value) == pytest.approx(sweep.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("utility", ["mi", "kl", "tv", "chi2", "hellinger2"])
+def test_sweep_and_lp_read_a_float_form_alike(m, utility):
+    """Negated information forms are floats.  The sweep once scored them
+    as rounded float sums while the LP read their binary rationals, so
+    the two printed different "exact" values.  Both now read the form
+    exactly and return the same Fraction.  The uniform-input information
+    form is S_m-invariant within FLOAT_TOLERANCE, so it stays exact under
+    S_m; the divergence from a tilted p0 does not, so it is a bound
+    there."""
+    alphabet = FiniteAlphabet.of_size(m)
+    uniform = [F(1, m)] * m
+    tilted = [F(2 * (x + 1), m * (m + 1)) for x in range(m)]
+
+    def objective(q):
+        if utility == "mi":
+            return -mutual_information(q, uniform)
+        return -f_divergence_utility(q, utility, tilted, uniform)
+
+    for t in (F(3, 2), F(2), F(5)):
+        if utility == "mi":
+            u = mutual_information_linear_coefficients(uniform, alphabet, t)
+        else:
+            u = f_divergence_linear_coefficients(utility, tilted, uniform, alphabet, t)
+        u = [-c for c in u]
+        for group in (None, symmetric_group(alphabet)):
+            lp = put_by_lp(u, alphabet, t, group=group)
+            sweep = put_by_vertex_enumeration(objective, alphabet, t, group=group,
+                                              coefficients=u)
+            assert type(sweep.value) is F and sweep.value == lp.value, (t, group)
+            expected = CERT_EXACT if group is None or utility == "mi" else CERT_BOUND
+            assert sweep.certificate == lp.certificate == expected
 
 
 @given(st.integers(min_value=2, max_value=6), st.booleans(),
