@@ -296,8 +296,8 @@ def polytope_vertices(polytope: WeightPolytope,
     Support enumeration over the orbit columns, memoised on the
     equality system; candidate_cap bounds the number of candidate
     supports.  The full polytope (trivial group) is S_m-invariant, so
-    its scan builds only the first support of each S_m orbit, solves it
-    and maps the solution around the orbit; a grouped one scans all.
+    its walk extends only prefixes that come first in their S_m orbit
+    and maps each solution around its orbit; a grouped one walks all.
     """
     full_m = polytope.group.alphabet.size if polytope.group.is_trivial else None
     numerators, d = _basic_feasible_cached(polytope.rows, polytope.denominator,
@@ -310,9 +310,9 @@ def enumerate_polytope_vertices(alphabet: FiniteAlphabet, level,
     """All vertices of the full weight polytope, exactly.
 
     Support enumeration over the 2^m - 2 columns: of the C(2^m - 2, m)
-    candidates (for t > 1), only the first of each S_m orbit is built,
-    prefix by prefix, and solved: 1,738 of 142,506 at m = 5.  The cap
-    keeps it at desk scale (m <= 5 by default).  The result is sorted.
+    candidates (for t > 1), a prefix grows only while independent and
+    first in its S_m orbit, so 2,126 of 142,506 are back-substituted at
+    m = 5, t = 2.  The cap keeps m <= 5 by default.  The result is sorted.
     """
     require_enum_cap(alphabet.size, cap)
     return polytope_vertices(full_polytope(alphabet, as_level(level)))

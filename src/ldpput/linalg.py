@@ -1,8 +1,9 @@
 """Exact linear algebra on integer rows for the geometry and solver layers.
 
-One fraction-free kernel (Bareiss elimination) serves the rank, square
-solves and the vertex scan; a caller scales a rational system to integers
-first.  No floating point enters any decision.
+One fraction-free kernel (Bareiss elimination) serves the rank, the row
+basis and the vertex scan, which eliminates along its tree of supports;
+a caller scales a rational system to integers first.  No floating point
+enters any decision.
 """
 
 from __future__ import annotations
@@ -16,27 +17,22 @@ from .errors import DimensionCapError
 from .groups import FiniteAlphabet, generate_group
 
 
-def _eliminate(a: list[list[int]], square: bool = False) -> list[int] | None:
+def _eliminate(a: list[list[int]]) -> list[int]:
     """Bareiss fraction-free forward elimination of integer rows, in place.
 
     Columns are scanned left to right; each pivot is the first row at or
     below the current one with a nonzero entry, swapped up.  Each
     division by the previous pivot is exact (Sylvester's identity), so
-    every entry stays an integer.  Returns the pivot columns.  With
-    square=True the rows hold an n x n system plus a right-hand side
-    column, only the first n columns are scanned, and the result is None
-    at the first column without a pivot (the system is singular).
+    every entry stays an integer.  Returns the pivot columns.
     """
     nrows = len(a)
-    ncols = nrows if square or not a else len(a[0])
+    ncols = len(a[0]) if a else 0
     pivots: list[int] = []
     prev = 1
     k = 0
     for col in range(ncols):
         piv = next((i for i in range(k, nrows) if a[i][col]), None)
         if piv is None:
-            if square:
-                return None
             continue
         a[k], a[piv] = a[piv], a[k]
         row_k = a[k]
@@ -58,31 +54,6 @@ def rank(matrix: list[list[int]]) -> int:
     return len(_eliminate([list(row) for row in matrix]))
 
 
-def solve_square_int(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
-    """Solve an integer square system exactly, or return None if singular.
-
-    The solution is x = numerators / det with det > 0.  After elimination
-    the last pivot is the determinant up to sign, and det * x is an
-    integer vector (Cramer's rule), so back substitution stays in
-    integers too.
-    """
-    n = len(matrix)
-    a = [[*row, b] for row, b in zip(matrix, rhs)]
-    if _eliminate(a, square=True) is None:
-        return None
-    det = a[-1][-2] if n else 1
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        acc = det * row[n]
-        for j in range(i + 1, n):
-            acc -= row[j] * y[j]
-        y[i] = acc // row[i]
-    if det < 0:
-        return [-v for v in y], -det
-    return y, det
-
-
 def enumerate_basic_feasible(matrix: list[list[int]], rhs: list[int],
                              candidate_cap: int | None = None,
                              symmetries: Sequence[Sequence[int]] = ()
@@ -91,22 +62,26 @@ def enumerate_basic_feasible(matrix: list[list[int]], rhs: list[int],
     vertex x is a pair (numerators, d) with x = numerators / d.  Every
     vertex has the same d > 0, the least common denominator of the list.
 
-    Vertices are basic feasible solutions: supports of size rank(A)
-    whose columns are independent and whose unique solve is nonnegative.
-    The solves use a basis of A's rows, once b is known to lie in A's
-    column span, so each solved support is one square solve.  The
-    candidates are the C(ncols, rank) supports; candidate_cap (if
-    given) bounds that count.
+    Vertices are basic feasible solutions: supports of size r = rank(A),
+    solved on a basis of A's rows once b lies in A's column span, whose
+    columns are independent and whose solve is nonnegative; candidate_cap
+    (if given) bounds the C(ncols, r) candidates.  Supports grow column by
+    column, depth first in lexicographic order, and each prefix keeps its
+    rows Bareiss-eliminated over its pivots: a child costs one elimination
+    step, a full support one back substitution.  A column with no pivot
+    left depends on the prefix, so no support through it is built.
 
     `symmetries` are column permutations (images[j] is the image of
     column j) that map the rows of [A | b] onto themselves; anything
-    else raises ValueError.  They generate a group G, and a support is
-    solved only when it comes first in lexicographic order among its
-    G-images, so the solves are one per G-orbit of supports; each
-    nonnegative solution is then mapped onto every image support.  A
-    basic feasible solution is fixed by its nonzero support, so
-    vertices are told apart by that support alone.  Without symmetries
-    the vertices come in lexicographic order of their first support.
+    else raises ValueError.  Of each orbit of supports under the group G
+    they generate, only the lexicographically first is kept.  If an
+    image gP of a prefix P sorts first, so does gS for every S extending
+    P (gP and P first differ below max(P), where S adds nothing), so P is
+    never extended (orderly generation: Read 1978; McKay 1998).  Each
+    nonnegative solution is mapped onto every image support; a basic
+    feasible solution is fixed by its nonzero support, which tells the
+    vertices apart.  Without symmetries the vertices come in
+    lexicographic order of their first support.
     """
     aug = [[*row, b] for row, b in zip(matrix, rhs)]
     ncols = len(aug[0]) - 1 if aug else 0
@@ -116,7 +91,9 @@ def enumerate_basic_feasible(matrix: list[list[int]], rhs: list[int],
     r = len(basis)
     if len(_eliminate([list(row) for row in aug])) > r:
         return []  # b lies outside the column span of A
-    if r and candidate_cap is not None and comb(ncols, r) > candidate_cap:
+    if not r:
+        return [((0,) * ncols, 1)]  # b = 0, and the empty support solves it
+    if candidate_cap is not None and comb(ncols, r) > candidate_cap:
         raise DimensionCapError(f"support enumeration too large: "
                                 f"C({ncols},{r}) > {candidate_cap}")
 
@@ -124,15 +101,11 @@ def enumerate_basic_feasible(matrix: list[list[int]], rhs: list[int],
     # of one size the lexicographically first has the larger key.
     # columns[j][g] is the key bit of element g's image of column j.
     columns = [[1 << (ncols - 1 - g[j]) for g in elements] for j in range(ncols)]
-    int_rows = [aug[i][:ncols] for i in basis]
-    int_rhs = [aug[i][ncols] for i in basis]
     seen: dict[int, None] = {}  # keys of the vertices found (smaller than a set)
     solves = []  # (nonzero entries, det, the elements mapping them to new vertices)
-    for support, keys in _orderly_supports(columns, r, (), [0] * len(elements)):
-        solved = solve_square_int([[row[j] for j in support] for row in int_rows], int_rhs)
-        if solved is None or min(solved[0], default=0) < 0:
-            continue
-        sol, det = solved
+
+    def keep(support: tuple[int, ...], sol: list[int], det: int, keys: list[int]) -> None:
+        # A nonnegative solve of an orbit-first support, with its image keys.
         common = gcd(det, *sol)  # lowest terms
         nonzero = [(j, v // common) for j, v in zip(support, sol) if v]
         if len(nonzero) < r:  # degenerate: key the nonzero support (maybe empty)
@@ -143,6 +116,33 @@ def enumerate_basic_feasible(matrix: list[list[int]], rhs: list[int],
                 seen[key] = None
                 images.append(g)
         solves.append((nonzero, det // common, images))
+
+    # A node is a prefix, its pivot rows (each from column start on, with
+    # start), the other rows eliminated over those pivots from column start
+    # on, the last pivot and the prefix's image keys.
+    stack = [((), (), [aug[i] for i in basis], 0, 1, [0] * len(elements))]
+    while stack:
+        prefix, pivot_rows, active, start, prev, keys = stack.pop()
+        children = []
+        for j in range(start, ncols - r + len(prefix) + 1):
+            pos = j - start
+            for piv, row in enumerate(active):
+                if row[pos]:
+                    break
+            else:
+                continue  # column j depends on the prefix
+            support, rows = (*prefix, j), (*pivot_rows, (active[piv], start))
+            if len(support) == r:  # back-substitute first: few solves are nonnegative
+                solved = _back_substitute(rows, support)
+                if solved and max(image_keys := list(map(add, keys, columns[j]))) == image_keys[0]:
+                    keep(support, *solved, image_keys)
+            elif max(image_keys := list(map(add, keys, columns[j]))) == image_keys[0]:
+                akk, tail = active[piv][pos], active[piv][pos + 1:]
+                rest = active[:piv] + active[piv + 1:]  # every row but the pivot row
+                children.append((support, rows, [
+                    [(x * akk - aik * y) // prev for x, y in zip(row[pos + 1:], tail)]
+                    for row in rest for aik in (row[pos],)], j + 1, akk, image_keys))
+        stack += reversed(children)  # depth first, in lexicographic order
     # Over the common denominator, the images of one solve share their entries.
     d = lcm(*(det for _, det, _ in solves))
     vertices = []
@@ -156,24 +156,24 @@ def enumerate_basic_feasible(matrix: list[list[int]], rhs: list[int],
     return vertices
 
 
-def _orderly_supports(columns: list[list[int]], r: int, support: tuple[int, ...],
-                      keys: list[int]):
-    """In lexicographic order, the r-column supports extending `support`
-    whose key is the largest of their images' keys, each with those keys
-    (one per group element, identity first).
-
-    If an image gP of a prefix P has a larger key, so has gS for each S
-    extending P: the first column where gP and P differ is below max(P),
-    and the columns of S outside P are above it.  So such a prefix is
-    never extended (orderly generation: Read 1978; McKay 1998).
-    """
-    if len(support) == r:
-        yield support, keys
-        return
-    for j in range(support[-1] + 1 if support else 0, len(columns) - r + len(support) + 1):
-        image_keys = list(map(add, keys, columns[j]))
-        if max(image_keys) == image_keys[0]:
-            yield from _orderly_supports(columns, r, (*support, j), image_keys)
+def _back_substitute(pivot_rows: tuple[tuple[list[int], int], ...],
+                     support: tuple[int, ...]) -> tuple[list[int], int] | None:
+    """x = numerators / det (det > 0) on a support, or None once an entry
+    is negative, from pivot rows (row from column start on, b last; row i
+    pivots in column support[i]).  The last pivot is the determinant up
+    to sign, and det * x is an integer vector (Cramer's rule)."""
+    row, start = pivot_rows[-1]
+    det = row[support[-1] - start]
+    y = [0] * len(support)
+    for i in reversed(range(len(support))):
+        row, start = pivot_rows[i]
+        acc = det * row[-1]
+        for l in range(i + 1, len(support)):
+            acc -= row[support[l] - start] * y[l]
+        y[i] = acc // row[support[i] - start]
+        if y[i] * det < 0:
+            return None
+    return ([-v for v in y], -det) if det < 0 else (y, det)
 
 
 def _column_group(matrix, rhs, ncols: int,

@@ -8,7 +8,6 @@ rebuilt as tuples on load.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .channels import Channel, as_level
@@ -46,6 +45,7 @@ def channel_from_json(data: dict) -> Channel:
 
 
 def channel_hash(channel: Channel) -> str:
+    import hashlib  # only check-channel hashes, so no other command imports it
     canonical = json.dumps(channel_to_json(channel), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

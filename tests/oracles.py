@@ -7,8 +7,9 @@ counting, orbits by calling a group action on every point, kernels by
 elimination, LP optima and pivot paths on a Fraction tableau, channel
 products, Bayes and minimax risks one Fraction per multiply-add, the
 audit's samples through Fraction weights and composed channels, the
-polytope's vertex list and vertex sweep on Fraction weights), so a test
-can compare the two.  numpy is needed here only.
+polytope's vertex list by one fresh square solve per orderly support,
+the vertex sweep on Fraction weights), so a test can compare the two.
+numpy is needed here only.
 
 It also holds what tests use to check other library code or to build
 inputs, and what no command runs: permutation inverses, the group-action
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import add
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -68,7 +70,7 @@ from ldpput.ldp_geometry import (
     subset_column_symmetries,
     weight_polytope,
 )
-from ldpput.linalg import _column_group, _eliminate, _orderly_supports, rank
+from ldpput.linalg import _column_group, _eliminate, rank
 from ldpput.put_solver import FLOAT_TOLERANCE
 from ldpput.rationals import as_fraction, format_fraction, integer_matrix
 from ldpput.serialize import letter_to_json
@@ -499,12 +501,18 @@ def fraction_rows(polytope: WeightPolytope) -> list[list[Fraction]]:
     return [[Fraction(v, polytope.denominator) for v in row] for row in polytope.rows]
 
 
-def _solve_square_fraction(matrix: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """A square integer solve with one Fraction per entry, by Bareiss
-    elimination and integer back substitution over the last pivot."""
+def solve_square_int(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
+    """Solve an integer square system exactly, or return None if singular.
+
+    The solution is x = numerators / det with det > 0, by a fresh Bareiss
+    elimination of [A | b]: A is nonsingular when its n columns are the
+    first n pivots.  The last pivot is then the determinant up to sign,
+    and det * x is an integer vector (Cramer's rule), so back
+    substitution stays in integers too.
+    """
     n = len(matrix)
     a = [[*row, b] for row, b in zip(matrix, rhs)]
-    if _eliminate(a, square=True) is None:
+    if _eliminate(a) != list(range(n)):
         return None
     det = a[-1][-2] if n else 1
     y = [0] * n
@@ -514,15 +522,39 @@ def _solve_square_fraction(matrix: list[list[int]], rhs: list[int]) -> list[Frac
         for j in range(i + 1, n):
             acc -= row[j] * y[j]
         y[i] = acc // row[i]
-    return [Fraction(v, det) for v in y]
+    if det < 0:
+        return [-v for v in y], -det
+    return y, det
+
+
+def _orderly_supports(columns: list[list[int]], r: int, support: tuple[int, ...],
+                      keys: list[int]):
+    """In lexicographic order, the r-column supports extending `support`
+    whose key is the largest of their images' keys, each with those keys
+    (one per group element, identity first).
+
+    If an image gP of a prefix P has a larger key, so has gS for each S
+    extending P: the first column where gP and P differ is below max(P),
+    and the columns of S outside P are above it.  So such a prefix is
+    never extended (orderly generation: Read 1978; McKay 1998).
+    """
+    if len(support) == r:
+        yield support, keys
+        return
+    for j in range(support[-1] + 1 if support else 0, len(columns) - r + len(support) + 1):
+        image_keys = list(map(add, keys, columns[j]))
+        if max(image_keys) == image_keys[0]:
+            yield from _orderly_supports(columns, r, (*support, j), image_keys)
 
 
 def basic_feasible_fraction_reference(matrix: list[list[Fraction]], rhs: list[Fraction],
                                       symmetries: Sequence[Sequence[int]] = ()
                                       ) -> list[tuple[Fraction, ...]]:
-    """`enumerate_basic_feasible` with a Fraction per vertex entry: the
-    same orderly scan, each solve turned into Fractions and each vertex
-    kept as a Fraction tuple, so the list and its order must match."""
+    """`enumerate_basic_feasible` with a Fraction per vertex entry, by
+    a fresh square solve per orbit-first support: the orderly supports,
+    all built in lexicographic order, each solved on its own and turned
+    into Fractions, each vertex kept as a Fraction tuple, so the list and
+    its order must match."""
     int_a, int_b = integer_system(matrix, rhs)
     aug = [[*row, b] for row, b in zip(int_a, int_b)]
     ncols = len(aug[0]) - 1 if aug else 0
@@ -536,9 +568,10 @@ def basic_feasible_fraction_reference(matrix: list[list[Fraction]], rhs: list[Fr
     int_rhs = [aug[i][ncols] for i in basis]
     found: dict[int, tuple[Fraction, ...]] = {}
     for support, keys in _orderly_supports(columns, r, (), [0] * len(elements)):
-        sol = _solve_square_fraction([[row[j] for j in support] for row in int_rows], int_rhs)
-        if sol is None or any(v < 0 for v in sol):
+        solved = solve_square_int([[row[j] for j in support] for row in int_rows], int_rhs)
+        if solved is None or any(v < 0 for v in solved[0]):
             continue
+        sol = [Fraction(v, solved[1]) for v in solved[0]]
         nonzero = [(j, v) for j, v in zip(support, sol) if v]
         if len(nonzero) < r:
             keys = [sum(bits) for bits in zip([0] * len(keys), *(columns[j] for j, _ in nonzero))]

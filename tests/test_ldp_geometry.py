@@ -499,12 +499,14 @@ def test_weight_vector_equality_is_by_value(m, t, index, k):
         WeightVector(v.polytope, v.numerators, 0)
 
 
-@pytest.mark.parametrize("m,solves", [(3, 6), (4, 68), (5, 1738)])
-def test_full_polytope_solves_one_support_per_orbit(monkeypatch, m, solves):
-    """The full scan would solve C(2^m - 2, m) supports: 20, 1,001, 142,506."""
+@pytest.mark.parametrize("m,solves", [(3, 8), (4, 101), (5, 2126)])
+def test_full_polytope_back_substitutes_independent_supports(monkeypatch, m, solves):
+    """The full scan would solve C(2^m - 2, m) supports: 20, 1,001, 142,506.
+    The walk back-substitutes only the independent ones whose prefix
+    without the last column comes first in its S_m orbit."""
     calls = []
-    solve = linalg.solve_square_int
-    monkeypatch.setattr(linalg, "solve_square_int", lambda *a: calls.append(a) or solve(*a))
+    solve = linalg._back_substitute
+    monkeypatch.setattr(linalg, "_back_substitute", lambda *a: calls.append(a) or solve(*a))
     ldp_geometry._basic_feasible_cached.cache_clear()
     vertices = enumerate_polytope_vertices(FiniteAlphabet.of_size(m), F(2))
     assert len(vertices) == VERTEX_COUNTS[m]

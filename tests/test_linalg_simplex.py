@@ -23,15 +23,12 @@ from ldpput.ldp_geometry import (
     full_polytope,
     subset_column_symmetries,
 )
-from ldpput.linalg import (
-    enumerate_basic_feasible,
-    rank,
-    solve_square_int,
-)
+from ldpput.linalg import enumerate_basic_feasible, rank
 from ldpput.rationals import as_fraction, format_fraction, integer_matrix
 from ldpput.simplex import solve_standard_lp
 from oracles import (
     LpInfeasibleError,
+    basic_feasible_fraction_reference,
     basic_feasible_orbit_reference,
     basic_feasible_reference,
     feasible_point,
@@ -41,6 +38,7 @@ from oracles import (
     kernel_basis,
     mat_vec,
     rref,
+    solve_square_int,
     solve_standard_lp_reference,
 )
 
@@ -270,6 +268,65 @@ def test_orderly_scan_matches_flat_orbit_scan_full_polytope(m, t):
     a = fraction_rows(full_polytope(FiniteAlphabet.of_size(m), t))
     b = [F(1)] * m
     symmetries = subset_column_symmetries(m)
+    assert _scan(a, b, symmetries=symmetries) == \
+        basic_feasible_orbit_reference(a, b, symmetries)
+
+
+@pytest.mark.parametrize("t", [Fraction(3, 2), F(2), F(3), F(5), Fraction(7, 3)])
+def test_walk_matches_square_solves_full_polytope_m5(t):
+    """Eliminating along the prefix tree gives the list of one fresh square
+    solve per orbit-first support, in order, on the full m = 5 polytope."""
+    a = fraction_rows(full_polytope(FiniteAlphabet.of_size(5), t))
+    b = [F(1)] * 5
+    symmetries = subset_column_symmetries(5)
+    assert _scan(a, b, symmetries=symmetries) == \
+        basic_feasible_fraction_reference(a, b, symmetries)
+
+
+@st.composite
+def _planted_systems(draw):
+    """Integer systems whose prefixes go dependent, with a column symmetry
+    or none.
+
+    Beside a few random columns c0, c1, ... sit a zero column, a repeat
+    of c0, the sum c0 + c1, and a column equal to k * c0 on rows 0 and 1
+    only.  Row 0 of c0 is zero, so a support led by c0 takes its first
+    pivot from row 1, and with three rows a support with c0 before that
+    column finds its second pivot in row 2, if at all.  The columns are
+    shuffled, b is a nonnegative combination of them, and the symmetry
+    swaps c0 with its repeat, or the two halves of [A | A], or is absent.
+    """
+    nrows = draw(st.integers(min_value=2, max_value=3))
+    entries = st.integers(min_value=-3, max_value=3)
+    cols = [draw(st.lists(entries, min_size=nrows, max_size=nrows))
+            for _ in range(draw(st.integers(min_value=2, max_value=3)))]
+    cols[0][0] = 0
+    cols[0][1] = draw(st.sampled_from([-2, -1, 1, 2]))
+    k = draw(st.sampled_from([-1, 1, 2]))
+    cols += [[k * v if i < 2 else draw(entries) for i, v in enumerate(cols[0])],
+             [0] * nrows, list(cols[0]), [x + y for x, y in zip(cols[0], cols[1])]]
+    order = draw(st.permutations(range(len(cols))))
+    cols = [cols[i] for i in order]
+    weights = draw(st.lists(st.integers(min_value=0, max_value=2),
+                            min_size=len(cols), max_size=len(cols)))
+    a = [[F(col[i]) for col in cols] for i in range(nrows)]
+    b = [sum(F(w * col[i]) for w, col in zip(weights, cols)) for i in range(nrows)]
+    ncols = len(cols)
+    kind = draw(st.sampled_from(["none", "repeat", "halves"]))
+    if kind == "none":
+        return a, b, []
+    if kind == "repeat":  # c0 and its repeat: the transposition fixes every row
+        i, j = order.index(0), order.index(len(order) - 2)
+        return a, b, [tuple(j if c == i else i if c == j else c for c in range(ncols))]
+    return [row + row for row in a], b, [tuple((c + ncols) % (2 * ncols) for c in range(2 * ncols))]
+
+
+@given(_planted_systems())
+@settings(max_examples=120, deadline=None)
+def test_walk_prunes_dependent_prefixes_like_flat_scan(system):
+    """Zero, repeated and summed columns, and pivots found below row k:
+    the walk gives the flat orbit scan's list, in order."""
+    a, b, symmetries = system
     assert _scan(a, b, symmetries=symmetries) == \
         basic_feasible_orbit_reference(a, b, symmetries)
 

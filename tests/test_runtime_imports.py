@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -23,3 +25,12 @@ def test_absolute_imports_are_standard_library(path):
     outside = [name for name in imported
                if name.split(".")[0] not in sys.stdlib_module_names]
     assert not outside, f"{path.name} imports {outside}"
+
+
+def test_cli_import_leaves_hashlib_out():
+    """Only check-channel hashes a channel, so importing the CLI skips hashlib."""
+    code = "import sys, ldpput.cli; print('hashlib' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
