@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from math import comb, gcd, lcm
-from operator import add
 from typing import Sequence
 
 from .errors import DimensionCapError
@@ -82,6 +81,16 @@ def enumerate_basic_feasible(matrix: list[list[int]], rhs: list[int],
     feasible solution is fixed by its nonzero support, which tells the
     vertices apart.  Without symmetries the vertices come in
     lexicographic order of their first support.
+
+    A support's key has bit ncols - 1 - j for each column j, so of two
+    supports of one size the lexicographically first has the larger key.
+    Each prefix keeps the keys of its |G| images as one int: element g's
+    key sits in lane g (identity first), ncols key bits under one guard
+    bit, so a child adds its column's packed bits, and the guard bits
+    test all lanes against lane 0 at once (`_identity_first`).  The keys
+    are unpacked (`_unpack`) only for a solve whose nonzero support is
+    new: the keys of the vertices found always make up whole G-orbits,
+    so a degenerate solve whose identity key is among them adds nothing.
     """
     aug = [[*row, b] for row, b in zip(matrix, rhs)]
     ncols = len(aug[0]) - 1 if aug else 0
@@ -97,21 +106,25 @@ def enumerate_basic_feasible(matrix: list[list[int]], rhs: list[int],
         raise DimensionCapError(f"support enumeration too large: "
                                 f"C({ncols},{r}) > {candidate_cap}")
 
-    # Bit-reversed keys: column 0 is the highest bit, so of two supports
-    # of one size the lexicographically first has the larger key.
-    # columns[j][g] is the key bit of element g's image of column j.
-    columns = [[1 << (ncols - 1 - g[j]) for g in elements] for j in range(ncols)]
+    bits = [1 << (ncols - 1 - j) for j in range(ncols)]  # the identity's key bits
+    shifts = [i * (ncols + 1) for i in range(len(elements))]  # where lane i starts
+    packed = [sum(bits[g[j]] << s for g, s in zip(elements, shifts)) for j in range(ncols)]
+    lane = (1 << ncols) - 1  # masks lane 0
+    spread = sum(1 << s for s in shifts)  # a 1 in each lane
+    guards = spread << ncols  # each lane's guard bit
     seen: dict[int, None] = {}  # keys of the vertices found (smaller than a set)
     solves = []  # (nonzero entries, det, the elements mapping them to new vertices)
 
-    def keep(support: tuple[int, ...], sol: list[int], det: int, keys: list[int]) -> None:
-        # A nonnegative solve of an orbit-first support, with its image keys.
+    def keep(support: tuple[int, ...], sol: list[int], det: int, keys: int) -> None:
+        # A nonnegative solve of an orbit-first support, with its packed keys.
         common = gcd(det, *sol)  # lowest terms
         nonzero = [(j, v // common) for j, v in zip(support, sol) if v]
         if len(nonzero) < r:  # degenerate: key the nonzero support (maybe empty)
-            keys = [sum(bits) for bits in zip([0] * len(keys), *(columns[j] for j, _ in nonzero))]
+            if sum(bits[j] for j, _ in nonzero) in seen:
+                return  # seen holds whole orbits: this vertex and its det are kept
+            keys = sum(packed[j] for j, _ in nonzero)
         images = []
-        for g, key in zip(elements, keys):
+        for g, key in zip(elements, _unpack(keys, ncols, len(elements))):
             if key not in seen:
                 seen[key] = None
                 images.append(g)
@@ -119,8 +132,8 @@ def enumerate_basic_feasible(matrix: list[list[int]], rhs: list[int],
 
     # A node is a prefix, its pivot rows (each from column start on, with
     # start), the other rows eliminated over those pivots from column start
-    # on, the last pivot and the prefix's image keys.
-    stack = [((), (), [aug[i] for i in basis], 0, 1, [0] * len(elements))]
+    # on, the last pivot and the prefix's packed image keys.
+    stack = [((), (), [aug[i] for i in basis], 0, 1, 0)]
     while stack:
         prefix, pivot_rows, active, start, prev, keys = stack.pop()
         children = []
@@ -134,14 +147,14 @@ def enumerate_basic_feasible(matrix: list[list[int]], rhs: list[int],
             support, rows = (*prefix, j), (*pivot_rows, (active[piv], start))
             if len(support) == r:  # back-substitute first: few solves are nonnegative
                 solved = _back_substitute(rows, support)
-                if solved and max(image_keys := list(map(add, keys, columns[j]))) == image_keys[0]:
-                    keep(support, *solved, image_keys)
-            elif max(image_keys := list(map(add, keys, columns[j]))) == image_keys[0]:
+                if solved and _identity_first(child := keys + packed[j], lane, spread, guards):
+                    keep(support, *solved, child)
+            elif _identity_first(child := keys + packed[j], lane, spread, guards):
                 akk, tail = active[piv][pos], active[piv][pos + 1:]
                 rest = active[:piv] + active[piv + 1:]  # every row but the pivot row
                 children.append((support, rows, [
                     [(x * akk - aik * y) // prev for x, y in zip(row[pos + 1:], tail)]
-                    for row in rest for aik in (row[pos],)], j + 1, akk, image_keys))
+                    for row in rest for aik in (row[pos],)], j + 1, akk, child))
         stack += reversed(children)  # depth first, in lexicographic order
     # Over the common denominator, the images of one solve share their entries.
     d = lcm(*(det for _, det, _ in solves))
@@ -174,6 +187,26 @@ def _back_substitute(pivot_rows: tuple[tuple[list[int], int], ...],
         if y[i] * det < 0:
             return None
     return ([-v for v in y], -det) if det < 0 else (y, det)
+
+
+def _identity_first(keys: int, lane: int, spread: int, guards: int) -> bool:
+    """Whether no lane of packed keys holds a larger key than lane 0.
+
+    Lane i is bits i * (ncols + 1) on: a key below 2**ncols (lane =
+    2**ncols - 1) and a guard bit above it, clear in keys; spread has a 1
+    in each lane, guards a 1 in each guard bit.  guards + key_0 * spread
+    - keys holds 2**ncols + key_0 - key_i in lane i, which lies in [1,
+    2**(ncols + 1)), so no lane borrows from the next, and lane i's guard
+    bit is set exactly when key_0 >= key_i.
+    """
+    return (guards + (keys & lane) * spread - keys) & guards == guards
+
+
+def _unpack(keys: int, ncols: int, count: int) -> list[int]:
+    """The keys in the first `count` lanes of a packed int, lane 0 first:
+    lane i is the ncols bits from bit i * (ncols + 1) on."""
+    lane = (1 << ncols) - 1
+    return [keys >> (i * (ncols + 1)) & lane for i in range(count)]
 
 
 def _column_group(matrix, rhs, ncols: int,

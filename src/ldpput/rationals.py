@@ -12,13 +12,14 @@ def as_fraction(value) -> Fraction:
 
     A string with a zero denominator ("1/0") raises ValueError.
 
+    Bools are rejected (TypeError), so a JSON true is not read as 1.
     Floats are rejected: exact call sites must not smuggle in binary
     rounding by accident.  Use Fraction(float) explicitly when a float
     really is the intended exact value.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

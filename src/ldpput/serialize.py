@@ -38,7 +38,23 @@ def channel_to_json(channel: Channel) -> dict:
     }
 
 
+_JSON_KINDS = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+
+
+def _require_object(data, what: str, keys: tuple[str, ...]) -> None:
+    """ValueError unless `data` is a JSON object holding every key in
+    `keys`, naming the object expected and the first key missing."""
+    expected = f"a {what} file must hold a JSON object with keys " + \
+        ", ".join(f'"{key}"' for key in keys)
+    if not isinstance(data, dict):
+        raise ValueError(f"{expected}; got {_JSON_KINDS.get(type(data), 'a number')}")
+    missing = next((key for key in keys if key not in data), None)
+    if missing is not None:
+        raise ValueError(f'{expected}; "{missing}" is missing')
+
+
 def channel_from_json(data: dict) -> Channel:
+    _require_object(data, "channel", ("input", "output", "rows"))
     return Channel.build([letter_from_json(v) for v in data["input"]],
                          [letter_from_json(v) for v in data["output"]],
                          data["rows"])
@@ -52,12 +68,14 @@ def channel_hash(channel: Channel) -> str:
 
 
 def group_from_json(data: dict) -> PermGroup:
+    _require_object(data, "group", ("alphabet", "generators"))
     alphabet = FiniteAlphabet(tuple(letter_from_json(v) for v in data["alphabet"]))
     gens = [Permutation(tuple(images)) for images in data["generators"]]
     return generate_group(alphabet, gens)
 
 
 def problem_from_json(data: dict) -> tuple[DecisionProblem, Prior | None]:
+    _require_object(data, "problem", ("parameters", "inputs", "model", "actions", "loss"))
     problem = DecisionProblem.build(
         parameters=[letter_from_json(v) for v in data["parameters"]],
         input_letters=[letter_from_json(v) for v in data["inputs"]],

@@ -827,6 +827,65 @@ def test_zero_denominator_and_empty_alphabet_exit_parse(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+_BOOL_PROBLEM = {"parameters": [0, 1], "inputs": [0, 1], "actions": [0, 1],
+                 "model": [["3/4", "1/4"], ["1/4", "3/4"]],
+                 "loss": [["0", "1"], ["1", "0"]], "prior": ["1/2", "1/2"]}
+
+
+@pytest.mark.parametrize("field, row, value", [("loss", 0, True), ("model", 1, False)],
+                         ids=["true-in-loss", "false-in-model"])
+def test_put_problem_refuses_bool_entries(capsys, tmp_path, field, row, value):
+    """A JSON true once read as 1 (a loss entry true printed "9/19" and
+    exited 0); a bool is not a number, so the file exits 2 naming it."""
+    data = json.loads(json.dumps(_BOOL_PROBLEM))
+    data[field][row][0] = value
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "put", "--problem", str(path), "--t", "2")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == f"error: cannot interpret {value!r} as an exact rational\n"
+
+
+_CHANNEL_KEYS = '"input", "output", "rows"'
+_PROBLEM_KEYS = '"parameters", "inputs", "model", "actions", "loss"'
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("check-channel", {},
+     f'a channel file must hold a JSON object with keys {_CHANNEL_KEYS}; "input" is missing'),
+    ("check-channel", [1, 2],
+     f"a channel file must hold a JSON object with keys {_CHANNEL_KEYS}; got an array"),
+    ("check-channel", {"input": [0, 1], "output": [0, 1]},
+     f'a channel file must hold a JSON object with keys {_CHANNEL_KEYS}; "rows" is missing'),
+    ("problem", [1, 2],
+     f"a problem file must hold a JSON object with keys {_PROBLEM_KEYS}; got an array"),
+    ("problem", {k: v for k, v in _BOOL_PROBLEM.items() if k != "model"},
+     f'a problem file must hold a JSON object with keys {_PROBLEM_KEYS}; "model" is missing'),
+    ("problem", "loss",
+     f"a problem file must hold a JSON object with keys {_PROBLEM_KEYS}; got a string"),
+    ("group", {"alphabet": [0, 1, 2]},
+     'a group file must hold a JSON object with keys "alphabet", "generators"; '
+     '"generators" is missing'),
+    ("group", None,
+     'a group file must hold a JSON object with keys "alphabet", "generators"; got null'),
+], ids=["channel-empty", "channel-array", "channel-no-rows", "problem-array",
+        "problem-no-model", "problem-string", "group-no-generators", "group-null"])
+def test_file_of_wrong_shape_names_what_it_expects(capsys, tmp_path, command, data, message):
+    """A channel, problem or group file of the wrong shape once exited 2
+    with the bare Python error ("error: 'input'", "error: list indices
+    must be integers or slices, not str")."""
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(data))
+    argv = {"check-channel": ("check-channel", str(path), "--t", "2"),
+            "problem": ("put", "--problem", str(path), "--t", "2"),
+            "group": ("enumerate", "--m", "3", "--t", "2", "--group", f"file:{path}")}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", [
     ("put", "--task", "ht", "--m", "3", "--t", "2"),
     ("audit", "--task", "ht", "--m", "3", "--t", "2", "--samples", "2"),

@@ -513,6 +513,21 @@ def test_full_polytope_back_substitutes_independent_supports(monkeypatch, m, sol
     assert len(calls) == solves
 
 
+@pytest.mark.parametrize("m,unpacks", [(3, 3), (4, 9), (5, 44)])
+def test_full_polytope_unpacks_keys_once_per_new_orbit(monkeypatch, m, unpacks):
+    """Each prefix keeps its S_m image keys packed in one int; they are
+    unpacked only for a solve whose vertex orbit is new.  At m = 5 that is
+    44 (28 nondegenerate solves and 16 new degenerate orbits), where 458
+    degenerate solves are kept."""
+    calls = []
+    unpack = linalg._unpack
+    monkeypatch.setattr(linalg, "_unpack", lambda *a: calls.append(a) or unpack(*a))
+    ldp_geometry._basic_feasible_cached.cache_clear()
+    vertices = enumerate_polytope_vertices(FiniteAlphabet.of_size(m), F(2))
+    assert len(vertices) == VERTEX_COUNTS[m]
+    assert len(calls) == unpacks
+
+
 # -- random polytope points ---------------------------------------------------
 
 

@@ -9,11 +9,11 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ldpput import decision, simplex
+from ldpput import decision, linalg, simplex
 from ldpput.decision import DecisionProblem, minimax_risk
 from ldpput.errors import LpUnboundedError
 from ldpput.groups import FiniteAlphabet
@@ -69,6 +69,13 @@ def test_as_fraction_accepts_strings():
 def test_as_fraction_rejects_floats():
     with pytest.raises(TypeError):
         as_fraction(0.5)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_as_fraction_rejects_bools(value):
+    """A bool is an int in Python, but a JSON true is not the number 1."""
+    with pytest.raises(TypeError, match=repr(value)):
+        as_fraction(value)
 
 
 def test_format_fraction():
@@ -329,6 +336,83 @@ def test_walk_prunes_dependent_prefixes_like_flat_scan(system):
     a, b, symmetries = system
     assert _scan(a, b, symmetries=symmetries) == \
         basic_feasible_orbit_reference(a, b, symmetries)
+
+
+@st.composite
+def _key_vectors(draw):
+    """(ncols, keys): one key below 2**ncols per lane, lane 0 the
+    identity's; often the largest key 2**ncols - 1 in a later lane."""
+    ncols = draw(st.integers(min_value=1, max_value=12))
+    keys = draw(st.lists(st.integers(min_value=0, max_value=2 ** ncols - 1),
+                         min_size=1, max_size=8))
+    if len(keys) > 1 and draw(st.booleans()):
+        keys[draw(st.integers(min_value=1, max_value=len(keys) - 1))] = 2 ** ncols - 1
+    return ncols, keys
+
+
+@given(_key_vectors())
+@example((3, [7, 7])).via("the boundary key in both lanes")
+@example((3, [6, 7])).via("the boundary key above lane 0")
+@example((3, [0, 7, 0])).via("lane 0 empty")
+@example((1, [0, 1])).via("one column")
+@settings(max_examples=300, deadline=None)
+def test_packed_lane_test_matches_max_rule(case):
+    """Packed into lanes of ncols key bits under a guard bit, the keys
+    unpack to themselves, and the guard-bit test says what
+    max(keys) == keys[0] says."""
+    ncols, keys = case
+    shifts = [i * (ncols + 1) for i in range(len(keys))]
+    packed = sum(key << s for key, s in zip(keys, shifts))
+    spread = sum(1 << s for s in shifts)
+    assert linalg._unpack(packed, ncols, len(keys)) == keys
+    assert linalg._identity_first(packed, 2 ** ncols - 1, spread, spread << ncols) == \
+        (max(keys) == keys[0])
+
+
+@st.composite
+def _degenerate_symmetric_systems(draw):
+    """Integer systems with many degenerate vertices, under a column group
+    some of whose elements fix supports and vertices.
+
+    A few random columns, some repeated; each repeat is swapped with its
+    original by one generator, which fixes every support holding both or
+    neither.  Optionally [A | A], whose halves another generator swaps.
+    Every generator fixes each row, and b is a nonnegative combination of
+    one or two columns, so most vertices have fewer nonzero entries than
+    the rank.
+    """
+    nrows = draw(st.integers(min_value=2, max_value=3))
+    entries = st.integers(min_value=-2, max_value=3)
+    cols = [draw(st.lists(entries, min_size=nrows, max_size=nrows))
+            for _ in range(draw(st.integers(min_value=2, max_value=4)))]
+    repeats = draw(st.lists(st.sampled_from(range(len(cols))), min_size=1, max_size=3,
+                            unique=True))
+    pairs = [(i, len(cols) + n) for n, i in enumerate(repeats)]
+    cols += [list(cols[i]) for i in repeats]
+    ncols = len(cols)
+    b = [0] * nrows
+    for j in draw(st.lists(st.sampled_from(range(ncols)), min_size=1, max_size=2, unique=True)):
+        w = draw(st.integers(min_value=1, max_value=2))
+        b = [x + w * y for x, y in zip(b, cols[j])]
+    copies = 2 if draw(st.booleans()) else 1
+    symmetries = [tuple(c - c % ncols + {i: j, j: i}.get(c % ncols, c % ncols)
+                        for c in range(copies * ncols)) for i, j in pairs]
+    if copies == 2:
+        symmetries.append(tuple((c + ncols) % (2 * ncols) for c in range(2 * ncols)))
+    a = [[F(col[i]) for col in cols] * copies for i in range(nrows)]
+    return a, [F(v) for v in b], symmetries
+
+
+@given(_degenerate_symmetric_systems())
+@settings(max_examples=150, deadline=None)
+def test_degenerate_orbits_keyed_once_match_square_solves(system):
+    """A degenerate solve whose vertex orbit is already found is skipped,
+    and new ones are unpacked from the packed keys: the list is that of a
+    fresh square solve per orbit-first support, order included."""
+    a, b, symmetries = system
+    found = _scan(a, b, symmetries=symmetries)
+    assert found == basic_feasible_fraction_reference(a, b, symmetries)
+    assert sorted(found) == sorted(basic_feasible_reference(a, b))
 
 
 def test_rank_zero_systems():
