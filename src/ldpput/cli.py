@@ -125,13 +125,12 @@ def _parse_group(spec: str | None, alphabet: FiniteAlphabet):
 
 
 def _emit(data, args) -> None:
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         text = _to_csv(data)
     else:
         text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

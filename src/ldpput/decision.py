@@ -156,49 +156,36 @@ def minimax_risk(problem: DecisionProblem, channel: Channel) -> Fraction:
     """Minimal worst-case risk over randomized rules, by exact LP.
 
     Variables are the rule probabilities x of each output that can occur
-    (its likelihood row is nonzero), a split level sigma = sigma+ -
-    sigma-, and one slack per parameter; an output no parameter can
-    produce adds nothing to any risk, so it stays out of the LP.  A
-    vertex channel has at most m nonzero rows, so at m = 4 the LP has at
-    most 4 + #parameters rows, not 14 + #parameters.  The level and the
-    slacks are those of the rational LP times scale, the product of the
-    channel, model and loss denominators, so every parameter row has
-    integer coefficients and unit level and slack coefficients; the
-    value is the optimum over scale, the same Fraction.
+    (its likelihood row is nonzero; no other output adds to any risk),
+    the level's gap below top, and one slack per parameter.  A vertex
+    channel has at most m nonzero rows, so at m = 4 the LP has at most
+    4 + #parameters rows.  Risks are scaled by the product of the
+    channel, model and loss denominators, so every row is integer; top,
+    the largest loss entry times that scale, bounds every risk.
 
-    The LP is handed over in canonical form for a start basis chosen in
-    advance, B^-1 [A | b] with det B = 1, so the simplex's start pivots
-    update no row.  Each output y starts at
-    its cheapest action under the uniform prior, a_y = argmin_a sum_i
-    w[y][i] * loss[i][a] (the lowest index on ties).  Then R_i = sum_y
-    w[y][i] * loss[i][a_y] is parameter i's scaled start risk, and
-    g_i(y, a) = w[y][i] * (loss[i][a] - loss[i][a_y]) its change per unit
-    of x[y][a] once x[y][a_y] = 1 - sum of the rest is substituted.  The
-    first worst parameter i* sets the level: sigma+ = R_i* + g_i*.x +
-    sigma- + slack_i* if R_i* >= 0, sigma- = -R_i* - g_i*.x + sigma+ -
-    slack_i* if not.  Every other parameter keeps its slack basic, at
-    slack_i = (R_i* - R_i) - (g_i - g_i*).x + slack_i*, which the first
-    maximum keeps >= 0.  Returns the value alone: on a degenerate
-    optimum the rule would depend on the start.
+    The LP is handed over in canonical form, B = I, so the simplex's
+    start pivots update no row: each output y starts at its cheapest
+    action a_y under the uniform prior (the lowest index on ties), and
+    every slack is basic.  With x[y][a_y] = 1 - the rest substituted,
+    parameter i's row is g_i.x + gap + slack_i = top - R_i >= 0, where
+    R_i = sum_y w[y][i] * loss[i][a_y] is its start risk and g_i(y, a) =
+    w[y][i] * (loss[i][a] - loss[i][a_y]).  The cost is -gap, so Bland's
+    rule first enters the gap where the slack of the first parameter
+    with the largest start risk leaves.  Returns the value alone: on a
+    degenerate optimum the rule would depend on the start.
     """
     _require_alphabet(problem, channel)
     w, d_w = _likelihoods(problem, channel)
     loss, d_l = problem.integer_loss
     live = [w_row for w_row in w if any(w_row)]
     n_actions = len(problem.actions)
-    n_par = len(problem.parameters)
     loss_cols = list(zip(*loss))
     start = []
     for w_y in live:
         costs = [sum(map(mul, w_y, col)) for col in loss_cols]
         start.append(costs.index(min(costs)))
-    risks = [sum(w_y[i] * loss_i[a] for w_y, a in zip(live, start))
-             for i, loss_i in enumerate(loss)]
-    worst = risks.index(max(risks))
-    loss_w = loss[worst]
-    n_rule = len(live) * n_actions
-    slack = n_rule + 2  # columns: rule block, sigma+, sigma-, slacks
-    ncols = slack + n_par
+    gap = len(live) * n_actions  # columns: rule block, gap, slacks
+    ncols = gap + 1 + len(loss)
     a_eq: list[list[int]] = []
     for k in range(len(live)):
         row = [0] * ncols
@@ -206,32 +193,21 @@ def minimax_risk(problem: DecisionProblem, channel: Channel) -> Fraction:
         a_eq.append(row)
     b_eq = [1] * len(live)
     basis = [k * n_actions + a for k, a in enumerate(start)]
-    # Row i* is the level row times sign, so that its basic level column
-    # (sigma+ at sign -1, sigma- at sign 1) holds +1; every other row i is
-    # row i minus row i*, which leaves slack_i its one basic column.
-    sign = 1 if risks[worst] < 0 else -1
+    top = max(map(max, loss)) * d_w
     for i, loss_i in enumerate(loss):
         row = [0] * ncols
+        rhs = top
         for k, (w_y, a) in enumerate(zip(live, start)):
             f, base = w_y[i], loss_i[a]
-            if i == worst:
-                block = [sign * f * (v - base) for v in loss_i]
-            else:
-                f_w, base_w = w_y[worst], loss_w[a]
-                block = [f * (v - base) - f_w * (u - base_w) for v, u in zip(loss_i, loss_w)]
-            row[k * n_actions:(k + 1) * n_actions] = block
-        if i == worst:
-            row[n_rule], row[n_rule + 1], row[slack + i] = -sign, sign, sign
-            b_eq.append(-sign * risks[i])
-            basis.append(n_rule + (sign + 1) // 2)
-        else:
-            row[slack + i], row[slack + worst] = 1, -1
-            b_eq.append(risks[worst] - risks[i])
-            basis.append(slack + i)
+            row[k * n_actions:(k + 1) * n_actions] = [f * (v - base) for v in loss_i]
+            rhs -= f * base
+        row[gap] = row[gap + 1 + i] = 1
         a_eq.append(row)
+        b_eq.append(rhs)
+    basis += range(gap + 1, ncols)
     cost = [0] * ncols
-    cost[n_rule], cost[n_rule + 1] = 1, -1
-    return solve_standard_lp(a_eq, b_eq, cost, basis).value / (d_w * d_l)
+    cost[gap] = -1
+    return (top + solve_standard_lp(a_eq, b_eq, cost, basis).value) / (d_w * d_l)
 
 
 def mutual_information(channel: Channel, input_dist: Sequence) -> float:

@@ -62,11 +62,8 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, position: int) -> int:
-        return self.images[position]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
-        # (self * other)(i) = self(other(i))
+        # (self * other).images[i] = self.images[other.images[i]]
         return Permutation(tuple(self.images[j] for j in other.images))
 
 

@@ -38,7 +38,12 @@ def channel_to_json(channel: Channel) -> dict:
     }
 
 
-_JSON_KINDS = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+_JSON_KINDS = {list: "an array", dict: "an object", str: "a string", bool: "a boolean",
+               type(None): "null"}
+
+
+def _kind(value) -> str:
+    return _JSON_KINDS.get(type(value), "a number")
 
 
 def _require_object(data, what: str, keys: tuple[str, ...]) -> None:
@@ -47,17 +52,33 @@ def _require_object(data, what: str, keys: tuple[str, ...]) -> None:
     expected = f"a {what} file must hold a JSON object with keys " + \
         ", ".join(f'"{key}"' for key in keys)
     if not isinstance(data, dict):
-        raise ValueError(f"{expected}; got {_JSON_KINDS.get(type(data), 'a number')}")
+        raise ValueError(f"{expected}; got {_kind(data)}")
     missing = next((key for key in keys if key not in data), None)
     if missing is not None:
         raise ValueError(f'{expected}; "{missing}" is missing')
 
 
+def _array(data: dict, key: str, what: str, matrix: bool = False) -> list:
+    """data[key] if it is a JSON array (of arrays, if `matrix`), so that no
+    string is read character by character; else ValueError naming both."""
+    value = data[key]
+    field = f'a {what} file\'s "{key}" must be an array' + (" of arrays" if matrix else "")
+    if not isinstance(value, list):
+        raise ValueError(f"{field}; got {_kind(value)}, {json.dumps(value)}")
+    for i, row in enumerate(value if matrix else ()):
+        if not isinstance(row, list):
+            raise ValueError(f"{field}; row {i} is {_kind(row)}, {json.dumps(row)}")
+    return value
+
+
+def _letters(data: dict, key: str, what: str) -> list:
+    return [letter_from_json(v) for v in _array(data, key, what)]
+
+
 def channel_from_json(data: dict) -> Channel:
     _require_object(data, "channel", ("input", "output", "rows"))
-    return Channel.build([letter_from_json(v) for v in data["input"]],
-                         [letter_from_json(v) for v in data["output"]],
-                         data["rows"])
+    return Channel.build(_letters(data, "input", "channel"), _letters(data, "output", "channel"),
+                         _array(data, "rows", "channel", matrix=True))
 
 
 def channel_hash(channel: Channel) -> str:
@@ -69,21 +90,22 @@ def channel_hash(channel: Channel) -> str:
 
 def group_from_json(data: dict) -> PermGroup:
     _require_object(data, "group", ("alphabet", "generators"))
-    alphabet = FiniteAlphabet(tuple(letter_from_json(v) for v in data["alphabet"]))
-    gens = [Permutation(tuple(images)) for images in data["generators"]]
+    alphabet = FiniteAlphabet(tuple(_letters(data, "alphabet", "group")))
+    gens = [Permutation(tuple(images))
+            for images in _array(data, "generators", "group", matrix=True)]
     return generate_group(alphabet, gens)
 
 
 def problem_from_json(data: dict) -> tuple[DecisionProblem, Prior | None]:
     _require_object(data, "problem", ("parameters", "inputs", "model", "actions", "loss"))
     problem = DecisionProblem.build(
-        parameters=[letter_from_json(v) for v in data["parameters"]],
-        input_letters=[letter_from_json(v) for v in data["inputs"]],
-        model=data["model"],
-        actions=[letter_from_json(v) for v in data["actions"]],
-        loss=data["loss"],
+        parameters=_letters(data, "parameters", "problem"),
+        input_letters=_letters(data, "inputs", "problem"),
+        model=_array(data, "model", "problem", matrix=True),
+        actions=_letters(data, "actions", "problem"),
+        loss=_array(data, "loss", "problem", matrix=True),
     )
-    prior = Prior.build(data["prior"]) if "prior" in data else None
+    prior = Prior.build(_array(data, "prior", "problem")) if "prior" in data else None
     return problem, prior
 
 

@@ -192,7 +192,7 @@ def natural_action(group: PermGroup) -> GroupAction:
     letters = group.alphabet.letters
 
     def act(g: Permutation, letter):
-        return letters[g(letters.index(letter))]
+        return letters[g.images[letters.index(letter)]]
 
     return GroupAction(group=group, carrier=letters, act=act)
 
@@ -262,7 +262,7 @@ def orbit_column_sum_reference(group: PermGroup, letter_orbit: tuple, orbit: Sub
 
 def subset_column_symmetries_reference(m: int) -> list[tuple[int, ...]]:
     """`subset_column_symmetries` by decoding every mask into positions."""
-    return [tuple(sum(1 << g(x) for x in mask_to_positions(mask)) - 1
+    return [tuple(sum(1 << g.images[x] for x in mask_to_positions(mask)) - 1
                   for mask in all_subset_masks(m))
             for g in symmetric_generators(m)]
 
@@ -952,7 +952,7 @@ def verify_invariance(problem: DecisionProblem, declaration: InvarianceDeclarati
         for i, par in enumerate(problem.parameters):
             gi = par_index[declaration.parameter_action.act(g, par)]
             for x in range(len(letters)):
-                if problem.model[g(x)][gi] != problem.model[x][i]:
+                if problem.model[g.images[x]][gi] != problem.model[x][i]:
                     return False
             for a, act in enumerate(problem.actions):
                 ga = act_index[declaration.action_action.act(g, act)]
@@ -1155,7 +1155,7 @@ def apply_group_element(g: Permutation, sigma: GroupAction, channel: Channel) ->
     g_inv = inverse(g)
     out_index = {letter: i for i, letter in enumerate(channel.output_alphabet.letters)}
     rows = tuple(
-        tuple(channel.rows[out_index[sigma.act(g_inv, y_letter)]][g_inv(x)]
+        tuple(channel.rows[out_index[sigma.act(g_inv, y_letter)]][g_inv.images[x]]
               for x in range(m))
         for y_letter in channel.output_alphabet.letters
     )
@@ -1180,7 +1180,7 @@ def symmetrize(group: PermGroup, channel: Channel) -> Channel:
         g_inv = inverse(g)
         for y, letter in enumerate(channel.output_alphabet.letters):
             letters.append((gidx, letter))
-            rows.append(tuple(share * channel.rows[y][g_inv(x)]
+            rows.append(tuple(share * channel.rows[y][g_inv.images[x]]
                               for x in range(channel.num_inputs)))
     return Channel.of_rows(input_alphabet=channel.input_alphabet,
                            output_alphabet=FiniteAlphabet(tuple(letters)),

@@ -886,6 +886,51 @@ def test_file_of_wrong_shape_names_what_it_expects(capsys, tmp_path, command, da
     assert err == f"error: {message}\n"
 
 
+_CHANNEL = {"input": [0, 1], "output": ["a", "b"], "rows": [[1, 0], [0, 1]]}
+_GROUP = {"alphabet": [0, 1, 2], "generators": [[1, 2, 0]]}
+
+
+@pytest.mark.parametrize("command, fields, message", [
+    ("check-channel", {"rows": ["11"]},
+     '"rows" must be an array of arrays; row 0 is a string, "11"'),
+    ("check-channel", {"input": 3}, '"input" must be an array; got a number, 3'),
+    ("check-channel", {"output": "ab"}, '"output" must be an array; got a string, "ab"'),
+    ("problem", {"model": ["11", "00"], "loss": ["01", "10"], "prior": "10"},
+     '"model" must be an array of arrays; row 0 is a string, "11"'),
+    ("problem", {"model": 5}, '"model" must be an array of arrays; got a number, 5'),
+    ("problem", {"loss": [["0", "1"], "10"]},
+     '"loss" must be an array of arrays; row 1 is a string, "10"'),
+    ("problem", {"prior": "10"}, '"prior" must be an array; got a string, "10"'),
+    ("problem", {"parameters": "01"}, '"parameters" must be an array; got a string, "01"'),
+    ("problem", {"inputs": {"0": 1}}, '"inputs" must be an array; got an object, {"0": 1}'),
+    ("problem", {"actions": None}, '"actions" must be an array; got null, null'),
+    ("group", {"alphabet": "012"}, '"alphabet" must be an array; got a string, "012"'),
+    ("group", {"generators": [[1, 2, 0], 7]},
+     '"generators" must be an array of arrays; row 1 is a number, 7'),
+], ids=["channel-row-string", "channel-input-int", "channel-output-string",
+        "problem-strings", "problem-model-int", "problem-loss-row-string",
+        "problem-prior-string", "problem-parameters-string", "problem-inputs-object",
+        "problem-actions-null", "group-alphabet-string", "group-generator-int"])
+def test_file_field_that_is_not_an_array_names_it(capsys, tmp_path, command, fields, message):
+    """A string where an array belongs was read character by character:
+    rows ["11"] passed check-channel as the row [1, 1], and a problem
+    with model ["11", "00"], loss ["01", "10"] and prior "10" exited 0
+    with value 0; a number there printed only "'int' object is not
+    iterable".  Each now exits 2 naming the first such field read and
+    what it held."""
+    base = {"check-channel": _CHANNEL, "problem": _BOOL_PROBLEM, "group": _GROUP}[command]
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({**base, **fields}))
+    argv = {"check-channel": ("check-channel", str(path), "--t", "2"),
+            "problem": ("put", "--problem", str(path), "--t", "2"),
+            "group": ("enumerate", "--m", "3", "--t", "2", "--group", f"file:{path}")}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    what = {"check-channel": "channel"}.get(command, command)
+    assert err == f"error: a {what} file's {message}\n"
+
+
 @pytest.mark.parametrize("command", [
     ("put", "--task", "ht", "--m", "3", "--t", "2"),
     ("audit", "--task", "ht", "--m", "3", "--t", "2", "--samples", "2"),

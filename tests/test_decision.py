@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -650,55 +651,89 @@ def test_minimax_lp_keeps_only_outputs_that_occur(monkeypatch):
     has rows for "a" and "c" and the two parameters.  Over 4, "a" has
     likelihoods (3, 1) and "c" (1, 3), so the start rule takes action 0 at
     "a" (cost 1 against 3) and action 1 at "c"; both parameters then risk
-    1, the first of them carries the level on sigma+, and parameter 1 keeps
-    its slack, at the gap 0."""
+    1, and with top 4 (the largest loss, 1, over 4) both slacks start at
+    4 - 1 = 3."""
     problem = DecisionProblem.build((0, 1), (0, 1, 2), [["3/4", "1/4"], ["1/4", "3/4"], [0, 0]],
                                     (0, 1), [[0, 1], [1, 0]])
     channel = Channel.build((0, 1, 2), ("a", "b", "c", "d"),
                             [[1, 0, 0], [0, 0, 1], [0, 1, 0], [0, 0, 0]])
     value, lps = _handed_over_lps(monkeypatch, problem, channel)
     assert value == minimax_risk_reference(problem, channel)[0] == F(1, 4)
-    # Columns: a0 a1 c0 c1 sigma+ sigma- slack0 slack1.
+    # Columns: a0 a1 c0 c1 gap slack0 slack1.
     [(a_eq, b_eq, cost, basis)] = lps
-    assert (len(a_eq), basis, b_eq) == (4, [0, 3, 4, 7], [1, 1, 1, 0])
-    assert cost == [0, 0, 0, 0, 1, -1, 0, 0]
+    assert (len(a_eq), basis, b_eq) == (4, [0, 3, 5, 6], [1, 1, 3, 3])
+    assert cost == [0, 0, 0, 0, -1, 0, 0]
     _assert_canonical(a_eq, b_eq, basis)
 
 
-def test_minimax_starts_at_s_minus_when_every_risk_is_negative(monkeypatch):
-    """With every start risk negative, the level starts on sigma-, at the
-    first parameter whose start risk is the largest.  Over 12, "a" has
-    likelihoods (7, 5, 6) and "b" (5, 7, 6); the start rule takes action 0
-    at "a" (-25 against -22) and action 1 at "b" (-26 against -23), so the
-    start risks are (-19, -26, -6) and parameter 2 carries the level."""
+def test_minimax_lp_with_every_loss_negative(monkeypatch):
+    """Every loss is negative, so top is too, and yet every start slack is
+    >= 0.  Over 12, "a" has likelihoods (7, 5, 6) and "b" (5, 7, 6); the
+    start rule takes action 0 at "a" (-43 against -40) and action 1 at "b"
+    (-44 against -41), so the start risks are (-31, -38, -18), and with
+    top -12 (the largest loss, -1, over 12) the slacks start at (19, 26,
+    6)."""
     problem = DecisionProblem.build((0, 1, 2), (0, 1), [["3/4", "1/4", "1/2"], ["1/4", "3/4", "1/2"]],
-                                    (0, 1), [[-2, -1], [-1, -3], [-1, 0]])
+                                    (0, 1), [[-3, -2], [-2, -4], [-2, -1]])
     channel = Channel.build((0, 1), ("a", "b"), [["2/3", "1/3"], ["1/3", "2/3"]])
     value, lps = _handed_over_lps(monkeypatch, problem, channel)
     assert value == minimax_risk_reference(problem, channel)[0]
-    # Columns: a0 a1 b0 b1 sigma+ sigma- slack0 slack1 slack2.
+    # Columns: a0 a1 b0 b1 gap slack0 slack1 slack2.
     [(a_eq, b_eq, _, basis)] = lps
-    assert (len(a_eq), basis, b_eq) == (5, [0, 3, 6, 7, 5], [1, 1, 13, 20, 6])
+    assert (len(a_eq), basis, b_eq) == (5, [0, 3, 5, 6, 7], [1, 1, 19, 26, 6])
     _assert_canonical(a_eq, b_eq, basis)
 
 
-@pytest.mark.parametrize("loss, model, rows, basis, value", [
-    # One action: the only rule; the level sits at the larger risk, 2.
-    ([[1], [2]], [["3/4", "1/4"], ["1/4", "3/4"]], [[1, 0], [0, 1]], [0, 1, 4, 2], 2),
-    # One parameter whose start risk is 0: sigma+ is basic at rhs 0.
-    ([[0, 1]], [["1/3"], ["2/3"]], [[1, 0], [0, 1]], [0, 2, 4], 0),
+@pytest.mark.parametrize("loss, model, rows, basis, b_eq, value", [
+    # One action: the only rule; the level sits at the larger risk, 2, so
+    # parameter 1's slack starts at top - R_1 = 8 - 8 = 0.
+    ([[1], [2]], [["3/4", "1/4"], ["1/4", "3/4"]], [[1, 0], [0, 1]], [0, 1, 3, 4],
+     [1, 1, 4, 0], 2),
+    # One parameter whose start risk is 0: its slack starts at top, 3.
+    ([[0, 1]], [["1/3"], ["2/3"]], [[1, 0], [0, 1]], [0, 2, 5], [1, 1, 3], 0),
     # A tie in the start rule: both actions cost 4 at the one output, so
-    # action 0 starts; its risks are (0, 4).
-    ([[0, 1], [1, 0]], [["3/4", "1/4"], ["1/4", "3/4"]], [[1, 1]], [0, 4, 2], F(1, 2)),
+    # action 0 starts; its risks are (0, 4), under top 4.
+    ([[0, 1], [1, 0]], [["3/4", "1/4"], ["1/4", "3/4"]], [[1, 1]], [0, 3, 4], [1, 4, 0],
+     F(1, 2)),
 ], ids=["one_action", "one_parameter", "start_tie"])
-def test_minimax_start_basis_edge_cases(monkeypatch, loss, model, rows, basis, value):
+def test_minimax_start_basis_edge_cases(monkeypatch, loss, model, rows, basis, b_eq, value):
     n_par, m = len(loss), len(model)
     problem = DecisionProblem.build(range(n_par), range(m), model, range(len(loss[0])), loss)
     channel = Channel.build(range(m), range(len(rows)), rows)
-    got, [(a_eq, b_eq, _, start)] = _handed_over_lps(monkeypatch, problem, channel)
+    got, [(a_eq, rhs, _, start)] = _handed_over_lps(monkeypatch, problem, channel)
     assert got == minimax_risk_reference(problem, channel)[0] == value
-    assert start == basis
-    _assert_canonical(a_eq, b_eq, start)
+    assert (start, rhs) == (basis, b_eq)
+    _assert_canonical(a_eq, rhs, start)
+
+
+@given(minimax_case(), st.fractions(min_value=-5, max_value=5, max_denominator=4))
+@settings(max_examples=60, deadline=None)
+def test_minimax_risk_moves_with_a_constant_added_to_the_loss(case, c):
+    """Every rule's risk at every parameter moves by exactly c, so the
+    minimax risk does too, whatever the sign of top."""
+    problem, channel = case
+    moved = dataclasses.replace(problem, loss=tuple(tuple(v + c for v in row)
+                                                    for row in problem.loss))
+    assert minimax_risk(moved, channel) == minimax_risk(problem, channel) + c
+
+
+@given(minimax_case())
+@settings(max_examples=60, deadline=None)
+def test_minimax_first_pivot_enters_the_gap_at_the_first_worst_parameter(case):
+    """After the start pivots, the first phase-2 pivot enters the gap and
+    takes out the slack of the first parameter whose start risk (each
+    output at its cheapest action under the uniform prior) is the largest:
+    the level then sits at that risk."""
+    problem, channel = case
+    n_par = len(problem.parameters)
+    _, rule = bayes_optimal_risk_reference(problem, Prior.uniform(n_par), channel)
+    risks = [risk_reference(problem, i, channel, rule) for i in range(n_par)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _, [(_, _, cost, basis)] = _handed_over_lps(monkeypatch, problem, channel)
+    n_live = len(basis) - n_par
+    with _recording_pivots(simplex) as pivots:
+        minimax_risk(problem, channel)
+    assert pivots[len(basis)] == (n_live + risks.index(max(risks)), len(cost) - n_par - 1)
 
 
 @given(minimax_case())
