@@ -124,7 +124,9 @@ def _parse_group(spec: str | None, alphabet: FiniteAlphabet):
     raise ValueError(f"group must be 'sym', 'cyclic', or 'file:PATH', got {spec!r}")
 
 
-def _emit(data, args) -> None:
+def _emit(data, args, note) -> None:
+    if note:
+        data["level_note"] = note
     if args.format == "csv":
         text = _to_csv(data)
     else:
@@ -158,6 +160,8 @@ def _to_csv(data) -> str:
                              " ".join(v["weights"])])
     else:
         for key, value in sorted(data.items()):
+            if isinstance(value, (dict, list)):
+                value = json.dumps(value, sort_keys=True)
             writer.writerow([key, value])
     return buf.getvalue()
 
@@ -166,10 +170,7 @@ def cmd_check_channel(args) -> int:
     with open(args.channel, encoding="utf-8") as fh:
         channel = channel_from_json(json.load(fh))
     level, note = _parse_level(args)
-    report = maximality_certificate(channel, level)
-    if note:
-        report["level_note"] = note
-    _emit(report, args)
+    _emit(maximality_certificate(channel, level), args, note)
     return EXIT_OK
 
 
@@ -178,8 +179,6 @@ def cmd_enumerate(args) -> int:
     alphabet = FiniteAlphabet.of_size(args.m)
     group = _parse_group(args.group, alphabet)
     data = {"m": args.m, "t": format_fraction(level.t)}
-    if note:
-        data["level_note"] = note
     if group is not None and not group.is_trivial:
         require_grouped_cap(args.m)
         vertices = enumerate_invariant_vertices(group, level)
@@ -197,7 +196,7 @@ def cmd_enumerate(args) -> int:
         vertices = enumerate_polytope_vertices(alphabet, level, cap=_enum_cap())
         data["vertices"] = vertices_to_json(vertices)
     data["count"] = len(data["vertices"])
-    _emit(data, args)
+    _emit(data, args, note)
     return EXIT_OK
 
 
@@ -364,9 +363,7 @@ def cmd_put(args) -> int:
     _check_agreement(results, args.tolerance)
     data = {**task.header, "agreement": True,
             "results": [{**row, "value": _format_value(row["value"])} for row in results]}
-    if note:
-        data["level_note"] = note
-    _emit(data, args)
+    _emit(data, args, note)
     return EXIT_OK
 
 
@@ -382,8 +379,6 @@ def cmd_audit(args) -> int:
     else:
         tolerance = FLOAT_TOLERANCE if args.tolerance is None else float(args.tolerance)
     data = {**task.header, "samples": args.samples, "seed": args.seed}
-    if note:
-        data["level_note"] = note
     try:
         report = random_channel_audit(task.objective, task.alphabet, level,
                                       samples=args.samples, seed=args.seed,
@@ -394,11 +389,11 @@ def cmd_audit(args) -> int:
         data["violation"] = str(exc)
         data["gap"] = _format_value(exc.gap)
         data["channel"] = exc.channel_json
-        _emit(data, args)
+        _emit(data, args, note)
         return EXIT_AUDIT
     data["passed"] = True
     data["min_gap"] = _format_value(report.min_gap) if report.min_gap is not None else None
-    _emit(data, args)
+    _emit(data, args, note)
     return EXIT_OK
 
 

@@ -69,36 +69,6 @@ def subset_orbits(group: PermGroup) -> tuple[SubsetOrbit, ...]:
     return group.subset_orbits
 
 
-@lru_cache(maxsize=4)
-def _bit_spread(m: int) -> list[int]:
-    """Every mask 0 .. 2^m - 1 with its bit x moved to bit m * x: summed
-    over masks, m-bit field x counts the masks that contain letter x."""
-    return mask_images(range(0, m * m, m))
-
-
-def orbit_column_sum(group: PermGroup, letter_orbit: tuple, orbit: SubsetOrbit,
-                     level) -> int:
-    """One coefficient of the polytope's equalities, t * r + (|orbit| - r),
-    as its numerator p * r + q * (|orbit| - r) over t = p / q, where r
-    counts the members of the subset orbit that contain a letter.
-
-    The count is the same for every letter in the orbit (the group maps
-    witnesses to witnesses); this is checked rather than assumed.
-    """
-    t = as_level(level).t
-    alphabet = group.alphabet
-    m = alphabet.size
-    spread = _bit_spread(m)
-    fields = sum(map(spread.__getitem__, orbit.masks))
-    width = (1 << m) - 1
-    counts = [fields >> m * alphabet.index(letter) & width for letter in letter_orbit]
-    if len(set(counts)) != 1:
-        raise RepresentativeMismatchError(
-            f"incidence count varies over the letter orbit: {counts}")
-    r = counts[0]
-    return t.numerator * r + t.denominator * (orbit.size - r)
-
-
 # -- the weight polytope ------------------------------------------------------
 
 
@@ -129,22 +99,44 @@ class WeightPolytope:
 
 
 def weight_polytope(group: PermGroup, level) -> WeightPolytope:
-    """The weight polytope collapsed onto the group's orbits."""
+    """The weight polytope collapsed onto the group's orbits.
+
+    Row i, column j is t * r + (|orbit j| - r) as its numerator
+    p * r + q * (|orbit j| - r) over t = p / q, where r counts the members
+    of subset orbit j that contain a letter of letter orbit i.  The count
+    is the same for every letter in the orbit (the group maps witnesses to
+    witnesses); this is checked rather than assumed.
+    """
     level = as_level(level)
     m = group.alphabet.size
     if m < 2:
         raise ValueError("the weight polytope needs at least two letters")
     orbs = subset_orbits(group)
     letter_orbits = input_orbits(group)
-    rows = tuple(tuple(orbit_column_sum(group, lo, orbit, level) for orbit in orbs)
-                 for lo in letter_orbits)
+    shifts = [[m * group.alphabet.index(letter) for letter in lo] for lo in letter_orbits]
+    # Each mask with its bit x moved to bit m * x: summed over an orbit's
+    # masks, m-bit field x counts the masks that contain letter x.
+    spread, width = mask_images(range(0, m * m, m)), (1 << m) - 1
+    p, q = level.t.numerator, level.t.denominator
+    columns = []
     index = [0] * ((1 << m) - 2)
-    for i, orbit in enumerate(orbs):
+    for j, orbit in enumerate(orbs):
+        fields = sum(map(spread.__getitem__, orbit.masks))
+        size = orbit.size
+        column = []
+        for letter_shifts in shifts:
+            counts = {fields >> s & width for s in letter_shifts}
+            if len(counts) != 1:
+                raise RepresentativeMismatchError(
+                    f"incidence count varies over the letter orbit: {sorted(counts)}")
+            r, = counts
+            column.append(p * r + q * (size - r))
+        columns.append(column)
         for mask in orbit.masks:
-            index[mask - 1] = i
+            index[mask - 1] = j
     return WeightPolytope(group=group, level=level, orbits=orbs,
-                          letter_orbits=letter_orbits, rows=rows,
-                          denominator=level.t.denominator, orbit_index=tuple(index))
+                          letter_orbits=letter_orbits, rows=tuple(zip(*columns)),
+                          denominator=q, orbit_index=tuple(index))
 
 
 @lru_cache(maxsize=64)

@@ -38,7 +38,6 @@ from typing import Callable, Sequence
 from .channels import Channel, as_level
 from .errors import (
     AuditFailureError,
-    DimensionCapError,
     NotTransitiveError,
     ObjectiveMismatchError,
     PolytopeViolationError,
@@ -54,6 +53,7 @@ from .ldp_geometry import (
     extremal_channel,
     full_polytope,
     in_weight_polytope,
+    require_enum_cap,
     staircase_numerators,
     weight_polytope,
 )
@@ -199,13 +199,11 @@ def put_by_lp(coefficients: Sequence, alphabet: FiniteAlphabet, level,
     orbit of mask 1.
     """
     level = as_level(level)
-    m = alphabet.size
     grouped = group is not None and not group.is_trivial
     if grouped:
         polytope = weight_polytope(group, level)
-    elif m > cap:
-        raise DimensionCapError(f"LP column count capped at m <= {cap}")
     else:
+        require_enum_cap(alphabet.size, cap)
         polytope = full_polytope(alphabet, level)
     rows = polytope.rows
     if level.t == 1:

@@ -71,8 +71,17 @@ def _array(data: dict, key: str, what: str, matrix: bool = False) -> list:
     return value
 
 
+def _holds_object(value) -> bool:
+    return isinstance(value, dict) or isinstance(value, list) and any(map(_holds_object, value))
+
+
 def _letters(data: dict, key: str, what: str) -> list:
-    return [letter_from_json(v) for v in _array(data, key, what)]
+    values = _array(data, key, what)
+    for i, value in enumerate(values):
+        if _holds_object(value):  # no letter is a JSON object, at any depth
+            raise ValueError(f'a {what} file\'s "{key}" must hold letters (integers, strings '
+                             f"or arrays of them); item {i} holds an object, {json.dumps(value)}")
+    return [letter_from_json(v) for v in values]
 
 
 def channel_from_json(data: dict) -> Channel:
@@ -91,9 +100,13 @@ def channel_hash(channel: Channel) -> str:
 def group_from_json(data: dict) -> PermGroup:
     _require_object(data, "group", ("alphabet", "generators"))
     alphabet = FiniteAlphabet(tuple(_letters(data, "alphabet", "group")))
-    gens = [Permutation(tuple(images))
-            for images in _array(data, "generators", "group", matrix=True)]
-    return generate_group(alphabet, gens)
+    gens = _array(data, "generators", "group", matrix=True)
+    for i, images in enumerate(gens):
+        for v in images:
+            if type(v) is not int:  # a bool is an int to isinstance
+                raise ValueError(f'a group file\'s "generators" must hold integer images; '
+                                 f"generator {i} holds {json.dumps(v)}")
+    return generate_group(alphabet, [Permutation(tuple(images)) for images in gens])
 
 
 def problem_from_json(data: dict) -> tuple[DecisionProblem, Prior | None]:

@@ -5,7 +5,9 @@ code plus the emitted JSON or CSV.  Values asserted here are frozen
 from the library-level suites.
 """
 
+import csv
 import dataclasses
+import io
 import json
 from fractions import Fraction
 
@@ -125,6 +127,35 @@ def test_check_channel_csv(capsys, rr_channel_file):
     rows = dict(line.split(",", 1) for line in out.strip().splitlines())
     assert rows["verdict"] == "True"
     assert rows["t"] == "2"
+
+
+@pytest.mark.parametrize("argv, field, violate", [
+    (("check-channel", "{rr}", "--t", "2"), "canonical_weights", False),
+    (("check-channel", "{rr}", "--epsilon", "0.7"), "level_note", False),
+    (("audit", "--task", "ht", "--m", "3", "--epsilon", "0.7", "--samples", "2"),
+     "level_note", False),
+    (("audit", "--task", "ht", "--m", "3", "--t", "2", "--samples", "2"), "channel", True),
+], ids=["canonical-weights", "check-level-note", "audit-level-note", "audit-channel"])
+def test_key_value_csv_cells_are_json(capsys, monkeypatch, rr_channel_file, argv, field,
+                                      violate):
+    """The key/value CSV wrote object cells as Python reprs ("{'m': 2,
+    't': '2', ...}"); each now reads back with json.loads as the JSON
+    output's value, and a scalar cell keeps its text ("True")."""
+    import ldpput.cli as cli_mod
+
+    if violate:  # an inflated baseline makes every sampled channel a counterexample
+        solve = cli_mod.put_by_lp
+        monkeypatch.setattr(cli_mod, "put_by_lp",
+                            lambda *a, **k: dataclasses.replace(solve(*a, **k), value=Fraction(1)))
+    argv = [rr_channel_file if a == "{rr}" else a for a in argv]
+    json_code, json_out, _ = run(capsys, *argv)
+    csv_code, csv_out, _ = run(capsys, *argv, "--format", "csv")
+    assert csv_code == json_code == (EXIT_AUDIT if violate else EXIT_OK)
+    expected = json.loads(json_out)
+    cells = dict(csv.reader(io.StringIO(csv_out)))
+    assert json.loads(cells[field]) == expected[field]
+    verdict = "verdict" if argv[0] == "check-channel" else "passed"
+    assert cells[verdict] == str(expected[verdict])
 
 
 def test_check_channel_missing_file(capsys):
@@ -888,6 +919,7 @@ def test_file_of_wrong_shape_names_what_it_expects(capsys, tmp_path, command, da
 
 _CHANNEL = {"input": [0, 1], "output": ["a", "b"], "rows": [[1, 0], [0, 1]]}
 _GROUP = {"alphabet": [0, 1, 2], "generators": [[1, 2, 0]]}
+_LETTERS = "{} must hold letters (integers, strings or arrays of them); item {}"
 
 
 @pytest.mark.parametrize("command, fields, message", [
@@ -907,17 +939,41 @@ _GROUP = {"alphabet": [0, 1, 2], "generators": [[1, 2, 0]]}
     ("group", {"alphabet": "012"}, '"alphabet" must be an array; got a string, "012"'),
     ("group", {"generators": [[1, 2, 0], 7]},
      '"generators" must be an array of arrays; row 1 is a number, 7'),
+    ("group", {"generators": [[True, 0, 2]]},
+     '"generators" must hold integer images; generator 0 holds true'),
+    ("group", {"generators": [[1, 2, 0], [1.0, 0, 2]]},
+     '"generators" must hold integer images; generator 1 holds 1.0'),
+    ("group", {"generators": [["a", 1, 2]]},
+     '"generators" must hold integer images; generator 0 holds "a"'),
+    ("check-channel", {"input": [{"a": 1}, 0]}, _LETTERS.format(
+        '"input"', '0 holds an object, {"a": 1}')),
+    ("check-channel", {"input": [[{"a": 1}], 0]}, _LETTERS.format(
+        '"input"', '0 holds an object, [{"a": 1}]')),
+    ("group", {"alphabet": [0, 1, {"a": 1}]}, _LETTERS.format(
+        '"alphabet"', '2 holds an object, {"a": 1}')),
+    ("problem", {"parameters": [0, {"a": 1}]}, _LETTERS.format(
+        '"parameters"', '1 holds an object, {"a": 1}')),
+    ("problem", {"actions": [[0, [{}]], 1]}, _LETTERS.format(
+        '"actions"', '0 holds an object, [0, [{}]]')),
 ], ids=["channel-row-string", "channel-input-int", "channel-output-string",
         "problem-strings", "problem-model-int", "problem-loss-row-string",
         "problem-prior-string", "problem-parameters-string", "problem-inputs-object",
-        "problem-actions-null", "group-alphabet-string", "group-generator-int"])
+        "problem-actions-null", "group-alphabet-string", "group-generator-int",
+        "group-image-true", "group-image-float", "group-image-string",
+        "channel-input-letter-object", "channel-input-nested-object",
+        "group-alphabet-letter-object", "problem-parameter-object",
+        "problem-action-nested-object"])
 def test_file_field_that_is_not_an_array_names_it(capsys, tmp_path, command, fields, message):
     """A string where an array belongs was read character by character:
     rows ["11"] passed check-channel as the row [1, 1], and a problem
     with model ["11", "00"], loss ["01", "10"] and prior "10" exited 0
     with value 0; a number there printed only "'int' object is not
-    iterable".  Each now exits 2 naming the first such field read and
-    what it held."""
+    iterable".  Inside the arrays, a generator image true was read as
+    the image 1 (exit 0), 1.0 or "a" printed only a Python error, and a
+    JSON object where a letter belongs printed "unhashable type: 'dict'"
+    (or, as a problem's parameter or action, was never hashed and exited
+    0).  Each now exits 2 naming the first such field read and what it
+    held."""
     base = {"check-channel": _CHANNEL, "problem": _BOOL_PROBLEM, "group": _GROUP}[command]
     path = tmp_path / "field.json"
     path.write_text(json.dumps({**base, **fields}))

@@ -7,11 +7,13 @@ import itertools
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldpput import ldp_geometry
 from ldpput.errors import CapExceededError, NotBijectiveError, RepresentativeMismatchError
 from ldpput.groups import (
     FiniteAlphabet,
@@ -23,7 +25,7 @@ from ldpput.groups import (
     symmetric_group,
     trivial_group,
 )
-from ldpput.ldp_geometry import input_orbits, orbit_column_sum
+from ldpput.ldp_geometry import input_orbits, weight_polytope
 from ldpput.serialize import group_from_json
 from oracles import (
     GroupAction,
@@ -293,18 +295,38 @@ def test_input_orbits_match_callable_reference(group):
 
 @given(generated_groups(max_m=8), st.sampled_from([Fraction(3, 2), Fraction(2), Fraction(7, 3)]))
 @settings(max_examples=40, deadline=None)
-def test_orbit_column_sum_matches_per_letter_scan(group, t):
-    """Equal coefficients on every (letter orbit, subset orbit) pair, and
-    the same refusal for the whole alphabet where it is not one orbit."""
-    for letter_orbit in input_orbits(group) + (group.alphabet.letters,):
-        for orbit in group.subset_orbits:
-            try:
-                expected = orbit_column_sum_reference(group, letter_orbit, orbit, t)
-            except RepresentativeMismatchError:
-                with pytest.raises(RepresentativeMismatchError):
-                    orbit_column_sum(group, letter_orbit, orbit, t)
-            else:
-                assert orbit_column_sum(group, letter_orbit, orbit, t) == expected
+def test_weight_polytope_rows_match_per_letter_scan(group, t):
+    """Equal coefficients on every (letter orbit, subset orbit) pair, the
+    orbit index of every mask, and the same refusal when the whole
+    alphabet is taken as one letter orbit where it is not one."""
+    orbs = group.subset_orbits
+    polytope = weight_polytope(group, t)
+    assert polytope.rows == tuple(
+        tuple(orbit_column_sum_reference(group, letter_orbit, orbit, t) for orbit in orbs)
+        for letter_orbit in input_orbits(group))
+    assert polytope.orbit_index == tuple(
+        next(j for j, orbit in enumerate(orbs) if mask in orbit.masks)
+        for mask in all_subset_masks(group.alphabet.size))
+    whole = group.alphabet.letters
+    with mock.patch.object(ldp_geometry, "input_orbits", lambda g: (whole,)):
+        try:
+            expected = tuple(orbit_column_sum_reference(group, whole, orbit, t) for orbit in orbs)
+        except RepresentativeMismatchError:
+            with pytest.raises(RepresentativeMismatchError):
+                weight_polytope(group, t)
+        else:
+            assert weight_polytope(group, t).rows == (expected,)
+
+
+def test_weight_polytope_refuses_a_letter_orbit_with_varying_counts(monkeypatch):
+    """A transposition of letters 0 and 1 leaves 2 and 3 fixed, so the
+    subset orbit {{0}, {1}} holds letter 0 once and letter 3 never: the
+    whole alphabet taken as one letter orbit must be refused, not read
+    off its first letter."""
+    group = generate_group(FiniteAlphabet.of_size(4), [Permutation((1, 0, 2, 3))])
+    monkeypatch.setattr(ldp_geometry, "input_orbits", lambda g: (g.alphabet.letters,))
+    with pytest.raises(RepresentativeMismatchError, match="varies over the letter orbit"):
+        weight_polytope(group, 2)
 
 
 def test_symmetric_subset_orbits_m16():

@@ -23,7 +23,6 @@ from ldpput.ldp_geometry import (
     extremal_channel,
     in_weight_polytope,
     input_orbits,
-    orbit_column_sum,
     staircase_row,
     subset_orbits,
     weight_polytope,
@@ -81,20 +80,19 @@ def test_subset_orbits_z4():
 
 def test_orbit_coefficients_sym3_pairs():
     group = symmetric_group(X3)
-    letters = input_orbits(group)[0]
-    k2 = subset_orbits(group)[1]
+    polytope = weight_polytope(group, F(2))
+    assert polytope.orbits[1].masks == (3, 5, 6)
     # each letter lies in comb(m-1, k-1) = 2 of the three pairs
-    assert orbit_column_sum(group, letters, k2, F(2)) == F(2) * 2 + (3 - 2)
+    assert polytope.rows[0][1] == F(2) * 2 + (3 - 2)
 
 
 @pytest.mark.parametrize("m,k", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
 def test_orbit_coefficients_symmetric_incidence(m, k):
-    group = symmetric_group(FiniteAlphabet.of_size(m))
-    letters = input_orbits(group)[0]
-    orbit = next(o for o in subset_orbits(group) if o.subset_size == k)
+    polytope = weight_polytope(symmetric_group(FiniteAlphabet.of_size(m)), F(3))
+    (row,) = polytope.rows
+    j = next(j for j, o in enumerate(polytope.orbits) if o.subset_size == k)
     incidence = comb(m - 1, k - 1)
-    assert orbit_column_sum(group, letters, orbit, F(3)) == \
-        3 * incidence + comb(m, k) - incidence
+    assert row[j] == 3 * incidence + comb(m, k) - incidence
 
 
 # -- polytope membership and lifting ------------------------------------------

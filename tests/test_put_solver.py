@@ -29,7 +29,7 @@ from ldpput.decision import (
     mutual_information,
     mutual_information_linear_coefficients,
 )
-from ldpput.errors import AuditFailureError, ObjectiveMismatchError
+from ldpput.errors import AuditFailureError, DimensionCapError, ObjectiveMismatchError
 from ldpput.groups import (
     FiniteAlphabet,
     all_subset_masks,
@@ -329,6 +329,16 @@ def test_lp_grouped_matches_ungrouped():
     grouped = put_by_lp(coeffs, alphabet, t, group=symmetric_group(alphabet))
     assert grouped.method == "lp_grouped"
     assert grouped.value == plain.value
+
+
+def test_lp_full_polytope_keeps_the_enumeration_cap():
+    """Past the cap the full-polytope LP refuses before any polytope is
+    built; a group lifts the cap, and so does a raised one."""
+    alphabet = FiniteAlphabet.of_size(6)
+    with pytest.raises(DimensionCapError, match="capped at m <= 5, got m = 6"):
+        put_by_lp(subset_sizes(6), alphabet, 2)
+    grouped = put_by_lp(subset_sizes(6), alphabet, 2, group=symmetric_group(alphabet))
+    assert put_by_lp(subset_sizes(6), alphabet, 2, cap=6).value == grouped.value
 
 
 def test_argmin_channel_is_built_only_when_read(monkeypatch):
