@@ -139,30 +139,34 @@ def _emit(data, args, note) -> None:
 
 
 def _to_csv(data) -> str:
+    """One CSV layout per output kind; a level note ends the results and
+    vertex layouts as one key/value row, an object as one JSON cell."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if isinstance(data, dict) and "results" in data:
+    pairs = [("level_note", data["level_note"])] if "level_note" in data else []
+    if "results" in data:
         writer.writerow(CSV_HEADER)
         for row in data["results"]:
             writer.writerow([data.get("task", "custom"), data.get("m", ""),
                              data.get("gamma", ""), data.get("t", ""),
                              row["method"], row["value"], row.get("winner", ""),
                              row["certificate"]])
-    elif isinstance(data, dict) and "group" in data:
+    elif "group" in data:
         writer.writerow(["index", "representatives", "sizes", "weights"])
         for i, v in enumerate(data["vertices"]):
             writer.writerow([i] + [" ".join(str(o[key]) for o in v["orbits"])
                                    for key in ("representative", "size", "weight")])
-    elif isinstance(data, dict) and "vertices" in data:
+    elif "vertices" in data:
         writer.writerow(["index", "support", "weights"])
         for i, v in enumerate(data["vertices"]):
             writer.writerow([i, " ".join(map(str, v["support"])),
                              " ".join(v["weights"])])
     else:
-        for key, value in sorted(data.items()):
-            if isinstance(value, (dict, list)):
-                value = json.dumps(value, sort_keys=True)
-            writer.writerow([key, value])
+        pairs = sorted(data.items())
+    for key, value in pairs:
+        if isinstance(value, (dict, list)):
+            value = json.dumps(value, sort_keys=True)
+        writer.writerow([key, value])
     return buf.getvalue()
 
 

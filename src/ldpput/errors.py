@@ -23,16 +23,8 @@ class PolytopeViolationError(LdpPutError):
     """A weight vector is not a member of the required polytope."""
 
 
-class ZeroVectorError(LdpPutError):
-    """The zero vector was supplied where a nonzero one is required."""
-
-
 class NotLdpError(LdpPutError):
     """A channel violates the requested privacy constraint."""
-
-
-class NotMaximalError(LdpPutError):
-    """A channel is not maximal, so no canonical weight exists."""
 
 
 class DimensionCapError(LdpPutError):

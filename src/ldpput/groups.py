@@ -51,7 +51,8 @@ class Permutation:
 
     def __post_init__(self):
         m = len(self.images)
-        if sorted(self.images) != list(range(m)):
+        # type, not isinstance: 1.0 and True equal 1 but are no position
+        if any(type(v) is not int for v in self.images) or sorted(self.images) != list(range(m)):
             raise NotBijectiveError(f"not a bijection on 0..{m - 1}: {self.images}")
 
     @classmethod

@@ -19,13 +19,7 @@ from operator import mul
 from typing import Sequence
 
 from .channels import Channel, PrivacyLevel, as_level, require_ldp
-from .errors import (
-    DimensionCapError,
-    NotMaximalError,
-    PolytopeViolationError,
-    RepresentativeMismatchError,
-    ZeroVectorError,
-)
+from .errors import DimensionCapError, PolytopeViolationError, RepresentativeMismatchError
 from .groups import (
     FiniteAlphabet,
     PermGroup,
@@ -37,7 +31,7 @@ from .groups import (
     trivial_group,
 )
 from .linalg import enumerate_basic_feasible
-from .rationals import as_fraction, integer_matrix
+from .rationals import integer_matrix
 
 DEFAULT_ENUM_CAP_M = 5
 # Every path with a group splits all 2^m - 2 subsets into orbits: 65,534
@@ -326,76 +320,31 @@ def require_grouped_cap(m: int) -> None:
 # -- extreme directions and maximal channels ----------------------------------
 
 
-def is_extreme_direction(v: Sequence, alphabet: FiniteAlphabet, level) -> int | None:
-    """The subset behind an extreme ray, or None.
-
-    Extreme rays of the privacy cone are exactly the positive multiples
-    of staircase rows: value t*c on a nonempty proper subset Z, value c
-    elsewhere.  Returns Z as a bitmask when v has that shape.  At t = 1
-    the cone degenerates to the constant ray; the lowest singleton is
-    returned as the canonical subset there.  An alphabet of fewer than
-    two letters has no such subset and raises ValueError.
-    """
-    if alphabet.size < 2:
-        raise ValueError("maximality needs at least two input letters")
-    t = as_level(level).t
-    vals = [as_fraction(x) for x in v]
-    if len(vals) != alphabet.size:
-        raise ValueError("vector length must match the alphabet size")
-    if all(x == 0 for x in vals):
-        raise ZeroVectorError("the zero vector spans no ray")
-    distinct = sorted(set(vals))
-    if len(distinct) == 1:
-        if t == 1 and distinct[0] > 0:
-            return 1  # degenerate cone: every subset gives the same ray
-        return None
-    if len(distinct) != 2:
-        return None
-    lo, hi = distinct
-    if lo <= 0 or hi != t * lo:
-        return None
-    mask = 0
-    for x, val in enumerate(vals):
-        if val == hi:
-            mask |= 1 << x
-    return mask
-
-
 def ray_subsets(channel: Channel, level) -> list[int | None]:
-    """The subset behind each row's extreme ray, row by row.
+    """The subset behind each row's extreme ray, read off the numerators.
 
-    A zero row maps to 0 (it is on no ray but leaves maximality
-    intact); a nonzero row off every extreme ray maps to None.  A
-    channel that violates the privacy constraint raises NotLdpError,
-    and one with fewer than two inputs (it has a nonzero row), the
-    ValueError of is_extreme_direction.
+    The extreme rays of the privacy cone are the positive multiples of
+    staircase rows.  At t = p / q > 1, a row with exactly two values
+    lo < hi and q * hi = p * lo maps to the bitmask of its hi entries; at
+    t = 1 (the cone is the constant ray) a nonzero private row maps to 1.
+    A zero row maps to 0 (it is on no ray but leaves maximality intact),
+    any other row to None.  Raises NotLdpError for a channel that is not
+    private, then ValueError for one with fewer than two inputs.
     """
     level = as_level(level)
     require_ldp(channel, level)
-    return [0 if all(x == 0 for x in row)
-            else is_extreme_direction(row, channel.input_alphabet, level)
-            for row in channel.rows]
-
-
-def canonical_weight_from_rays(channel: Channel, level: PrivacyLevel,
-                               subsets: list[int | None]) -> WeightVector:
-    """Gather a maximal channel's rows into its polytope representative,
-    given the channel's ray_subsets (not rescanned).
-
-    Rows proportional to the same staircase row pool their scales, so
-    equivalent maximal channels (up to relabeling, zero rows, and row
-    splits) map to the same weight vector.
-    """
-    if None in subsets:
-        raise NotMaximalError("only maximal channels have a canonical weight")
-    m = channel.input_alphabet.size
-    totals = [0] * ((1 << m) - 2)
-    for row, mask in zip(channel.numerators, subsets):
-        if mask:
-            totals[mask - 1] += min(row)
-    weights = WeightVector(full_polytope(channel.input_alphabet, level), tuple(totals),
-                           channel.denominator)
-    if not in_weight_polytope(weights):
-        raise PolytopeViolationError("gathered weights left the polytope; "
-                                     "channel columns cannot be stochastic")
-    return weights
+    if channel.input_alphabet.size < 2:
+        raise ValueError("maximality needs at least two input letters")
+    p, q = level.t.numerator, level.t.denominator
+    subsets = []
+    for row in channel.numerators:
+        lo, hi = min(row), max(row)
+        if not hi:
+            subsets.append(0)
+        elif p == q:
+            subsets.append(1)
+        elif q * hi != p * lo or len(set(row)) != 2:
+            subsets.append(None)
+        else:
+            subsets.append(sum(1 << x for x, v in enumerate(row) if v == hi))
+    return subsets

@@ -9,12 +9,13 @@ rebuilt as tuples on load.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .channels import Channel, as_level
 from .decision import DecisionProblem, Prior
-from .errors import NotLdpError
+from .errors import NotLdpError, PolytopeViolationError
 from .groups import FiniteAlphabet, PermGroup, Permutation, generate_group
-from .ldp_geometry import WeightVector, canonical_weight_from_rays, ray_subsets
+from .ldp_geometry import WeightVector, ray_subsets
 from .rationals import format_fraction
 
 
@@ -122,14 +123,20 @@ def problem_from_json(data: dict) -> tuple[DecisionProblem, Prior | None]:
     return problem, prior
 
 
+def _weights_object(m: int, t, support, weights) -> dict:
+    """A point of the weight polytope: its support, ascending, and weights."""
+    return {
+        "m": m,
+        "t": format_fraction(t),
+        "support": list(support),
+        "weights": [format_fraction(w) for w in weights],
+    }
+
+
 def weights_to_json(weights: WeightVector) -> dict:
     support = weights.support
-    return {
-        "m": weights.input_alphabet.size,
-        "t": format_fraction(weights.level.t),
-        "support": list(support),
-        "weights": [format_fraction(weights.weight(mask)) for mask in support],
-    }
+    return _weights_object(weights.input_alphabet.size, weights.level.t, support,
+                           map(weights.weight, support))
 
 
 def maximality_certificate(channel: Channel, level) -> dict:
@@ -137,6 +144,11 @@ def maximality_certificate(channel: Channel, level) -> dict:
     the canonical weights, or the first offending row when not maximal.
 
     The privacy check and the ray scan run once each (both in ray_subsets).
+    The weights are read off the rows; no weight polytope is built.  A
+    staircase row's scale is its smaller entry, and a subset's weight is
+    the sum of its rows' scales over the channel's denominator.  At
+    t = p / q, each letter x's equality is checked on the support:
+    sum_S n_S * (p if x in S else q) = q * denominator.
     """
     level = as_level(level)
     out = {
@@ -150,11 +162,22 @@ def maximality_certificate(channel: Channel, level) -> dict:
         out["ldp"] = out["verdict"] = False
         return out
     out["verdict"] = None not in subsets
-    if out["verdict"]:
-        out["canonical_weights"] = weights_to_json(
-            canonical_weight_from_rays(channel, level, subsets))
-    else:
+    if not out["verdict"]:
         out["failing_row"] = subsets.index(None)
+        return out
+    totals: dict[int, int] = {}
+    for row, mask in zip(channel.numerators, subsets):
+        if mask:
+            totals[mask] = totals.get(mask, 0) + min(row)
+    p, q = level.t.numerator, level.t.denominator
+    d, m = channel.denominator, channel.input_alphabet.size
+    if any(sum(n * (p if mask >> x & 1 else q) for mask, n in totals.items()) != q * d
+           for x in range(m)):
+        raise PolytopeViolationError("gathered weights left the polytope; "
+                                     "channel columns cannot be stochastic")
+    support = sorted(totals)
+    out["canonical_weights"] = _weights_object(
+        m, level.t, support, (Fraction(totals[mask], d) for mask in support))
     return out
 
 

@@ -8,7 +8,9 @@ elimination, LP optima and pivot paths on a Fraction tableau, channel
 products, Bayes and minimax risks one Fraction per multiply-add, the
 audit's samples through Fraction weights and composed channels, the
 polytope's vertex list by one fresh square solve per orderly support,
-the vertex sweep on Fraction weights), so a test can compare the two.
+the vertex sweep on Fraction weights, the ray behind each channel row and
+a maximal channel's canonical weight on Fraction rows and the full
+polytope), so a test can compare the two.
 numpy is needed here only.
 
 It also holds what tests use to check other library code or to build
@@ -45,8 +47,8 @@ from ldpput.errors import (
     LpUnboundedError,
     NotTransitiveError,
     ObjectiveMismatchError,
+    PolytopeViolationError,
     RepresentativeMismatchError,
-    ZeroVectorError,
 )
 from ldpput.groups import (
     FiniteAlphabet,
@@ -61,10 +63,10 @@ from ldpput.ldp_geometry import (
     SubsetOrbit,
     WeightPolytope,
     WeightVector,
-    canonical_weight_from_rays,
     enumerate_polytope_vertices,
     extremal_channel,
     full_polytope,
+    in_weight_polytope,
     ray_subsets,
     staircase_row,
     subset_column_symmetries,
@@ -82,6 +84,14 @@ _ONE = Fraction(1)
 
 class NotInConeError(LdpPutError):
     """A vector lies outside the privacy cone."""
+
+
+class ZeroVectorError(LdpPutError):
+    """The zero vector was supplied where a nonzero one is required."""
+
+
+class NotMaximalError(LdpPutError):
+    """A channel is not maximal, so no canonical weight exists."""
 
 
 # -- privacy cone -------------------------------------------------------------
@@ -150,6 +160,41 @@ def in_cone(v: Sequence[Fraction], level) -> bool:
     if any(x < 0 for x in v):
         return False
     return t * min(v) >= max(v)
+
+
+def is_extreme_direction(v: Sequence, alphabet: FiniteAlphabet, level) -> int | None:
+    """The subset behind an extreme ray, or None, on Fractions.
+
+    Extreme rays of the privacy cone are exactly the positive multiples
+    of staircase rows: value t*c on a nonempty proper subset Z, value c
+    elsewhere.  Returns Z as a bitmask when v has that shape.  At t = 1
+    the cone degenerates to the constant ray; the lowest singleton is
+    returned as the canonical subset there.  An alphabet of fewer than
+    two letters has no such subset and raises ValueError.
+    """
+    if alphabet.size < 2:
+        raise ValueError("maximality needs at least two input letters")
+    t = as_level(level).t
+    vals = [as_fraction(x) for x in v]
+    if len(vals) != alphabet.size:
+        raise ValueError("vector length must match the alphabet size")
+    if all(x == 0 for x in vals):
+        raise ZeroVectorError("the zero vector spans no ray")
+    distinct = sorted(set(vals))
+    if len(distinct) == 1:
+        if t == 1 and distinct[0] > 0:
+            return 1  # degenerate cone: every subset gives the same ray
+        return None
+    if len(distinct) != 2:
+        return None
+    lo, hi = distinct
+    if lo <= 0 or hi != t * lo:
+        return None
+    mask = 0
+    for x, val in enumerate(vals):
+        if val == hi:
+            mask |= 1 << x
+    return mask
 
 
 def kernel_rank_check(v: Sequence, alphabet: FiniteAlphabet, level) -> bool:
@@ -1238,15 +1283,45 @@ def is_maximal(channel: Channel, level) -> bool:
     return None not in ray_subsets(channel, level)
 
 
-def canonical_weight(channel: Channel, level) -> WeightVector:
-    """Gather a maximal channel's rows into its polytope representative.
+def ray_subsets_reference(channel: Channel, level) -> list[int | None]:
+    """ray_subsets on the Fraction rows: the privacy check, then
+    is_extreme_direction on each nonzero row (0 for a zero row)."""
+    level = as_level(level)
+    require_ldp(channel, level)
+    return [0 if all(x == 0 for x in row)
+            else is_extreme_direction(row, channel.input_alphabet, level)
+            for row in channel.rows]
+
+
+def canonical_weight_from_rays(channel: Channel, level: PrivacyLevel,
+                               subsets: list[int | None]) -> WeightVector:
+    """Gather a maximal channel's rows into its full-polytope
+    representative, given the channel's ray subsets (not rescanned).
 
     Rows proportional to the same staircase row pool their scales, so
     equivalent maximal channels (up to relabeling, zero rows, and row
     splits) map to the same weight vector.
     """
+    if None in subsets:
+        raise NotMaximalError("only maximal channels have a canonical weight")
+    m = channel.input_alphabet.size
+    totals = [0] * ((1 << m) - 2)
+    for row, mask in zip(channel.numerators, subsets):
+        if mask:
+            totals[mask - 1] += min(row)
+    weights = WeightVector(full_polytope(channel.input_alphabet, level), tuple(totals),
+                           channel.denominator)
+    if not in_weight_polytope(weights):
+        raise PolytopeViolationError("gathered weights left the polytope; "
+                                     "channel columns cannot be stochastic")
+    return weights
+
+
+def canonical_weight(channel: Channel, level) -> WeightVector:
+    """Gather a maximal channel's rows into its full-polytope
+    representative, the rays found on Fractions."""
     level = as_level(level)
-    return canonical_weight_from_rays(channel, level, ray_subsets(channel, level))
+    return canonical_weight_from_rays(channel, level, ray_subsets_reference(channel, level))
 
 
 def subset_size(mask: int) -> int:

@@ -44,7 +44,6 @@ from ldpput.ldp_geometry import (
     enumerate_polytope_vertices,
     extremal_channel,
     in_weight_polytope,
-    is_extreme_direction,
     subset_orbits,
 )
 from ldpput.put_solver import (
@@ -61,6 +60,7 @@ from oracles import (
     check_equalizer_reference,
     direct_sum,
     invariant_output_action,
+    is_extreme_direction,
     is_maximal,
     kernel_rank_check,
     lift_weights,

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from ldpput import channels, ldp_geometry
+from ldpput import channels, ldp_geometry, serialize
 from ldpput.applications import ht_problem
 from ldpput.channels import Channel
 from ldpput.cli import (
@@ -97,15 +97,15 @@ def test_check_channel_not_ldp(capsys, rr_channel_file):
 
 def test_check_channel_checks_privacy_and_scans_rows_once(capsys, monkeypatch,
                                                          rr_channel_file):
-    calls = {"is_ldp": 0, "is_extreme_direction": 0}
-    for module, name in ((channels, "is_ldp"), (ldp_geometry, "is_extreme_direction")):
+    calls = {"is_ldp": 0, "ray_subsets": 0}
+    for module, name in ((channels, "is_ldp"), (serialize, "ray_subsets")):
         def counted(*args, _original=getattr(module, name), _name=name):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(module, name, counted)
     report = run_json(capsys, "check-channel", rr_channel_file, "--t", "2")
     assert report["verdict"] is True and "canonical_weights" in report
-    assert calls == {"is_ldp": 1, "is_extreme_direction": 2}
+    assert calls == {"is_ldp": 1, "ray_subsets": 1}
 
 
 @pytest.mark.parametrize("t", ["1", "2"])
@@ -410,6 +410,31 @@ def test_enumerate_grouped_csv(capsys):
     assert code == EXIT_OK, err
     assert out.splitlines() == ["index,representatives,sizes,weights",
                                 "0,7,4,1/7", "1,5,2,1/3", "2,3,4,1/6", "3,1,4,1/5"]
+
+
+
+@pytest.mark.parametrize("argv, header", [
+    (("put", "--task", "ht", "--m", "3", "--method", "closed,lp"),
+     "task,m,gamma,t,method,value,winner,certificate"),
+    (("enumerate", "--m", "3"), "index,support,weights"),
+    (("enumerate", "--m", "4", "--group", "cyclic"), "index,representatives,sizes,weights"),
+], ids=["results", "vertices", "grouped-vertices"])
+def test_csv_layouts_end_with_the_level_note(capsys, argv, header):
+    """With --epsilon, the results and vertex layouts wrote no level note;
+    each now ends with one level_note row whose cell is the JSON output's
+    note, sorted keys, as the key/value layout writes it.  With --t there
+    is no note and no such row."""
+    json_code, json_out, _ = run(capsys, *argv, "--epsilon", "0.7")
+    code, out, err = run(capsys, *argv, "--epsilon", "0.7", "--format", "csv")
+    assert code == json_code == EXIT_OK, err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert ",".join(rows[0]) == header
+    assert [row[0] for row in rows].count("level_note") == 1
+    assert rows[-1] == ["level_note",
+                        json.dumps(json.loads(json_out)["level_note"], sort_keys=True)]
+    code, out, err = run(capsys, *argv, "--t", "2", "--format", "csv")
+    assert code == EXIT_OK, err
+    assert out.splitlines()[0] == header and "level_note" not in out
 
 
 # ------------------------------------------------------------------------- put

@@ -68,6 +68,14 @@ def test_permutation_rejects_non_bijections():
         Permutation((0, 0, 1))
 
 
+@pytest.mark.parametrize("images", [(1.0, 0, 2), (True, 0, 2), ("a", 0, 2), (1, 0, 2.0)])
+def test_permutation_rejects_images_that_are_not_ints(images):
+    """1.0 and True equal 1, so these passed the bijection test, and a
+    float image then failed in mask_images; a string failed in sorted."""
+    with pytest.raises(NotBijectiveError):
+        Permutation(images)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_symmetric_group_order(m):
     g = symmetric_group(FiniteAlphabet.of_size(m))

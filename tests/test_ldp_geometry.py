@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 
 from ldpput import ldp_geometry, linalg
 from ldpput.channels import Channel, is_ldp
-from ldpput.errors import (
-    DimensionCapError,
-    NotMaximalError,
-    PolytopeViolationError,
-    ZeroVectorError,
-)
+from ldpput.errors import DimensionCapError, NotLdpError, PolytopeViolationError
 from ldpput.groups import FiniteAlphabet, all_subset_masks, cyclic_group, symmetric_group
 from ldpput.invariant import CANDIDATE_CAP
 from ldpput.ldp_geometry import (
@@ -25,15 +20,18 @@ from ldpput.ldp_geometry import (
     extremal_channel,
     full_polytope,
     in_weight_polytope,
-    is_extreme_direction,
     polytope_vertices,
+    ray_subsets,
     staircase_row,
     subset_column_symmetries,
     weight_polytope,
 )
 from ldpput.linalg import enumerate_basic_feasible
+from ldpput.put_solver import random_private_channel
 from oracles import (
     NotInConeError,
+    NotMaximalError,
+    ZeroVectorError,
     basic_feasible_reference,
     canonical_weight,
     cone_constraint_matrix,
@@ -44,10 +42,13 @@ from oracles import (
     fraction_vertices,
     in_cone,
     integer_system,
+    is_extreme_direction,
     is_maximal,
     kernel_rank_check,
     make_weight_vector,
     polytope_vertices_reference,
+    random_polytope_point,
+    ray_subsets_reference,
     staircase_matrix,
     subset_column_symmetries_reference,
     subset_size,
@@ -566,3 +567,75 @@ def test_subset_column_symmetries_match_decoded_masks(m):
     """Read from the mask image tables, the S_m column maps equal those
     built by decoding every mask, so the full scans see the same supports."""
     assert subset_column_symmetries(m) == subset_column_symmetries_reference(m)
+
+
+# -- ray subsets on the numerators --------------------------------------------
+
+RAY_LEVELS = (F(1), F(3, 2), F(2), F(7, 3), F(3))
+
+
+@st.composite
+def ray_channel(draw, max_m: int = 4, maximal: bool = False) -> tuple[Channel, Fraction]:
+    """A channel and the level t its rows were built at.
+
+    Its rows come from a polytope vertex, a random polytope point, the
+    audit's sampler (post-processed two times in three) or, as a mixture
+    with constant rows, a vertex; `maximal` keeps the first two.  The rows
+    are then permuted, some split in two, and zero rows added; unless
+    `maximal`, two rows may be merged, which gives three values at ratio t
+    when their subsets meet and do not cover the alphabet.  Checked at
+    another level, a staircase row becomes a two-valued row off the ratio.
+    """
+    m = draw(st.integers(min_value=2, max_value=max_m))
+    t = draw(st.sampled_from(RAY_LEVELS))
+    vertices = enumerate_polytope_vertices(FiniteAlphabet.of_size(m), t)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 16)))
+    kinds = ("vertex", "point") if maximal else ("vertex", "point", "sampler", "constant")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "sampler":
+        rows = list(random_private_channel(rng, vertices).rows)
+    elif kind == "point":
+        rows = list(extremal_channel(random_polytope_point(rng, vertices)).rows)
+    else:
+        rows = list(extremal_channel(draw(st.sampled_from(vertices))).rows)
+    if kind == "constant":
+        a, k = F(draw(st.integers(min_value=0, max_value=3)), 4), draw(st.integers(1, 3))
+        rows = [[a * x for x in row] for row in rows] + [[(1 - a) / k] * m] * k
+    if not maximal and len(rows) > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2,
+                             unique=True))
+        rows = [r for n, r in enumerate(rows) if n not in (i, j)] + \
+            [[x + y for x, y in zip(rows[i], rows[j])]]
+    split = []
+    for row in draw(st.permutations(rows)):
+        cut = F(draw(st.integers(min_value=0, max_value=4)), 5)
+        split += [[cut * x for x in row], [(1 - cut) * x for x in row]] if cut else [row]
+    split += [[F(0)] * m] * draw(st.integers(min_value=0, max_value=2))
+    return Channel.of_rows(FiniteAlphabet.of_size(m), FiniteAlphabet.of_size(len(split)),
+                           split), t
+
+
+@given(ray_channel(), st.sampled_from((None, F(1), F(5, 4), F(2))))
+@settings(max_examples=300, deadline=None)
+def test_ray_subsets_equal_the_fraction_reference(case, check):
+    """The integer scan gives is_extreme_direction's subset on every row
+    (0 on zero rows), or raises NotLdpError as the reference does; check
+    None is the channel's own level."""
+    channel, t = case
+    level = check or t
+    try:
+        expected = ray_subsets_reference(channel, level)
+    except NotLdpError:
+        with pytest.raises(NotLdpError):
+            ray_subsets(channel, level)
+        return
+    assert ray_subsets(channel, level) == expected
+
+
+def test_ray_subsets_need_exactly_two_values():
+    """Row 0 is the staircase rows of {0} and {0, 1} merged, (2, 1, 1) +
+    (2, 2, 1): its extremes are at ratio t = 2, but it has three values."""
+    channel = Channel.build(range(3), range(3), [[F(4, 6), F(3, 6), F(2, 6)],
+                                                 [F(1, 6), F(2, 6), F(2, 6)],
+                                                 [F(1, 6), F(1, 6), F(2, 6)]])
+    assert ray_subsets(channel, F(2)) == ray_subsets_reference(channel, F(2)) == [None, 6, 4]

@@ -6,11 +6,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from ldpput import ldp_geometry
 from ldpput.channels import Channel
 from ldpput.decision import DecisionProblem, Prior
 from ldpput.groups import FiniteAlphabet, cyclic_group, symmetric_group
-from ldpput.ldp_geometry import enumerate_polytope_vertices
+from ldpput.errors import PolytopeViolationError
+from ldpput.ldp_geometry import enumerate_polytope_vertices, in_weight_polytope
 from ldpput.serialize import (
     channel_from_json,
     channel_hash,
@@ -23,7 +26,8 @@ from ldpput.serialize import (
     vertices_to_json,
     weights_to_json,
 )
-from oracles import group_to_json, problem_to_json, weights_from_json
+from oracles import canonical_weight, group_to_json, problem_to_json, weights_from_json
+from test_ldp_geometry import ray_channel
 
 F = Fraction
 
@@ -155,3 +159,47 @@ def test_maximality_certificate_non_ldp():
     cert = maximality_certificate(leaky, F(3))
     assert cert["ldp"] is False
     assert cert["verdict"] is False
+
+
+@given(ray_channel(max_m=5, maximal=True))
+@settings(max_examples=150, deadline=None)
+def test_certificate_weights_equal_the_full_polytope_reference(case):
+    """The weights read off the rows are the full polytope's canonical
+    weight vector, and a member of that polytope."""
+    channel, t = case
+    cert = maximality_certificate(channel, t)
+    assert cert["verdict"] is True
+    reference = canonical_weight(channel, t)
+    assert cert["canonical_weights"] == weights_to_json(reference)
+    sparse = weights_from_json(cert["canonical_weights"])
+    assert sparse == reference
+    assert in_weight_polytope(sparse)
+
+
+def test_certificate_builds_no_weight_polytope(monkeypatch):
+    """Randomized response at m = 20 is certified with both polytope
+    builders patched to fail: its 2^20 - 2 subsets are never listed."""
+    def refuse(*args):
+        raise AssertionError("a weight polytope was built")
+    monkeypatch.setattr(ldp_geometry, "weight_polytope", refuse)
+    monkeypatch.setattr(ldp_geometry, "full_polytope", refuse)
+    m = 20
+    channel = Channel.build(range(m), range(m),
+                            [[F(1 + (x == y), m + 1) for x in range(m)] for y in range(m)])
+    cert = maximality_certificate(channel, F(2))
+    assert cert["verdict"] is True
+    assert cert["canonical_weights"] == {"m": m, "t": "2", "support": [1 << x for x in range(m)],
+                                         "weights": ["1/21"] * m}
+
+
+def test_certificate_checks_each_letter_row():
+    """Staircase rows whose columns sum to 3/4, not 1 (a channel built
+    past Channel's own check), leave the polytope: each letter's
+    equality row reads 2 + 1 = 3, not 4."""
+    bad = object.__new__(Channel)
+    for name, value in (("input_alphabet", FiniteAlphabet.of_size(2)),
+                        ("output_alphabet", FiniteAlphabet.of_size(2)),
+                        ("numerators", ((2, 1), (1, 2))), ("denominator", 4)):
+        object.__setattr__(bad, name, value)
+    with pytest.raises(PolytopeViolationError):
+        maximality_certificate(bad, F(2))
