@@ -12,10 +12,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .channels import Channel, PrivacyLevel, as_level
 from .decision import DecisionProblem, Prior
-from .groups import FiniteAlphabet, mask_to_positions
+from .groups import FiniteAlphabet
 from .rationals import as_fraction
 
 _ZERO = Fraction(0)
@@ -66,12 +67,6 @@ def ht_subset_risk(m: int, gamma, level, k: int) -> Fraction:
     return 1 - (1 - gamma) / m - gamma * t / (k * t + m - k)
 
 
-def z_magnitude(mask: int, m: int) -> float:
-    """Magnitude of the subset's sum of m-th roots of unity."""
-    total = sum(cmath.exp(2j * cmath.pi * x / m) for x in mask_to_positions(mask))
-    return abs(total)
-
-
 @dataclass(frozen=True)
 class CardioidSpec:
     """Circular location family on m letters with signal strength gamma.
@@ -95,21 +90,41 @@ class CardioidSpec:
     def build(cls, m: int, gamma, level) -> "CardioidSpec":
         return cls(m=m, gamma=as_fraction(gamma), level=as_level(level))
 
+    @cached_property
+    def z_magnitudes(self) -> tuple[float, ...]:
+        """|Z| of every mask 0 .. 2^m - 1: the magnitude of the sum of the
+        m-th roots of unity at its letters, built once by doubling.
+
+        The masks with highest letter x are those below 2^x plus x's root,
+        so each sum adds its roots in ascending letter order.
+        """
+        sums = [0j]
+        for x in range(self.m):
+            root = cmath.exp(2j * cmath.pi * x / self.m)
+            sums += [s + root for s in sums]
+        return tuple([abs(s) for s in sums])
+
+    @cached_property
+    def risk_factors(self) -> tuple[float, float]:
+        """float(t) and float(gamma) * (float(t) - 1.0), which every orbit
+        risk shares."""
+        t = float(self.level.t)
+        return t, float(self.gamma) * (t - 1.0)
+
 
 def cardioid_orbit_risk(spec: CardioidSpec, mask: int) -> float:
     """Bayes risk of the pure rotation-orbit channel through this subset.
 
     The rotation-orbit size cancels, leaving
     1 - gamma*(t-1)*|Z|/(2*(k*t + m - k)) with |Z| the root-of-unity
-    sum magnitude of the subset; orbits whose roots cancel (|Z| = 0)
-    carry no directional information and sit at risk 1.
+    sum magnitude of the subset, read from `spec.z_magnitudes`; orbits
+    whose roots cancel (|Z| = 0) carry no directional information and
+    sit at risk 1.
     """
     m = spec.m
     k = mask.bit_count()
-    t = spec.level.t
-    amplitude = z_magnitude(mask, m)
-    return 1.0 - float(spec.gamma) * (float(t) - 1.0) * amplitude \
-        / (2.0 * (k * float(t) + m - k))
+    t, scale = spec.risk_factors
+    return 1.0 - scale * spec.z_magnitudes[mask] / (2.0 * (k * t + m - k))
 
 
 def cardioid_best_size(spec: CardioidSpec) -> int:

@@ -146,9 +146,14 @@ def _bayes_costs(problem: DecisionProblem, prior: Prior, numerators: Sequence[Se
 
 
 def bayes_optimal_risk(problem: DecisionProblem, prior: Prior, channel: Channel) -> Fraction:
-    """Minimal average risk: each output takes its cheapest action."""
+    """Minimal average risk: each output takes its cheapest action.
+
+    Only the channel's nonzero rows are priced: a zero row costs 0 under
+    every action, so it adds min(0, ...) = 0.
+    """
     _require_alphabet(problem, channel)
-    costs, d = _bayes_costs(problem, prior, channel.numerators, channel.denominator)
+    live = [row for row in channel.numerators if any(row)]
+    costs, d = _bayes_costs(problem, prior, live, channel.denominator)
     return Fraction(sum(map(min, costs)), d)
 
 
@@ -286,14 +291,30 @@ def _per_staircase_row(m: int, level, term: Callable[[tuple[Fraction, ...]], obj
 def bayes_linear_coefficients(problem: DecisionProblem, prior: Prior,
                               level) -> list[Fraction]:
     """Per-subset coefficients u with Bayes risk(channel of weights c)
-    equal to sum(c_y * u_y): the Bayes cost of each raw staircase row."""
+    equal to sum(c_y * u_y): the Bayes cost of each raw staircase row.
+
+    At t = p/q, staircase row S over q is q at every letter plus p - q at
+    the letters in S, so its cost under action a is q * sum_x K[x][a] +
+    (p - q) * sum_{x in S} K[x][a], with K[x][a] the cost of letter x's
+    identity row.  Each action's 2^m costs are built by doubling, as
+    `groups.mask_images` builds its tables (one addition per subset, no
+    product), and the cheapest action's is kept.  Equal costs share one
+    Fraction.
+    """
     t = as_level(level).t
     p, q = t.numerator, t.denominator
     m = problem.input_alphabet.size
-    # Staircase row S over q: p at the letters in S and q elsewhere.
-    rows = [[p if mask >> x & 1 else q for x in range(m)] for mask in all_subset_masks(m)]
-    costs, d = _bayes_costs(problem, prior, rows, q)
-    return [Fraction(min(row), d) for row in costs]
+    identity = [[int(x == y) for y in range(m)] for x in range(m)]
+    k_rows, d = _bayes_costs(problem, prior, identity, q)
+    best = None
+    for col in zip(*k_rows):
+        costs = [q * sum(col)]
+        for v in col:
+            v *= p - q
+            costs += [c + v for c in costs]
+        best = costs if best is None else [b if b <= c else c for b, c in zip(best, costs)]
+    values = {c: Fraction(c, d) for c in set(best)}
+    return [values[c] for c in best[1:-1]]
 
 
 def mutual_information_linear_coefficients(input_dist: Sequence,

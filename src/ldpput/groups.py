@@ -199,17 +199,6 @@ def all_subset_masks(m: int) -> tuple[int, ...]:
     return tuple(range(1, (1 << m) - 1))
 
 
-def mask_to_positions(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
 def mask_images(images: Sequence[int]) -> list[int]:
     """The image of every mask 0 .. 2^m - 1 when bit x moves to bit
     images[x], built by doubling: the masks with highest bit x are those

@@ -6,6 +6,8 @@ grid integration, a transitive group's vertex weights by double
 counting, orbits by calling a group action on every point, kernels by
 elimination, LP optima and pivot paths on a Fraction tableau, channel
 products, Bayes and minimax risks one Fraction per multiply-add, the
+per-subset Bayes form one integer staircase row at a time, the circular
+task's root-of-unity sum and orbit risk one mask at a time, the
 audit's samples through Fraction weights and composed channels, the
 polytope's vertex list by one fresh square solve per orderly support,
 the vertex sweep on Fraction weights, the ray behind each channel row and
@@ -38,9 +40,9 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from ldpput.applications import CardioidSpec, z_magnitude
+from ldpput.applications import CardioidSpec
 from ldpput.channels import Channel, PrivacyLevel, as_level, compose, require_ldp
-from ldpput.decision import DecisionProblem, Prior
+from ldpput.decision import DecisionProblem, Prior, _bayes_costs
 from ldpput.errors import (
     AlphabetMismatchError,
     LdpPutError,
@@ -56,7 +58,6 @@ from ldpput.groups import (
     Permutation,
     all_subset_masks,
     cyclic_group,
-    mask_to_positions,
     symmetric_generators,
 )
 from ldpput.ldp_geometry import (
@@ -865,6 +866,18 @@ def deterministic_rule(choices: Sequence[int], n_actions: int) -> DecisionRule:
         for choice in choices))
 
 
+def bayes_linear_coefficients_reference(problem: DecisionProblem, prior: Prior,
+                                        level) -> list[Fraction]:
+    """decision.bayes_linear_coefficients row by row: the integer cost of
+    every staircase row, m products per action, in mask order."""
+    t = as_level(level).t
+    p, q = t.numerator, t.denominator
+    m = problem.input_alphabet.size
+    rows = [[p if mask >> x & 1 else q for x in range(m)] for mask in all_subset_masks(m)]
+    costs, d = _bayes_costs(problem, prior, rows, q)
+    return [Fraction(min(row), d) for row in costs]
+
+
 def bayes_optimal_risk_reference(problem: DecisionProblem, prior: Prior,
                                  channel: Channel) -> tuple[Fraction, DecisionRule]:
     """decision.bayes_optimal_risk row by row on Fractions; ties go to the
@@ -1377,6 +1390,35 @@ def positions_to_mask(positions: Iterable[int]) -> int:
     for i in positions:
         mask |= 1 << i
     return mask
+
+
+def mask_to_positions(mask: int) -> tuple[int, ...]:
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+def z_magnitude(mask: int, m: int) -> float:
+    """Magnitude of the subset's sum of m-th roots of unity, one complex
+    exponential per letter, added in ascending letter order."""
+    total = sum(cmath.exp(2j * cmath.pi * x / m) for x in mask_to_positions(mask))
+    return abs(total)
+
+
+def cardioid_orbit_risk_reference(spec: CardioidSpec, mask: int) -> float:
+    """applications.cardioid_orbit_risk with |Z| rebuilt from the mask's
+    letters, the floats combined in the same order."""
+    m = spec.m
+    k = mask.bit_count()
+    t = spec.level.t
+    amplitude = z_magnitude(mask, m)
+    return 1.0 - float(spec.gamma) * (float(t) - 1.0) * amplitude \
+        / (2.0 * (k * float(t) + m - k))
 
 
 def cardioid_consecutive_maximizer(m: int, k: int) -> int:

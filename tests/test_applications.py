@@ -4,6 +4,8 @@ cardioid direction estimation."""
 from __future__ import annotations
 
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,21 +19,22 @@ from ldpput.applications import (
     ht_problem,
     ht_put_closed_form,
     ht_subset_risk,
-    z_magnitude,
 )
 from ldpput.decision import bayes_optimal_risk
-from ldpput.groups import FiniteAlphabet, cyclic_group, symmetric_group
+from ldpput.groups import FiniteAlphabet, all_subset_masks, cyclic_group, symmetric_group
 from ldpput.ldp_geometry import subset_orbits
 from oracles import (
     InvarianceDeclaration,
     check_equalizer_reference,
     cardioid_consecutive_maximizer,
     cardioid_orbit_risk_numeric,
+    cardioid_orbit_risk_reference,
     cardioid_rule_risk,
     natural_action,
     positions_to_mask,
     ss_mechanism,
     verify_invariance,
+    z_magnitude,
 )
 
 F = Fraction
@@ -204,6 +207,39 @@ def test_cardioid_orbit_risk_blind_cases():
     flat = CardioidSpec.build(4, F(1), F(1))
     for mask in (0b0001, 0b0011, 0b0111):
         assert cardioid_orbit_risk(flat, mask) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_cardioid_table_equals_z_magnitude_on_every_mask(m):
+    """The doubling table adds each mask's roots in the order the per-mask
+    sum does, so every |Z| is the same float."""
+    table = CardioidSpec.build(m, F(1, 2), F(2)).z_magnitudes
+    assert len(table) == 1 << m
+    assert all(z == z_magnitude(mask, m) for mask, z in enumerate(table))
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_cardioid_orbit_risk_equals_the_per_mask_formula_bit_for_bit(m):
+    for t in (F(1), F(3, 2), F(7, 3), F(5)):
+        for gamma in (F(1, 3), F(1, 2), F(3, 4), F(1)):
+            spec = CardioidSpec.build(m, gamma, t)
+            masks = all_subset_masks(m)
+            assert [cardioid_orbit_risk(spec, mask).hex() for mask in masks] == \
+                [cardioid_orbit_risk_reference(spec, mask).hex() for mask in masks]
+
+
+def test_cardioid_table_retains_only_its_entries():
+    """Building the table keeps its 2^m floats and no complex sums."""
+    spec = CardioidSpec.build(12, F(1, 2), F(2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = spec.z_magnitudes
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 1 << 12
+    assert retained <= sys.getsizeof(table) + len(table) * sys.getsizeof(0.0) + 1024
 
 
 def test_cardioid_put_m4_frozen():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpput import decision, simplex
+from ldpput.applications import ht_problem, ht_subset_risk
 from ldpput.channels import Channel, compose
 from ldpput.decision import (
     DecisionProblem,
@@ -24,13 +25,15 @@ from ldpput.decision import (
     mutual_information,
     mutual_information_linear_coefficients,
 )
-from ldpput.groups import FiniteAlphabet, symmetric_group
+from ldpput.groups import FiniteAlphabet, cyclic_group, symmetric_group
+from ldpput.invariant import enumerate_invariant_vertices
 from ldpput.ldp_geometry import enumerate_polytope_vertices, extremal_channel
 from ldpput.put_solver import random_private_channel
 from ldpput.simplex import solve_standard_lp
 from oracles import (
     InvarianceDeclaration,
     bayes_action_costs_reference,
+    bayes_linear_coefficients_reference,
     bayes_optimal_risk_reference,
     check_equalizer_reference,
     column,
@@ -573,6 +576,111 @@ def test_bayes_linear_coefficients_equal_fraction_reference(case, t):
     rows = staircase_matrix(problem.input_alphabet, F(t)).rows
     assert bayes_linear_coefficients(problem, prior, F(t)) == \
         [min(bayes_action_costs_reference(problem, prior, row)) for row in rows]
+
+
+@st.composite
+def wide_bayes_case(draw):
+    """A problem on 1-10 letters with 1-3 parameters and 1-4 actions: a
+    model with zero entries, zero, negative and tied losses (a repeated
+    action column, or one constant loss), and a prior with zero entries."""
+    m = draw(st.integers(min_value=1, max_value=10))
+    n_par = draw(st.integers(min_value=1, max_value=3))
+    n_act = draw(st.integers(min_value=1, max_value=4))
+    model = draw_sparse_stochastic(draw, m, n_par).rows
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    if draw(st.booleans()):
+        loss = [[draw(entry) for _ in range(n_act)] for _ in range(n_par)]
+    else:
+        loss = [[draw(st.sampled_from([F(-1), F(0), F(2)]))] * n_act for _ in range(n_par)]
+    copy = draw(st.integers(min_value=-1, max_value=n_act - 1))
+    if copy >= 0:
+        loss = [row + [row[copy]] for row in loss]
+    problem = DecisionProblem.build(tuple(range(n_par)), tuple(range(m)), model,
+                                    tuple(range(len(loss[0]))), loss)
+    prior = Prior(values=column(draw_sparse_stochastic(draw, n_par, 1), 0))
+    return problem, prior
+
+
+@given(wide_bayes_case(), st.sampled_from(["1", "3/2", "2", "7/3", "5"]))
+@settings(max_examples=200, deadline=None)
+def test_subset_sum_form_equals_row_by_row_form(case, t):
+    """The form built by doubling over the letters is the row-by-row
+    integer form: the same Fractions, in mask order."""
+    problem, prior = case
+    form = bayes_linear_coefficients(problem, prior, F(t))
+    assert form == bayes_linear_coefficients_reference(problem, prior, F(t))
+    assert all(type(u) is Fraction for u in form)
+
+
+def test_subset_sum_form_at_the_grouped_cap_gives_ht_subset_risks():
+    """ht at m = 16: each of the 65,534 costs is the closed-form risk of
+    its subset size."""
+    m, gamma, t = 16, F(1, 2), F(2)
+    problem, prior = ht_problem(m, gamma)
+    form = bayes_linear_coefficients(problem, prior, t)
+    assert len(form) == 2 ** m - 2
+    risks = {}
+    for mask, u in enumerate(form, start=1):
+        # The pure size-k orbit puts m / (k*t + m - k) on each size-k cost.
+        k = mask.bit_count()
+        risks.setdefault(k, set()).add(u * m / (k * t + m - k))
+    assert risks == {k: {ht_subset_risk(m, gamma, t, k)} for k in range(1, m)}
+
+
+@st.composite
+def zero_row_bayes_case(draw):
+    """A problem, a prior and a channel with zero rows: a grouped vertex's
+    extremal channel (one row per subset, zero off its support), or a
+    direct sum with a zero-weight block."""
+    problem = draw_tied_problem(draw, 3)
+    prior = Prior(values=column(draw_sparse_stochastic(draw, len(problem.parameters), 1), 0))
+    m = problem.input_alphabet.size
+    alphabet = FiniteAlphabet.of_size(m)
+    t = F(draw(st.sampled_from(["1", "3/2", "2", "5"])))
+    group = draw(st.sampled_from([symmetric_group, cyclic_group]))(alphabet)
+    vertices = enumerate_invariant_vertices(group, t)
+    vertex = extremal_channel(vertices[draw(st.integers(0, len(vertices) - 1))])
+    if draw(st.booleans()) and not all(map(any, vertex.numerators)):
+        return problem, prior, vertex
+    # A live block whose nonzero rows have zero entries too.
+    n_out = draw(st.integers(min_value=1, max_value=5))
+    raw = [[draw(st.sampled_from([0, 0, 1, 3])) for _ in range(m)] for _ in range(n_out)]
+    for x in range(m):
+        raw[0][x] += not any(row[x] for row in raw)
+    totals = [sum(row[x] for row in raw) for x in range(m)]
+    sparse = Channel.build(range(m), range(n_out),
+                           [[F(v, total) for v, total in zip(row, totals)] for row in raw])
+    return problem, prior, direct_sum([0, 1], draw(st.permutations([vertex, sparse])))
+
+
+@given(zero_row_bayes_case())
+@settings(max_examples=150, deadline=None)
+def test_bayes_optimal_risk_prices_live_rows_only(case):
+    """Skipping the zero rows leaves the Fraction reference's value."""
+    problem, prior, channel = case
+    assert any(not any(row) for row in channel.numerators)
+    assert bayes_optimal_risk(problem, prior, channel) == \
+        bayes_optimal_risk_reference(problem, prior, channel)[0]
+
+
+def test_bayes_optimal_risk_passes_only_nonzero_rows(monkeypatch):
+    """Randomized response at m = 4 under S_4 has 14 rows, 4 of them live."""
+    problem, prior = ht_problem(4, F(1, 2))
+    channel = extremal_channel(next(v for v in enumerate_invariant_vertices(
+        symmetric_group(FiniteAlphabet.of_size(4)), F(2)) if v.values[0]))
+    seen = []
+    real = decision._bayes_costs
+
+    def recording(problem, prior, numerators, d_c):
+        seen.append(list(numerators))
+        return real(problem, prior, numerators, d_c)
+
+    monkeypatch.setattr(decision, "_bayes_costs", recording)
+    value = bayes_optimal_risk(problem, prior, channel)
+    assert value == ht_subset_risk(4, F(1, 2), F(2), 1)
+    assert channel.num_outputs == 14
+    assert seen == [[row for row in channel.numerators if any(row)]]
+    assert len(seen[0]) == 4
 
 
 # -- the minimax LP over occurring outputs against its Fraction reference -----

@@ -73,6 +73,19 @@ GOLDEN = {
         "2ed16bc5f10d3eb8fdd30eaeddbc2df30158a96dd866f49132a7a096fe3636f8",
     "put --task cardioid --m 5 --t 2":
         "ea8eb42e8e750059fd5fd06cf87ee50ba5d9b03dcb8a27ad69581bd912005251",
+    # Recorded with one root-of-unity sum per mask and one Bayes cost per
+    # staircase row, before both came from tables built by doubling; the
+    # cardioid values are floats, so these pin their bytes.
+    "put --task cardioid --m 10 --t 3/2 --gamma 1/3":
+        "5f9b4b487975cda391414537ad7f95b31734e90e4f127b72378fd7127906ba14",
+    "put --task cardioid --m 10 --t 2 --gamma 1/2":
+        "791c96a9e00b32c15fcb4b60acb73cb4cebbc4e8216de22c3f919388510ca238",
+    "put --task cardioid --m 10 --t 3 --gamma 2/3":
+        "92154b8cf538456cf7a63d3f517f00c85c532df1a04fbc2c75dcf913279c191a",
+    "put --task cardioid --m 10 --t 5 --gamma 3/4":
+        "2fa6c712b868a597a02f4cd6371f3095e615d7befdf48f046b0f536ea899b21e",
+    "put --task ht --m 7 --method closed,transitive,vertex --t 7/3":
+        "3c48b07f3e341becf5c293beb3b20ffa2792b39089a218f7030c078dcb8886eb",
     "put --problem {prior} --t 3":
         "a972bb1bc3d2486d038321f4a4ce4f7f375ece760a9ab178bf908709bb431be1",
     "put --problem {noprior} --t 3":

@@ -21,7 +21,6 @@ from ldpput.groups import (
     all_subset_masks,
     cyclic_group,
     generate_group,
-    mask_to_positions,
     symmetric_group,
     trivial_group,
 )
@@ -32,6 +31,7 @@ from oracles import (
     inverse,
     is_transitive,
     natural_action,
+    mask_to_positions,
     orbit_column_sum_reference,
     orbits,
     positions_to_mask,
