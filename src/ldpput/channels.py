@@ -5,8 +5,8 @@ denominator, reduced by the gcd of all of them, so equal matrices have
 equal fields; rows are indexed by output letters and columns by input
 letters, and every column of numerators sums to the denominator.  The
 exact Fraction rows are a view built on first read.  Zero rows are
-allowed: they correspond to outputs that never occur and keep row
-indexing stable under the geometric constructions.
+allowed (outputs that never occur), but no geometric construction
+needs one: a maximal channel lists only its subsets of nonzero weight.
 """
 
 from __future__ import annotations

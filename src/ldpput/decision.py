@@ -148,12 +148,11 @@ def _bayes_costs(problem: DecisionProblem, prior: Prior, numerators: Sequence[Se
 def bayes_optimal_risk(problem: DecisionProblem, prior: Prior, channel: Channel) -> Fraction:
     """Minimal average risk: each output takes its cheapest action.
 
-    Only the channel's nonzero rows are priced: a zero row costs 0 under
-    every action, so it adds min(0, ...) = 0.
+    Every row is priced: a zero row costs 0 under every action, so it
+    adds min(0, ...) = 0.
     """
     _require_alphabet(problem, channel)
-    live = [row for row in channel.numerators if any(row)]
-    costs, d = _bayes_costs(problem, prior, live, channel.denominator)
+    costs, d = _bayes_costs(problem, prior, channel.numerators, channel.denominator)
     return Fraction(sum(map(min, costs)), d)
 
 

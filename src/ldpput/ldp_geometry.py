@@ -85,12 +85,6 @@ class WeightPolytope:
     denominator: int
     orbit_index: tuple[int, ...]
 
-    @cached_property
-    def subset_alphabet(self) -> FiniteAlphabet:
-        """The subset bitmasks, orbit by orbit: the output letters of
-        every maximal channel on this polytope."""
-        return FiniteAlphabet(tuple(mask for orbit in self.orbits for mask in orbit.masks))
-
 
 def weight_polytope(group: PermGroup, level) -> WeightPolytope:
     """The weight polytope collapsed onto the group's orbits.
@@ -211,42 +205,38 @@ def in_weight_polytope(weights: WeightVector) -> bool:
     return min(n) >= 0 and all(sum(map(mul, row, n)) == target for row in polytope.rows)
 
 
-def staircase_numerators(polytope: WeightPolytope, n: Sequence[int]) -> list[tuple[int, ...]]:
-    """The rows of the maximal channel of weights n / d, over d * q.
-
-    One row per subset, orbit by orbit: with t = p / q, the row of a
-    subset of weight n_S / d is n_S * p on the subset and n_S * q
-    elsewhere; a zero weight gives a zero row.
+def staircase_numerators(polytope: WeightPolytope, n: Sequence[int]) -> tuple[tuple, tuple]:
+    """The subsets of nonzero weight n_S / d, orbit by orbit, and their
+    rows of the maximal channel over d * q: with t = p / q, n_S * p on
+    the subset and n_S * q elsewhere.  A zero-weight orbit is skipped,
+    since its outputs never occur.
     """
     m = polytope.group.alphabet.size
     t = polytope.level.t
     p, q = t.numerator, t.denominator
-    zero = (0,) * m
-    rows = []
+    masks, rows = [], []
     for orbit, w in zip(polytope.orbits, n):
-        if not w:
-            rows.extend([zero] * orbit.size)
-            continue
-        wp, wq = w * p, w * q
-        rows.extend(tuple(wp if mask >> x & 1 else wq for x in range(m))
-                    for mask in orbit.masks)
-    return rows
+        if w:
+            wp, wq = w * p, w * q
+            masks += orbit.masks
+            rows += (tuple(wp if mask >> x & 1 else wq for x in range(m))
+                     for mask in orbit.masks)
+    return tuple(masks), tuple(rows)
 
 
 def extremal_channel(weights: WeightVector) -> Channel:
-    """The maximal channel with one output row per subset.
-
-    Row y is the staircase row of y scaled by the weight of its orbit;
-    zero-weight rows are kept so the output alphabet always lists every
-    subset, orbit by orbit (ascending under the trivial group).  Output
-    letters are the subset bitmasks themselves (`subset_alphabet`).
+    """The maximal channel of the weights, with one output per subset of
+    nonzero weight, orbit by orbit (ascending under the trivial group):
+    output letter S is the subset's bitmask, and its row is S's staircase
+    row scaled by the weight of its orbit.  A zero-weight subset's output
+    never occurs, and leaving it out keeps the Blackwell class.
     """
     polytope = weights.polytope
     if not in_weight_polytope(weights):
         raise PolytopeViolationError("weights are not a member of the weight polytope")
+    masks, rows = staircase_numerators(polytope, weights.numerators)
     return Channel(input_alphabet=weights.input_alphabet,
-                   output_alphabet=polytope.subset_alphabet,
-                   numerators=tuple(staircase_numerators(polytope, weights.numerators)),
+                   output_alphabet=FiniteAlphabet(masks), numerators=rows,
                    denominator=weights.denominator * polytope.level.t.denominator)
 
 

@@ -22,7 +22,9 @@ The caller's contract: a form or closed-form values come from a
 data-processing-monotone objective that is affine over direct sums, such
 as a Bayes risk.  Then the polytope's optimum is the optimum over all
 private channels, and an orbit-constant form keeps it on the group's
-orbit polytope.
+orbit polytope.  It must also give equivalent channels the same value,
+as data-processing monotonicity already ensures: a maximal channel
+lists only its subsets of nonzero weight.
 """
 
 from __future__ import annotations
@@ -273,19 +275,19 @@ def _random_counts(rng: random.Random, n: int) -> list[int]:
 
 def random_private_channel(rng: random.Random, vertices: Sequence[WeightVector]) -> Channel:
     """A random channel satisfying the privacy constraint of `vertices`,
-    a polytope's vertex list over its one shared denominator (as
-    `polytope_vertices` gives it).
+    the full polytope's vertex list over its one shared denominator (as
+    `enumerate_polytope_vertices` gives it).
 
     A random convex combination of the polytope vertices gives a maximal
-    channel: counts c_k on the picked vertices mix their numerators as
-    sum c_k * n_k, over d = sum(c) times the vertices' denominator, and
-    with t = p / q its staircase rows lie over d * q.  Two times in
-    three a random stochastic map then post-processes it into a fresh
-    alphabet of at most two more outputs, so the audit covers
-    non-maximal channels too.  Column y of the map is random counts over
-    their sum s_y; every row y draws its column, but only the nonzero
-    rows are multiplied, over lcm(s_y) * d * q.  Either way the sample
-    is built as one Channel.
+    channel of its nonzero-weight subsets: counts c_k on the picked
+    vertices mix their numerators as sum c_k * n_k, over d = sum(c) times
+    the vertices' denominator, and with t = p / q its staircase rows lie
+    over d * q.  Two times in three a random stochastic map then
+    post-processes it into a fresh alphabet of at most 2^m outputs, so
+    the audit covers non-maximal channels too.  Column S of the map is
+    random counts over their sum s_S; every subset draws its column, in
+    mask order, and the live rows are multiplied, over lcm(s_S) * d * q.
+    Either way the sample is built as one Channel.
     """
     polytope = vertices[0].polytope
     picks = rng.sample(range(len(vertices)), k=min(len(vertices), rng.randint(1, 3)))
@@ -294,18 +296,18 @@ def random_private_channel(rng: random.Random, vertices: Sequence[WeightVector])
     mixed = [sum(map(mul, counts, col)) for col in zip(*(vertices[k].numerators for k in picks))]
     if not in_weight_polytope(WeightVector(polytope, tuple(mixed), d)):
         raise PolytopeViolationError("a mixture of vertices left the weight polytope")
-    staircase = staircase_numerators(polytope, mixed)
+    masks, staircase = staircase_numerators(polytope, mixed)
     d *= polytope.level.t.denominator
     if rng.random() >= Fraction(2, 3):
         return Channel(input_alphabet=polytope.group.alphabet,
-                       output_alphabet=polytope.subset_alphabet,
-                       numerators=tuple(staircase), denominator=d)
-    n_out = rng.randint(1, len(staircase) + 2)
-    cols = [_random_counts(rng, n_out) for _ in staircase]
-    live = [y for y, row in enumerate(staircase) if row[0]]
-    scale = lcm(*(sum(cols[y]) for y in live))
-    post = [[v * (scale // sum(cols[y])) for v in cols[y]] for y in live]
-    by_input = list(zip(*(staircase[y] for y in live)))
+                       output_alphabet=FiniteAlphabet(masks),
+                       numerators=staircase, denominator=d)
+    n_out = rng.randint(1, len(polytope.orbit_index) + 2)
+    cols = [_random_counts(rng, n_out) for _ in polytope.orbit_index]
+    cols = [cols[mask - 1] for mask in masks]
+    scale = lcm(*map(sum, cols))
+    post = [[v * (scale // sum(col)) for v in col] for col in cols]
+    by_input = list(zip(*staircase))
     numerators = tuple(tuple(sum(map(mul, coeffs, col)) for col in by_input)
                        for coeffs in zip(*post))
     return Channel(input_alphabet=polytope.group.alphabet,

@@ -20,7 +20,8 @@ inputs, and what no command runs: permutation inverses, the group-action
 laws, channel columns, Blackwell dominance and equivalence, the
 dominating maximal channel of a private channel, direct sums,
 relabeling and symmetrization of channels, staircase matrices, weight
-vectors, maximality and canonical weights, subset selection and lifting,
+vectors, the maximal channel with one row per subset (zero rows
+included), maximality and canonical weights, subset selection and lifting,
 the JSON writers no command calls, the equalizer check, and the spot
 checks of the paper's four properties of a risk (data processing, direct
 sums, concavity, invariance) on the library's risks.
@@ -65,7 +66,6 @@ from ldpput.ldp_geometry import (
     WeightPolytope,
     WeightVector,
     enumerate_polytope_vertices,
-    extremal_channel,
     full_polytope,
     in_weight_polytope,
     ray_subsets,
@@ -1157,7 +1157,7 @@ def dominating_maximal(channel: Channel, level) -> tuple[Channel, DominanceWitne
                                                "staircase rows")
         decompositions.append(sol)
     totals = [sum((d[j] for d in decompositions), _ZERO) for j in range(n)]
-    maximal = extremal_channel(WeightVector.of_values(polytope, totals))
+    maximal = extremal_channel_reference(WeightVector.of_values(polytope, totals))
     w_rows = [[d[j] / totals[j] if totals[j] else _ZERO for j in range(n)]
               for d in decompositions]
     # Zero-weight subsets have zero rows in the maximal channel; their
@@ -1288,6 +1288,36 @@ def make_weight_vector(domain: FiniteAlphabet | PermGroup, level,
     polytope = weight_polytope(domain, level) if isinstance(domain, PermGroup) \
         else full_polytope(domain, level)
     return WeightVector.of_values(polytope, [as_fraction(v) for v in values])
+
+
+def extremal_channel_reference(weights: WeightVector) -> Channel:
+    """The maximal channel of the weights with one output row per subset,
+    zero-weight subsets included, orbit by orbit: the subset bitmasks
+    are the output letters, and every channel on one polytope has the
+    same alphabet.  `ldp_geometry.extremal_channel` is this channel with
+    its zero rows removed."""
+    polytope = weights.polytope
+    if not in_weight_polytope(weights):
+        raise PolytopeViolationError("weights are not a member of the weight polytope")
+    m = polytope.group.alphabet.size
+    p, q = polytope.level.t.numerator, polytope.level.t.denominator
+    masks = tuple(mask for orbit in polytope.orbits for mask in orbit.masks)
+    rows = tuple(tuple(w * p if mask >> x & 1 else w * q for x in range(m))
+                 for orbit, w in zip(polytope.orbits, weights.numerators)
+                 for mask in orbit.masks)
+    return Channel(input_alphabet=weights.input_alphabet,
+                   output_alphabet=FiniteAlphabet(masks), numerators=rows,
+                   denominator=weights.denominator * q)
+
+
+def without_zero_rows(channel: Channel) -> Channel:
+    """The channel with its zero rows and their output letters removed."""
+    live = [y for y, row in enumerate(channel.numerators) if any(row)]
+    letters = channel.output_alphabet.letters
+    return Channel(input_alphabet=channel.input_alphabet,
+                   output_alphabet=FiniteAlphabet(tuple(letters[y] for y in live)),
+                   numerators=tuple(channel.numerators[y] for y in live),
+                   denominator=channel.denominator)
 
 
 def is_maximal(channel: Channel, level) -> bool:
@@ -1518,10 +1548,12 @@ def random_post_processing(rng: random.Random, channel: Channel) -> Channel:
 def random_private_channel_reference(rng: random.Random,
                                      vertices: Sequence[WeightVector]) -> Channel:
     """`put_solver.random_private_channel` one step at a time: a polytope
-    point as Fraction weights, its extremal channel, and two times in
-    three a post-processor channel composed after it.  It draws the
-    same numbers in the same order."""
-    q = extremal_channel(random_polytope_point(rng, vertices))
+    point as Fraction weights, its extremal channel with one row per
+    subset, and two times in three a post-processor channel composed
+    after it (one column drawn per subset, zero rows included).  It draws
+    the same numbers in the same order; its maximal draws keep their
+    zero rows, which the library's drop."""
+    q = extremal_channel_reference(random_polytope_point(rng, vertices))
     if rng.random() < Fraction(2, 3):
         q = random_post_processing(rng, q)
     return q
@@ -1578,8 +1610,8 @@ def spot_check_traits(objective: Callable[[Channel], Fraction | float],
     level = as_level(level)
     vertices = enumerate_polytope_vertices(alphabet, level)
     for _ in range(trials):
-        q1 = extremal_channel(random_polytope_point(rng, vertices))
-        q2 = extremal_channel(random_polytope_point(rng, vertices))
+        q1 = extremal_channel_reference(random_polytope_point(rng, vertices))
+        q2 = extremal_channel_reference(random_polytope_point(rng, vertices))
         if traits.data_processing:
             degraded = random_post_processing(rng, q1)
             if not _close(objective(degraded), objective(q1), _ge):

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpput import decision, simplex
-from ldpput.applications import ht_problem, ht_subset_risk
+from ldpput.applications import CardioidSpec, cardioid_bayes_risk, ht_problem, ht_subset_risk
 from ldpput.channels import Channel, compose
 from ldpput.decision import (
+    F_DIVERGENCES,
     DecisionProblem,
     Prior,
     bayes_linear_coefficients,
@@ -39,12 +40,15 @@ from oracles import (
     column,
     deterministic_rule,
     direct_sum,
+    extremal_channel_reference,
     make_weight_vector,
     minimax_risk_reference,
     natural_action,
+    random_polytope_point,
     risk_reference,
     staircase_matrix,
     verify_invariance,
+    without_zero_rows,
 )
 from test_channels import draw_sparse_stochastic
 from test_linalg_simplex import _recording_pivots
@@ -639,7 +643,7 @@ def zero_row_bayes_case(draw):
     t = F(draw(st.sampled_from(["1", "3/2", "2", "5"])))
     group = draw(st.sampled_from([symmetric_group, cyclic_group]))(alphabet)
     vertices = enumerate_invariant_vertices(group, t)
-    vertex = extremal_channel(vertices[draw(st.integers(0, len(vertices) - 1))])
+    vertex = extremal_channel_reference(vertices[draw(st.integers(0, len(vertices) - 1))])
     if draw(st.booleans()) and not all(map(any, vertex.numerators)):
         return problem, prior, vertex
     # A live block whose nonzero rows have zero entries too.
@@ -656,31 +660,64 @@ def zero_row_bayes_case(draw):
 @given(zero_row_bayes_case())
 @settings(max_examples=150, deadline=None)
 def test_bayes_optimal_risk_prices_live_rows_only(case):
-    """Skipping the zero rows leaves the Fraction reference's value."""
+    """Zero rows add nothing: the risk equals the Fraction reference's."""
     problem, prior, channel = case
     assert any(not any(row) for row in channel.numerators)
     assert bayes_optimal_risk(problem, prior, channel) == \
         bayes_optimal_risk_reference(problem, prior, channel)[0]
 
 
-def test_bayes_optimal_risk_passes_only_nonzero_rows(monkeypatch):
-    """Randomized response at m = 4 under S_4 has 14 rows, 4 of them live."""
-    problem, prior = ht_problem(4, F(1, 2))
-    channel = extremal_channel(next(v for v in enumerate_invariant_vertices(
-        symmetric_group(FiniteAlphabet.of_size(4)), F(2)) if v.values[0]))
-    seen = []
-    real = decision._bayes_costs
+EQUIVALENCE_LEVELS = ("1", "3/2", "2", "7/3", "5")
 
-    def recording(problem, prior, numerators, d_c):
-        seen.append(list(numerators))
-        return real(problem, prior, numerators, d_c)
 
-    monkeypatch.setattr(decision, "_bayes_costs", recording)
-    value = bayes_optimal_risk(problem, prior, channel)
-    assert value == ht_subset_risk(4, F(1, 2), F(2), 1)
-    assert channel.num_outputs == 14
-    assert seen == [[row for row in channel.numerators if any(row)]]
-    assert len(seen[0]) == 4
+@st.composite
+def maximal_weights(draw):
+    """A vertex or a random point of a full polytope (m = 2..5) or of a
+    sym or cyclic polytope (m = 2..7), at t in EQUIVALENCE_LEVELS."""
+    t = F(draw(st.sampled_from(EQUIVALENCE_LEVELS)))
+    if draw(st.booleans()):
+        vertices = enumerate_polytope_vertices(
+            FiniteAlphabet.of_size(draw(st.integers(min_value=2, max_value=5))), t)
+    else:
+        alphabet = FiniteAlphabet.of_size(draw(st.integers(min_value=2, max_value=7)))
+        group = draw(st.sampled_from([symmetric_group, cyclic_group]))(alphabet)
+        vertices = enumerate_invariant_vertices(group, t)
+    if draw(st.booleans()):
+        return draw(st.sampled_from(vertices))
+    return random_polytope_point(random.Random(draw(st.integers(0, 2 ** 16))), vertices)
+
+
+@given(maximal_weights(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_extremal_channel_is_the_reference_without_its_zero_rows(weights, data):
+    """The same letters, rows, row order and denominator as the
+    one-row-per-subset reference with its zero rows removed, and every
+    objective the same value on both forms, exactly."""
+    draw = data.draw
+    q = extremal_channel(weights)
+    reference = extremal_channel_reference(weights)
+    assert q == without_zero_rows(reference)
+    assert sorted(q.output_alphabet.letters) == list(weights.support)
+    assert all(map(any, q.numerators))
+    m = weights.input_alphabet.size
+    n_par = draw(st.integers(min_value=1, max_value=3))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    n_act = draw(st.integers(min_value=1, max_value=3))
+    problem = DecisionProblem.build(
+        tuple(range(n_par)), tuple(range(m)), draw_sparse_stochastic(draw, m, n_par).rows,
+        tuple(range(n_act)), [[draw(entry) for _ in range(n_act)] for _ in range(n_par)])
+    prior = Prior(values=column(draw_sparse_stochastic(draw, n_par, 1), 0))
+    p0, p1, dist = (column(draw_sparse_stochastic(draw, m, 1), 0) for _ in range(3))
+    objectives = [lambda c: bayes_optimal_risk(problem, prior, c),
+                  lambda c: minimax_risk(problem, c),
+                  lambda c: mutual_information(c, dist)]
+    objectives += [lambda c, name=name: f_divergence_utility(c, name, p0, p1)
+                   for name in F_DIVERGENCES]
+    if m >= 3:
+        spec = CardioidSpec.build(m, F(draw(st.integers(1, 4)), 4), weights.level)
+        objectives.append(lambda c: cardioid_bayes_risk(spec, c))
+    for objective in objectives:
+        assert objective(q) == objective(reference)
 
 
 # -- the minimax LP over occurring outputs against its Fraction reference -----

@@ -100,6 +100,15 @@ GOLDEN = {
         "8c629d2d080e330313f3b4e7d39770115e1e4087394042e40c65427a035b0f55",
     "put --problem {m4b} --t 5":
         "b0e306565caa26dc51a10eaea300b25c8c5c1b47924ea6c6fbf9c46ed24579ff",
+    # Recorded with one output row per subset in every extremal channel,
+    # before a maximal channel kept only its nonzero-weight subsets.  Each
+    # grouped sweep builds the channel of every orbit vertex.
+    "put --task ht --m 7 --t 2 --group cyclic --method transitive,vertex":
+        "ed4a4603dfc14639f939e165e660cce09c9066757a062ab046683b7d8a9e5f44",
+    "put --problem {m4a} --t 2 --group sym":
+        "e68e9b18ed88eef018c2073d13b6f4b2b2bf5773066b7c51e03b0f8267e49ab7",
+    "put --problem {m4b} --t 5 --group cyclic":
+        "0dba5eb0e3edebcd91fdcc928400d3df77548e4e4ca493d57068a14d32c0caa6",
     "check-channel {channel} --t 2":
         "52fa688e8720f56bc9b294e33fe3cc53f63d8533e4152fbb6695470898df85a0",
     "audit --task ht --m 3 --t 2 --samples 20":

@@ -38,6 +38,7 @@ from oracles import (
     dominates,
     dominating_maximal,
     equivalent,
+    extremal_channel_reference,
     fraction_rows,
     fraction_vertices,
     in_cone,
@@ -134,16 +135,13 @@ def test_extremal_channel_m2_is_rr():
 def test_extremal_channel_m3_subset_selection():
     c = make_weight_vector(X3, F(2), ["1/4", "1/4", 0, "1/4", 0, 0])
     q = extremal_channel(c)
-    nonzero = [row for row in q.rows if any(row)]
-    assert sorted(nonzero) == sorted(
-        [
-            (F(1, 2), F(1, 4), F(1, 4)),
-            (F(1, 4), F(1, 2), F(1, 4)),
-            (F(1, 4), F(1, 4), F(1, 2)),
-        ]
+    # one output per subset of nonzero weight, ascending: no zero row
+    assert q.output_alphabet.letters == (1, 2, 4)
+    assert q.rows == (
+        (F(1, 2), F(1, 4), F(1, 4)),
+        (F(1, 4), F(1, 2), F(1, 4)),
+        (F(1, 4), F(1, 4), F(1, 2)),
     )
-    # zero rows kept: one per unused subset
-    assert len(q.rows) == 6
 
 
 def test_extremal_channel_rejects_non_member():
@@ -156,9 +154,8 @@ def test_extremal_channel_rows_are_extreme():
     t = F(2)
     for v in enumerate_polytope_vertices(X3, t):
         q = extremal_channel(v)
-        for mask, row in zip(all_subset_masks(3), q.rows):
-            if any(row):
-                assert is_extreme_direction(row, X3, t) == mask
+        for mask, row in zip(q.output_alphabet.letters, q.rows):
+            assert is_extreme_direction(row, X3, t) == mask
 
 
 def test_extremal_channel_is_ldp_and_maximal():
@@ -333,8 +330,8 @@ def test_dominating_maximal_already_maximal():
 def _random_ldp_channel(rng: random.Random, m: int, t: Fraction) -> Channel:
     """Random LDP channel: an exact convex mixture of extremal channels.
 
-    All extremal channels at (m, t) share the full subset-indexed row space,
-    so mixing is entrywise.
+    With one row per subset, zero rows included, all extremal channels at
+    (m, t) share the full subset-indexed row space, so mixing is entrywise.
     """
     verts = enumerate_polytope_vertices(FiniteAlphabet.of_size(m), t)
     picks = rng.sample(verts, rng.randint(1, min(3, len(verts))))
@@ -343,7 +340,7 @@ def _random_ldp_channel(rng: random.Random, m: int, t: Fraction) -> Channel:
     n_rows = len(picks[0].values)
     rows = [[Fraction(0)] * m for _ in range(n_rows)]
     for share, v in zip(raw, picks):
-        q = extremal_channel(v)
+        q = extremal_channel_reference(v)
         for i, row in enumerate(q.rows):
             for x, val in enumerate(row):
                 rows[i][x] += Fraction(share, tot) * val

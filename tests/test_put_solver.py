@@ -56,7 +56,12 @@ from ldpput.put_solver import (
     random_channel_audit,
     random_private_channel,
 )
-from ldpput.serialize import channel_to_json
+from ldpput.serialize import (
+    channel_from_json,
+    channel_to_json,
+    maximality_certificate,
+    weights_to_json,
+)
 from oracles import (
     BAYES_TRAITS,
     RiskTraits,
@@ -69,6 +74,7 @@ from oracles import (
     spot_check_traits,
     subset_size,
     vertex_sweep_reference,
+    without_zero_rows,
 )
 
 F = Fraction
@@ -742,18 +748,29 @@ SAMPLER_CASES = st.tuples(st.integers(min_value=0, max_value=10 ** 6),
                           st.sampled_from(["3/2", "2", "7/3", "5"]))
 
 
+def live_reference_sample(rng: random.Random, vertices) -> Channel:
+    """The reference sampler's channel, its maximal draw without the zero
+    rows: that draw's letters are all the subset masks, where a
+    post-processed draw's are 0 .. n_out - 1."""
+    q = random_private_channel_reference(rng, vertices)
+    if 0 in q.output_alphabet.letters:
+        return q
+    return without_zero_rows(q)
+
+
 @given(SAMPLER_CASES)
 @settings(max_examples=80, deadline=None)
 def test_random_private_channel_matches_reference(case):
     """The integer sampler gives the reference sampler's channel (Fraction
-    weights, extremal channel, composed post-processor) and leaves the
-    generator where the reference does; t = 7/3 has q != 1."""
+    weights, extremal channel, composed post-processor), its maximal draw
+    with the zero rows dropped, and leaves the generator where the
+    reference does; t = 7/3 has q != 1."""
     seed, m, t = case
     vertices = enumerate_polytope_vertices(FiniteAlphabet.of_size(m), F(t))
     rng, rng2 = random.Random(seed), random.Random(seed)
     for _ in range(3):
         q = random_private_channel(rng, vertices)
-        reference = random_private_channel_reference(rng2, vertices)
+        reference = live_reference_sample(rng2, vertices)
         assert q == reference
         assert channel_to_json(q) == channel_to_json(reference)
         assert rng.getstate() == rng2.getstate()
@@ -763,7 +780,8 @@ def test_random_private_channel_matches_reference(case):
 @settings(max_examples=20, deadline=None)
 def test_audit_matches_reference_sampler(case):
     """The audit reports the same worst sample, and on a failure the same
-    sample index and channel JSON, with either sampler."""
+    sample index and channel JSON, with either sampler (the reference's
+    maximal draws without their zero rows)."""
     seed, m, t = case
     alphabet = FiniteAlphabet.of_size(m)
     problem, prior = ht_problem(m, F(1, 3))
@@ -789,11 +807,36 @@ def test_audit_matches_reference_sampler(case):
     if fake == values[0]:
         fake = values[-1] + 1
     failed = failure(fake)
-    with mock.patch.object(put_solver, "random_private_channel",
-                           random_private_channel_reference):
+    with mock.patch.object(put_solver, "random_private_channel", live_reference_sample):
         assert audit(F(0)) == report
         assert failure(fake) == failed
     assert report.min_gap == values[0]
+
+
+@pytest.mark.parametrize("m, t", [(3, "2"), (4, "3/2"), (4, "7/3")])
+def test_audit_failure_channel_reads_back(m, t):
+    """The failure dump read back with channel_from_json: its risk is the
+    baseline plus the gap, and a maximal draw lists only the outputs that
+    occur, whose canonical weights are the draw's mixed weights."""
+    alphabet, t = FiniteAlphabet.of_size(m), F(t)
+    problem, prior = ht_problem(m, F(1, 2))
+    vertices = enumerate_polytope_vertices(alphabet, t)
+    baseline = F(2)  # above every Bayes risk of this problem, so sample 0 fails
+    maximal = 0
+    for seed in range(12):
+        with pytest.raises(AuditFailureError) as excinfo:
+            random_channel_audit(lambda q: bayes_optimal_risk(problem, prior, q), alphabet, t,
+                                 samples=3, seed=seed, baseline_value=baseline)
+        failure = excinfo.value
+        q = channel_from_json(failure.channel_json)
+        assert bayes_optimal_risk(problem, prior, q) == baseline + failure.gap
+        rng = _sample_rng(seed, failure.sample_index)
+        point = random_polytope_point(rng, vertices)
+        if rng.random() >= F(2, 3):
+            maximal += 1
+            assert q.output_alphabet.letters == point.support
+            assert maximality_certificate(q, t)["canonical_weights"] == weights_to_json(point)
+    assert 0 < maximal < 12
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([3, 4]),
